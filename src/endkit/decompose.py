@@ -33,12 +33,15 @@ from .presentation import (
     BlockKind,
     Rule,
     SurfacePresentation,
+    backward,
     canonical_finite_type,
     first_occurrences,
+    forward,
     genus,
     is_finite_type,
     regularize,
     states_after_cycles,
+    successors,
     _occurrence_counts,
 )
 from .ends import Verdict, _pair_verdict, _space_of, ends_automaton
@@ -353,13 +356,7 @@ def _rebuild(
         root = f[0]
     else:
         raise ValueError(f"unknown wiring {wiring!r}")
-    reachable = {root}
-    todo = deque([root])
-    while todo:
-        for child in rules[todo.popleft()][1]:
-            if child not in reachable:
-                reachable.add(child)
-                todo.append(child)
+    reachable = set(forward({s: r[1] for s, r in rules.items()}, [root]))
     rules = {s: r for s, r in rules.items() if s in reachable}
     return SurfacePresentation(name=pres.name, rules=rules, root=root)
 
@@ -416,14 +413,7 @@ def spine(pres: SurfacePresentation) -> SpineGraph:
         )
     else:
         rank = INFINITE
-    core = set(loops)
-    changed = True
-    while changed:
-        changed = False
-        for s in pres.reachable():
-            if s not in core and any(c in core for c in pres.children(s)):
-                core.add(s)
-                changed = True
+    core = backward(successors(pres), loops)
     return SpineGraph(presentation=pres, rank=rank, core_states=frozenset(core))
 
 
@@ -504,15 +494,8 @@ def _complement_census(
     for start in sorted(adjacency):
         if start in seen:
             continue
-        comp = {start}
-        seen.add(start)
-        todo = deque([start])
-        while todo:
-            for n in adjacency[todo.popleft()]:
-                if n not in comp:
-                    comp.add(n)
-                    seen.add(n)
-                    todo.append(n)
+        comp = set(forward(adjacency, [start]))
+        seen |= comp
         pants = sum(1 for pid in comp if kind_of[pid] is PieceKind.PANTS)
         tori = sum(1 for pid in comp if kind_of[pid] is PieceKind.ONE_HOLED_TORUS)
         pds = len(comp) - pants - tori

@@ -23,13 +23,23 @@ Three decision layers are built on top:
   sound homeomorphism verdicts on pairs (ends, non-planar ends).
 """
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union as TUnion
 
 from .errors import InvalidEndExprError, NotConvertibleError
-from .presentation import BlockKind, SurfacePresentation, regularize
+from .presentation import (
+    BlockKind,
+    SurfacePresentation,
+    _finite_ends_count,
+    backward,
+    forward,
+    on_cycles,
+    path_counts,
+    regularize,
+    sccs,
+    successors,
+)
 
 DEFAULT_RANK_CUTOFF = 16
 
@@ -121,142 +131,44 @@ def _restrict(space: _Space, keep: Iterable[str]) -> _Space:
     """The subspace of paths staying inside ``keep`` forever."""
     if space.empty:
         return _EMPTY_SPACE
-    alive = set(keep) & space.states
-    while True:
-        dead = {
-            s for s in alive
-            if not any(c in alive for c in space.choices[s])
-        }
-        if not dead:
-            break
-        alive -= dead
+    keep = set(keep)
+    inside = {
+        s: tuple(c for c in cs if c in keep)
+        for s, cs in space.choices.items() if s in keep
+    }
+    alive = backward(inside, on_cycles(inside))
     if space.root not in alive:
         return _EMPTY_SPACE
-    seen = {space.root}
-    todo = deque([space.root])
-    choices: dict[str, tuple[str, ...]] = {}
-    while todo:
-        s = todo.popleft()
-        kept = tuple(c for c in space.choices[s] if c in alive)
-        choices[s] = kept
-        for c in kept:
-            if c not in seen:
-                seen.add(c)
-                todo.append(c)
-    return _Space(choices=choices, root=space.root)
+    live = {s: tuple(c for c in inside[s] if c in alive) for s in alive}
+    return _Space(
+        choices={s: live[s] for s in forward(live, [space.root])},
+        root=space.root,
+    )
 
 
 def _subspace_at(space: _Space, state: str) -> _Space:
     """Paths of ``space`` starting from ``state`` instead of the root."""
-    rerooted = _Space(choices=space.choices, root=state)
-    return _restrict(rerooted, rerooted.states)
-
-
-def _reaching(space: _Space, targets: Iterable[str]) -> set[str]:
-    """States from which some target is reachable (targets included)."""
-    hit = set(targets) & space.states
-    changed = True
-    while changed:
-        changed = False
-        for s, cs in space.choices.items():
-            if s not in hit and any(c in hit for c in cs):
-                hit.add(s)
-                changed = True
-    return hit
-
-
-def _scc_partition(space: _Space) -> list[list[str]]:
-    """Strongly connected components, in reverse topological order
-    (every component precedes the components that can reach it)."""
-    order: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    out: list[list[str]] = []
-    counter = 0
-    for start in space.choices:
-        if start in order:
-            continue
-        work: list[tuple[str, int]] = [(start, 0)]
-        while work:
-            state, idx = work[-1]
-            if idx == 0:
-                order[state] = low[state] = counter
-                counter += 1
-                stack.append(state)
-                on_stack.add(state)
-            succs = space.choices[state]
-            if idx < len(succs):
-                work[-1] = (state, idx + 1)
-                child = succs[idx]
-                if child not in order:
-                    work.append((child, 0))
-                elif child in on_stack:
-                    low[state] = min(low[state], order[child])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[state])
-                if low[state] == order[state]:
-                    scc = []
-                    while True:
-                        s = stack.pop()
-                        on_stack.discard(s)
-                        scc.append(s)
-                        if s == state:
-                            break
-                    out.append(scc)
-    return out
-
-
-def _cyclic_region(space: _Space) -> set[str]:
-    """States on, or reachable from, a cycle."""
-    cyclic: set[str] = set()
-    for scc in _scc_partition(space):
-        if len(scc) > 1 or scc[0] in space.choices[scc[0]]:
-            cyclic.update(scc)
-    seen = set(cyclic)
-    todo = deque(cyclic)
-    while todo:
-        for c in space.choices[todo.popleft()]:
-            if c not in seen:
-                seen.add(c)
-                todo.append(c)
-    return seen
+    return _Space(
+        choices={s: space.choices[s] for s in forward(space.choices, [state])},
+        root=state,
+    )
 
 
 def _ends_count_space(space: _Space) -> EndsCount:
     if space.empty:
         return EndsCount(Cardinality.FINITE, 0)
-    scc_of: dict[str, int] = {}
-    sccs = _scc_partition(space)
-    for i, scc in enumerate(sccs):
-        for s in scc:
-            scc_of[s] = i
-    for s, cs in space.choices.items():
-        internal = sum(1 for c in cs if scc_of[c] == scc_of[s])
-        in_cycle = len(sccs[scc_of[s]]) > 1 or s in cs
-        if in_cycle and internal >= 2:
+    succ = space.choices
+    components = sccs(succ)
+    scc_of = {s: i for i, c in enumerate(components) for s in c}
+    for s, cs in succ.items():
+        if sum(1 for c in cs if scc_of[c] == scc_of[s]) >= 2:
             return EndsCount(Cardinality.UNCOUNTABLE)
-    after = _cyclic_region(space)
-    if any(len(space.choices[s]) >= 2 for s in after):
+    cyclic = on_cycles(succ, components)
+    if any(len(succ[s]) >= 2 for s in forward(succ, cyclic)):
         return EndsCount(Cardinality.COUNTABLY_INFINITE)
-    cyclic = {
-        s for scc in sccs for s in scc
-        if len(scc) > 1 or s in space.choices[s]
-    }
-    memo: dict[str, int] = {}
-
-    def count(s: str) -> int:
-        # deterministic beyond the cyclic region, so each entry is one end
-        if s in cyclic:
-            return 1
-        if s not in memo:
-            memo[s] = sum(count(c) for c in space.choices[s])
-        return memo[s]
-
-    return EndsCount(Cardinality.FINITE, count(space.root))
+    # deterministic beyond the cyclic region, so each entry is one end
+    assert space.root is not None
+    return EndsCount(Cardinality.FINITE, _finite_ends_count(succ, space.root, cyclic))
 
 
 def ends_count(
@@ -311,7 +223,7 @@ def _derivative(space: _Space) -> _Space:
     if space.empty:
         return space
     branchy = {s for s, cs in space.choices.items() if len(cs) >= 2}
-    return _restrict(space, _reaching(space, branchy))
+    return _restrict(space, backward(space.choices, branchy))
 
 
 def _finite_ends_below(space: _Space, state: str) -> int:
@@ -336,46 +248,17 @@ def _batch_size(old: _Space, new: _Space) -> int | None:
         for child in old.choices[s]
         if child not in new.choices
     ]
-    pumped = _cyclic_region(new)
+    pumped = set(forward(new.choices, on_cycles(new.choices)))
     if any(s in pumped for s, _ in exits):
         return None
     # the ancestor region of the exit sources is acyclic; count paths to them
     sources = {s for s, _ in exits}
-    region = _reaching(new, sources)
-    paths: dict[str, int] = {new.root: 1} if new.root in region else {}
-    ordered = _topo_order(new, region)
-    for s in ordered:
-        n = paths.get(s, 0)
-        if n == 0:
-            continue
-        for c in new.choices[s]:
-            if c in region:
-                paths[c] = paths.get(c, 0) + n
+    assert new.root is not None
+    paths = path_counts(new.choices, new.root, backward(new.choices, sources))
     return sum(
         paths.get(s, 0) * _finite_ends_below(old, child)
         for s, child in exits
     )
-
-
-def _topo_order(space: _Space, region: set[str]) -> list[str]:
-    indeg = {s: 0 for s in region}
-    for s in region:
-        for c in space.choices[s]:
-            if c in region:
-                indeg[c] += 1
-    todo = deque(sorted(s for s, d in indeg.items() if d == 0))
-    out: list[str] = []
-    while todo:
-        s = todo.popleft()
-        out.append(s)
-        for c in space.choices[s]:
-            if c in region:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    todo.append(c)
-    if len(out) != len(region):
-        raise AssertionError("exit-path region unexpectedly cyclic")
-    return out
 
 
 def _cb_space(space: _Space, rank_cutoff: int) -> CBReport:
@@ -413,7 +296,7 @@ def _cb_space(space: _Space, rank_cutoff: int) -> CBReport:
 
 def _nonplanar_space(automaton: EndsAutomaton) -> _Space:
     space = _space_of(automaton)
-    return _restrict(space, _reaching(space, automaton.nonplanar_states))
+    return _restrict(space, backward(space.choices, automaton.nonplanar_states))
 
 
 def cb_report(
@@ -684,9 +567,9 @@ def _to_expr(space: _Space, mark_targets: Iterable[str]) -> EndExpr:
     component mixes internal branching with exits."""
     if space.empty:
         raise NotConvertibleError("empty path space has no expression")
-    marked = _reaching(space, mark_targets)
+    marked = backward(space.choices, mark_targets)
     expr_of: dict[str, EndExpr] = {}
-    for scc in _scc_partition(space):
+    for scc in sccs(space.choices):
         members = set(scc)
         internal = {
             s: sum(1 for c in space.choices[s] if c in members) for s in scc
@@ -736,16 +619,8 @@ def _canonical_form(space: _Space, marked: set[str]) -> tuple:
     """Relabel states by BFS discovery order (child order preserved)."""
     if space.empty:
         return ()
-    index = {space.root: 0}
-    order = [space.root]
-    todo = deque([space.root])
-    while todo:
-        s = todo.popleft()
-        for c in space.choices[s]:
-            if c not in index:
-                index[c] = len(order)
-                order.append(c)
-                todo.append(c)
+    order = forward(space.choices, [space.root])
+    index = {s: i for i, s in enumerate(order)}
     return tuple(
         (tuple(index[c] for c in space.choices[s]), s in marked)
         for s in order
@@ -754,7 +629,7 @@ def _canonical_form(space: _Space, marked: set[str]) -> tuple:
 
 def _pair_invariants(space: _Space, mark_targets: Iterable[str]) -> tuple:
     full = _cb_space(space, DEFAULT_RANK_CUTOFF)
-    marked_space = _restrict(space, _reaching(space, mark_targets))
+    marked_space = _restrict(space, backward(space.choices, mark_targets))
     sub = _cb_space(marked_space, DEFAULT_RANK_CUTOFF)
     return full.invariant_key() + sub.invariant_key()
 
@@ -776,8 +651,8 @@ def _pair_verdict(
         return Verdict.NO, "invariants"
     if _pair_invariants(space_a, marks_a) != _pair_invariants(space_b, marks_b):
         return Verdict.NO, "invariants"
-    canon_a = _canonical_form(space_a, _reaching(space_a, marks_a))
-    canon_b = _canonical_form(space_b, _reaching(space_b, marks_b))
+    canon_a = _canonical_form(space_a, backward(space_a.choices, marks_a))
+    canon_b = _canonical_form(space_b, backward(space_b.choices, marks_b))
     if canon_a == canon_b:
         return Verdict.YES, "identical-presentation"
     try:
@@ -809,47 +684,17 @@ def find_isolated_planar_end(pres: SurfacePresentation) -> str | None:
     an isolated puncture), or None."""
     pres = regularize(pres)
     assert pres.root is not None
-    pure: dict[str, bool] = {}
-
-    def all_annulus(state: str, trail: set[str]) -> bool:
-        if state in pure:
-            return pure[state]
-        if state in trail:
-            return True  # cycle of annuli closes the lasso
-        if pres.kind(state) is not BlockKind.ANNULUS:
-            pure[state] = False
-            return False
-        trail.add(state)
-        result = all(all_annulus(c, trail) for c in pres.children(state))
-        trail.discard(state)
-        pure[state] = result
-        return result
-
-    todo = deque([pres.root])
-    seen = {pres.root}
-    while todo:
-        s = todo.popleft()
-        if all_annulus(s, set()):
+    succ = successors(pres)
+    impure = backward(
+        succ, [s for s in succ if pres.kind(s) is not BlockKind.ANNULUS]
+    )
+    for s in forward(succ, [pres.root]):
+        if s not in impure:
             return s
-        for c in pres.children(s):
-            if c not in seen:
-                seen.add(c)
-                todo.append(c)
     return None
 
 
 # -- JSON ------------------------------------------------------------------
-
-def automaton_to_json(a: EndsAutomaton) -> dict:
-    return {
-        "states": list(a.states),
-        "edges": [
-            [s, c] for s in a.states for c in a.transitions[s]
-        ],
-        "root": a.root,
-        "nonplanar_states": sorted(a.nonplanar_states),
-    }
-
 
 def ends_count_to_json(c: EndsCount) -> dict:
     out: dict = {"class": c.cardinality.value}

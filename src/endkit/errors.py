@@ -59,10 +59,6 @@ class InconsistentInvariantsError(ClassifyError):
     """Genus and ends data violate a realizability constraint."""
 
 
-class NotRealizableError(ClassifyError):
-    """No presentation realizes the requested invariants."""
-
-
 # -- decomposition ---------------------------------------------------------
 
 class DecomposeError(EndkitError):

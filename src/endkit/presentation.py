@@ -34,7 +34,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DanglingRuleError,
@@ -139,15 +139,8 @@ class SurfacePresentation:
         return sorted(self.rules)
 
     def reachable(self) -> set[str]:
-        assert self.rules is not None and self.root is not None
-        seen = {self.root}
-        todo = deque([self.root])
-        while todo:
-            for child in self.children(todo.popleft()):
-                if child not in seen:
-                    seen.add(child)
-                    todo.append(child)
-        return seen
+        assert self.root is not None
+        return set(forward(successors(self), [self.root]))
 
     def unfold(self, max_nodes: int) -> Iterator[tuple[tuple[int, ...], str]]:
         """Breadth-first occurrences of the unfolding tree, as (path, state)."""
@@ -282,32 +275,73 @@ def pretty_print(pres: SurfacePresentation) -> str:
 
 
 # -- rule-graph analysis ---------------------------------------------------
+#
+# The one graph form is a successor map: each state to its children in
+# child order, with multiplicity.  Every successor must itself be a key.
+# EndsAutomaton.transitions and the ends module's choice spaces are such
+# maps; successors() builds one from a rule system.  All routines below are
+# iterative and O(states + edges).
 
-def cyclic_states(pres: SurfacePresentation) -> set[str]:
-    """States lying on some cycle of the rule graph."""
+Successors = Mapping[str, Sequence[str]]
+
+
+def successors(pres: SurfacePresentation) -> dict[str, tuple[str, ...]]:
+    """The rule graph of a rule presentation."""
     assert pres.rules is not None
+    return {s: children for s, (_, children) in pres.rules.items()}
+
+
+def forward(succ: Successors, starts: Iterable[str]) -> list[str]:
+    """States reachable from ``starts`` (included), in breadth-first
+    discovery order."""
+    order = list(dict.fromkeys(starts))
+    seen = set(order)
+    for state in order:  # grows while it is walked
+        for child in succ[state]:
+            if child not in seen:
+                seen.add(child)
+                order.append(child)
+    return order
+
+
+def backward(succ: Successors, targets: Iterable[str]) -> set[str]:
+    """States from which some target is reachable (targets included)."""
+    preds: dict[str, list[str]] = {s: [] for s in succ}
+    for state, children in succ.items():
+        for child in children:
+            preds[child].append(state)
+    hit = {t for t in targets if t in preds}
+    todo = list(hit)
+    while todo:
+        for pred in preds[todo.pop()]:
+            if pred not in hit:
+                hit.add(pred)
+                todo.append(pred)
+    return hit
+
+
+def sccs(succ: Successors) -> list[list[str]]:
+    """Strongly connected components (Tarjan), in reverse topological
+    order: every component precedes the components that can reach it."""
     order: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    result: set[str] = set()
-    counter = 0
-
-    for start in pres.reachable():
+    out: list[list[str]] = []
+    for start in succ:
         if start in order:
             continue
         work: list[tuple[str, int]] = [(start, 0)]
         while work:
             state, idx = work[-1]
             if idx == 0:
-                order[state] = low[state] = counter
-                counter += 1
+                order[state] = low[state] = len(order)
                 stack.append(state)
                 on_stack.add(state)
-            kids = pres.children(state)
-            if idx < len(kids):
+            children = succ[state]
+            if idx < len(children):
                 work[-1] = (state, idx + 1)
-                child = kids[idx]
+                child = children[idx]
                 if child not in order:
                     work.append((child, 0))
                 elif child in on_stack:
@@ -318,87 +352,88 @@ def cyclic_states(pres: SurfacePresentation) -> set[str]:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[state])
                 if low[state] == order[state]:
-                    scc = []
+                    component = []
                     while True:
                         s = stack.pop()
                         on_stack.discard(s)
-                        scc.append(s)
+                        component.append(s)
                         if s == state:
                             break
-                    if len(scc) > 1 or state in pres.children(state):
-                        result.update(scc)
-    return result
+                    out.append(component)
+    return out
+
+
+def on_cycles(
+    succ: Successors, components: list[list[str]] | None = None
+) -> set[str]:
+    """States lying on some cycle; ``components`` reuses ``sccs(succ)``."""
+    if components is None:
+        components = sccs(succ)
+    return {
+        s for c in components if len(c) > 1 or c[0] in succ[c[0]] for s in c
+    }
+
+
+def path_counts(succ: Successors, root: str, through: Iterable[str]) -> dict[str, int]:
+    """Number of paths from ``root`` to each state that run inside
+    ``through`` and stop at the first state outside it.
+
+    ``through`` must induce an acyclic subgraph (Kahn's order over it).
+    """
+    indeg = dict.fromkeys(through, 0)
+    for state in indeg:
+        for child in succ[state]:
+            if child in indeg:
+                indeg[child] += 1
+    counts = {root: 1}
+    todo = [s for s, d in indeg.items() if d == 0]
+    done = 0
+    while todo:
+        state = todo.pop()
+        done += 1
+        n = counts.get(state, 0)
+        for child in succ[state]:
+            if n:
+                counts[child] = counts.get(child, 0) + n
+            if child in indeg:
+                indeg[child] -= 1
+                if indeg[child] == 0:
+                    todo.append(child)
+    if done != len(indeg):
+        raise AssertionError("path-count region unexpectedly cyclic")
+    return counts
+
+
+def _finite_ends_count(succ: Successors, root: str, cyclic: set[str]) -> int:
+    """Ends of a choice graph that no longer branches once it reaches its
+    cycles (``cyclic`` = on_cycles(succ)): each route into the cyclic
+    region is one end."""
+    counts = path_counts(succ, root, succ.keys() - cyclic)
+    return sum(n for s, n in counts.items() if s in cyclic)
+
+
+def cyclic_states(pres: SurfacePresentation) -> set[str]:
+    """States lying on some cycle of the rule graph."""
+    return on_cycles(successors(pres))
 
 
 def states_after_cycles(pres: SurfacePresentation) -> set[str]:
     """States on or reachable from a rule-graph cycle."""
-    assert pres.rules is not None
-    seen = set(cyclic_states(pres))
-    todo = deque(seen)
-    while todo:
-        for child in pres.children(todo.popleft()):
-            if child not in seen:
-                seen.add(child)
-                todo.append(child)
-    return seen
+    succ = successors(pres)
+    return set(forward(succ, on_cycles(succ)))
 
 
 def _occurrence_counts(pres: SurfacePresentation, targets: set[str]) -> int:
     """Number of unfolding-tree nodes labeled by ``targets``.
 
     Only valid when no target is on or after a cycle (counts are finite
-    exactly then); counted with child multiplicity, so ``P(a, a)`` doubles.
+    exactly then, and the ancestors of the targets form an acyclic region);
+    counted with child multiplicity, so ``P(a, a)`` doubles.
     """
     assert pres.root is not None
-    order = _topological_ancestors(pres, targets)
-    region = set(order)
-    counts: dict[str, int] = {pres.root: 1}
-    for state in order:
-        n = counts.get(state, 0)
-        if n == 0:
-            continue
-        for child in pres.children(state):
-            if child in region:
-                counts[child] = counts.get(child, 0) + n
+    succ = successors(pres)
+    counts = path_counts(succ, pres.root, backward(succ, targets))
     return sum(counts.get(t, 0) for t in targets)
-
-
-def _topological_ancestors(pres: SurfacePresentation, targets: set[str]) -> list[str]:
-    """Topological order of states that can reach a target.
-
-    Precondition: no target on/after a cycle, which makes this region acyclic.
-    """
-    assert pres.rules is not None
-    reach = pres.reachable()
-    can_reach: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for state in reach:
-            if state in can_reach:
-                continue
-            if state in targets or any(c in can_reach for c in pres.children(state)):
-                can_reach.add(state)
-                changed = True
-    # Kahn's algorithm on the induced subgraph.
-    indeg: dict[str, int] = {s: 0 for s in can_reach}
-    for state in can_reach:
-        for child in pres.children(state):
-            if child in can_reach:
-                indeg[child] += 1
-    todo = deque(sorted(s for s, d in indeg.items() if d == 0))
-    order: list[str] = []
-    while todo:
-        state = todo.popleft()
-        order.append(state)
-        for child in pres.children(state):
-            if child in can_reach:
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    todo.append(child)
-    if len(order) != len(can_reach):
-        raise AssertionError("ancestor region unexpectedly cyclic")
-    return order
 
 
 # -- invariants ------------------------------------------------------------
@@ -420,31 +455,7 @@ def is_finite_type(pres: SurfacePresentation) -> bool:
     """True iff the unfolding contains finitely many non-annulus blocks."""
     if pres.finite_type is not None:
         return True
-    after = states_after_cycles(pres)
-    return all(pres.kind(s) is BlockKind.ANNULUS for s in after & pres.reachable())
-
-
-def _finite_ends_count(pres: SurfacePresentation) -> int:
-    """Number of ends of a finite-type rule presentation.
-
-    Every infinite branch of the unfolding eventually enters a closed
-    annulus cycle; branches are counted by the distinct routes into the
-    cyclic region (pants double the count via both children).
-    """
-    assert pres.root is not None
-    cyc = cyclic_states(pres)
-    if pres.root in cyc:
-        return 1
-    memo: dict[str, int] = {}
-
-    def count(state: str) -> int:
-        if state in cyc:
-            return 1
-        if state not in memo:
-            memo[state] = sum(count(c) for c in pres.children(state))
-        return memo[state]
-
-    return count(pres.root)
+    return all(pres.kind(s) is BlockKind.ANNULUS for s in states_after_cycles(pres))
 
 
 def canonical_finite_type(pres: SurfacePresentation) -> tuple[int, int, int]:
@@ -460,7 +471,9 @@ def canonical_finite_type(pres: SurfacePresentation) -> tuple[int, int, int]:
         raise NotFiniteTypeError(f"{pres.name}: infinite type")
     g = genus(pres)
     assert g is not INFINITE
-    return (int(g), 0, _finite_ends_count(pres))
+    succ = successors(pres)
+    assert pres.root is not None
+    return (int(g), 0, _finite_ends_count(succ, pres.root, on_cycles(succ)))
 
 
 # -- constructions ---------------------------------------------------------
@@ -528,9 +541,10 @@ def first_occurrences(
     pres: SurfacePresentation, kind: BlockKind, count: int, max_nodes: int = 100_000
 ) -> list[tuple[int, ...]]:
     """Paths of the first ``count`` unfolding occurrences of ``kind``."""
+    pres = regularize(pres)
     found: list[tuple[int, ...]] = []
-    for path, state in regularize(pres).unfold(max_nodes):
-        if regularize(pres).kind(state) is kind:
+    for path, state in pres.unfold(max_nodes):
+        if pres.kind(state) is kind:
             found.append(path)
             if len(found) == count:
                 return found

@@ -97,6 +97,19 @@ def test_invariants(surf, capsys):
     assert payload["ends"]["count"] == 1 and payload["ends_nonplanar"]["count"] == 1
 
 
+def test_invariants_on_a_deep_comb(surf, capsys):
+    k = 1200
+    rules = [f"p{i} = P(t{i}, {f'p{i + 1}' if i < k - 1 else f't{k}'})" for i in range(k)]
+    rules += [f"t{i} = A(t{i})" for i in range(k + 1)]
+    comb = surf("comb.surf", "surface comb { " + "; ".join(rules) + " }")
+    code, out = run(capsys, "invariants", comb)
+    assert code == 0
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["ends"] == {"class": "finite", "count": k + 1}
+    assert payload["cb"]["profile"] == [k + 1]
+
+
 def test_invariants_rank_cutoff(surf, capsys):
     flute = surf("flute.surf", FLUTE)
     _, out = run(capsys, "invariants", flute, "--rank-cutoff", "1")

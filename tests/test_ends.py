@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from endkit import (
     INFINITE,
+    BlockKind,
     Cantor,
     Cardinality,
     EndsCount,
@@ -15,13 +16,17 @@ from endkit import (
     Pt,
     Seq,
     Union,
+    NotFiniteTypeError,
+    SurfacePresentation,
     Verdict,
+    canonical_finite_type,
     cb_report,
     ends_automaton,
     ends_count,
     expr_cb_report,
     find_isolated_planar_end,
     format_end_expr,
+    kerekjarto,
     normalize_end_expr,
     pair_homeomorphic,
     parse_end_expr,
@@ -260,3 +265,92 @@ def test_find_isolated_planar_end():
     assert find_isolated_planar_end(FLUTE) == "punc"
     assert find_isolated_planar_end(CANTOR) is None
     assert find_isolated_planar_end(LOCH) is None
+
+
+# -- deep inputs: past the default recursion limit -------------------------
+
+A, P, H = BlockKind.ANNULUS, BlockKind.PANTS, BlockKind.HANDLE
+DEEP = 1200
+
+
+def annulus_chain(n: int) -> SurfacePresentation:
+    """n - 1 annuli in a row, then a Loch Ness tail."""
+    rules = {f"a{i}": (A, (f"a{i + 1}",)) for i in range(n - 2)}
+    rules[f"a{n - 2}"] = (A, ("tail",))
+    rules["tail"] = (H, ("tail",))
+    return SurfacePresentation(name="chain", rules=rules, root="a0")
+
+
+def pants_comb(k: int) -> SurfacePresentation:
+    """k pants in a row, each with a puncture tooth, ending in a puncture."""
+    rules = {f"p{i}": (P, (f"t{i}", f"p{i + 1}" if i < k - 1 else f"t{k}")) for i in range(k)}
+    rules.update({f"t{i}": (A, (f"t{i}",)) for i in range(k + 1)})
+    return SurfacePresentation(name="comb", rules=rules, root="p0")
+
+
+def cantor_marked(n: int) -> SurfacePresentation:
+    """A pants spine of planar Cantor teeth ending in a genus-marked Cantor
+    set; n states."""
+    k = (n - 2) // 2
+    rules = {}
+    for i in range(k):
+        rules[f"s{i}"] = (P, (f"c{i}", f"s{i + 1}" if i < k - 1 else "h"))
+        rules[f"c{i}"] = (P, (f"c{i}", f"c{i}"))
+    rules["h"] = (H, ("q",))
+    rules["q"] = (P, ("h", "h"))
+    return SurfacePresentation(name="cantor_marked", rules=rules, root="s0")
+
+
+def _renamed(pres: SurfacePresentation) -> SurfacePresentation:
+    new = {s: f"r{i}" for i, s in enumerate(reversed(list(pres.rules)))}
+    rules = {
+        new[s]: (kind, tuple(new[c] for c in children))
+        for s, (kind, children) in reversed(list(pres.rules.items()))
+    }
+    return SurfacePresentation(name="renamed", rules=rules, root=new[pres.root])
+
+
+def _finite(n: int) -> EndsCount:
+    return EndsCount(Cardinality.FINITE, n)
+
+
+UNCOUNTABLE = EndsCount(Cardinality.UNCOUNTABLE)
+
+
+@pytest.mark.parametrize(
+    "pres, ends, nonplanar, cb, cb_nonplanar, finite_type, isolated",
+    [
+        # one non-planar end, isolated
+        (annulus_chain(DEEP), _finite(1), _finite(1),
+         (1, 1, False, _finite(1), (1,)), (1, 1, False, _finite(1), (1,)),
+         None, None),
+        # S_{0,0,DEEP+1}: DEEP + 1 isolated planar ends
+        (pants_comb(DEEP), _finite(DEEP + 1), _finite(0),
+         (1, DEEP + 1, False, _finite(DEEP + 1), (DEEP + 1,)),
+         (0, 0, False, _finite(0), ()),
+         (0, 0, DEEP + 1), "t0"),
+        # a Cantor set whose non-planar part is again a Cantor set
+        (cantor_marked(DEEP), UNCOUNTABLE, UNCOUNTABLE,
+         (0, 0, True, UNCOUNTABLE, ()), (0, 0, True, UNCOUNTABLE, ()),
+         None, None),
+    ],
+    ids=["chain", "comb", "cantor-marked"],
+)
+def test_deep_inputs_match_closed_forms(
+    pres, ends, nonplanar, cb, cb_nonplanar, finite_type, isolated
+):
+    auto = ends_automaton(pres)
+    assert ends_count(auto) == ends
+    assert ends_count(auto, marked="nonplanar_only") == nonplanar
+    for marked, expected in (("all", cb), ("nonplanar_only", cb_nonplanar)):
+        r = cb_report(auto, marked=marked)
+        assert (r.rank, r.degree, r.has_perfect_kernel, r.cardinality, r.profile) == expected
+        assert not r.rank_exceeded
+    if finite_type is None:
+        with pytest.raises(NotFiniteTypeError):
+            canonical_finite_type(pres)
+    else:
+        assert canonical_finite_type(pres) == finite_type
+    assert find_isolated_planar_end(pres) == isolated
+    verdict = kerekjarto(pres, _renamed(pres))
+    assert verdict.to_json() == {"verdict": "Homeomorphic"}

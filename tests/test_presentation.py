@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from endkit import (
     INFINITE,
@@ -27,6 +27,7 @@ from endkit import (
     states_after_cycles,
 )
 from endkit.ends import Cardinality
+from endkit.presentation import backward, forward, on_cycles, path_counts, sccs
 
 from conftest import presentations
 
@@ -190,3 +191,88 @@ def test_first_occurrences_paths():
     assert first_occurrences(p, BlockKind.ANNULUS, 1) == [(1,)]
     with pytest.raises(ValueError):
         first_occurrences(p, BlockKind.HANDLE, 1, max_nodes=64)
+
+
+# -- the rule-graph kernel against brute-force definitions -----------------
+
+@st.composite
+def successor_maps(draw, acyclic: bool = False):
+    """Closed successor maps over at most 8 states, duplicates allowed; with
+    ``acyclic`` every edge goes to a later state."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+    succ = {}
+    for i, name in enumerate(names):
+        pool = names[i + 1:] if acyclic else names
+        succ[name] = tuple(
+            draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else ()
+        )
+    return succ
+
+
+def _closure(succ):
+    """reach[s]: states at the end of a path of one or more steps from s."""
+    reach = {s: set(cs) for s, cs in succ.items()}
+    changed = True
+    while changed:
+        changed = False
+        for s in succ:
+            more = set().union(*(reach[c] for c in reach[s])) - reach[s]
+            if more:
+                reach[s] |= more
+                changed = True
+    return reach
+
+
+@settings(max_examples=200)
+@given(successor_maps(), st.data())
+def test_kernel_reachability_and_cycles(succ, data):
+    reach = _closure(succ)
+    starts = data.draw(st.lists(st.sampled_from(sorted(succ)), max_size=3))
+    targets = set(data.draw(st.lists(st.sampled_from(sorted(succ)), max_size=3)))
+
+    found = forward(succ, starts)
+    assert found[: len(set(starts))] == list(dict.fromkeys(starts))
+    assert sorted(found) == sorted(set(starts).union(*(reach[s] for s in starts)))
+
+    hit = set(targets)  # naive fixpoint
+    changed = True
+    while changed:
+        changed = False
+        for s, cs in succ.items():
+            if s not in hit and any(c in hit for c in cs):
+                hit.add(s)
+                changed = True
+    assert backward(succ, targets) == hit
+
+    components = sccs(succ)
+    assert sorted(s for c in components for s in c) == sorted(succ)
+    for c in components:
+        for s in succ:
+            mutual = s == c[0] or (s in reach[c[0]] and c[0] in reach[s])
+            assert (s in c) == mutual
+    position = {s: i for i, c in enumerate(components) for s in c}
+    for s, cs in succ.items():
+        assert all(position[c] <= position[s] for c in cs)
+
+    cyclic = {s for s in succ if s in reach[s]}
+    assert on_cycles(succ) == cyclic
+    assert on_cycles(succ, components) == cyclic
+
+
+@settings(max_examples=200)
+@given(successor_maps(acyclic=True), st.data())
+def test_kernel_path_counts_against_enumeration(succ, data):
+    root = data.draw(st.sampled_from(sorted(succ)))
+    through = set(data.draw(st.lists(st.sampled_from(sorted(succ)))))
+    expected: dict[str, int] = {}
+    paths = [root]  # last state of every root path that may still extend
+    for last in paths:
+        expected[last] = expected.get(last, 0) + 1
+        if last in through:
+            paths.extend(succ[last])
+    assert path_counts(succ, root, through) == expected
+
+
+def test_kernel_path_counts_rejects_cycles():
+    with pytest.raises(AssertionError):
+        path_counts({"a": ("b",), "b": ("a",)}, "a", {"a", "b"})
