@@ -26,7 +26,7 @@ from .decompose import (
     spine_to_dot,
 )
 from .degree import descriptor_from_json, descriptor_to_json, infer_degree
-from .ends import Verdict, cb_report, cb_report_to_json, ends_count, ends_count_to_json, ends_automaton, parse_end_expr
+from .ends import DEFAULT_RANK_CUTOFF, Verdict, cb_report, cb_report_to_json, ends_count, ends_count_to_json, ends_automaton, parse_end_expr
 from .errors import ClassifyError, DecomposeError, EndkitError, PresentationSyntaxError
 from .presentation import (
     INFINITE,
@@ -186,9 +186,11 @@ def _cmd_family(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the exit contract reserves 2 for
-    # Unknown verdicts, so downgrade to the generic error code.
+    # Unknown verdicts, so downgrade to the generic error code, and report
+    # on stdout like every other error.
     def error(self, message):
         self.print_usage(sys.stderr)
+        _emit({"error": {"module": "cli", "case": "UsageError", "message": message}})
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -203,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="genus, ends count and derivative analysis")
     p.add_argument("presentation")
-    p.add_argument("--rank-cutoff", type=int, default=16)
+    p.add_argument("--rank-cutoff", type=int, default=DEFAULT_RANK_CUTOFF)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("decompose", help="cut a window into pants and punctured disks")

@@ -264,7 +264,7 @@ def _state_at(pres: SurfacePresentation, path: Path) -> str:
 
 
 def _first_path_of(pres: SurfacePresentation, name: str) -> Path:
-    if name not in pres.reachable():
+    if name not in pres.rules:
         raise DecomposeError(f"unknown or unreachable state {name!r}")
     if name in states_after_cycles(pres):
         raise OccurrenceInsideCycleError(
@@ -402,7 +402,7 @@ class SpineGraph:
 def spine(pres: SurfacePresentation) -> SpineGraph:
     pres = regularize(pres)
     loops = {
-        s for s in pres.reachable()
+        s for s in pres.rules
         if pres.kind(s) in (BlockKind.PANTS, BlockKind.HANDLE)
     }
     if is_finite_type(pres):
@@ -420,10 +420,10 @@ def spine(pres: SurfacePresentation) -> SpineGraph:
 def spine_to_dot(g: SpineGraph) -> str:
     pres = g.presentation
     lines = ["digraph spine {"]
-    for s in sorted(pres.reachable()):
+    for s in pres.states():
         shape = "doublecircle" if s in g.core_states else "circle"
         lines.append(f'  "{s}" [label="{s}:{pres.kind(s).value}", shape={shape}];')
-    for s in sorted(pres.reachable()):
+    for s in pres.states():
         for c in pres.children(s):
             lines.append(f'  "{s}" -> "{c}";')
     lines.append("}")

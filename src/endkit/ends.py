@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union as TUnion
 
-from .errors import InvalidEndExprError, NotConvertibleError
+from .errors import EndsError, InvalidEndExprError, NotConvertibleError
 from .presentation import (
     BlockKind,
     SurfacePresentation,
@@ -85,16 +85,14 @@ class EndsAutomaton:
 def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
     pres = regularize(pres)
     assert pres.root is not None
-    reach = pres.reachable()
-    transitions = {s: pres.children(s) for s in sorted(reach)}
-    handles = frozenset(
-        s for s in reach if pres.kind(s) is BlockKind.HANDLE
-    )
+    states = pres.states()
     return EndsAutomaton(
-        states=tuple(sorted(reach)),
-        transitions=transitions,
+        states=tuple(states),
+        transitions={s: pres.children(s) for s in states},
         root=pres.root,
-        nonplanar_states=handles,
+        nonplanar_states=frozenset(
+            s for s in states if pres.kind(s) is BlockKind.HANDLE
+        ),
     )
 
 
@@ -104,53 +102,68 @@ def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
 # states with ordered successor choices and a root, always pruned so that
 # every state is reachable from the root and has at least one choice.  Its
 # infinite paths are the subspace of ends under study.  root=None encodes
-# the empty space.
+# the empty space.  ``components`` is the SCC condensation of ``choices``
+# (reverse topological order) and ``cyclic`` the states on its cycles.
+# Only _space_of computes them: every subspace keeps a union of its
+# parent's components, so it inherits the parent's condensation.
 
 @dataclass(frozen=True)
 class _Space:
     choices: dict[str, tuple[str, ...]]
     root: str | None
+    components: tuple[list[str], ...]
+    cyclic: frozenset[str]
 
     @property
     def empty(self) -> bool:
         return self.root is None
 
-    @property
-    def states(self) -> set[str]:
-        return set(self.choices)
+
+_EMPTY_SPACE = _Space(choices={}, root=None, components=(), cyclic=frozenset())
 
 
-_EMPTY_SPACE = _Space(choices={}, root=None)
+def _space_of(automaton: EndsAutomaton, marked: str = "all") -> _Space:
+    """The full ends space, or its non-planar subspace
+    (``marked="nonplanar_only"``)."""
+    if marked not in ("all", "nonplanar_only"):
+        raise ValueError(f"marked must be 'all' or 'nonplanar_only', got {marked!r}")
+    choices = dict(automaton.transitions)
+    components = sccs(choices)
+    space = _Space(
+        choices=choices,
+        root=automaton.root,
+        components=tuple(components),
+        cyclic=frozenset(on_cycles(choices, components)),
+    )
+    if marked == "all":
+        return space
+    return _restrict(space, automaton.nonplanar_states)
 
 
-def _space_of(automaton: EndsAutomaton) -> _Space:
-    return _Space(choices=dict(automaton.transitions), root=automaton.root)
+def _restrict(space: _Space, targets: Iterable[str]) -> _Space:
+    """The subspace of paths that keep some target reachable forever.
 
-
-def _restrict(space: _Space, keep: Iterable[str]) -> _Space:
-    """The subspace of paths staying inside ``keep`` forever."""
+    The kept states are closed under predecessors, then under successors
+    from the root, so they are a union of components of ``space``: the
+    cycles inside are the parent's and so are the components.
+    """
     if space.empty:
         return _EMPTY_SPACE
-    keep = set(keep)
+    keep = backward(space.choices, targets)
     inside = {
         s: tuple(c for c in cs if c in keep)
         for s, cs in space.choices.items() if s in keep
     }
-    alive = backward(inside, on_cycles(inside))
+    alive = backward(inside, space.cyclic & keep)
     if space.root not in alive:
         return _EMPTY_SPACE
     live = {s: tuple(c for c in inside[s] if c in alive) for s in alive}
+    choices = {s: live[s] for s in forward(live, [space.root])}
     return _Space(
-        choices={s: live[s] for s in forward(live, [space.root])},
+        choices=choices,
         root=space.root,
-    )
-
-
-def _subspace_at(space: _Space, state: str) -> _Space:
-    """Paths of ``space`` starting from ``state`` instead of the root."""
-    return _Space(
-        choices={s: space.choices[s] for s in forward(space.choices, [state])},
-        root=state,
+        components=tuple(c for c in space.components if c[0] in choices),
+        cyclic=space.cyclic.intersection(choices),
     )
 
 
@@ -158,17 +171,17 @@ def _ends_count_space(space: _Space) -> EndsCount:
     if space.empty:
         return EndsCount(Cardinality.FINITE, 0)
     succ = space.choices
-    components = sccs(succ)
-    scc_of = {s: i for i, c in enumerate(components) for s in c}
+    scc_of = {s: i for i, c in enumerate(space.components) for s in c}
     for s, cs in succ.items():
         if sum(1 for c in cs if scc_of[c] == scc_of[s]) >= 2:
             return EndsCount(Cardinality.UNCOUNTABLE)
-    cyclic = on_cycles(succ, components)
-    if any(len(succ[s]) >= 2 for s in forward(succ, cyclic)):
+    if any(len(succ[s]) >= 2 for s in forward(succ, space.cyclic)):
         return EndsCount(Cardinality.COUNTABLY_INFINITE)
     # deterministic beyond the cyclic region, so each entry is one end
     assert space.root is not None
-    return EndsCount(Cardinality.FINITE, _finite_ends_count(succ, space.root, cyclic))
+    return EndsCount(
+        Cardinality.FINITE, _finite_ends_count(succ, space.root, space.cyclic)
+    )
 
 
 def ends_count(
@@ -180,10 +193,7 @@ def ends_count(
     """
     if isinstance(source, SurfacePresentation):
         source = ends_automaton(source)
-    if marked not in ("all", "nonplanar_only"):
-        raise ValueError(f"marked must be 'all' or 'nonplanar_only', got {marked!r}")
-    space = _space_of(source) if marked == "all" else _nonplanar_space(source)
-    return _ends_count_space(space)
+    return _ends_count_space(_space_of(source, marked))
 
 
 # -- Cantor-Bendixson analysis ---------------------------------------------
@@ -220,83 +230,49 @@ class CBReport:
 def _derivative(space: _Space) -> _Space:
     """Subspace of non-isolated ends: paths that forever keep a branching
     state reachable."""
-    if space.empty:
-        return space
-    branchy = {s for s, cs in space.choices.items() if len(cs) >= 2}
-    return _restrict(space, backward(space.choices, branchy))
-
-
-def _finite_ends_below(space: _Space, state: str) -> int:
-    sub = _subspace_at(space, state)
-    c = _ends_count_space(sub)
-    if c.cardinality is not Cardinality.FINITE:
-        raise AssertionError("removed subspace must have finitely many ends")
-    assert c.count is not None
-    return c.count
+    return _restrict(space, [s for s, cs in space.choices.items() if len(cs) >= 2])
 
 
 def _batch_size(old: _Space, new: _Space) -> int | None:
-    """Number of ends removed by one derivative step, None when infinite."""
-    if new.empty:
-        c = _ends_count_space(old)
-        if c.cardinality is not Cardinality.FINITE:
-            raise AssertionError("a fully isolated space must be finite")
-        return c.count
-    exits = [
-        (s, child)
-        for s in new.choices
-        for child in old.choices[s]
-        if child not in new.choices
-    ]
-    pumped = set(forward(new.choices, on_cycles(new.choices)))
-    if any(s in pumped for s, _ in exits):
+    """Number of ends removed by one derivative step, None when infinite.
+
+    A path that leaves ``new`` never returns, and it has left the branching
+    behind by the time it reaches a cycle of ``old``: each root path of
+    ``old`` that leaves ``new`` and first meets a cycle there is one removed
+    end.  Paths leaving after a cycle of ``new`` come in infinite numbers.
+    """
+    pumped = set(forward(new.choices, new.cyclic))
+    if any(c not in new.choices for s in pumped for c in old.choices[s]):
         return None
-    # the ancestor region of the exit sources is acyclic; count paths to them
-    sources = {s for s, _ in exits}
-    assert new.root is not None
-    paths = path_counts(new.choices, new.root, backward(new.choices, sources))
-    return sum(
-        paths.get(s, 0) * _finite_ends_below(old, child)
-        for s, child in exits
+    landing = old.cyclic - new.choices.keys()
+    if any(len(old.choices[s]) >= 2 for s in forward(old.choices, landing)):
+        raise AssertionError("removed subspace must have finitely many ends")
+    assert old.root is not None
+    paths = path_counts(
+        old.choices, old.root, old.choices.keys() - old.cyclic - pumped
     )
+    return sum(paths.get(s, 0) for s in landing)
 
 
 def _cb_space(space: _Space, rank_cutoff: int) -> CBReport:
     cardinality = _ends_count_space(space)
-    chain = [space]
     profile: list[int | None] = []
-    exceeded = False
-    while True:
-        cur = chain[-1]
-        nxt = _derivative(cur)
-        if nxt.states == cur.states:
-            break
-        if len(profile) >= rank_cutoff:
-            exceeded = True
-            break
-        profile.append(_batch_size(cur, nxt))
-        chain.append(nxt)
-    final = chain[-1]
-    stabilized = not exceeded
-    has_kernel = stabilized and not final.empty
-    if final.empty and profile:
-        degree = profile[-1]
-        assert degree is not None
-    else:
-        degree = 0
+    nxt = _derivative(space)
+    while nxt.choices.keys() != space.choices.keys() and len(profile) < rank_cutoff:
+        profile.append(_batch_size(space, nxt))
+        space, nxt = nxt, _derivative(nxt)
+    # a space that still shrinks is not empty, so its degree is 0
+    exceeded = nxt.choices.keys() != space.choices.keys()
+    degree = profile[-1] if space.empty and profile else 0
+    assert degree is not None
     return CBReport(
         rank=len(profile),
-        degree=degree if stabilized else 0,
-        has_perfect_kernel=has_kernel,
+        degree=degree,
+        has_perfect_kernel=not (exceeded or space.empty),
         cardinality=cardinality,
         profile=tuple(profile),
         rank_exceeded=exceeded,
     )
-
-
-def _nonplanar_space(automaton: EndsAutomaton) -> _Space:
-    space = _space_of(automaton)
-    return _restrict(space, backward(space.choices, automaton.nonplanar_states))
 
 
 def cb_report(
@@ -305,14 +281,11 @@ def cb_report(
     rank_cutoff: int = DEFAULT_RANK_CUTOFF,
 ) -> CBReport:
     """Analyze the full ends space, or only its non-planar subspace
-    (``marked="nonplanar_only"``)."""
-    if marked not in ("all", "nonplanar_only"):
-        raise ValueError(f"marked must be 'all' or 'nonplanar_only', got {marked!r}")
-    if marked == "all":
-        space = _space_of(automaton)
-    else:
-        space = _nonplanar_space(automaton)
-    return _cb_space(space, rank_cutoff)
+    (``marked="nonplanar_only"``), for at most ``rank_cutoff`` derivative
+    steps."""
+    if rank_cutoff < 0:
+        raise EndsError(f"rank_cutoff must be non-negative, got {rank_cutoff}")
+    return _cb_space(_space_of(automaton, marked), rank_cutoff)
 
 
 # -- the expression algebra ------------------------------------------------
@@ -569,7 +542,7 @@ def _to_expr(space: _Space, mark_targets: Iterable[str]) -> EndExpr:
         raise NotConvertibleError("empty path space has no expression")
     marked = backward(space.choices, mark_targets)
     expr_of: dict[str, EndExpr] = {}
-    for scc in sccs(space.choices):
+    for scc in space.components:
         members = set(scc)
         internal = {
             s: sum(1 for c in space.choices[s] if c in members) for s in scc
@@ -580,8 +553,7 @@ def _to_expr(space: _Space, mark_targets: Iterable[str]) -> EndExpr:
             for c in space.choices[s]
             if c not in members
         ]
-        cyclic = len(scc) > 1 or scc[0] in space.choices[scc[0]]
-        if not cyclic:
+        if scc[0] not in space.cyclic:
             s = scc[0]
             children = space.choices[s]
             if len(children) == 1:
@@ -629,7 +601,7 @@ def _canonical_form(space: _Space, marked: set[str]) -> tuple:
 
 def _pair_invariants(space: _Space, mark_targets: Iterable[str]) -> tuple:
     full = _cb_space(space, DEFAULT_RANK_CUTOFF)
-    marked_space = _restrict(space, backward(space.choices, mark_targets))
+    marked_space = _restrict(space, mark_targets)
     sub = _cb_space(marked_space, DEFAULT_RANK_CUTOFF)
     return full.invariant_key() + sub.invariant_key()
 

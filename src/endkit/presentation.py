@@ -34,7 +34,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DanglingRuleError,
@@ -404,7 +404,7 @@ def path_counts(succ: Successors, root: str, through: Iterable[str]) -> dict[str
     return counts
 
 
-def _finite_ends_count(succ: Successors, root: str, cyclic: set[str]) -> int:
+def _finite_ends_count(succ: Successors, root: str, cyclic: AbstractSet[str]) -> int:
     """Ends of a choice graph that no longer branches once it reaches its
     cycles (``cyclic`` = on_cycles(succ)): each route into the cyclic
     region is one end."""
@@ -443,7 +443,7 @@ def genus(pres: SurfacePresentation) -> Genus:
     Handle state lies on, or is reachable from, a rule-graph cycle."""
     if pres.finite_type is not None:
         return pres.finite_type.genus
-    handles = {s for s in pres.reachable() if pres.kind(s) is BlockKind.HANDLE}
+    handles = {s for s in pres.rules if pres.kind(s) is BlockKind.HANDLE}
     if not handles:
         return 0
     if handles & states_after_cycles(pres):

@@ -399,17 +399,15 @@ def r4_surjectivity_endgame(config: CurveConfig) -> CurveConfig:
 
 
 _RULES: dict[str, Callable[[CurveConfig], CurveConfig]] = {
-    "r1": r1_disk_removal,
-    "r1_disk_removal": r1_disk_removal,
-    "r2": r2_homeo_normalize,
-    "r2_homeo_normalize": r2_homeo_normalize,
-    "r3": r3_annulus_removal,
-    "r3_annulus_removal": r3_annulus_removal,
-    "r4": r4_surjectivity_endgame,
-    "r4_surjectivity_endgame": r4_surjectivity_endgame,
+    name: rule
+    for rule in (
+        r1_disk_removal,
+        r2_homeo_normalize,
+        r3_annulus_removal,
+        r4_surjectivity_endgame,
+    )
+    for name in (rule.__name__, rule.__name__[:2])
 }
-
-_CANONICAL_NAME = {name: rule.__name__ for name, rule in _RULES.items()}
 
 
 def run_pipeline(
@@ -429,13 +427,14 @@ def run_pipeline(
     notes: list[str] = []
 
     def apply(name: str, current: CurveConfig) -> CurveConfig:
-        if _RULES[name] is r2_homeo_normalize:
+        rule = _RULES[name]
+        if rule is r2_homeo_normalize:
             after, coercions = _homeo_coerce(current)
             notes.extend(coercions)
         else:
-            after = _RULES[name](current)
+            after = rule(current)
         if after.measure() != current.measure():
-            steps.append(TraceStep(_CANONICAL_NAME[name], current.measure(), after.measure()))
+            steps.append(TraceStep(rule.__name__, current.measure(), after.measure()))
         return after
 
     current = config

@@ -117,6 +117,14 @@ def test_invariants_rank_cutoff(surf, capsys):
     assert payload["cb"]["rank_exceeded"] is True
 
 
+def test_negative_rank_cutoff_is_an_ends_error(surf, capsys):
+    flute = surf("flute.surf", FLUTE)
+    code, out = run(capsys, "invariants", flute, "--rank-cutoff", "-3")
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["module"] == "ends"
+
+
 def test_normalize_accepts_names_and_paths(surf, capsys):
     text = "surface s { root = P(mid, punc); mid = H(core); core = H(core); punc = A(punc) }"
     p = surf("s.surf", text)
@@ -265,6 +273,21 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["no-such-command"], [], ["degree"], ["invariants", "x.surf", "--rank-cutoff", "x"]],
+    ids=["unknown-command", "no-command", "no-subcommand", "bad-int"],
+)
+def test_usage_errors_emit_one_json_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert (error["module"], error["case"]) == ("cli", "UsageError")
 
 
 def test_output_is_deterministic(surf, capsys):

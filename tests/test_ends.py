@@ -36,7 +36,8 @@ from endkit import (
     to_end_expr,
     validate_end_expr,
 )
-from endkit.ends import _has_nonplanar
+from endkit.ends import _derivative, _has_nonplanar, _restrict, _space_of
+from endkit.presentation import on_cycles, sccs
 
 from conftest import end_exprs, presentations
 
@@ -144,6 +145,46 @@ def test_rank_cutoff_flag():
     assert low.rank == 8 and low.rank_exceeded
     exact = cb_report(ends_automaton(surf), rank_cutoff=64)
     assert exact.rank == expr_cb_report(tower).rank and not exact.rank_exceeded
+
+
+TAIL_AND_CANTOR = "t = A(t); c = P(c, c)"  # a puncture t, a planar Cantor set c
+
+
+@pytest.mark.parametrize(
+    "rules, profile",
+    [
+        (f"r = P(t, c); {TAIL_AND_CANTOR}", (1,)),
+        (f"r = P(y, c); y = P(t, t); {TAIL_AND_CANTOR}", (2,)),
+        (f"r = P(x, x); x = P(t, c); {TAIL_AND_CANTOR}", (2,)),
+        (f"r = P(s, c); s = P(t, s); {TAIL_AND_CANTOR}", (None, 1)),
+        ("r = H(x); x = P(t, c); t = A(t); c = H(d); d = P(c, c)", (1,)),
+    ],
+    ids=["one", "pair", "doubled", "flute", "nonplanar-cantor"],
+)
+def test_finite_batches_beside_a_surviving_derivative(rules, profile):
+    report = cb_report(ends_automaton(parse_presentation(f"surface s {{ {rules} }}")))
+    assert report.profile == profile
+    assert (report.rank, report.degree, report.has_perfect_kernel) == (len(profile), 0, True)
+
+
+@given(presentations())
+def test_subspaces_inherit_the_condensation(pres):
+    auto = ends_automaton(pres)
+    spaces = []
+    for marked in ("all", "nonplanar_only"):
+        space = _space_of(auto, marked)
+        while True:
+            spaces += [space, _restrict(space, auto.nonplanar_states)]
+            nxt = _derivative(space)
+            if nxt.choices.keys() == space.choices.keys():
+                break
+            space = nxt
+    for space in spaces:
+        assert sorted(map(sorted, space.components)) == sorted(map(sorted, sccs(space.choices)))
+        position = {s: i for i, c in enumerate(space.components) for s in c}
+        for s, children in space.choices.items():
+            assert all(position[c] <= position[s] for c in children)
+        assert space.cyclic == on_cycles(space.choices)
 
 
 def test_normalize_flatten_and_sort():
