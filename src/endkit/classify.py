@@ -10,7 +10,7 @@ pair to the ends machinery; `realize` goes the other way and compiles a
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InconsistentInvariantsError
+from .errors import ClassifyError, InconsistentInvariantsError
 from .presentation import (
     INFINITE,
     BlockKind,
@@ -28,7 +28,6 @@ from .ends import (
     Verdict,
     _has_nonplanar,
     _pair_verdict,
-    _space_of,
     ends_automaton,
     normalize_end_expr,
     validate_end_expr,
@@ -68,13 +67,11 @@ def kerekjarto(p1: SurfacePresentation, p2: SurfacePresentation) -> ClassifierVe
     exactly when non-planar ends exist), so the pair decision carries the
     witness for every remaining case.
     """
-    g1, g2 = genus(p1), genus(p2)
+    a1, a2 = ends_automaton(p1), ends_automaton(p2)
+    g1, g2 = genus(a1), genus(a2)
     if g1 != INFINITE and g2 != INFINITE and g1 != g2:
         return ClassifierVerdict(ClassVerdict.NOT_HOMEOMORPHIC, WITNESS_GENUS)
-    a1, a2 = ends_automaton(p1), ends_automaton(p2)
-    pair, reason = _pair_verdict(
-        _space_of(a1), a1.nonplanar_states, _space_of(a2), a2.nonplanar_states
-    )
+    pair, reason = _pair_verdict(a1, a1.nonplanar_states, a2, a2.nonplanar_states)
     if pair is Verdict.NO:
         return ClassifierVerdict(ClassVerdict.NOT_HOMEOMORPHIC, WITNESS_ENDS)
     if pair is Verdict.UNKNOWN:
@@ -163,7 +160,7 @@ def distinct_family(n: int) -> list[SurfacePresentation]:
     Cantor set, a converging sequence, then 4, 5, ... ends.
     """
     if n < 1:
-        raise ValueError(f"family size must be positive, got {n}")
+        raise ClassifyError(f"family size must be positive, got {n}")
     exprs: list[EndExpr] = [
         Pt(True),
         Cantor(True),

@@ -27,7 +27,7 @@ from .decompose import (
 )
 from .degree import descriptor_from_json, descriptor_to_json, infer_degree
 from .ends import DEFAULT_RANK_CUTOFF, Verdict, cb_report, cb_report_to_json, ends_count, ends_count_to_json, ends_automaton, parse_end_expr
-from .errors import ClassifyError, DecomposeError, EndkitError, PresentationSyntaxError
+from .errors import ClassifyError, EndkitError, PresentationSyntaxError
 from .presentation import (
     INFINITE,
     SurfacePresentation,
@@ -61,7 +61,7 @@ def _genus_json(g) -> int | str:
 def _parse_genus(text: str):
     if text.lower() in ("inf", "infinite", "infinity"):
         return INFINITE
-    if not text.isdigit():
+    if not re.fullmatch(r"[0-9]+", text):
         raise PresentationSyntaxError(f"genus must be a natural number or 'inf', got {text!r}")
     return int(text)
 
@@ -77,8 +77,8 @@ def _cmd_invariants(args) -> int:
     auto = ends_automaton(p)
     _emit(
         {
-            "genus": _genus_json(genus(p)),
-            "finite_type": is_finite_type(p),
+            "genus": _genus_json(genus(auto)),
+            "finite_type": is_finite_type(auto),
             "ends": ends_count_to_json(ends_count(auto)),
             "ends_nonplanar": ends_count_to_json(
                 ends_count(auto, marked="nonplanar_only")
@@ -103,17 +103,17 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _front_entry(pres: SurfacePresentation, token: str):
-    if token in pres.rules:
-        return token
-    if re.fullmatch(r"\d+(,\d+)*", token):
+def _front_entry(token: str) -> str | tuple[int, ...]:
+    """An index path when the token is comma-joined digits, else a state
+    name (interchange_normalize resolves it, or raises DecomposeError)."""
+    if re.fullmatch(r"[0-9]+(,[0-9]+)*", token):
         return tuple(int(part) for part in token.split(","))
-    raise DecomposeError(f"front entry {token!r} is neither a state nor an index path")
+    return token
 
 
 def _cmd_normalize(args) -> int:
     p = _load_surf(args.presentation)
-    front = [_front_entry(p, token) for token in args.front]
+    front = [_front_entry(token) for token in args.front]
     result = interchange_normalize(p, front)
     if args.json:
         _emit({"presentation": pretty_print(result)})
@@ -192,6 +192,10 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         _emit({"error": {"module": "cli", "case": "UsageError", "message": message}})
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    # --help stays inside the one-JSON-document contract; exit code 0
+    def print_help(self, file=None):
+        _emit({"help": self.format_help()})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except EndkitError as exc:
         _emit({"error": {"module": exc.module, "case": exc.case, "message": str(exc)}})
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         _emit({"error": {"module": "cli", "case": type(exc).__name__, "message": str(exc)}})
         return 1
 

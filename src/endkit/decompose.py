@@ -35,16 +35,16 @@ from .presentation import (
     SurfacePresentation,
     backward,
     canonical_finite_type,
+    ends_automaton,
     first_occurrences,
     forward,
     genus,
     is_finite_type,
     regularize,
     states_after_cycles,
-    successors,
     _occurrence_counts,
 )
-from .ends import Verdict, _pair_verdict, _space_of, ends_automaton
+from .ends import Verdict, _pair_verdict
 
 Path = tuple[int, ...]
 
@@ -128,7 +128,9 @@ def decompose(
         raise DecomposeError(f"mode must be 'lenient' or 'strict', got {mode!r}")
     if depth < 0:
         raise DecomposeError(f"depth must be non-negative, got {depth}")
-    ft = canonical_finite_type(pres) if is_finite_type(pres) else None
+    pres = regularize(pres)
+    auto = ends_automaton(pres)
+    ft = canonical_finite_type(auto) if is_finite_type(auto) else None
     if ft == (0, 0, 1):
         raise PlaneExcludedError("the plane admits no decomposition")
     if ft == (1, 0, 1):
@@ -140,7 +142,6 @@ def decompose(
                   Piece(1, PieceKind.PUNCTURED_DISK))
         edges: tuple[Edge, ...] = ((0, 0, 1, 0),)
         return _truncate(mode, depth, pieces, edges, [], True)
-    pres = regularize(pres)
     pieces_l, edges_l, open_l, complete = _strict_window(pres, depth)
     return _truncate(mode, depth, tuple(pieces_l), tuple(edges_l), open_l, complete)
 
@@ -401,19 +402,16 @@ class SpineGraph:
 
 def spine(pres: SurfacePresentation) -> SpineGraph:
     pres = regularize(pres)
-    loops = {
-        s for s in pres.rules
-        if pres.kind(s) in (BlockKind.PANTS, BlockKind.HANDLE)
-    }
-    if is_finite_type(pres):
-        handles = {s for s in loops if pres.kind(s) is BlockKind.HANDLE}
-        pants = loops - handles
+    auto = ends_automaton(pres)
+    handles = auto.nonplanar_states
+    pants = {s for s in pres.rules if pres.kind(s) is BlockKind.PANTS}
+    if is_finite_type(auto):
         rank: int | float = (
-            2 * _occurrence_counts(pres, handles) + _occurrence_counts(pres, pants)
+            2 * _occurrence_counts(auto, handles) + _occurrence_counts(auto, pants)
         )
     else:
         rank = INFINITE
-    core = backward(successors(pres), loops)
+    core = backward(auto.transitions, handles | pants)
     return SpineGraph(presentation=pres, rank=rank, core_states=frozenset(core))
 
 
@@ -435,11 +433,8 @@ def graph_phe_equal(g1: SpineGraph, g2: SpineGraph) -> Verdict:
     spaces carrying core ends to core ends."""
     if g1.rank != g2.rank:
         return Verdict.NO
-    a1 = ends_automaton(g1.presentation)
-    a2 = ends_automaton(g2.presentation)
-    verdict, _ = _pair_verdict(
-        _space_of(a1), g1.core_states, _space_of(a2), g2.core_states
-    )
+    a1, a2 = ends_automaton(g1.presentation), ends_automaton(g2.presentation)
+    verdict, _ = _pair_verdict(a1, g1.core_states, a2, g2.core_states)
     return verdict
 
 
@@ -518,7 +513,8 @@ def find_essential_pants(pres: SurfacePresentation) -> EssentialPants:
     g+p >= 4 or p >= 6; genus-0 surfaces additionally need p >= 6.
     """
     pres = regularize(pres)
-    ft = canonical_finite_type(pres) if is_finite_type(pres) else None
+    auto = ends_automaton(pres)
+    ft = canonical_finite_type(auto) if is_finite_type(auto) else None
     if ft is not None:
         g, _, p = ft
         if not (g + p >= 4 or p >= 6):
@@ -530,8 +526,7 @@ def find_essential_pants(pres: SurfacePresentation) -> EssentialPants:
                 f"genus 0 needs at least six ends: p = {p} < 6 "
                 "(every pants leaves a component of abelian fundamental group)"
             )
-    total_genus = genus(pres)
-    if total_genus >= 2:
+    if genus(auto) >= 2:
         prepped = _rebuild(
             pres, first_occurrences(pres, BlockKind.HANDLE, 2), "chain"
         )

@@ -41,10 +41,15 @@ class MapDescriptor:
         if self.boundary_embedding is not None:
             b1, b2 = self.boundary_embedding
             object.__setattr__(self, "boundary_embedding", (int(b1), int(b2)))
+        for name in ("surjective", "ends_map_injective"):
+            if getattr(self, name) not in (None, True, False):
+                raise DegreeError(f"{name} must be true, false or unknown")
         if self.orientation not in (None, 1, -1):
             raise DegreeError(f"orientation must be +1 or -1, got {self.orientation!r}")
-        if self.abs_degree is not None and self.abs_degree < 0:
-            raise DegreeError(f"absolute degree cannot be negative: {self.abs_degree}")
+        if self.abs_degree is not None and not (
+            isinstance(self.abs_degree, int) and self.abs_degree >= 0
+        ):
+            raise DegreeError(f"absolute degree must be a natural number, got {self.abs_degree!r}")
 
 
 def deg_compose(d1: int, d2: int) -> int:
@@ -147,6 +152,8 @@ def descriptor_to_json(descriptor: MapDescriptor) -> dict:
 
 def descriptor_from_json(data: Mapping) -> MapDescriptor:
     """Rebuild a descriptor from its JSON form; absent keys stay unknown."""
+    if not isinstance(data, Mapping):
+        raise DegreeError(f"malformed map descriptor: expected an object, got {data!r}")
     try:
         boundary = data.get("boundary_embedding")
         return MapDescriptor(
@@ -167,5 +174,5 @@ def descriptor_from_json(data: Mapping) -> MapDescriptor:
         )
     except DegreeError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DegreeError(f"malformed map descriptor: {exc}") from exc

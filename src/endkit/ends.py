@@ -23,6 +23,7 @@ Three decision layers are built on top:
   sound homeomorphism verdicts on pairs (ends, non-planar ends).
 """
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union as TUnion
@@ -30,15 +31,14 @@ from typing import Iterable, Union as TUnion
 from .errors import EndsError, InvalidEndExprError, NotConvertibleError
 from .presentation import (
     BlockKind,
+    EndsAutomaton,
     SurfacePresentation,
     _finite_ends_count,
     backward,
+    ends_automaton,
     forward,
-    on_cycles,
     path_counts,
     regularize,
-    sccs,
-    successors,
 )
 
 DEFAULT_RANK_CUTOFF = 16
@@ -67,110 +67,58 @@ class EndsCount:
         return self.cardinality.value
 
 
-@dataclass(frozen=True)
-class EndsAutomaton:
-    """Reachable rule states with their successor choices.
-
-    ``transitions[s]`` keeps child order and multiplicity; ``nonplanar_states``
-    holds the Handle-labeled states (the raw genus data from which the
-    non-planar subspace is derived).
-    """
-
-    states: tuple[str, ...]
-    transitions: dict[str, tuple[str, ...]]
-    root: str
-    nonplanar_states: frozenset[str]
-
-
-def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
-    pres = regularize(pres)
-    assert pres.root is not None
-    states = pres.states()
-    return EndsAutomaton(
-        states=tuple(states),
-        transitions={s: pres.children(s) for s in states},
-        root=pres.root,
-        nonplanar_states=frozenset(
-            s for s in states if pres.kind(s) is BlockKind.HANDLE
-        ),
-    )
-
-
-# -- choice spaces ---------------------------------------------------------
+# -- subspaces -------------------------------------------------------------
 #
-# A _Space is the working form shared by every ends computation: a set of
-# states with ordered successor choices and a root, always pruned so that
-# every state is reachable from the root and has at least one choice.  Its
-# infinite paths are the subspace of ends under study.  root=None encodes
-# the empty space.  ``components`` is the SCC condensation of ``choices``
-# (reverse topological order) and ``cyclic`` the states on its cycles.
-# Only _space_of computes them: every subspace keeps a union of its
-# parent's components, so it inherits the parent's condensation.
+# Every ends computation works on an EndsAutomaton whose infinite root paths
+# are the subspace under study.  A subspace is pruned so that every state is
+# reachable from the root and has at least one choice; its states are a
+# union of the parent's components, so it keeps the parent's condensation
+# instead of recomputing it.
 
-@dataclass(frozen=True)
-class _Space:
-    choices: dict[str, tuple[str, ...]]
-    root: str | None
-    components: tuple[list[str], ...]
-    cyclic: frozenset[str]
-
-    @property
-    def empty(self) -> bool:
-        return self.root is None
+_EMPTY = EndsAutomaton((), {}, None, frozenset(), (), frozenset())
 
 
-_EMPTY_SPACE = _Space(choices={}, root=None, components=(), cyclic=frozenset())
-
-
-def _space_of(automaton: EndsAutomaton, marked: str = "all") -> _Space:
+def _space_of(automaton: EndsAutomaton, marked: str = "all") -> EndsAutomaton:
     """The full ends space, or its non-planar subspace
     (``marked="nonplanar_only"``)."""
     if marked not in ("all", "nonplanar_only"):
         raise ValueError(f"marked must be 'all' or 'nonplanar_only', got {marked!r}")
-    choices = dict(automaton.transitions)
-    components = sccs(choices)
-    space = _Space(
-        choices=choices,
-        root=automaton.root,
-        components=tuple(components),
-        cyclic=frozenset(on_cycles(choices, components)),
-    )
-    if marked == "all":
-        return space
-    return _restrict(space, automaton.nonplanar_states)
+    return automaton if marked == "all" else _restrict(automaton, automaton.nonplanar_states)
 
 
-def _restrict(space: _Space, targets: Iterable[str]) -> _Space:
+def _restrict(space: EndsAutomaton, targets: Iterable[str]) -> EndsAutomaton:
     """The subspace of paths that keep some target reachable forever.
 
     The kept states are closed under predecessors, then under successors
     from the root, so they are a union of components of ``space``: the
     cycles inside are the parent's and so are the components.
     """
-    if space.empty:
-        return _EMPTY_SPACE
-    keep = backward(space.choices, targets)
+    if space.root is None:
+        return _EMPTY
+    keep = backward(space.transitions, targets)
     inside = {
         s: tuple(c for c in cs if c in keep)
-        for s, cs in space.choices.items() if s in keep
+        for s, cs in space.transitions.items() if s in keep
     }
     alive = backward(inside, space.cyclic & keep)
     if space.root not in alive:
-        return _EMPTY_SPACE
+        return _EMPTY
     live = {s: tuple(c for c in inside[s] if c in alive) for s in alive}
-    choices = {s: live[s] for s in forward(live, [space.root])}
-    return _Space(
-        choices=choices,
+    transitions = {s: live[s] for s in forward(live, [space.root])}
+    return EndsAutomaton(
+        states=tuple(s for s in space.states if s in transitions),
+        transitions=transitions,
         root=space.root,
-        components=tuple(c for c in space.components if c[0] in choices),
-        cyclic=space.cyclic.intersection(choices),
+        nonplanar_states=space.nonplanar_states.intersection(transitions),
+        components=tuple(c for c in space.components if c[0] in transitions),
+        cyclic=space.cyclic.intersection(transitions),
     )
 
 
-def _ends_count_space(space: _Space) -> EndsCount:
-    if space.empty:
+def _ends_count_space(space: EndsAutomaton) -> EndsCount:
+    if space.root is None:
         return EndsCount(Cardinality.FINITE, 0)
-    succ = space.choices
+    succ = space.transitions
     scc_of = {s: i for i, c in enumerate(space.components) for s in c}
     for s, cs in succ.items():
         if sum(1 for c in cs if scc_of[c] == scc_of[s]) >= 2:
@@ -178,7 +126,6 @@ def _ends_count_space(space: _Space) -> EndsCount:
     if any(len(succ[s]) >= 2 for s in forward(succ, space.cyclic)):
         return EndsCount(Cardinality.COUNTABLY_INFINITE)
     # deterministic beyond the cyclic region, so each entry is one end
-    assert space.root is not None
     return EndsCount(
         Cardinality.FINITE, _finite_ends_count(succ, space.root, space.cyclic)
     )
@@ -227,13 +174,13 @@ class CBReport:
         )
 
 
-def _derivative(space: _Space) -> _Space:
+def _derivative(space: EndsAutomaton) -> EndsAutomaton:
     """Subspace of non-isolated ends: paths that forever keep a branching
     state reachable."""
-    return _restrict(space, [s for s, cs in space.choices.items() if len(cs) >= 2])
+    return _restrict(space, [s for s, cs in space.transitions.items() if len(cs) >= 2])
 
 
-def _batch_size(old: _Space, new: _Space) -> int | None:
+def _batch_size(old: EndsAutomaton, new: EndsAutomaton) -> int | None:
     """Number of ends removed by one derivative step, None when infinite.
 
     A path that leaves ``new`` never returns, and it has left the branching
@@ -241,34 +188,35 @@ def _batch_size(old: _Space, new: _Space) -> int | None:
     ``old`` that leaves ``new`` and first meets a cycle there is one removed
     end.  Paths leaving after a cycle of ``new`` come in infinite numbers.
     """
-    pumped = set(forward(new.choices, new.cyclic))
-    if any(c not in new.choices for s in pumped for c in old.choices[s]):
+    pumped = set(forward(new.transitions, new.cyclic))
+    if any(c not in new.transitions for s in pumped for c in old.transitions[s]):
         return None
-    landing = old.cyclic - new.choices.keys()
-    if any(len(old.choices[s]) >= 2 for s in forward(old.choices, landing)):
+    landing = old.cyclic - new.transitions.keys()
+    if any(len(old.transitions[s]) >= 2 for s in forward(old.transitions, landing)):
         raise AssertionError("removed subspace must have finitely many ends")
     assert old.root is not None
     paths = path_counts(
-        old.choices, old.root, old.choices.keys() - old.cyclic - pumped
+        old.transitions, old.root, old.transitions.keys() - old.cyclic - pumped
     )
     return sum(paths.get(s, 0) for s in landing)
 
 
-def _cb_space(space: _Space, rank_cutoff: int) -> CBReport:
+def _cb_space(space: EndsAutomaton, rank_cutoff: int) -> CBReport:
     cardinality = _ends_count_space(space)
     profile: list[int | None] = []
     nxt = _derivative(space)
-    while nxt.choices.keys() != space.choices.keys() and len(profile) < rank_cutoff:
+    while nxt.transitions.keys() != space.transitions.keys() and len(profile) < rank_cutoff:
         profile.append(_batch_size(space, nxt))
         space, nxt = nxt, _derivative(nxt)
     # a space that still shrinks is not empty, so its degree is 0
-    exceeded = nxt.choices.keys() != space.choices.keys()
-    degree = profile[-1] if space.empty and profile else 0
+    exceeded = nxt.transitions.keys() != space.transitions.keys()
+    empty = space.root is None
+    degree = profile[-1] if empty and profile else 0
     assert degree is not None
     return CBReport(
         rank=len(profile),
         degree=degree,
-        has_perfect_kernel=not (exceeded or space.empty),
+        has_perfect_kernel=not (exceeded or empty),
         cardinality=cardinality,
         profile=tuple(profile),
         rank_exceeded=exceeded,
@@ -439,9 +387,7 @@ def format_end_expr(e: EndExpr) -> str:
 
 def parse_end_expr(text: str) -> EndExpr:
     """Inverse of format_end_expr."""
-    import re
-
-    tokens = re.findall(r"[A-Za-z]+|[(),]", text)
+    tokens = re.findall(r"[A-Za-z]+|[(),]|\S", text)
     pos = 0
 
     def take(expected: str | None = None) -> str:
@@ -535,27 +481,28 @@ def _expr_cb(e: EndExpr) -> tuple[int, int, bool, EndsCount]:
 
 # -- automaton to expression -----------------------------------------------
 
-def _to_expr(space: _Space, mark_targets: Iterable[str]) -> EndExpr:
+def _to_expr(space: EndsAutomaton, mark_targets: Iterable[str]) -> EndExpr:
     """Expression for the marked path space, or NotConvertibleError when a
     component mixes internal branching with exits."""
-    if space.empty:
+    if space.root is None:
         raise NotConvertibleError("empty path space has no expression")
-    marked = backward(space.choices, mark_targets)
+    succ = space.transitions
+    marked = backward(succ, mark_targets)
     expr_of: dict[str, EndExpr] = {}
     for scc in space.components:
         members = set(scc)
         internal = {
-            s: sum(1 for c in space.choices[s] if c in members) for s in scc
+            s: sum(1 for c in succ[s] if c in members) for s in scc
         }
         exits = [
             (s, c)
             for s in sorted(scc)
-            for c in space.choices[s]
+            for c in succ[s]
             if c not in members
         ]
         if scc[0] not in space.cyclic:
             s = scc[0]
-            children = space.choices[s]
+            children = succ[s]
             if len(children) == 1:
                 expr = expr_of[children[0]]
             else:
@@ -576,30 +523,29 @@ def _to_expr(space: _Space, mark_targets: Iterable[str]) -> EndExpr:
                 expr = normalize_end_expr(Seq(body, in_marked))
         for s in scc:
             expr_of[s] = expr
-    assert space.root is not None
     return normalize_end_expr(expr_of[space.root])
 
 
 def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
     """Normal-form expression for (ends, non-planar ends)."""
-    return _to_expr(_space_of(automaton), automaton.nonplanar_states)
+    return _to_expr(automaton, automaton.nonplanar_states)
 
 
 # -- homeomorphism decision for pairs --------------------------------------
 
-def _canonical_form(space: _Space, marked: set[str]) -> tuple:
+def _canonical_form(space: EndsAutomaton, marked: set[str]) -> tuple:
     """Relabel states by BFS discovery order (child order preserved)."""
-    if space.empty:
+    if space.root is None:
         return ()
-    order = forward(space.choices, [space.root])
+    order = forward(space.transitions, [space.root])
     index = {s: i for i, s in enumerate(order)}
     return tuple(
-        (tuple(index[c] for c in space.choices[s]), s in marked)
+        (tuple(index[c] for c in space.transitions[s]), s in marked)
         for s in order
     )
 
 
-def _pair_invariants(space: _Space, mark_targets: Iterable[str]) -> tuple:
+def _pair_invariants(space: EndsAutomaton, mark_targets: Iterable[str]) -> tuple:
     full = _cb_space(space, DEFAULT_RANK_CUTOFF)
     marked_space = _restrict(space, mark_targets)
     sub = _cb_space(marked_space, DEFAULT_RANK_CUTOFF)
@@ -607,9 +553,9 @@ def _pair_invariants(space: _Space, mark_targets: Iterable[str]) -> tuple:
 
 
 def _pair_verdict(
-    space_a: _Space,
+    space_a: EndsAutomaton,
     marks_a: Iterable[str],
-    space_b: _Space,
+    space_b: EndsAutomaton,
     marks_b: Iterable[str],
 ) -> tuple[Verdict, str | None]:
     """Verdict plus what decided it: 'identical-presentation' or
@@ -617,14 +563,15 @@ def _pair_verdict(
     for No, None for Unknown."""
     marks_a = set(marks_a)
     marks_b = set(marks_b)
-    if space_a.empty or space_b.empty:
-        if space_a.empty == space_b.empty:
+    empty_a, empty_b = space_a.root is None, space_b.root is None
+    if empty_a or empty_b:
+        if empty_a == empty_b:
             return Verdict.YES, "identical-presentation"
         return Verdict.NO, "invariants"
     if _pair_invariants(space_a, marks_a) != _pair_invariants(space_b, marks_b):
         return Verdict.NO, "invariants"
-    canon_a = _canonical_form(space_a, backward(space_a.choices, marks_a))
-    canon_b = _canonical_form(space_b, backward(space_b.choices, marks_b))
+    canon_a = _canonical_form(space_a, backward(space_a.transitions, marks_a))
+    canon_b = _canonical_form(space_b, backward(space_b.transitions, marks_b))
     if canon_a == canon_b:
         return Verdict.YES, "identical-presentation"
     try:
@@ -640,12 +587,7 @@ def _pair_verdict(
 def pair_homeomorphic(a: EndsAutomaton, b: EndsAutomaton) -> Verdict:
     """Is there a homeomorphism of ends spaces matching the non-planar
     subsets?  Sound on Yes and No; Unknown outside the decided fragment."""
-    verdict, _ = _pair_verdict(
-        _space_of(a),
-        a.nonplanar_states,
-        _space_of(b),
-        b.nonplanar_states,
-    )
+    verdict, _ = _pair_verdict(a, a.nonplanar_states, b, b.nonplanar_states)
     return verdict
 
 
@@ -655,12 +597,12 @@ def find_isolated_planar_end(pres: SurfacePresentation) -> str | None:
     """A state whose whole future is annulus blocks (the end beyond it is
     an isolated puncture), or None."""
     pres = regularize(pres)
-    assert pres.root is not None
-    succ = successors(pres)
+    auto = ends_automaton(pres)
+    succ = auto.transitions
     impure = backward(
         succ, [s for s in succ if pres.kind(s) is not BlockKind.ANNULUS]
     )
-    for s in forward(succ, [pres.root]):
+    for s in forward(succ, [auto.root]):
         if s not in impure:
             return s
     return None

@@ -139,8 +139,9 @@ class SurfacePresentation:
         return sorted(self.rules)
 
     def reachable(self) -> set[str]:
-        assert self.root is not None
-        return set(forward(successors(self), [self.root]))
+        assert self.rules is not None and self.root is not None
+        succ = {s: children for s, (_, children) in self.rules.items()}
+        return set(forward(succ, [self.root]))
 
     def unfold(self, max_nodes: int) -> Iterator[tuple[tuple[int, ...], str]]:
         """Breadth-first occurrences of the unfolding tree, as (path, state)."""
@@ -157,7 +158,7 @@ class SurfacePresentation:
 
 # -- parsing ---------------------------------------------------------------
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[{}();,=]|\S")
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[{}();,=]|\S")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -190,7 +191,7 @@ class _Parser:
 
     def take_nat(self) -> int:
         tok = self.take()
-        if not tok.isdigit():
+        if not re.fullmatch(r"[0-9]+", tok):
             raise PresentationSyntaxError(f"expected natural number, got {tok!r}")
         return int(tok)
 
@@ -278,17 +279,11 @@ def pretty_print(pres: SurfacePresentation) -> str:
 #
 # The one graph form is a successor map: each state to its children in
 # child order, with multiplicity.  Every successor must itself be a key.
-# EndsAutomaton.transitions and the ends module's choice spaces are such
-# maps; successors() builds one from a rule system.  All routines below are
-# iterative and O(states + edges).
+# EndsAutomaton.transitions is such a map; ends_automaton() builds it once
+# per presentation, with its condensation, and every invariant reads that.
+# All routines below are iterative and O(states + edges).
 
 Successors = Mapping[str, Sequence[str]]
-
-
-def successors(pres: SurfacePresentation) -> dict[str, tuple[str, ...]]:
-    """The rule graph of a rule presentation."""
-    assert pres.rules is not None
-    return {s: children for s, (_, children) in pres.rules.items()}
 
 
 def forward(succ: Successors, starts: Iterable[str]) -> list[str]:
@@ -404,6 +399,46 @@ def path_counts(succ: Successors, root: str, through: Iterable[str]) -> dict[str
     return counts
 
 
+# -- the ends automaton ----------------------------------------------------
+
+@dataclass(frozen=True)
+class EndsAutomaton:
+    """Reachable rule states with their successor choices.
+
+    ``transitions[s]`` keeps child order and multiplicity; ``nonplanar_states``
+    holds the Handle-labeled states (the raw genus data from which the
+    non-planar subspace is derived).  ``components`` is the SCC condensation
+    of ``transitions`` (reverse topological order) and ``cyclic`` the states
+    on its cycles.  The ends module restricts automata to subspaces that
+    keep a union of the parent's components; ``root=None`` is the empty space.
+    """
+
+    states: tuple[str, ...]
+    transitions: dict[str, tuple[str, ...]]
+    root: str | None
+    nonplanar_states: frozenset[str]
+    components: tuple[list[str], ...]
+    cyclic: frozenset[str]
+
+
+def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
+    pres = regularize(pres)
+    assert pres.rules is not None and pres.root is not None
+    states = sorted(pres.rules)
+    transitions = {s: pres.rules[s][1] for s in states}
+    components = sccs(transitions)
+    return EndsAutomaton(
+        states=tuple(states),
+        transitions=transitions,
+        root=pres.root,
+        nonplanar_states=frozenset(
+            s for s in states if pres.rules[s][0] is BlockKind.HANDLE
+        ),
+        components=tuple(components),
+        cyclic=frozenset(on_cycles(transitions, components)),
+    )
+
+
 def _finite_ends_count(succ: Successors, root: str, cyclic: AbstractSet[str]) -> int:
     """Ends of a choice graph that no longer branches once it reaches its
     cycles (``cyclic`` = on_cycles(succ)): each route into the cyclic
@@ -414,66 +449,80 @@ def _finite_ends_count(succ: Successors, root: str, cyclic: AbstractSet[str]) ->
 
 def cyclic_states(pres: SurfacePresentation) -> set[str]:
     """States lying on some cycle of the rule graph."""
-    return on_cycles(successors(pres))
+    return set(ends_automaton(pres).cyclic)
 
 
 def states_after_cycles(pres: SurfacePresentation) -> set[str]:
     """States on or reachable from a rule-graph cycle."""
-    succ = successors(pres)
-    return set(forward(succ, on_cycles(succ)))
+    auto = ends_automaton(pres)
+    return set(forward(auto.transitions, auto.cyclic))
 
 
-def _occurrence_counts(pres: SurfacePresentation, targets: set[str]) -> int:
+def _occurrence_counts(auto: EndsAutomaton, targets: AbstractSet[str]) -> int:
     """Number of unfolding-tree nodes labeled by ``targets``.
 
     Only valid when no target is on or after a cycle (counts are finite
     exactly then, and the ancestors of the targets form an acyclic region);
     counted with child multiplicity, so ``P(a, a)`` doubles.
     """
-    assert pres.root is not None
-    succ = successors(pres)
-    counts = path_counts(succ, pres.root, backward(succ, targets))
+    assert auto.root is not None
+    succ = auto.transitions
+    counts = path_counts(succ, auto.root, backward(succ, targets))
     return sum(counts.get(t, 0) for t in targets)
 
 
 # -- invariants ------------------------------------------------------------
+#
+# Each accepts a presentation or its automaton; a finite-type triple
+# answers without building one.
 
-def genus(pres: SurfacePresentation) -> Genus:
+def genus(source: SurfacePresentation | EndsAutomaton) -> Genus:
     """Number of genus-adding blocks in the unfolding; INFINITE when a
     Handle state lies on, or is reachable from, a rule-graph cycle."""
-    if pres.finite_type is not None:
-        return pres.finite_type.genus
-    handles = {s for s in pres.rules if pres.kind(s) is BlockKind.HANDLE}
+    if isinstance(source, SurfacePresentation):
+        if source.finite_type is not None:
+            return source.finite_type.genus
+        source = ends_automaton(source)
+    handles = source.nonplanar_states
     if not handles:
         return 0
-    if handles & states_after_cycles(pres):
+    if not handles.isdisjoint(forward(source.transitions, source.cyclic)):
         return INFINITE
-    return _occurrence_counts(pres, handles)
+    return _occurrence_counts(source, handles)
 
 
-def is_finite_type(pres: SurfacePresentation) -> bool:
+def is_finite_type(source: SurfacePresentation | EndsAutomaton) -> bool:
     """True iff the unfolding contains finitely many non-annulus blocks."""
-    if pres.finite_type is not None:
-        return True
-    return all(pres.kind(s) is BlockKind.ANNULUS for s in states_after_cycles(pres))
+    if isinstance(source, SurfacePresentation):
+        if source.finite_type is not None:
+            return True
+        source = ends_automaton(source)
+    # an annulus is the one block with a single choice that is no Handle
+    return all(
+        len(source.transitions[s]) == 1 and s not in source.nonplanar_states
+        for s in forward(source.transitions, source.cyclic)
+    )
 
 
-def canonical_finite_type(pres: SurfacePresentation) -> tuple[int, int, int]:
+def canonical_finite_type(
+    source: SurfacePresentation | EndsAutomaton,
+) -> tuple[int, int, int]:
     """Canonical (g, 0, p) of a finite-type presentation.
 
     Boundary circles and punctures are interchangeable for the interior,
     so finite_type(g, b, p) maps to (g, 0, b + p).
     """
-    if pres.finite_type is not None:
-        ft = pres.finite_type
-        return (ft.genus, 0, ft.boundary + ft.punctures)
-    if not is_finite_type(pres):
-        raise NotFiniteTypeError(f"{pres.name}: infinite type")
-    g = genus(pres)
-    assert g is not INFINITE
-    succ = successors(pres)
-    assert pres.root is not None
-    return (int(g), 0, _finite_ends_count(succ, pres.root, on_cycles(succ)))
+    prefix = ""
+    if isinstance(source, SurfacePresentation):
+        if source.finite_type is not None:
+            ft = source.finite_type
+            return (ft.genus, 0, ft.boundary + ft.punctures)
+        prefix, source = f"{source.name}: ", ends_automaton(source)
+    if not is_finite_type(source):
+        raise NotFiniteTypeError(f"{prefix}infinite type")
+    g = genus(source)
+    assert g is not INFINITE and source.root is not None
+    return (int(g), 0, _finite_ends_count(source.transitions, source.root, source.cyclic))
 
 
 # -- constructions ---------------------------------------------------------

@@ -538,7 +538,7 @@ def curve_config_from_json(data: Mapping) -> CurveConfig:
         )
     except InvalidCurveConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidCurveConfigError(f"malformed curve configuration: {exc}") from exc
     return config
 

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from endkit import curve_config_to_json, format_end_expr, pretty_print
 from endkit.cli import main
+
+from conftest import curve_configs, end_exprs, presentations
 
 LOCH = "surface loch_ness { root = H(root) }"
 FLUTE = "surface flute { root = P(root, punc); punc = A(punc) }"
@@ -295,3 +300,167 @@ def test_output_is_deterministic(surf, capsys):
     _, first = run(capsys, "invariants", cantor)
     _, second = run(capsys, "invariants", cantor)
     assert first == second
+
+
+def one_json_document(out: str):
+    """The parsed document; fails unless ``out`` is exactly one line of
+    standard JSON (no NaN or Infinity)."""
+    assert out.endswith("\n") and out.count("\n") == 1, out
+
+    def reject(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    return json.loads(out, parse_constant=reject)
+
+
+def run_any(capsys, argv):
+    """main(argv) with argparse's exits folded into the exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+_S111 = {"s.surf": b"surface s finite S(g=1, b=1, p=1)"}
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, module",
+    [
+        ({"a.surf": b"surface s { r = A(r) } \xff"}, ["invariants", "a.surf"], 1, "cli"),
+        ({}, ["family", "0"], 1, "classify"),
+        ({}, ["family", "-1"], 1, "classify"),
+        (_S111, ["normalize", "s.surf", "mid"], 1, "decompose"),
+        (_S111, ["normalize", "s.surf", "0", "--json"], 0, None),
+        ({"d.json": b"null"}, ["degree-check", "d.json"], 1, "degree"),
+        ({"d.json": b"[1, 2]"}, ["degree-check", "d.json"], 1, "degree"),
+        ({}, ["realize", "\u00b2", "Pt(planar)"], 1, "surfaces"),
+    ],
+    ids=["non-utf8-surf", "family-0", "family-negative", "normalize-finite-name",
+         "normalize-finite-path", "degree-null", "degree-list", "realize-superscript-genus"],
+)
+def test_former_crashes_give_one_json_document(files, argv, code, module, tmp_path, capsys):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    got, out = run_any(capsys, argv)
+    assert got == code
+    payload = one_json_document(out)
+    if module is not None:
+        assert payload["error"]["module"] == module
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["invariants", "--help"], ["degree", "check", "-h"]]
+)
+def test_help_is_one_json_document(argv, capsys):
+    code, out = run_any(capsys, argv)
+    assert code == 0
+    assert one_json_document(out)["help"].startswith("usage: endkit")
+
+
+# -- the CLI contract under fuzzed input -------------------------------------
+#
+# Inputs stay short: nesting deep enough to reach the recursion limit is a
+# separate problem.
+
+_SURF_TOKENS = (
+    "surface", "s", "finite", "S", "g", "b", "p", "root", "x", "y", "A", "P", "H",
+    "=", "{", "}", "(", ")", ";", ",", "0", "1", "2", "\u00b2", "\u00e9", "\x00",
+)
+_EXPR_TOKENS = (
+    "Pt", "Cantor", "Seq", "Union", "planar", "nonplanar", "(", ")", ",", "#", "1", "-",
+)
+_JSON_KEYS = (
+    "proper", "surjective", "boundary_embedding", "proper_homotopy_equivalence",
+    "pseudo_phe", "target_plane_or_punctured_plane", "ends_map_injective",
+    "orientation", "abs_degree", "pi1_surjective", "target_circles", "components",
+    "nesting", "parallel_orders", "pi1_bijective", "global_degree", "id", "target",
+    "kind", "label", "degree", "other",
+)
+_JSON_WORDS = ("Homeo", "Trivial", "Primitive", "unknown", "zero", "plus-minus-one", "C0", "0")
+
+surf_files = st.one_of(
+    st.lists(st.sampled_from(_SURF_TOKENS), max_size=24).map(" ".join).map(str.encode),
+    presentations().map(pretty_print).map(str.encode),
+    st.text(max_size=30).map(lambda t: t.encode("utf-8", "surrogatepass")),
+    st.binary(max_size=30),
+)
+surf_commands = st.sampled_from([
+    ["invariants", "f"], ["classify", "f", "f"], ["decompose", "f", "--json"],
+    ["spine", "f"], ["graph-phe", "f", "f"], ["essential-pants", "f"],
+    ["normalize", "f", "0", "--json"], ["normalize", "f", "x", "--json"],
+])
+expr_texts = st.one_of(
+    st.lists(st.sampled_from(_EXPR_TOKENS), max_size=16).map("".join),
+    end_exprs().map(format_end_expr),
+    st.text(max_size=20),
+)
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 20), st.floats(),
+    st.sampled_from((math.inf, -math.inf, math.nan, 0.5)),
+    st.sampled_from(_JSON_WORDS), st.text(max_size=4),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_JSON_KEYS) | st.text(max_size=3), kids, max_size=5),
+    max_leaves=16,
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid curve configuration with one value somewhere replaced."""
+    doc = curve_config_to_json(draw(curve_configs(max_components=6)))
+    slots, todo = [], [doc]
+    while todo:
+        node = todo.pop()
+        for key in node if isinstance(node, dict) else range(len(node)):
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                todo.append(node[key])
+    node, key = draw(st.sampled_from(slots))
+    node[key] = draw(json_values)
+    return doc
+
+
+json_docs = st.one_of(
+    json_values,
+    st.dictionaries(st.sampled_from(_JSON_KEYS), json_values, max_size=6),
+    curve_configs(max_components=6).map(curve_config_to_json),
+    mutated_configs(),
+)
+
+_FUZZ = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def assert_contract(capsys, argv):
+    code, out = run_any(capsys, argv)
+    assert code in (0, 1, 2)
+    one_json_document(out)
+
+
+@_FUZZ
+@given(data=surf_files, argv=surf_commands)
+def test_cli_contract_on_fuzzed_presentations(data, argv, tmp_path, capsys):
+    path = tmp_path / "f.surf"
+    path.write_bytes(data)
+    assert_contract(capsys, [str(path) if a == "f" else a for a in argv])
+
+
+@_FUZZ
+@given(genus=st.sampled_from(["0", "2", "inf", "\u00b2", "-1", "x"]), expr=expr_texts)
+def test_cli_contract_on_fuzzed_expressions(genus, expr, capsys):
+    assert_contract(capsys, ["realize", genus, expr, "--json"])
+
+
+@_FUZZ
+@given(doc=json_docs, command=st.sampled_from(["degree-check", "rewrite"]))
+def test_cli_contract_on_fuzzed_json(doc, command, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert_contract(capsys, [command, str(path)])

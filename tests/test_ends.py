@@ -176,15 +176,16 @@ def test_subspaces_inherit_the_condensation(pres):
         while True:
             spaces += [space, _restrict(space, auto.nonplanar_states)]
             nxt = _derivative(space)
-            if nxt.choices.keys() == space.choices.keys():
+            if nxt.transitions.keys() == space.transitions.keys():
                 break
             space = nxt
     for space in spaces:
-        assert sorted(map(sorted, space.components)) == sorted(map(sorted, sccs(space.choices)))
+        succ = space.transitions
+        assert sorted(map(sorted, space.components)) == sorted(map(sorted, sccs(succ)))
         position = {s: i for i, c in enumerate(space.components) for s in c}
-        for s, children in space.choices.items():
+        for s, children in succ.items():
             assert all(position[c] <= position[s] for c in children)
-        assert space.cyclic == on_cycles(space.choices)
+        assert space.cyclic == on_cycles(succ)
 
 
 def test_normalize_flatten_and_sort():
@@ -233,6 +234,14 @@ def test_normalize_idempotent(e):
     n = normalize_end_expr(e)
     assert normalize_end_expr(n) == n
     validate_end_expr(n)
+
+
+@pytest.mark.parametrize(
+    "text", ["Pt(planar)123", "Pt(planar);", "Pt(#planar)", "Pt(planar\u00e9)", "Seq(Pt(planar), planar)!"]
+)
+def test_parse_end_expr_rejects_stray_characters(text):
+    with pytest.raises(InvalidEndExprError):
+        parse_end_expr(text)
 
 
 @settings(max_examples=200)

@@ -26,6 +26,9 @@ from endkit import (
     standard_presentation,
     states_after_cycles,
 )
+import endkit.presentation
+from endkit import decompose, kerekjarto
+from endkit.cli import main
 from endkit.ends import Cardinality
 from endkit.presentation import backward, forward, on_cycles, path_counts, sccs
 
@@ -64,6 +67,13 @@ def test_parse_finite_type_forms():
 def test_parse_rejects(text):
     with pytest.raises(PresentationSyntaxError):
         parse_presentation(text)
+
+
+@pytest.mark.parametrize("digits", ["\u00b2", "\u0663", "\uff11"])
+def test_natural_numbers_are_ascii_digits(digits):
+    # str.isdigit() accepts all three; int() rejects the first
+    with pytest.raises(PresentationSyntaxError):
+        parse_presentation(f"surface x finite S(g={digits}, b=0, p=1)")
 
 
 def test_dangling_and_unreachable():
@@ -276,3 +286,33 @@ def test_kernel_path_counts_against_enumeration(succ, data):
 def test_kernel_path_counts_rejects_cycles():
     with pytest.raises(AssertionError):
         path_counts({"a": ("b",), "b": ("a",)}, "a", {"a", "b"})
+
+
+def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
+    """Every invariant reads the automaton's condensation: Tarjan runs once
+    per input presentation."""
+    runs = []
+
+    def counted(succ):
+        runs.append(len(succ))
+        return sccs(succ)
+
+    monkeypatch.setattr(endkit.presentation, "sccs", counted)
+    a = parse_presentation("surface a { r = H(x); x = P(x, t); t = A(t) }")
+    b = parse_presentation("surface b { r = P(h, t); h = H(h); t = A(t) }")
+    kerekjarto(a, b)
+    assert len(runs) == 2
+
+    runs.clear()
+    path = tmp_path / "a.surf"
+    path.write_text(pretty_print(a))
+    assert main(["invariants", str(path)]) == 0
+    capsys.readouterr()
+    assert len(runs) == 1
+
+    runs.clear()
+    s_2_0_3 = parse_presentation(
+        "surface f { r = H(x); x = H(y); y = P(t, u); t = A(t); u = P(t, v); v = A(v) }"
+    )
+    decompose(s_2_0_3, "strict", 16)
+    assert len(runs) == 1
