@@ -26,6 +26,7 @@ from .ends import (
     Seq,
     Union,
     Verdict,
+    _fold,
     _has_nonplanar,
     _pair_verdict,
     ends_automaton,
@@ -111,7 +112,8 @@ def realize(g: Genus, e: EndExpr, name: str = "realized") -> SurfacePresentation
         counter[0] += 1
         return f"{prefix}{counter[0]}"
 
-    def compile_expr(x: EndExpr) -> str:
+    def compile_node(x: EndExpr, tips: list[str]) -> str:
+        """The state for ``x``, given the states ``tips`` of its children."""
         if isinstance(x, Pt):
             s = fresh("h" if x.nonplanar else "a")
             kind = BlockKind.HANDLE if x.nonplanar else BlockKind.ANNULUS
@@ -128,15 +130,13 @@ def realize(g: Genus, e: EndExpr, name: str = "realized") -> SurfacePresentation
             return h
         if isinstance(x, Seq):
             s = fresh("s")
-            child = compile_expr(x.element)
             if x.limit_nonplanar:
                 m = fresh("m")
-                rules[s] = (BlockKind.PANTS, (child, m))
+                rules[s] = (BlockKind.PANTS, (tips[0], m))
                 rules[m] = (BlockKind.HANDLE, (s,))
             else:
-                rules[s] = (BlockKind.PANTS, (child, s))
+                rules[s] = (BlockKind.PANTS, (tips[0], s))
             return s
-        tips = [compile_expr(p) for p in x.parts]
         head = tips.pop()
         while tips:
             s = fresh("u")
@@ -144,7 +144,7 @@ def realize(g: Genus, e: EndExpr, name: str = "realized") -> SurfacePresentation
             head = s
         return head
 
-    root = compile_expr(e)
+    root = _fold(e, compile_node)
     if g != INFINITE:
         for _ in range(g):
             s = fresh("g")

@@ -40,16 +40,32 @@ class MapDescriptor:
     def __post_init__(self) -> None:
         if self.boundary_embedding is not None:
             b1, b2 = self.boundary_embedding
-            object.__setattr__(self, "boundary_embedding", (int(b1), int(b2)))
-        for name in ("surjective", "ends_map_injective"):
-            if getattr(self, name) not in (None, True, False):
-                raise DegreeError(f"{name} must be true, false or unknown")
-        if self.orientation not in (None, 1, -1):
-            raise DegreeError(f"orientation must be +1 or -1, got {self.orientation!r}")
-        if self.abs_degree is not None and not (
-            isinstance(self.abs_degree, int) and self.abs_degree >= 0
+            if not (_is_int(b1) and _is_int(b2)):
+                raise DegreeError(f"boundary counts must be integers, got {self.boundary_embedding!r}")
+            object.__setattr__(self, "boundary_embedding", (b1, b2))
+        for name in (
+            "proper",
+            "proper_homotopy_equivalence",
+            "pseudo_phe",
+            "target_plane_or_punctured_plane",
+            "pi1_surjective",
         ):
+            if not isinstance(getattr(self, name), bool):
+                raise DegreeError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name in ("surjective", "ends_map_injective"):
+            if getattr(self, name) is not None and not isinstance(getattr(self, name), bool):
+                raise DegreeError(f"{name} must be true, false or unknown")
+        if self.orientation is not None and not (
+            _is_int(self.orientation) and self.orientation in (1, -1)
+        ):
+            raise DegreeError(f"orientation must be +1 or -1, got {self.orientation!r}")
+        if self.abs_degree is not None and not (_is_int(self.abs_degree) and self.abs_degree >= 0):
             raise DegreeError(f"absolute degree must be a natural number, got {self.abs_degree!r}")
+
+
+def _is_int(value: object) -> bool:
+    """An integer that is not a bool (JSON true and false are not numbers)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def deg_compose(d1: int, d2: int) -> int:
@@ -151,26 +167,24 @@ def descriptor_to_json(descriptor: MapDescriptor) -> dict:
 
 
 def descriptor_from_json(data: Mapping) -> MapDescriptor:
-    """Rebuild a descriptor from its JSON form; absent keys stay unknown."""
+    """Rebuild a descriptor from its JSON form; absent keys stay unknown.
+    Values must have their exact JSON types: flags are true or false, counts
+    and degrees integers, and null only where a field may be unknown."""
     if not isinstance(data, Mapping):
         raise DegreeError(f"malformed map descriptor: expected an object, got {data!r}")
     try:
         boundary = data.get("boundary_embedding")
         return MapDescriptor(
-            proper=bool(data.get("proper", False)),
+            proper=data.get("proper", False),
             surjective=data.get("surjective"),
             boundary_embedding=tuple(boundary) if boundary is not None else None,
-            proper_homotopy_equivalence=bool(
-                data.get("proper_homotopy_equivalence", False)
-            ),
-            pseudo_phe=bool(data.get("pseudo_phe", False)),
-            target_plane_or_punctured_plane=bool(
-                data.get("target_plane_or_punctured_plane", False)
-            ),
+            proper_homotopy_equivalence=data.get("proper_homotopy_equivalence", False),
+            pseudo_phe=data.get("pseudo_phe", False),
+            target_plane_or_punctured_plane=data.get("target_plane_or_punctured_plane", False),
             ends_map_injective=data.get("ends_map_injective"),
             orientation=data.get("orientation"),
             abs_degree=data.get("abs_degree"),
-            pi1_surjective=bool(data.get("pi1_surjective", False)),
+            pi1_surjective=data.get("pi1_surjective", False),
         )
     except DegreeError:
         raise

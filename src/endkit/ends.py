@@ -26,13 +26,14 @@ Three decision layers are built on top:
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union as TUnion
+from typing import Callable, Iterable, Iterator, TypeVar, Union as TUnion
 
 from .errors import EndsError, InvalidEndExprError, NotConvertibleError
 from .presentation import (
     BlockKind,
     EndsAutomaton,
     SurfacePresentation,
+    _Parser,
     _finite_ends_count,
     backward,
     ends_automaton,
@@ -237,6 +238,11 @@ def cb_report(
 
 
 # -- the expression algebra ------------------------------------------------
+#
+# Every function below is one per-node step over `_fold` (children first) or
+# `_walk` (preorder), both iterative: the depth of an expression is bounded
+# by memory, never by the recursion limit.  `_key` is the one identity of an
+# expression; dataclass equality and hashing, which recurse, are not used.
 
 @dataclass(frozen=True)
 class Pt:
@@ -270,36 +276,99 @@ class Union:
 
 
 EndExpr = TUnion[Pt, Cantor, Seq, Union]
+_V = TypeVar("_V")
 
 
-def _expr_key(e: EndExpr) -> tuple:
-    if isinstance(e, Pt):
-        return (0, e.nonplanar)
-    if isinstance(e, Cantor):
-        return (1, e.nonplanar)
+def _children(e: EndExpr) -> tuple[EndExpr, ...]:
     if isinstance(e, Seq):
-        return (2, e.limit_nonplanar, _expr_key(e.element))
-    return (3, len(e.parts), tuple(_expr_key(p) for p in e.parts))
+        return (e.element,)
+    return e.parts if isinstance(e, Union) else ()
+
+
+def _walk(e: EndExpr) -> Iterator[EndExpr]:
+    """The nodes of ``e`` in preorder, children left to right."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
+
+
+def _fold(e: EndExpr, combine: Callable[[EndExpr, list], _V]) -> _V:
+    """``combine(node, values of its children)`` at every node, children
+    first and left to right; the value at ``e``."""
+    values: list = []
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        kids = _children(node)
+        if ready:
+            split = len(values) - len(kids)
+            values[split:] = [combine(node, values[split:])]
+        else:
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(kids))
+    return values[0]
+
+
+def _key(e: EndExpr) -> tuple:
+    """Two entries per node in preorder: a tag, then the mark (the part
+    count for a Union).  Equal keys are equal expressions.  The code is
+    prefix-free, so keys sort like the nested tuples (tag, mark, child
+    keys), and every subtree's key sits in its root's at an even offset."""
+    out: list = []
+    for node in _walk(e):
+        if isinstance(node, Union):
+            out += (3, len(node.parts))
+        elif isinstance(node, Seq):
+            out += (2, node.limit_nonplanar)
+        else:
+            out += (int(isinstance(node, Cantor)), node.nonplanar)
+    return tuple(out)
+
+
+def _nonplanar(node: EndExpr, kids: list[bool]) -> bool:
+    if isinstance(node, (Pt, Cantor)):
+        return node.nonplanar
+    return (isinstance(node, Seq) and node.limit_nonplanar) or any(kids)
 
 
 def _has_nonplanar(e: EndExpr) -> bool:
-    if isinstance(e, (Pt, Cantor)):
-        return e.nonplanar
-    if isinstance(e, Seq):
-        return e.limit_nonplanar or _has_nonplanar(e.element)
-    return any(_has_nonplanar(p) for p in e.parts)
+    return _fold(e, _nonplanar)
 
 
-def _repeated_pieces(e: EndExpr) -> set[EndExpr]:
-    """Every expression occurring as an omega-repeated piece inside ``e``
-    when ``e`` is the element of a Seq (transitively: pieces of pieces)."""
-    out: set[EndExpr] = {e}
-    if isinstance(e, Union):
-        for p in e.parts:
-            out |= _repeated_pieces(p)
-    elif isinstance(e, Seq):
-        out |= _repeated_pieces(e.element)
-    return out
+def _normal(node: EndExpr, kids: list[EndExpr]) -> EndExpr:
+    """Normal form of ``node`` whose children have normal forms ``kids``."""
+    if isinstance(node, (Pt, Cantor)):
+        return node
+    if isinstance(node, Seq):
+        element = kids[0]
+        if isinstance(element, Union):  # sorted already: drop the repeats
+            parts = tuple({_key(p): p for p in element.parts}.values())
+            element = parts[0] if len(parts) == 1 else Union(parts)
+        if isinstance(element, Cantor) and element.nonplanar == node.limit_nonplanar:
+            return element
+        return Seq(element, node.limit_nonplanar)
+    if len(kids) < 2:
+        if not kids:
+            raise InvalidEndExprError("empty union denotes no space")
+        return kids[0]
+    flat = [q for k in kids for q in (k.parts if isinstance(k, Union) else (k,))]
+    keyed = [(_key(p), p) for p in flat]
+    elements = [k[2:] for k, p in keyed if isinstance(p, Seq)]
+    out: list[tuple[tuple, EndExpr]] = []
+    seen_cantor: set[bool] = set()
+    for k, p in keyed:
+        n = len(k)
+        if elements and any(t[i:i + n] == k for t in elements for i in range(0, len(t) - n + 1, 2)):
+            continue  # a repeated piece of a sibling tower
+        if isinstance(p, Cantor):
+            if p.nonplanar in seen_cantor:
+                continue
+            seen_cantor.add(p.nonplanar)
+        out.append((k, p))
+    out.sort(key=lambda kp: kp[0])
+    return out[0][1] if len(out) == 1 else Union(tuple(p for _, p in out))
 
 
 def normalize_end_expr(e: EndExpr) -> EndExpr:
@@ -312,150 +381,94 @@ def normalize_end_expr(e: EndExpr) -> EndExpr:
     are omega copies of x), and omega Cantors converging to a same-marked
     limit are again a Cantor.
     """
-    if isinstance(e, (Pt, Cantor)):
-        return e
-    if isinstance(e, Seq):
-        element = normalize_end_expr(e.element)
-        if isinstance(element, Union):
-            parts = sorted(set(element.parts), key=_expr_key)
-            element = parts[0] if len(parts) == 1 else Union(tuple(parts))
-        if isinstance(element, Cantor) and element.nonplanar == e.limit_nonplanar:
-            return element
-        return Seq(element, e.limit_nonplanar)
-    flat: list[EndExpr] = []
-    for p in e.parts:
-        q = normalize_end_expr(p)
-        flat.extend(q.parts if isinstance(q, Union) else [q])
-    towers = [
-        _repeated_pieces(p.element) for p in flat if isinstance(p, Seq)
-    ]
-    kept: list[EndExpr] = []
-    seqs = [p for p in flat if isinstance(p, Seq)]
-    for i, p in enumerate(flat):
-        absorbed = any(
-            s is not p and p in pieces
-            for s, pieces in zip(seqs, towers)
-        )
-        if not absorbed:
-            kept.append(p)
-    out: list[EndExpr] = []
-    seen_cantor: set[bool] = set()
-    for p in kept:
-        if isinstance(p, Cantor):
-            if p.nonplanar in seen_cantor:
-                continue
-            seen_cantor.add(p.nonplanar)
-        out.append(p)
-    out.sort(key=_expr_key)
-    if not out:
-        raise InvalidEndExprError("empty union denotes no space")
-    if len(out) == 1:
-        return out[0]
-    return Union(tuple(out))
+    return _fold(e, _normal)
 
 
 def validate_end_expr(e: EndExpr) -> None:
     """Reject expressions whose non-planar subset would not be closed."""
-    if isinstance(e, (Pt, Cantor)):
-        return
-    if isinstance(e, Seq):
-        if not e.limit_nonplanar and _has_nonplanar(e.element):
-            raise InvalidEndExprError(
-                "non-planar points accumulating at a planar limit"
-            )
-        validate_end_expr(e.element)
-        return
-    if not e.parts:
-        raise InvalidEndExprError("empty union denotes no space")
-    for p in e.parts:
-        validate_end_expr(p)
+
+    def check(node: EndExpr, kids: list) -> tuple[bool, str | None]:
+        """(has a non-planar point, first fault in preorder or None)"""
+        nonplanar = _nonplanar(node, [np for np, _ in kids])
+        faults = [fault for _, fault in kids if fault]
+        if isinstance(node, Seq) and not node.limit_nonplanar and nonplanar:
+            faults.insert(0, "non-planar points accumulating at a planar limit")
+        if isinstance(node, Union) and not node.parts:
+            faults.insert(0, "empty union denotes no space")
+        return nonplanar, faults[0] if faults else None
+
+    fault = _fold(e, check)[1]
+    if fault:
+        raise InvalidEndExprError(fault)
 
 
 def format_end_expr(e: EndExpr) -> str:
-    def mark(np: bool) -> str:
-        return "nonplanar" if np else "planar"
+    def text(node: EndExpr, kids: list[str]) -> str:
+        if isinstance(node, Union):
+            return f"Union({', '.join(kids)})"
+        np = node.limit_nonplanar if isinstance(node, Seq) else node.nonplanar
+        mark = "nonplanar" if np else "planar"
+        if isinstance(node, Seq):
+            return f"Seq({kids[0]}, {mark})"
+        return f"{type(node).__name__}({mark})"
 
-    if isinstance(e, Pt):
-        return f"Pt({mark(e.nonplanar)})"
-    if isinstance(e, Cantor):
-        return f"Cantor({mark(e.nonplanar)})"
-    if isinstance(e, Seq):
-        return f"Seq({format_end_expr(e.element)}, {mark(e.limit_nonplanar)})"
-    inner = ", ".join(format_end_expr(p) for p in e.parts)
-    return f"Union({inner})"
+    return _fold(e, text)
 
 
 def parse_end_expr(text: str) -> EndExpr:
     """Inverse of format_end_expr."""
-    tokens = re.findall(r"[A-Za-z]+|[(),]|\S", text)
-    pos = 0
+    p = _Parser(re.findall(r"[A-Za-z]+|[(),]|\S", text), InvalidEndExprError)
 
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise InvalidEndExprError("unexpected end of expression")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise InvalidEndExprError(f"expected {expected!r}, got {tok!r}")
-        pos += 1
-        return tok
+    def mark() -> bool:
+        tok = p.take()
+        if tok not in ("planar", "nonplanar"):
+            raise InvalidEndExprError(f"expected planar/nonplanar, got {tok!r}")
+        return tok == "nonplanar"
 
-    def parse_mark() -> bool:
-        tok = take()
-        if tok == "nonplanar":
-            return True
-        if tok == "planar":
-            return False
-        raise InvalidEndExprError(f"expected planar/nonplanar, got {tok!r}")
-
-    def parse() -> EndExpr:
-        head = take()
-        take("(")
-        if head in ("Pt", "Cantor"):
-            np = parse_mark()
-            take(")")
-            return Pt(np) if head == "Pt" else Cantor(np)
-        if head == "Seq":
-            element = parse()
-            take(",")
-            np = parse_mark()
-            take(")")
-            return Seq(element, np)
-        if head == "Union":
-            parts = [parse()]
-            while pos < len(tokens) and tokens[pos] == ",":
-                take(",")
-                parts.append(parse())
-            take(")")
-            return Union(tuple(parts))
-        raise InvalidEndExprError(f"unknown constructor {head!r}")
-
-    expr = parse()
-    if pos != len(tokens):
-        raise InvalidEndExprError(f"trailing input at {tokens[pos]!r}")
+    pending: list[tuple[str, list[EndExpr]]] = []  # open Seq and Union nodes
+    while True:
+        head = p.take()
+        p.take("(")
+        if head in ("Seq", "Union"):
+            pending.append((head, []))
+            continue
+        if head not in ("Pt", "Cantor"):
+            raise InvalidEndExprError(f"unknown constructor {head!r}")
+        expr: EndExpr = Pt(mark()) if head == "Pt" else Cantor(mark())
+        p.take(")")
+        while pending:  # close every node that this part completes
+            head, parts = pending[-1]
+            parts.append(expr)
+            if head == "Union" and p.peek() == ",":
+                p.take(",")
+                break
+            if head == "Seq":
+                p.take(",")
+                expr = Seq(parts[0], mark())
+            else:
+                expr = Union(tuple(parts))
+            p.take(")")
+            pending.pop()
+        else:
+            break
+    if p.peek() is not None:
+        raise InvalidEndExprError(f"trailing input at {p.peek()!r}")
     return expr
 
 
 def expr_cb_report(e: EndExpr) -> CBReport:
-    """Cantor-Bendixson data computed recursively over the algebra;
-    independent of the automaton route, used to cross-check it."""
-    rank, degree, kernel, card = _expr_cb(e)
-    return CBReport(
-        rank=rank,
-        degree=degree,
-        has_perfect_kernel=kernel,
-        cardinality=card,
-        profile=None,
-    )
+    """Cantor-Bendixson data computed over the algebra; independent of the
+    automaton route, used to cross-check it."""
+    return CBReport(*_fold(e, _expr_cb))
 
 
-def _expr_cb(e: EndExpr) -> tuple[int, int, bool, EndsCount]:
+def _expr_cb(e: EndExpr, datas: list) -> tuple[int, int, bool, EndsCount]:
     if isinstance(e, Pt):
         return (1, 1, False, EndsCount(Cardinality.FINITE, 1))
     if isinstance(e, Cantor):
         return (0, 0, True, EndsCount(Cardinality.UNCOUNTABLE))
     if isinstance(e, Seq):
-        rank, _, kernel, card = _expr_cb(e.element)
+        rank, _, kernel, card = datas[0]
         if card.cardinality is Cardinality.UNCOUNTABLE:
             new_card = EndsCount(Cardinality.UNCOUNTABLE)
         else:
@@ -463,7 +476,6 @@ def _expr_cb(e: EndExpr) -> tuple[int, int, bool, EndsCount]:
         if kernel:
             return (rank, 0, True, new_card)
         return (rank + 1, 1, False, new_card)
-    datas = [_expr_cb(p) for p in e.parts]
     rank = max(d[0] for d in datas)
     kernel = any(d[2] for d in datas)
     degree = 0 if kernel else sum(d[1] for d in datas if d[0] == rank)
@@ -482,8 +494,10 @@ def _expr_cb(e: EndExpr) -> tuple[int, int, bool, EndsCount]:
 # -- automaton to expression -----------------------------------------------
 
 def _to_expr(space: EndsAutomaton, mark_targets: Iterable[str]) -> EndExpr:
-    """Expression for the marked path space, or NotConvertibleError when a
-    component mixes internal branching with exits."""
+    """Normal-form expression for the marked path space, or
+    NotConvertibleError when a component mixes internal branching with
+    exits.  Each component's normal form is built once, from its
+    children's."""
     if space.root is None:
         raise NotConvertibleError("empty path space has no expression")
     succ = space.transitions
@@ -491,39 +505,24 @@ def _to_expr(space: EndsAutomaton, mark_targets: Iterable[str]) -> EndExpr:
     expr_of: dict[str, EndExpr] = {}
     for scc in space.components:
         members = set(scc)
-        internal = {
-            s: sum(1 for c in succ[s] if c in members) for s in scc
-        }
-        exits = [
-            (s, c)
-            for s in sorted(scc)
-            for c in succ[s]
-            if c not in members
-        ]
+        kids = [expr_of[c] for s in sorted(scc) for c in succ[s] if c not in members]
+        in_marked = members <= marked
         if scc[0] not in space.cyclic:
-            s = scc[0]
-            children = succ[s]
-            if len(children) == 1:
-                expr = expr_of[children[0]]
-            else:
-                expr = normalize_end_expr(
-                    Union(tuple(expr_of[c] for c in children))
-                )
-        else:
-            branching = any(n >= 2 for n in internal.values())
-            in_marked = members <= marked
-            if not exits:
-                expr = Cantor(in_marked) if branching else Pt(in_marked)
-            elif branching:
+            expr = _normal(Union(tuple(kids)), kids)
+        elif any(sum(c in members for c in succ[s]) >= 2 for s in scc):
+            if kids:
                 raise NotConvertibleError(
                     "component mixes internal branching with exits"
                 )
-            else:
-                body = Union(tuple(expr_of[c] for _, c in exits))
-                expr = normalize_end_expr(Seq(body, in_marked))
+            expr = Cantor(in_marked)
+        elif kids:
+            body = _normal(Union(tuple(kids)), kids)
+            expr = _normal(Seq(body, in_marked), [body])
+        else:
+            expr = Pt(in_marked)
         for s in scc:
             expr_of[s] = expr
-    return normalize_end_expr(expr_of[space.root])
+    return expr_of[space.root]
 
 
 def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
@@ -579,7 +578,7 @@ def _pair_verdict(
         expr_b = _to_expr(space_b, marks_b)
     except NotConvertibleError:
         return Verdict.UNKNOWN, None
-    if expr_a == expr_b:
+    if _key(expr_a) == _key(expr_b):
         return Verdict.YES, "end-expression-normal-form"
     return Verdict.NO, "normal-form"
 

@@ -122,10 +122,6 @@ class SurfacePresentation:
 
     # -- structure helpers -------------------------------------------------
 
-    @property
-    def is_regular(self) -> bool:
-        return self.rules is not None
-
     def kind(self, state: str) -> BlockKind:
         assert self.rules is not None
         return self.rules[state][0]
@@ -166,9 +162,13 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str]):
+    """Token cursor; its errors are ``error`` instances, so the end
+    expression parser shares it."""
+
+    def __init__(self, tokens: list[str], error: type[Exception] = PresentationSyntaxError):
         self.tokens = tokens
         self.pos = 0
+        self.error = error
 
     def peek(self, ahead: int = 0) -> str | None:
         i = self.pos + ahead
@@ -177,22 +177,22 @@ class _Parser:
     def take(self, expected: str | None = None) -> str:
         tok = self.peek()
         if tok is None:
-            raise PresentationSyntaxError("unexpected end of input")
+            raise self.error("unexpected end of input")
         if expected is not None and tok != expected:
-            raise PresentationSyntaxError(f"expected {expected!r}, got {tok!r}")
+            raise self.error(f"expected {expected!r}, got {tok!r}")
         self.pos += 1
         return tok
 
     def take_ident(self) -> str:
         tok = self.take()
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise PresentationSyntaxError(f"expected identifier, got {tok!r}")
+            raise self.error(f"expected identifier, got {tok!r}")
         return tok
 
     def take_nat(self) -> int:
         tok = self.take()
         if not re.fullmatch(r"[0-9]+", tok):
-            raise PresentationSyntaxError(f"expected natural number, got {tok!r}")
+            raise self.error(f"expected natural number, got {tok!r}")
         return int(tok)
 
 

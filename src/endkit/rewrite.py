@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
+from .degree import _is_int
 from .errors import (
     DegreeUnknownError,
     DomainError,
@@ -281,14 +282,7 @@ def r1_disk_removal(config: CurveConfig) -> CurveConfig:
     if not _has_trivial(config):
         return config
     kept = tuple(c for c in config.components if c.kind is ComponentKind.PRIMITIVE)
-    return CurveConfig(
-        target_circles=config.target_circles,
-        components=kept,
-        nesting=(),
-        parallel_orders=config.parallel_orders,
-        pi1_bijective=config.pi1_bijective,
-        global_degree=config.global_degree,
-    )
+    return replace(config, components=kept, nesting=())
 
 
 def _homeo_coerce(config: CurveConfig) -> tuple[CurveConfig, tuple[str, ...]]:
@@ -316,15 +310,7 @@ def _homeo_coerce(config: CurveConfig) -> tuple[CurveConfig, tuple[str, ...]]:
             rebuilt.append(c)
     if not changed:
         return config, ()
-    result = CurveConfig(
-        target_circles=config.target_circles,
-        components=tuple(rebuilt),
-        nesting=(),
-        parallel_orders=config.parallel_orders,
-        pi1_bijective=config.pi1_bijective,
-        global_degree=config.global_degree,
-    )
-    return result, tuple(notes)
+    return replace(config, components=tuple(rebuilt), nesting=()), tuple(notes)
 
 
 def r2_homeo_normalize(config: CurveConfig) -> CurveConfig:
@@ -359,13 +345,10 @@ def r3_annulus_removal(config: CurveConfig) -> CurveConfig:
     )
     if len(kept) == len(config.components):
         return config
-    return CurveConfig(
-        target_circles=config.target_circles,
+    return replace(
+        config,
         components=kept,
-        nesting=config.nesting,
         parallel_orders={t: order[:1] for t, order in config.parallel_orders},
-        pi1_bijective=config.pi1_bijective,
-        global_degree=config.global_degree,
     )
 
 
@@ -496,7 +479,7 @@ def _label_from_json(data: object) -> Degree | Homeo:
     if data == "Homeo":
         return HOMEO
     if isinstance(data, Mapping) and set(data) == {"degree"}:
-        return Degree(int(data["degree"]))
+        return Degree(_json_int(data["degree"]))
     raise InvalidCurveConfigError(f"unreadable restriction label {data!r}")
 
 
@@ -505,16 +488,23 @@ def _degree_from_json(data: object) -> GlobalDegree:
     if isinstance(data, str) and data in named:
         return named[data]
     if isinstance(data, Mapping) and set(data) == {"other"}:
-        return Other(int(data["other"]))
+        return Other(_json_int(data["other"]))
     raise InvalidCurveConfigError(f"unreadable global degree {data!r}")
 
 
+def _json_int(value: object) -> int:
+    if not _is_int(value):
+        raise InvalidCurveConfigError(f"expected an integer, got {value!r}")
+    return value
+
+
 def curve_config_from_json(data: Mapping) -> CurveConfig:
-    """Rebuild a configuration from its JSON form."""
+    """Rebuild a configuration from its JSON form.  Ids and degrees must be
+    JSON integers and ``pi1_bijective`` true or false."""
     try:
         components = tuple(
             Component(
-                id=int(entry["id"]),
+                id=_json_int(entry["id"]),
                 target=entry["target"],
                 kind=ComponentKind(entry["kind"]),
                 label=_label_from_json(entry["label"]) if "label" in entry else None,
@@ -522,18 +512,21 @@ def curve_config_from_json(data: Mapping) -> CurveConfig:
             for entry in data["components"]
         )
         nesting = {
-            int(child): parent
+            int(child): None if parent is None else _json_int(parent)
             for child, parent in dict(data.get("nesting", {})).items()
         }
+        pi1_bijective = data.get("pi1_bijective", False)
+        if not isinstance(pi1_bijective, bool):
+            raise InvalidCurveConfigError(f"pi1_bijective must be true or false, got {pi1_bijective!r}")
         config = CurveConfig(
             target_circles=tuple(data["target_circles"]),
             components=components,
             nesting=nesting,
             parallel_orders={
-                t: tuple(order)
+                t: tuple(map(_json_int, order))
                 for t, order in dict(data.get("parallel_orders", {})).items()
             },
-            pi1_bijective=bool(data.get("pi1_bijective", False)),
+            pi1_bijective=pi1_bijective,
             global_degree=_degree_from_json(data.get("global_degree", "unknown")),
         )
     except InvalidCurveConfigError:
@@ -574,17 +567,7 @@ def radial_extension(
     Returns the map ``z -> |z| * phi(z / |z|)``, the time-one end of
     :func:`alexander_homotopy`.
     """
-
-    def extended(z: complex) -> complex:
-        z = complex(z)
-        r = abs(z)
-        if r == 0:
-            raise DomainError("the puncture z = 0 is outside the domain")
-        if r > 1 + _TOL:
-            raise DomainError(f"|z| = {r} exceeds 1")
-        return r * phi(z / r)
-
-    return extended
+    return lambda z: alexander_homotopy(phi, z, 1)
 
 
 def annulus_push(

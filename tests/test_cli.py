@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from endkit import curve_config_to_json, format_end_expr, pretty_print
+from endkit import curve_config_to_json, format_end_expr, parse_presentation, pretty_print
 from endkit.cli import main
 
 from conftest import curve_configs, end_exprs, presentations
@@ -114,6 +114,15 @@ def test_invariants_on_a_deep_comb(surf, capsys):
     assert payload["ends"] == {"class": "finite", "count": k + 1}
     assert payload["cb"]["profile"] == [k + 1]
 
+
+
+def test_realize_a_deep_tower(capsys):
+    levels = 1200
+    tower = "Seq(" * levels + "Pt(planar)" + ", planar)" * levels
+    code, out = run(capsys, "realize", "0", tower, "--json")
+    assert code == 0
+    assert out.count("\n") == 1
+    assert len(parse_presentation(json.loads(out)["presentation"]).rules) == levels + 1
 
 def test_invariants_rank_cutoff(surf, capsys):
     flute = surf("flute.surf", FLUTE)

@@ -147,6 +147,33 @@ def test_json_defaults_and_garbage():
         descriptor_from_json({"orientation": 2})
 
 
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"proper": "false", "proper_homotopy_equivalence": "no"},
+        {"proper": 1},
+        {"proper": None},
+        {"pseudo_phe": "true"},
+        {"target_plane_or_punctured_plane": 0},
+        {"pi1_surjective": "yes"},
+        {"surjective": 0},
+        {"surjective": "false"},
+        {"ends_map_injective": 0, "proper_homotopy_equivalence": True},
+        {"abs_degree": True},
+        {"abs_degree": 1.0},
+        {"abs_degree": "2"},
+        {"orientation": 1.0},
+        {"orientation": True},
+        {"boundary_embedding": [True, 1]},
+        {"boundary_embedding": ["2", "2"]},
+        {"boundary_embedding": [1.5, 1]},
+    ],
+)
+def test_json_reader_takes_exact_types(payload):
+    with pytest.raises(DegreeError):
+        descriptor_from_json(json.loads(json.dumps(payload)))
+
 def test_compose_and_disk_witness():
     assert deg_compose(2, -3) == -6
     assert deg_compose(1, 1) == 1

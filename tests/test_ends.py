@@ -32,11 +32,12 @@ from endkit import (
     parse_end_expr,
     parse_presentation,
     realize,
+    splice_annulus,
     standard_presentation,
     to_end_expr,
     validate_end_expr,
 )
-from endkit.ends import _derivative, _has_nonplanar, _restrict, _space_of
+from endkit.ends import _derivative, _has_nonplanar, _key, _restrict, _space_of, _walk
 from endkit.presentation import on_cycles, sccs
 
 from conftest import end_exprs, presentations
@@ -250,6 +251,37 @@ def test_format_parse_roundtrip(e):
     assert parse_end_expr(format_end_expr(e)) == e
 
 
+def _nested_key(e):
+    """The nested sort key that the flat `_key` replaced, kept as its
+    reference: (tag, mark, child keys), the part count before a Union's."""
+    if isinstance(e, Pt):
+        return (0, e.nonplanar)
+    if isinstance(e, Cantor):
+        return (1, e.nonplanar)
+    if isinstance(e, Seq):
+        return (2, e.limit_nonplanar, _nested_key(e.element))
+    return (3, len(e.parts), tuple(_nested_key(p) for p in e.parts))
+
+
+@settings(max_examples=300)
+@given(end_exprs(depth=2), end_exprs(depth=2), end_exprs(depth=4))
+def test_flat_key_sorts_and_equates_like_the_nested_key(a, b, big):
+    pairs = [(a, b), (a, a), (b, a), (normalize_end_expr(a), normalize_end_expr(b))]
+    pairs += [(a, Seq(a, True)), (Union((a, b)), Union((a, a))), (Union((a, b)), Union((a, b, a)))]
+    for x, y in pairs:
+        assert (_key(x) < _key(y)) == (_nested_key(x) < _nested_key(y))
+        assert (_key(x) == _key(y)) == (_nested_key(x) == _nested_key(y)) == (x == y)
+    # a summand beside a tower is absorbed exactly when it is a subtree of
+    # the tower's element, which the key finds at an even offset
+    tower = normalize_end_expr(Seq(big, True))
+    if isinstance(tower, Seq):
+        pieces = {_nested_key(node) for node in _walk(tower.element)}
+        for x in [*_walk(tower.element), normalize_end_expr(a), tower]:
+            if not isinstance(x, Union):
+                merged = format_end_expr(normalize_end_expr(Union((x, tower))))
+                assert (merged == format_end_expr(tower)) == (_nested_key(x) in pieces)
+
+
 @settings(max_examples=150, deadline=None)
 @given(end_exprs())
 def test_expression_route_agrees_with_automaton_route(e):
@@ -404,3 +436,27 @@ def test_deep_inputs_match_closed_forms(
     assert find_isolated_planar_end(pres) == isolated
     verdict = kerekjarto(pres, _renamed(pres))
     assert verdict.to_json() == {"verdict": "Homeomorphic"}
+
+
+def _planar_tower(levels: int) -> Seq:
+    tower = Pt(False)
+    for _ in range(levels):
+        tower = Seq(tower, False)
+    return tower
+
+
+@pytest.mark.parametrize("levels", [DEEP, 5000])
+def test_deep_seq_towers(levels):
+    # compared through format_end_expr: dataclass == recurses
+    tower = _planar_tower(levels)
+    text = format_end_expr(tower)
+    assert text == "Seq(" * levels + "Pt(planar)" + ", planar)" * levels
+    assert format_end_expr(parse_end_expr(text)) == text
+    assert format_end_expr(normalize_end_expr(tower)) == text
+    validate_end_expr(tower)
+    report = expr_cb_report(tower)
+    assert (report.rank, report.degree, report.has_perfect_kernel) == (levels + 1, 1, False)
+    surface = realize(0, tower)
+    assert format_end_expr(to_end_expr(ends_automaton(surface))) == text
+    copy = splice_annulus(surface, surface.root, 0)
+    assert kerekjarto(surface, copy).to_json() == {"verdict": "Homeomorphic"}

@@ -299,6 +299,56 @@ def test_json_rejects_garbage():
         curve_config_from_json({"target_circles": ["c0"]})
 
 
+def _config_json(**changes) -> dict:
+    """A valid configuration's JSON with some top-level values replaced."""
+    payload = {
+        "target_circles": ["c0"],
+        "components": [
+            {"id": 0, "target": "c0", "kind": "Trivial"},
+            {"id": 1, "target": "c0", "kind": "Trivial"},
+            {"id": 2, "target": "c0", "kind": "Primitive", "label": {"degree": -2}},
+        ],
+        "nesting": {"0": None, "1": 0},
+        "parallel_orders": {"c0": [2]},
+        "pi1_bijective": False,
+        "global_degree": {"other": 2},
+    }
+    payload.update(changes)
+    return payload
+
+
+def _component(**changes) -> dict:
+    entry = {"id": 2, "target": "c0", "kind": "Primitive", "label": {"degree": -2}}
+    entry.update(changes)
+    return entry
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _config_json(pi1_bijective="false"),
+        _config_json(pi1_bijective=0),
+        _config_json(pi1_bijective=None),
+        _config_json(global_degree={"other": 2.0}),
+        _config_json(global_degree={"other": "2"}),
+        _config_json(nesting={"0": None, "1": 0.0}),
+        _config_json(nesting={"0": None, "1": False}),
+        _config_json(parallel_orders={"c0": [2.0]}),
+        _config_json(components=[_component(id="2")], nesting={}),
+        _config_json(components=[_component(id=2.0)], nesting={}),
+        _config_json(components=[_component(id=True)], nesting={}, parallel_orders={}),
+        _config_json(components=[_component(label={"degree": 2.5})], nesting={}),
+        _config_json(components=[_component(label={"degree": "1"})], nesting={}),
+        _config_json(components=[_component(label={"degree": True})], nesting={}),
+    ],
+)
+def test_json_reader_takes_exact_types(payload):
+    # each case changes one value of a configuration that reads back intact
+    assert curve_config_to_json(curve_config_from_json(_config_json())) == _config_json()
+    with pytest.raises(InvalidCurveConfigError):
+        curve_config_from_json(json.loads(json.dumps(payload)))
+
+
 # -- homotopies ------------------------------------------------------------
 
 
