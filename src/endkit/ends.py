@@ -17,10 +17,13 @@ Three decision layers are built on top:
 
 * cardinality of the ends space (exact finite count, countably infinite,
   or uncountable);
-* symbolic Cantor-Bendixson analysis (derivatives computed by restricting
-  the automaton to states that can still reach a branching state);
+* symbolic Cantor-Bendixson analysis (rank, the size of the last batch of
+  isolated points, perfect kernel);
 * a normal-form expression algebra (`Pt`, `Cantor`, `Seq`, `Union`) for
   sound homeomorphism verdicts on pairs (ends, non-planar ends).
+
+All three are one fold over the automaton's condensation, children first:
+the ends beyond a component are read off from the ends beyond its exits.
 """
 
 import re
@@ -34,11 +37,9 @@ from .presentation import (
     EndsAutomaton,
     SurfacePresentation,
     _Parser,
-    _finite_ends_count,
     backward,
     ends_automaton,
     forward,
-    path_counts,
     regularize,
 )
 
@@ -116,22 +117,6 @@ def _restrict(space: EndsAutomaton, targets: Iterable[str]) -> EndsAutomaton:
     )
 
 
-def _ends_count_space(space: EndsAutomaton) -> EndsCount:
-    if space.root is None:
-        return EndsCount(Cardinality.FINITE, 0)
-    succ = space.transitions
-    scc_of = {s: i for i, c in enumerate(space.components) for s in c}
-    for s, cs in succ.items():
-        if sum(1 for c in cs if scc_of[c] == scc_of[s]) >= 2:
-            return EndsCount(Cardinality.UNCOUNTABLE)
-    if any(len(succ[s]) >= 2 for s in forward(succ, space.cyclic)):
-        return EndsCount(Cardinality.COUNTABLY_INFINITE)
-    # deterministic beyond the cyclic region, so each entry is one end
-    return EndsCount(
-        Cardinality.FINITE, _finite_ends_count(succ, space.root, space.cyclic)
-    )
-
-
 def ends_count(
     source: SurfacePresentation | EndsAutomaton, marked: str = "all"
 ) -> EndsCount:
@@ -141,20 +126,63 @@ def ends_count(
     """
     if isinstance(source, SurfacePresentation):
         source = ends_automaton(source)
-    return _ends_count_space(_space_of(source, marked))
+    return _cb_data(_space_of(source, marked))[3]
+
+
+# -- the condensation fold -------------------------------------------------
+
+class _Kind(Enum):
+    """The shape of a component of the condensation, and what it makes of
+    the ends beyond its exits (its children outside it, with multiplicity)."""
+
+    ACYCLIC = "a state on no cycle: the union of its exits"
+    POINT = "a cycle without exits: one end"
+    SEQ = "a cycle with exits: copies of the union of its exits, converging to the cycle's end"
+    CANTOR = "branching inside, no exits: a Cantor set"
+    KERNEL = "branching inside, and exits: a Cantor set that copies of each exit accumulate on"
+
+
+_V = TypeVar("_V")
+
+
+def _fold_components(
+    space: EndsAutomaton, combine: Callable[[_Kind, list[str], list], _V]
+) -> _V:
+    """``combine(kind, component, values of its exits)`` at every component
+    of a non-empty space, children first; the value at the root."""
+    assert space.root is not None
+    succ = space.transitions
+    value_of: dict[str, _V] = {}
+    for scc in space.components:
+        members = set(scc)
+        kids = [value_of[c] for s in sorted(scc) for c in succ[s] if c not in members]
+        if scc[0] not in space.cyclic:
+            kind = _Kind.ACYCLIC
+        elif any(sum(c in members for c in succ[s]) >= 2 for s in scc):
+            kind = _Kind.KERNEL if kids else _Kind.CANTOR
+        else:
+            kind = _Kind.SEQ if kids else _Kind.POINT
+        value = combine(kind, scc, kids)
+        for s in scc:
+            value_of[s] = value
+    return value_of[space.root]
 
 
 # -- Cantor-Bendixson analysis ---------------------------------------------
 
 @dataclass(frozen=True)
 class CBReport:
-    """Derivative analysis of an ends space.
+    """Cantor-Bendixson analysis of an ends space.
 
     rank is the number of derivative steps until the chain stabilizes;
     degree counts the isolated points of the last non-empty space in the
     chain (0 exactly when a perfect kernel remains, or the space is empty).
     profile records how many ends each step removed, None for an infinite
-    batch; it is omitted (None) for reports derived from expressions.
+    batch.  Every batch but the last is infinite, so the profile is
+    ``(None,) * (rank - 1) + (last batch,)``, and ``()`` at rank 0; it is
+    omitted (None) for reports derived from expressions.  A report cut at
+    a rank cutoff below the rank has rank = cutoff, profile
+    ``(None,) * cutoff``, degree 0, no kernel, and rank_exceeded set.
     """
 
     rank: int
@@ -175,53 +203,50 @@ class CBReport:
         )
 
 
-def _derivative(space: EndsAutomaton) -> EndsAutomaton:
-    """Subspace of non-isolated ends: paths that forever keep a branching
-    state reachable."""
-    return _restrict(space, [s for s, cs in space.transitions.items() if len(cs) >= 2])
+# A point of level k >= 1 is a limit of infinitely many points of level
+# k - 1, so the whole derivative chain is the tuple (rank, last batch or
+# None when infinite, perfect kernel, cardinality); at rank 0 the last batch
+# is 0, so equal spaces give equal tuples.
+_CBData = tuple[int, "int | None", bool, EndsCount]
+_COUNTABLE = EndsCount(Cardinality.COUNTABLY_INFINITE)
+_UNCOUNTABLE = EndsCount(Cardinality.UNCOUNTABLE)
+_EMPTY_CB: _CBData = (0, 0, False, EndsCount(Cardinality.FINITE, 0))
+_POINT_CB: _CBData = (1, 1, False, EndsCount(Cardinality.FINITE, 1))
+_CANTOR_CB: _CBData = (0, 0, True, _UNCOUNTABLE)
 
 
-def _batch_size(old: EndsAutomaton, new: EndsAutomaton) -> int | None:
-    """Number of ends removed by one derivative step, None when infinite.
+def _cb(kind: _Kind, kids: list[_CBData]) -> _CBData:
+    """The CB tuple of the ends beyond a component from its exits'."""
+    if kind is _Kind.POINT:
+        return _POINT_CB
+    if kind is _Kind.CANTOR:
+        return _CANTOR_CB
+    if not kids:
+        raise InvalidEndExprError("empty union denotes no space")
+    if kind is _Kind.ACYCLIC and len(kids) == 1:
+        return kids[0]
+    rank = max(k[0] for k in kids)
+    kernel = any(k[2] for k in kids)
+    cards = [k[3].cardinality for k in kids]
+    if kind is _Kind.ACYCLIC:
+        lasts = [k[1] for k in kids if k[0] == rank]
+        if Cardinality.UNCOUNTABLE in cards:
+            card = _UNCOUNTABLE
+        elif Cardinality.COUNTABLY_INFINITE in cards:
+            card = _COUNTABLE
+        else:
+            card = EndsCount(Cardinality.FINITE, sum(k[3].count or 0 for k in kids))
+        return (rank, None if None in lasts else sum(lasts), kernel, card)
+    card = _UNCOUNTABLE if kind is _Kind.KERNEL or Cardinality.UNCOUNTABLE in cards else _COUNTABLE
+    if kind is _Kind.KERNEL or kernel:  # the exits' last batch, copied forever
+        return (rank, None if rank else 0, True, card)
+    return (rank + 1, 1, False, card)  # SEQ: the cycle's end is the new level
 
-    A path that leaves ``new`` never returns, and it has left the branching
-    behind by the time it reaches a cycle of ``old``: each root path of
-    ``old`` that leaves ``new`` and first meets a cycle there is one removed
-    end.  Paths leaving after a cycle of ``new`` come in infinite numbers.
-    """
-    pumped = set(forward(new.transitions, new.cyclic))
-    if any(c not in new.transitions for s in pumped for c in old.transitions[s]):
-        return None
-    landing = old.cyclic - new.transitions.keys()
-    if any(len(old.transitions[s]) >= 2 for s in forward(old.transitions, landing)):
-        raise AssertionError("removed subspace must have finitely many ends")
-    assert old.root is not None
-    paths = path_counts(
-        old.transitions, old.root, old.transitions.keys() - old.cyclic - pumped
-    )
-    return sum(paths.get(s, 0) for s in landing)
 
-
-def _cb_space(space: EndsAutomaton, rank_cutoff: int) -> CBReport:
-    cardinality = _ends_count_space(space)
-    profile: list[int | None] = []
-    nxt = _derivative(space)
-    while nxt.transitions.keys() != space.transitions.keys() and len(profile) < rank_cutoff:
-        profile.append(_batch_size(space, nxt))
-        space, nxt = nxt, _derivative(nxt)
-    # a space that still shrinks is not empty, so its degree is 0
-    exceeded = nxt.transitions.keys() != space.transitions.keys()
-    empty = space.root is None
-    degree = profile[-1] if empty and profile else 0
-    assert degree is not None
-    return CBReport(
-        rank=len(profile),
-        degree=degree,
-        has_perfect_kernel=not (exceeded or empty),
-        cardinality=cardinality,
-        profile=tuple(profile),
-        rank_exceeded=exceeded,
-    )
+def _cb_data(space: EndsAutomaton) -> _CBData:
+    if space.root is None:
+        return _EMPTY_CB
+    return _fold_components(space, lambda kind, _, kids: _cb(kind, kids))
 
 
 def cb_report(
@@ -230,11 +255,18 @@ def cb_report(
     rank_cutoff: int = DEFAULT_RANK_CUTOFF,
 ) -> CBReport:
     """Analyze the full ends space, or only its non-planar subspace
-    (``marked="nonplanar_only"``), for at most ``rank_cutoff`` derivative
-    steps."""
+    (``marked="nonplanar_only"``).
+
+    The analysis is exact at any rank, in one pass over the condensation;
+    ``rank_cutoff`` only truncates the report to its first ``rank_cutoff``
+    derivative steps (see CBReport)."""
     if rank_cutoff < 0:
         raise EndsError(f"rank_cutoff must be non-negative, got {rank_cutoff}")
-    return _cb_space(_space_of(automaton, marked), rank_cutoff)
+    rank, last, kernel, card = _cb_data(_space_of(automaton, marked))
+    if rank > rank_cutoff:
+        return CBReport(rank_cutoff, 0, False, card, (None,) * rank_cutoff, True)
+    profile = (None,) * (rank - 1) + (last,) if rank else ()
+    return CBReport(rank, 0 if kernel else last, kernel, card, profile)
 
 
 # -- the expression algebra ------------------------------------------------
@@ -276,7 +308,6 @@ class Union:
 
 
 EndExpr = TUnion[Pt, Cantor, Seq, Union]
-_V = TypeVar("_V")
 
 
 def _children(e: EndExpr) -> tuple[EndExpr, ...]:
@@ -456,39 +487,15 @@ def parse_end_expr(text: str) -> EndExpr:
     return expr
 
 
+_KIND_OF_NODE = {Pt: _Kind.POINT, Cantor: _Kind.CANTOR, Seq: _Kind.SEQ, Union: _Kind.ACYCLIC}
+
+
 def expr_cb_report(e: EndExpr) -> CBReport:
-    """Cantor-Bendixson data computed over the algebra; independent of the
-    automaton route, used to cross-check it."""
-    return CBReport(*_fold(e, _expr_cb))
-
-
-def _expr_cb(e: EndExpr, datas: list) -> tuple[int, int, bool, EndsCount]:
-    if isinstance(e, Pt):
-        return (1, 1, False, EndsCount(Cardinality.FINITE, 1))
-    if isinstance(e, Cantor):
-        return (0, 0, True, EndsCount(Cardinality.UNCOUNTABLE))
-    if isinstance(e, Seq):
-        rank, _, kernel, card = datas[0]
-        if card.cardinality is Cardinality.UNCOUNTABLE:
-            new_card = EndsCount(Cardinality.UNCOUNTABLE)
-        else:
-            new_card = EndsCount(Cardinality.COUNTABLY_INFINITE)
-        if kernel:
-            return (rank, 0, True, new_card)
-        return (rank + 1, 1, False, new_card)
-    rank = max(d[0] for d in datas)
-    kernel = any(d[2] for d in datas)
-    degree = 0 if kernel else sum(d[1] for d in datas if d[0] == rank)
-    cards = [d[3] for d in datas]
-    if any(c.cardinality is Cardinality.UNCOUNTABLE for c in cards):
-        card = EndsCount(Cardinality.UNCOUNTABLE)
-    elif any(c.cardinality is Cardinality.COUNTABLY_INFINITE for c in cards):
-        card = EndsCount(Cardinality.COUNTABLY_INFINITE)
-    else:
-        card = EndsCount(
-            Cardinality.FINITE, sum(c.count or 0 for c in cards)
-        )
-    return (rank, degree, kernel, card)
+    """Cantor-Bendixson data computed over the algebra: each node is read as
+    the component kind that realizes it, through the automaton route's
+    combiner."""
+    rank, last, kernel, card = _fold(e, lambda node, kids: _cb(_KIND_OF_NODE[type(node)], kids))
+    return CBReport(rank, 0 if kernel else last, kernel, card)
 
 
 # -- automaton to expression -----------------------------------------------
@@ -500,29 +507,20 @@ def _to_expr(space: EndsAutomaton, mark_targets: Iterable[str]) -> EndExpr:
     children's."""
     if space.root is None:
         raise NotConvertibleError("empty path space has no expression")
-    succ = space.transitions
-    marked = backward(succ, mark_targets)
-    expr_of: dict[str, EndExpr] = {}
-    for scc in space.components:
-        members = set(scc)
-        kids = [expr_of[c] for s in sorted(scc) for c in succ[s] if c not in members]
-        in_marked = members <= marked
-        if scc[0] not in space.cyclic:
-            expr = _normal(Union(tuple(kids)), kids)
-        elif any(sum(c in members for c in succ[s]) >= 2 for s in scc):
-            if kids:
-                raise NotConvertibleError(
-                    "component mixes internal branching with exits"
-                )
-            expr = Cantor(in_marked)
-        elif kids:
-            body = _normal(Union(tuple(kids)), kids)
-            expr = _normal(Seq(body, in_marked), [body])
-        else:
-            expr = Pt(in_marked)
-        for s in scc:
-            expr_of[s] = expr
-    return expr_of[space.root]
+    marked = backward(space.transitions, mark_targets)
+
+    def expr(kind: _Kind, scc: list[str], kids: list[EndExpr]) -> EndExpr:
+        if kind is _Kind.KERNEL:
+            raise NotConvertibleError("component mixes internal branching with exits")
+        in_marked = marked.issuperset(scc)
+        if kind is _Kind.POINT:
+            return Pt(in_marked)
+        if kind is _Kind.CANTOR:
+            return Cantor(in_marked)
+        body = _normal(Union(tuple(kids)), kids)
+        return body if kind is _Kind.ACYCLIC else _normal(Seq(body, in_marked), [body])
+
+    return _fold_components(space, expr)
 
 
 def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
@@ -545,10 +543,8 @@ def _canonical_form(space: EndsAutomaton, marked: set[str]) -> tuple:
 
 
 def _pair_invariants(space: EndsAutomaton, mark_targets: Iterable[str]) -> tuple:
-    full = _cb_space(space, DEFAULT_RANK_CUTOFF)
-    marked_space = _restrict(space, mark_targets)
-    sub = _cb_space(marked_space, DEFAULT_RANK_CUTOFF)
-    return full.invariant_key() + sub.invariant_key()
+    """Exact CB data of the space and of its marked subspace."""
+    return _cb_data(space), _cb_data(_restrict(space, mark_targets))
 
 
 def _pair_verdict(

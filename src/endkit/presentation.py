@@ -439,14 +439,6 @@ def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
     )
 
 
-def _finite_ends_count(succ: Successors, root: str, cyclic: AbstractSet[str]) -> int:
-    """Ends of a choice graph that no longer branches once it reaches its
-    cycles (``cyclic`` = on_cycles(succ)): each route into the cyclic
-    region is one end."""
-    counts = path_counts(succ, root, succ.keys() - cyclic)
-    return sum(n for s, n in counts.items() if s in cyclic)
-
-
 def cyclic_states(pres: SurfacePresentation) -> set[str]:
     """States lying on some cycle of the rule graph."""
     return set(ends_automaton(pres).cyclic)
@@ -522,7 +514,9 @@ def canonical_finite_type(
         raise NotFiniteTypeError(f"{prefix}infinite type")
     g = genus(source)
     assert g is not INFINITE and source.root is not None
-    return (int(g), 0, _finite_ends_count(source.transitions, source.root, source.cyclic))
+    # no branching once the cycles are reached: each route into them is one end
+    counts = path_counts(source.transitions, source.root, source.transitions.keys() - source.cyclic)
+    return (int(g), 0, sum(n for s, n in counts.items() if s in source.cyclic))
 
 
 # -- constructions ---------------------------------------------------------

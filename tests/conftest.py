@@ -24,7 +24,7 @@ from endkit import (
 )
 from endkit.ends import _has_nonplanar
 
-_NAMES = tuple(f"s{i}" for i in range(6))
+_NAMES = tuple(f"s{i}" for i in range(8))
 
 
 @st.composite

@@ -9,6 +9,7 @@ from endkit import (
     INFINITE,
     BlockKind,
     Cantor,
+    CBReport,
     Cardinality,
     EndsCount,
     InvalidEndExprError,
@@ -37,8 +38,16 @@ from endkit import (
     to_end_expr,
     validate_end_expr,
 )
-from endkit.ends import _derivative, _has_nonplanar, _key, _restrict, _space_of, _walk
-from endkit.presentation import on_cycles, sccs
+from endkit.ends import (
+    EndsAutomaton,
+    _has_nonplanar,
+    _key,
+    _pair_verdict,
+    _restrict,
+    _space_of,
+    _walk,
+)
+from endkit.presentation import forward, on_cycles, path_counts, sccs
 
 from conftest import end_exprs, presentations
 
@@ -148,6 +157,96 @@ def test_rank_cutoff_flag():
     assert exact.rank == expr_cb_report(tower).rank and not exact.rank_exceeded
 
 
+# -- the derivative chain: the reference for the condensation fold ---------
+#
+# The library computes counts and CB data in one pass over the condensation.
+# These compute the same data step by step, one full subspace restriction
+# per derivative step: slow, but independent of the fold.
+
+def _derivative(space: EndsAutomaton) -> EndsAutomaton:
+    """Subspace of non-isolated ends: paths that forever keep a branching
+    state reachable."""
+    return _restrict(space, [s for s, cs in space.transitions.items() if len(cs) >= 2])
+
+
+def _batch_size(old: EndsAutomaton, new: EndsAutomaton) -> int | None:
+    """Number of ends removed by one derivative step, None when infinite.
+
+    A path that leaves ``new`` never returns, and it has left the branching
+    behind by the time it reaches a cycle of ``old``: each root path of
+    ``old`` that leaves ``new`` and first meets a cycle there is one removed
+    end.  Paths leaving after a cycle of ``new`` come in infinite numbers.
+    """
+    pumped = set(forward(new.transitions, new.cyclic))
+    if any(c not in new.transitions for s in pumped for c in old.transitions[s]):
+        return None
+    landing = old.cyclic - new.transitions.keys()
+    if any(len(old.transitions[s]) >= 2 for s in forward(old.transitions, landing)):
+        raise AssertionError("removed subspace must have finitely many ends")
+    assert old.root is not None
+    paths = path_counts(
+        old.transitions, old.root, old.transitions.keys() - old.cyclic - pumped
+    )
+    return sum(paths.get(s, 0) for s in landing)
+
+
+def _ends_count_space(space: EndsAutomaton) -> EndsCount:
+    if space.root is None:
+        return EndsCount(Cardinality.FINITE, 0)
+    succ = space.transitions
+    scc_of = {s: i for i, c in enumerate(space.components) for s in c}
+    for s, cs in succ.items():
+        if sum(1 for c in cs if scc_of[c] == scc_of[s]) >= 2:
+            return EndsCount(Cardinality.UNCOUNTABLE)
+    if any(len(succ[s]) >= 2 for s in forward(succ, space.cyclic)):
+        return EndsCount(Cardinality.COUNTABLY_INFINITE)
+    # deterministic beyond the cyclic region, so each entry is one end
+    counts = path_counts(succ, space.root, succ.keys() - space.cyclic)
+    return EndsCount(
+        Cardinality.FINITE, sum(n for s, n in counts.items() if s in space.cyclic)
+    )
+
+
+def _cb_space(space: EndsAutomaton, rank_cutoff: int) -> CBReport:
+    cardinality = _ends_count_space(space)
+    profile: list[int | None] = []
+    nxt = _derivative(space)
+    while nxt.transitions.keys() != space.transitions.keys() and len(profile) < rank_cutoff:
+        profile.append(_batch_size(space, nxt))
+        space, nxt = nxt, _derivative(nxt)
+    # a space that still shrinks is not empty, so its degree is 0
+    exceeded = nxt.transitions.keys() != space.transitions.keys()
+    empty = space.root is None
+    degree = profile[-1] if empty and profile else 0
+    assert degree is not None
+    return CBReport(
+        rank=len(profile),
+        degree=degree,
+        has_perfect_kernel=not (exceeded or empty),
+        cardinality=cardinality,
+        profile=tuple(profile),
+        rank_exceeded=exceeded,
+    )
+
+
+CUTOFFS = (0, 1, 2, 16, 10**4)
+
+
+def _assert_fold_matches_derivative_chain(pres: SurfacePresentation) -> None:
+    auto = ends_automaton(pres)
+    for marked in ("all", "nonplanar_only"):
+        space = _space_of(auto, marked)
+        assert ends_count(auto, marked=marked) == _ends_count_space(space)
+        for cutoff in CUTOFFS:
+            assert cb_report(auto, marked, cutoff) == _cb_space(space, cutoff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(max_states=8))
+def test_fold_matches_derivative_chain(pres):
+    _assert_fold_matches_derivative_chain(pres)
+
+
 TAIL_AND_CANTOR = "t = A(t); c = P(c, c)"  # a puncture t, a planar Cantor set c
 
 
@@ -221,6 +320,12 @@ def test_seq_element_dedupe():
     assert normalize_end_expr(e) == Seq(Pt(False), False)
 
 
+@pytest.mark.parametrize("e", [Union(()), Seq(Union(()), False)], ids=["union", "seq-of-union"])
+def test_expr_cb_report_rejects_empty_union(e):
+    with pytest.raises(InvalidEndExprError, match="empty union denotes no space"):
+        expr_cb_report(e)
+
+
 def test_validate_rejects_open_marked_set():
     with pytest.raises(InvalidEndExprError):
         validate_end_expr(Seq(Pt(True), False))
@@ -288,6 +393,7 @@ def test_expression_route_agrees_with_automaton_route(e):
     surface = realize(INFINITE if _has_nonplanar(e) else 0, e)
     auto = ends_automaton(surface)
     from_automaton = cb_report(auto, rank_cutoff=64)
+    assert from_automaton == _cb_space(auto, 64)
     from_expr = expr_cb_report(normalize_end_expr(e))
     assert from_automaton.rank == from_expr.rank
     assert from_automaton.degree == from_expr.degree
@@ -323,7 +429,11 @@ def test_pair_verdicts():
     )
     assert pair_homeomorphic(ends_automaton(FLUTE), ends_automaton(padded)) is Verdict.YES
 
-    # convertible, same coarse invariants at the cutoff, different normal forms
+    # countably many Cantor sets converging to a point form a Cantor set
+    cantor_seq = parse_presentation("surface cs { r = P(c, r); c = P(c, c) }")
+    assert pair_homeomorphic(ends_automaton(CANTOR), ends_automaton(cantor_seq)) is Verdict.YES
+
+    # same reports at the default cutoff; the exact ranks tell them apart
     t17, t18 = Pt(False), Pt(False)
     for _ in range(17):
         t17 = Seq(t17, False)
@@ -333,6 +443,8 @@ def test_pair_verdicts():
     a18 = ends_automaton(realize(0, t18))
     assert cb_report(a17).invariant_key() == cb_report(a18).invariant_key()
     assert pair_homeomorphic(a17, a18) is Verdict.NO
+    verdict = _pair_verdict(a17, a17.nonplanar_states, a18, a18.nonplanar_states)
+    assert verdict == (Verdict.NO, "invariants")
 
     mixed_swapped = parse_presentation(
         "surface mixed2 { a = P(b, a); b = P(a, c); c = A(c) }"
@@ -399,6 +511,7 @@ def _finite(n: int) -> EndsCount:
 UNCOUNTABLE = EndsCount(Cardinality.UNCOUNTABLE)
 
 
+
 @pytest.mark.parametrize(
     "pres, ends, nonplanar, cb, cb_nonplanar, finite_type, isolated",
     [
@@ -445,6 +558,21 @@ def _planar_tower(levels: int) -> Seq:
     return tower
 
 
+@pytest.mark.parametrize(
+    "pres",
+    [
+        annulus_chain(DEEP),
+        pants_comb(DEEP),
+        cantor_marked(DEEP),
+        realize(0, _planar_tower(40)),
+        realize(INFINITE, Seq(Union((_planar_tower(12), Cantor(True))), True)),
+    ],
+    ids=["chain", "comb", "cantor-marked", "seq-tower", "tower-beside-cantor"],
+)
+def test_fold_matches_derivative_chain_on_deep_families(pres):
+    _assert_fold_matches_derivative_chain(pres)
+
+
 @pytest.mark.parametrize("levels", [DEEP, 5000])
 def test_deep_seq_towers(levels):
     # compared through format_end_expr: dataclass == recurses
@@ -458,5 +586,9 @@ def test_deep_seq_towers(levels):
     assert (report.rank, report.degree, report.has_perfect_kernel) == (levels + 1, 1, False)
     surface = realize(0, tower)
     assert format_end_expr(to_end_expr(ends_automaton(surface))) == text
+    exact = cb_report(ends_automaton(surface), rank_cutoff=10**4)
+    assert (exact.rank, exact.degree, exact.has_perfect_kernel) == (levels + 1, 1, False)
+    assert exact.profile == (None,) * levels + (1,) and not exact.rank_exceeded
+    assert exact.cardinality == report.cardinality == EndsCount(Cardinality.COUNTABLY_INFINITE)
     copy = splice_annulus(surface, surface.root, 0)
     assert kerekjarto(surface, copy).to_json() == {"verdict": "Homeomorphic"}
