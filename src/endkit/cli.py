@@ -26,7 +26,7 @@ from .decompose import (
     spine_to_dot,
 )
 from .degree import descriptor_from_json, descriptor_to_json, infer_degree
-from .ends import DEFAULT_RANK_CUTOFF, Verdict, cb_report, cb_report_to_json, ends_count, ends_count_to_json, ends_automaton, parse_end_expr
+from .ends import DEFAULT_RANK_CUTOFF, Verdict, cb_report, cb_report_to_json, ends_count_to_json, ends_automaton, parse_end_expr
 from .errors import ClassifyError, EndkitError, PresentationSyntaxError
 from .presentation import (
     INFINITE,
@@ -75,18 +75,17 @@ def _cmd_classify(args) -> int:
 def _cmd_invariants(args) -> int:
     p = _load_surf(args.presentation)
     auto = ends_automaton(p)
+    # a truncated report keeps the exact cardinality
+    cb = cb_report(auto, rank_cutoff=args.rank_cutoff)
+    cb_nonplanar = cb_report(auto, marked="nonplanar_only", rank_cutoff=args.rank_cutoff)
     _emit(
         {
             "genus": _genus_json(genus(auto)),
             "finite_type": is_finite_type(auto),
-            "ends": ends_count_to_json(ends_count(auto)),
-            "ends_nonplanar": ends_count_to_json(
-                ends_count(auto, marked="nonplanar_only")
-            ),
-            "cb": cb_report_to_json(cb_report(auto, rank_cutoff=args.rank_cutoff)),
-            "cb_nonplanar": cb_report_to_json(
-                cb_report(auto, marked="nonplanar_only", rank_cutoff=args.rank_cutoff)
-            ),
+            "ends": ends_count_to_json(cb.cardinality),
+            "ends_nonplanar": ends_count_to_json(cb_nonplanar.cardinality),
+            "cb": cb_report_to_json(cb),
+            "cb_nonplanar": cb_report_to_json(cb_nonplanar),
         }
     )
     return 0

@@ -31,6 +31,7 @@ from .errors import (
 from .presentation import (
     INFINITE,
     BlockKind,
+    EndsAutomaton,
     Rule,
     SurfacePresentation,
     backward,
@@ -230,7 +231,7 @@ def _strict_window(
     else:
         nxt = skip_annuli(pres.children(root)[0])
         if nxt is None or pres.kind(nxt) is not BlockKind.HANDLE:
-            pants_path = first_occurrences(pres, BlockKind.PANTS, 1)
+            pants_path = _first_occurrences(pres, BlockKind.PANTS, 1)
             assert pants_path, "lone Handle over annuli is the punctured torus"
             pulled = _rebuild(pres, pants_path, "chain")
             return _strict_window(pulled, depth)
@@ -271,10 +272,27 @@ def _first_path_of(pres: SurfacePresentation, name: str) -> Path:
         raise OccurrenceInsideCycleError(
             f"state {name!r} recurs inside a cycle; address one occurrence by path"
         )
-    for path, state in pres.unfold(max_nodes=1_000_000):
-        if state == name:
-            return path
-    raise AssertionError(f"state {name!r} not found in unfolding")
+    # breadth-first over states: a state's first discovery is its first
+    # occurrence in the unfolding's breadth-first order
+    via: dict[str, tuple[str, int]] = {}
+    order = [pres.root]
+    for state in order:  # grows while it is walked
+        for i, child in enumerate(pres.children(state)):
+            if child not in via and child != pres.root:
+                via[child] = (state, i)
+                order.append(child)
+    path: list[int] = []
+    while name != pres.root:
+        name, i = via[name]
+        path.append(i)
+    return tuple(reversed(path))
+
+
+def _first_occurrences(pres: SurfacePresentation, kind: BlockKind, count: int) -> list[Path]:
+    try:
+        return first_occurrences(pres, kind, count)
+    except ValueError as exc:  # the search budget ran out
+        raise DecomposeError(str(exc)) from None
 
 
 def _rebuild(
@@ -393,11 +411,13 @@ def interchange_normalize(
 class SpineGraph:
     """Deformation-retract graph of the surface: each Pants visit donates
     one independent loop, each Handle visit two.  core_states span the
-    smallest subgraph carrying all loops (X_g)."""
+    smallest subgraph carrying all loops (X_g); automaton is the
+    presentation's."""
 
     presentation: SurfacePresentation
     rank: int | float
     core_states: frozenset[str]
+    automaton: EndsAutomaton
 
 
 def spine(pres: SurfacePresentation) -> SpineGraph:
@@ -412,7 +432,7 @@ def spine(pres: SurfacePresentation) -> SpineGraph:
     else:
         rank = INFINITE
     core = backward(auto.transitions, handles | pants)
-    return SpineGraph(presentation=pres, rank=rank, core_states=frozenset(core))
+    return SpineGraph(presentation=pres, rank=rank, core_states=frozenset(core), automaton=auto)
 
 
 def spine_to_dot(g: SpineGraph) -> str:
@@ -433,8 +453,7 @@ def graph_phe_equal(g1: SpineGraph, g2: SpineGraph) -> Verdict:
     spaces carrying core ends to core ends."""
     if g1.rank != g2.rank:
         return Verdict.NO
-    a1, a2 = ends_automaton(g1.presentation), ends_automaton(g2.presentation)
-    verdict, _ = _pair_verdict(a1, g1.core_states, a2, g2.core_states)
+    verdict, _ = _pair_verdict(g1.automaton, g1.core_states, g2.automaton, g2.core_states)
     return verdict
 
 
@@ -528,13 +547,13 @@ def find_essential_pants(pres: SurfacePresentation) -> EssentialPants:
             )
     if genus(auto) >= 2:
         prepped = _rebuild(
-            pres, first_occurrences(pres, BlockKind.HANDLE, 2), "chain"
+            pres, _first_occurrences(pres, BlockKind.HANDLE, 2), "chain"
         )
     elif ft is not None and ft[0] == 1 and ft[2] < 6:
         prepped = pres
     else:
         prepped = _rebuild(
-            pres, first_occurrences(pres, BlockKind.PANTS, 5), "tree5"
+            pres, _first_occurrences(pres, BlockKind.PANTS, 5), "tree5"
         )
     window = decompose(prepped, "strict", depth=64)
     for piece in window.pieces:

@@ -24,12 +24,15 @@ Three decision layers are built on top:
 
 All three are one fold over the automaton's condensation, children first:
 the ends beyond a component are read off from the ends beyond its exits.
+A marked subspace (the paths that keep a mark reachable forever) is read
+off the same condensation: the states that can reach a mark are a union of
+components, and the fold skips the others.
 """
 
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, TypeVar, Union as TUnion
+from typing import AbstractSet, Callable, Iterable, Iterator, TypeVar, Union as TUnion
 
 from .errors import EndsError, InvalidEndExprError, NotConvertibleError
 from .presentation import (
@@ -69,54 +72,6 @@ class EndsCount:
         return self.cardinality.value
 
 
-# -- subspaces -------------------------------------------------------------
-#
-# Every ends computation works on an EndsAutomaton whose infinite root paths
-# are the subspace under study.  A subspace is pruned so that every state is
-# reachable from the root and has at least one choice; its states are a
-# union of the parent's components, so it keeps the parent's condensation
-# instead of recomputing it.
-
-_EMPTY = EndsAutomaton((), {}, None, frozenset(), (), frozenset())
-
-
-def _space_of(automaton: EndsAutomaton, marked: str = "all") -> EndsAutomaton:
-    """The full ends space, or its non-planar subspace
-    (``marked="nonplanar_only"``)."""
-    if marked not in ("all", "nonplanar_only"):
-        raise ValueError(f"marked must be 'all' or 'nonplanar_only', got {marked!r}")
-    return automaton if marked == "all" else _restrict(automaton, automaton.nonplanar_states)
-
-
-def _restrict(space: EndsAutomaton, targets: Iterable[str]) -> EndsAutomaton:
-    """The subspace of paths that keep some target reachable forever.
-
-    The kept states are closed under predecessors, then under successors
-    from the root, so they are a union of components of ``space``: the
-    cycles inside are the parent's and so are the components.
-    """
-    if space.root is None:
-        return _EMPTY
-    keep = backward(space.transitions, targets)
-    inside = {
-        s: tuple(c for c in cs if c in keep)
-        for s, cs in space.transitions.items() if s in keep
-    }
-    alive = backward(inside, space.cyclic & keep)
-    if space.root not in alive:
-        return _EMPTY
-    live = {s: tuple(c for c in inside[s] if c in alive) for s in alive}
-    transitions = {s: live[s] for s in forward(live, [space.root])}
-    return EndsAutomaton(
-        states=tuple(s for s in space.states if s in transitions),
-        transitions=transitions,
-        root=space.root,
-        nonplanar_states=space.nonplanar_states.intersection(transitions),
-        components=tuple(c for c in space.components if c[0] in transitions),
-        cyclic=space.cyclic.intersection(transitions),
-    )
-
-
 def ends_count(
     source: SurfacePresentation | EndsAutomaton, marked: str = "all"
 ) -> EndsCount:
@@ -126,7 +81,7 @@ def ends_count(
     """
     if isinstance(source, SurfacePresentation):
         source = ends_automaton(source)
-    return _cb_data(_space_of(source, marked))[3]
+    return _cb_of(source, marked)[3]
 
 
 # -- the condensation fold -------------------------------------------------
@@ -146,17 +101,28 @@ _V = TypeVar("_V")
 
 
 def _fold_components(
-    space: EndsAutomaton, combine: Callable[[_Kind, list[str], list], _V]
-) -> _V:
+    space: EndsAutomaton,
+    combine: Callable[[_Kind, list[str], list], _V],
+    within: AbstractSet[str] | None = None,
+) -> _V | None:
     """``combine(kind, component, values of its exits)`` at every component
-    of a non-empty space, children first; the value at the root."""
-    assert space.root is not None
+    of the paths that stay ``within`` a set of states closed under
+    predecessors (all states by default), children first; the value at the
+    root, or None when no such path is infinite.
+
+    A component outside ``within``, or acyclic with no exit left, carries
+    no infinite path: it is skipped, and so are the exits into it."""
     succ = space.transitions
     value_of: dict[str, _V] = {}
     for scc in space.components:
+        if within is not None and scc[0] not in within:
+            continue
         members = set(scc)
-        kids = [value_of[c] for s in sorted(scc) for c in succ[s] if c not in members]
+        # the members have no value yet: these are the kept exits
+        kids = [value_of[c] for s in sorted(scc) for c in succ[s] if c in value_of]
         if scc[0] not in space.cyclic:
+            if not kids:
+                continue
             kind = _Kind.ACYCLIC
         elif any(sum(c in members for c in succ[s]) >= 2 for s in scc):
             kind = _Kind.KERNEL if kids else _Kind.CANTOR
@@ -165,7 +131,7 @@ def _fold_components(
         value = combine(kind, scc, kids)
         for s in scc:
             value_of[s] = value
-    return value_of[space.root]
+    return value_of.get(space.root)
 
 
 # -- Cantor-Bendixson analysis ---------------------------------------------
@@ -243,10 +209,19 @@ def _cb(kind: _Kind, kids: list[_CBData]) -> _CBData:
     return (rank + 1, 1, False, card)  # SEQ: the cycle's end is the new level
 
 
-def _cb_data(space: EndsAutomaton) -> _CBData:
-    if space.root is None:
-        return _EMPTY_CB
-    return _fold_components(space, lambda kind, _, kids: _cb(kind, kids))
+def _cb_data(space: EndsAutomaton, within: AbstractSet[str] | None = None) -> _CBData:
+    """CB data of the paths that stay ``within`` (see _fold_components)."""
+    return _fold_components(space, lambda kind, _, kids: _cb(kind, kids), within) or _EMPTY_CB
+
+
+def _cb_of(automaton: EndsAutomaton, marked: str) -> _CBData:
+    """CB data of the full ends space, or of its non-planar subspace
+    (``marked="nonplanar_only"``)."""
+    if marked == "all":
+        return _cb_data(automaton)
+    if marked == "nonplanar_only":
+        return _cb_data(automaton, backward(automaton.transitions, automaton.nonplanar_states))
+    raise ValueError(f"marked must be 'all' or 'nonplanar_only', got {marked!r}")
 
 
 def cb_report(
@@ -262,7 +237,7 @@ def cb_report(
     derivative steps (see CBReport)."""
     if rank_cutoff < 0:
         raise EndsError(f"rank_cutoff must be non-negative, got {rank_cutoff}")
-    rank, last, kernel, card = _cb_data(_space_of(automaton, marked))
+    rank, last, kernel, card = _cb_of(automaton, marked)
     if rank > rank_cutoff:
         return CBReport(rank_cutoff, 0, False, card, (None,) * rank_cutoff, True)
     profile = (None,) * (rank - 1) + (last,) if rank else ()
@@ -500,14 +475,11 @@ def expr_cb_report(e: EndExpr) -> CBReport:
 
 # -- automaton to expression -----------------------------------------------
 
-def _to_expr(space: EndsAutomaton, mark_targets: Iterable[str]) -> EndExpr:
-    """Normal-form expression for the marked path space, or
-    NotConvertibleError when a component mixes internal branching with
-    exits.  Each component's normal form is built once, from its
-    children's."""
-    if space.root is None:
-        raise NotConvertibleError("empty path space has no expression")
-    marked = backward(space.transitions, mark_targets)
+def _to_expr(space: EndsAutomaton, marked: AbstractSet[str]) -> EndExpr:
+    """Normal-form expression for the path space with the ends inside
+    ``marked`` (a mark closure) marked, or NotConvertibleError when a
+    component mixes internal branching with exits.  Each component's
+    normal form is built once, from its children's."""
 
     def expr(kind: _Kind, scc: list[str], kids: list[EndExpr]) -> EndExpr:
         if kind is _Kind.KERNEL:
@@ -525,26 +497,19 @@ def _to_expr(space: EndsAutomaton, mark_targets: Iterable[str]) -> EndExpr:
 
 def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
     """Normal-form expression for (ends, non-planar ends)."""
-    return _to_expr(automaton, automaton.nonplanar_states)
+    return _to_expr(automaton, backward(automaton.transitions, automaton.nonplanar_states))
 
 
 # -- homeomorphism decision for pairs --------------------------------------
 
-def _canonical_form(space: EndsAutomaton, marked: set[str]) -> tuple:
+def _canonical_form(space: EndsAutomaton, marked: AbstractSet[str]) -> tuple:
     """Relabel states by BFS discovery order (child order preserved)."""
-    if space.root is None:
-        return ()
     order = forward(space.transitions, [space.root])
     index = {s: i for i, s in enumerate(order)}
     return tuple(
         (tuple(index[c] for c in space.transitions[s]), s in marked)
         for s in order
     )
-
-
-def _pair_invariants(space: EndsAutomaton, mark_targets: Iterable[str]) -> tuple:
-    """Exact CB data of the space and of its marked subspace."""
-    return _cb_data(space), _cb_data(_restrict(space, mark_targets))
 
 
 def _pair_verdict(
@@ -556,22 +521,17 @@ def _pair_verdict(
     """Verdict plus what decided it: 'identical-presentation' or
     'end-expression-normal-form' for Yes, 'invariants' or 'normal-form'
     for No, None for Unknown."""
-    marks_a = set(marks_a)
-    marks_b = set(marks_b)
-    empty_a, empty_b = space_a.root is None, space_b.root is None
-    if empty_a or empty_b:
-        if empty_a == empty_b:
-            return Verdict.YES, "identical-presentation"
+    marked_a = backward(space_a.transitions, marks_a)
+    marked_b = backward(space_b.transitions, marks_b)
+    # the exact CB data of the spaces, then of their marked subspaces
+    spaces_differ = _cb_data(space_a) != _cb_data(space_b)
+    if spaces_differ or _cb_data(space_a, marked_a) != _cb_data(space_b, marked_b):
         return Verdict.NO, "invariants"
-    if _pair_invariants(space_a, marks_a) != _pair_invariants(space_b, marks_b):
-        return Verdict.NO, "invariants"
-    canon_a = _canonical_form(space_a, backward(space_a.transitions, marks_a))
-    canon_b = _canonical_form(space_b, backward(space_b.transitions, marks_b))
-    if canon_a == canon_b:
+    if _canonical_form(space_a, marked_a) == _canonical_form(space_b, marked_b):
         return Verdict.YES, "identical-presentation"
     try:
-        expr_a = _to_expr(space_a, marks_a)
-        expr_b = _to_expr(space_b, marks_b)
+        expr_a = _to_expr(space_a, marked_a)
+        expr_b = _to_expr(space_b, marked_b)
     except NotConvertibleError:
         return Verdict.UNKNOWN, None
     if _key(expr_a) == _key(expr_b):

@@ -139,8 +139,11 @@ class SurfacePresentation:
         succ = {s: children for s, (_, children) in self.rules.items()}
         return set(forward(succ, [self.root]))
 
-    def unfold(self, max_nodes: int) -> Iterator[tuple[tuple[int, ...], str]]:
-        """Breadth-first occurrences of the unfolding tree, as (path, state)."""
+    def unfold(
+        self, max_nodes: int, within: AbstractSet[str] | None = None
+    ) -> Iterator[tuple[tuple[int, ...], str]]:
+        """Breadth-first occurrences of the unfolding tree, as (path, state);
+        below the root, ``within`` drops the subtrees of states outside it."""
         assert self.root is not None
         todo = deque([((), self.root)])
         count = 0
@@ -149,7 +152,8 @@ class SurfacePresentation:
             yield path, state
             count += 1
             for i, child in enumerate(self.children(state)):
-                todo.append((path + (i,), child))
+                if within is None or child in within:
+                    todo.append((path + (i,), child))
 
 
 # -- parsing ---------------------------------------------------------------
@@ -358,12 +362,8 @@ def sccs(succ: Successors) -> list[list[str]]:
     return out
 
 
-def on_cycles(
-    succ: Successors, components: list[list[str]] | None = None
-) -> set[str]:
-    """States lying on some cycle; ``components`` reuses ``sccs(succ)``."""
-    if components is None:
-        components = sccs(succ)
+def on_cycles(succ: Successors, components: Iterable[list[str]]) -> set[str]:
+    """States lying on some cycle, given ``components = sccs(succ)``."""
     return {
         s for c in components if len(c) > 1 or c[0] in succ[c[0]] for s in c
     }
@@ -409,13 +409,12 @@ class EndsAutomaton:
     holds the Handle-labeled states (the raw genus data from which the
     non-planar subspace is derived).  ``components`` is the SCC condensation
     of ``transitions`` (reverse topological order) and ``cyclic`` the states
-    on its cycles.  The ends module restricts automata to subspaces that
-    keep a union of the parent's components; ``root=None`` is the empty space.
+    on its cycles.  The ends module reads every marked subspace off this
+    condensation, as a union of its components.
     """
 
-    states: tuple[str, ...]
     transitions: dict[str, tuple[str, ...]]
-    root: str | None
+    root: str
     nonplanar_states: frozenset[str]
     components: tuple[list[str], ...]
     cyclic: frozenset[str]
@@ -428,7 +427,6 @@ def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
     transitions = {s: pres.rules[s][1] for s in states}
     components = sccs(transitions)
     return EndsAutomaton(
-        states=tuple(states),
         transitions=transitions,
         root=pres.root,
         nonplanar_states=frozenset(
@@ -457,7 +455,6 @@ def _occurrence_counts(auto: EndsAutomaton, targets: AbstractSet[str]) -> int:
     exactly then, and the ancestors of the targets form an acyclic region);
     counted with child multiplicity, so ``P(a, a)`` doubles.
     """
-    assert auto.root is not None
     succ = auto.transitions
     counts = path_counts(succ, auto.root, backward(succ, targets))
     return sum(counts.get(t, 0) for t in targets)
@@ -513,7 +510,7 @@ def canonical_finite_type(
     if not is_finite_type(source):
         raise NotFiniteTypeError(f"{prefix}infinite type")
     g = genus(source)
-    assert g is not INFINITE and source.root is not None
+    assert g is not INFINITE
     # no branching once the cycles are reached: each route into them is one end
     counts = path_counts(source.transitions, source.root, source.transitions.keys() - source.cyclic)
     return (int(g), 0, sum(n for s, n in counts.items() if s in source.cyclic))
@@ -583,12 +580,16 @@ def splice_annulus(
 def first_occurrences(
     pres: SurfacePresentation, kind: BlockKind, count: int, max_nodes: int = 100_000
 ) -> list[tuple[int, ...]]:
-    """Paths of the first ``count`` unfolding occurrences of ``kind``."""
+    """Paths of the first ``count`` unfolding occurrences of ``kind``;
+    ValueError when ``max_nodes`` occurrences of states that can reach one
+    hold fewer."""
     pres = regularize(pres)
+    succ = {s: pres.children(s) for s in pres.states()}
+    ahead = backward(succ, [s for s in succ if pres.kind(s) is kind])
     found: list[tuple[int, ...]] = []
-    for path, state in pres.unfold(max_nodes):
+    for path, state in pres.unfold(max_nodes, ahead):
         if pres.kind(state) is kind:
             found.append(path)
             if len(found) == count:
                 return found
-    raise ValueError(f"fewer than {count} occurrences of {kind.value} found")
+    raise ValueError(f"fewer than {count} occurrences of {kind.value} in {max_nodes} unfolding nodes")

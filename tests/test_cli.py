@@ -187,6 +187,33 @@ def test_essential_pants(surf, capsys):
     assert json.loads(out)["error"]["case"] == "ComplexityTooLowError"
 
 
+def _behind_chain(end: str) -> str:
+    """A Cantor branch beside a 23-state annulus chain ending in ``end``."""
+    chain = "; ".join(f"x{i} = A(x{i + 1})" for i in range(22))
+    return f"surface s {{ root = P(c, x0); c = P(c, c); {chain}; {end} }}"
+
+
+BINARY_TREE = "surface s { root = P(a1, a1); " + "".join(
+    f"a{i} = P(a{i + 1}, a{i + 1}); " for i in range(1, 20)
+) + "a20 = P(h, h); h = H(h) }"
+
+
+@pytest.mark.parametrize(
+    "command, extra, text, codes",
+    [
+        ("essential-pants", (), _behind_chain("x22 = H(y); y = H(y)"), {0}),
+        ("normalize", ("x22", "--json"), _behind_chain("x22 = P(t, t); t = A(t)"), {0}),
+        ("essential-pants", (), BINARY_TREE, {0, 1}),
+    ],
+    ids=["handles-behind-cantor", "state-behind-cantor", "handles-behind-binary-tree"],
+)
+def test_occurrence_searches_past_a_big_unfolding(surf, capsys, command, extra, text, codes):
+    code, out = run(capsys, command, surf("s.surf", text), *extra)
+    assert code in codes
+    assert len(out.splitlines()) == 1
+    json.loads(out)
+
+
 @pytest.fixture
 def config_file(tmp_path):
     payload = {

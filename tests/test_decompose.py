@@ -26,6 +26,8 @@ from endkit import (
     spine,
     standard_presentation,
 )
+from endkit.decompose import _first_path_of
+from endkit.presentation import states_after_cycles
 
 from conftest import finite_type_pairs, presentations
 
@@ -207,3 +209,18 @@ def test_essential_pants_complexity_gate():
 def test_first_occurrences_orders_by_generation():
     paths = first_occurrences(CANTOR, BlockKind.PANTS, 3)
     assert paths == [(), (0,), (1,)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(max_states=8))
+def test_occurrence_searches_match_the_unfolding_scan(pres):
+    """Both searches prune or skip the unfolding; scanning all of it in
+    breadth-first order is the reference."""
+    unfolding = list(pres.unfold(max_nodes=600))  # covers the acyclic prefix of 8 states
+    for state in set(pres.rules) - states_after_cycles(pres):
+        assert _first_path_of(pres, state) == next(p for p, s in unfolding if s == state)
+    for kind in BlockKind:
+        scanned = [p for p, s in unfolding if pres.kind(s) is kind]
+        for count in (1, 3):
+            if len(scanned) >= count:
+                assert first_occurrences(pres, kind, count) == scanned[:count]

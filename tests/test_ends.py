@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+from collections.abc import Iterable
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from endkit import (
     INFINITE,
@@ -40,14 +43,13 @@ from endkit import (
 )
 from endkit.ends import (
     EndsAutomaton,
+    _cb_data,
     _has_nonplanar,
     _key,
     _pair_verdict,
-    _restrict,
-    _space_of,
     _walk,
 )
-from endkit.presentation import forward, on_cycles, path_counts, sccs
+from endkit.presentation import backward, forward, on_cycles, path_counts, sccs
 
 from conftest import end_exprs, presentations
 
@@ -159,9 +161,46 @@ def test_rank_cutoff_flag():
 
 # -- the derivative chain: the reference for the condensation fold ---------
 #
-# The library computes counts and CB data in one pass over the condensation.
-# These compute the same data step by step, one full subspace restriction
-# per derivative step: slow, but independent of the fold.
+# The library computes counts and CB data in one pass over the condensation,
+# and reads marked subspaces off it.  These compute the same data step by
+# step on pruned copies of the automaton, one full subspace restriction per
+# derivative step: slow, but independent of the fold.
+
+_EMPTY = EndsAutomaton({}, None, frozenset(), (), frozenset())
+
+
+def _restrict(space: EndsAutomaton, targets: Iterable[str]) -> EndsAutomaton:
+    """The subspace of paths that keep some target reachable forever.
+
+    The kept states are closed under predecessors, then under successors
+    from the root, so they are a union of components of ``space``: the
+    cycles inside are the parent's and so are the components.
+    """
+    if space.root is None:
+        return _EMPTY
+    keep = backward(space.transitions, targets)
+    inside = {
+        s: tuple(c for c in cs if c in keep)
+        for s, cs in space.transitions.items() if s in keep
+    }
+    alive = backward(inside, space.cyclic & keep)
+    if space.root not in alive:
+        return _EMPTY
+    live = {s: tuple(c for c in inside[s] if c in alive) for s in alive}
+    transitions = {s: live[s] for s in forward(live, [space.root])}
+    return EndsAutomaton(
+        transitions=transitions,
+        root=space.root,
+        nonplanar_states=space.nonplanar_states.intersection(transitions),
+        components=tuple(c for c in space.components if c[0] in transitions),
+        cyclic=space.cyclic.intersection(transitions),
+    )
+
+
+def _spaces(auto: EndsAutomaton) -> dict[str, EndsAutomaton]:
+    """The full ends space and its non-planar subspace, by ``marked`` mode."""
+    return {"all": auto, "nonplanar_only": _restrict(auto, auto.nonplanar_states)}
+
 
 def _derivative(space: EndsAutomaton) -> EndsAutomaton:
     """Subspace of non-isolated ends: paths that forever keep a branching
@@ -234,8 +273,7 @@ CUTOFFS = (0, 1, 2, 16, 10**4)
 
 def _assert_fold_matches_derivative_chain(pres: SurfacePresentation) -> None:
     auto = ends_automaton(pres)
-    for marked in ("all", "nonplanar_only"):
-        space = _space_of(auto, marked)
+    for marked, space in _spaces(auto).items():
         assert ends_count(auto, marked=marked) == _ends_count_space(space)
         for cutoff in CUTOFFS:
             assert cb_report(auto, marked, cutoff) == _cb_space(space, cutoff)
@@ -267,12 +305,30 @@ def test_finite_batches_beside_a_surviving_derivative(rules, profile):
     assert (report.rank, report.degree, report.has_perfect_kernel) == (len(profile), 0, True)
 
 
+def _assert_marked_data_matches_restriction(auto: EndsAutomaton, marks: set[str]) -> None:
+    """The library reads the marked subspace off the parent's condensation;
+    the reference prunes a copy and runs the derivative chain on it."""
+    report = _cb_space(_restrict(auto, marks), 10**4)
+    last = report.profile[-1] if report.profile else 0
+    expected = (report.rank, last, report.has_perfect_kernel, report.cardinality)
+    assert _cb_data(auto, backward(auto.transitions, marks)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(max_states=8), st.data())
+def test_marked_subspaces_match_restriction(pres, data):
+    auto = ends_automaton(pres)
+    states = sorted(auto.transitions)
+    drawn = data.draw(st.sets(st.sampled_from(states)))
+    for marks in (drawn, set(), set(states)):
+        _assert_marked_data_matches_restriction(auto, marks)
+
+
 @given(presentations())
 def test_subspaces_inherit_the_condensation(pres):
     auto = ends_automaton(pres)
     spaces = []
-    for marked in ("all", "nonplanar_only"):
-        space = _space_of(auto, marked)
+    for space in _spaces(auto).values():
         while True:
             spaces += [space, _restrict(space, auto.nonplanar_states)]
             nxt = _derivative(space)
@@ -285,7 +341,7 @@ def test_subspaces_inherit_the_condensation(pres):
         position = {s: i for i, c in enumerate(space.components) for s in c}
         for s, children in succ.items():
             assert all(position[c] <= position[s] for c in children)
-        assert space.cyclic == on_cycles(succ)
+        assert space.cyclic == on_cycles(succ, sccs(succ))
 
 
 def test_normalize_flatten_and_sort():
@@ -446,6 +502,14 @@ def test_pair_verdicts():
     verdict = _pair_verdict(a17, a17.nonplanar_states, a18, a18.nonplanar_states)
     assert verdict == (Verdict.NO, "invariants")
 
+    # same ends space, outside the expression fragment: only the marked
+    # subspace's CB data tell the pairs apart
+    mixed_marked = ends_automaton(
+        parse_presentation("surface mixed3 { a = P(a, b); b = P(a, c); c = H(c) }")
+    )
+    verdict = _pair_verdict(mixed_marked, mixed_marked.nonplanar_states, ends_automaton(MIXED), ())
+    assert verdict == (Verdict.NO, "invariants")
+
     mixed_swapped = parse_presentation(
         "surface mixed2 { a = P(b, a); b = P(a, c); c = A(c) }"
     )
@@ -571,6 +635,26 @@ def _planar_tower(levels: int) -> Seq:
 )
 def test_fold_matches_derivative_chain_on_deep_families(pres):
     _assert_fold_matches_derivative_chain(pres)
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        annulus_chain(400),
+        pants_comb(200),
+        cantor_marked(400),
+        realize(0, _planar_tower(200)),
+    ],
+    ids=["chain", "comb", "cantor-marked", "seq-tower"],
+)
+def test_marked_subspaces_match_restriction_on_deep_families(pres):
+    auto = ends_automaton(pres)
+    states = sorted(auto.transitions)
+    rng = random.Random(7)
+    marks = [set(), set(states), {auto.root}, {states[-1]}]
+    marks += [set(rng.sample(states, k)) for k in (1, 2, 5, len(states) // 2)]
+    for m in marks:
+        _assert_marked_data_matches_restriction(auto, m)
 
 
 @pytest.mark.parametrize("levels", [DEEP, 5000])

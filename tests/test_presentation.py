@@ -265,7 +265,6 @@ def test_kernel_reachability_and_cycles(succ, data):
         assert all(position[c] <= position[s] for c in cs)
 
     cyclic = {s for s in succ if s in reach[s]}
-    assert on_cycles(succ) == cyclic
     assert on_cycles(succ, components) == cyclic
 
 
@@ -316,3 +315,10 @@ def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
     )
     decompose(s_2_0_3, "strict", 16)
     assert len(runs) == 1
+
+    runs.clear()
+    other = tmp_path / "b.surf"
+    other.write_text(pretty_print(b))
+    assert main(["graph-phe", str(path), str(other)]) == 0
+    capsys.readouterr()
+    assert len(runs) == 2
