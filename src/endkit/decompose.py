@@ -43,6 +43,7 @@ from .presentation import (
     is_finite_type,
     regularize,
     states_after_cycles,
+    _first_paths,
     _occurrence_counts,
 )
 from .ends import Verdict, _pair_verdict
@@ -231,9 +232,7 @@ def _strict_window(
     else:
         nxt = skip_annuli(pres.children(root)[0])
         if nxt is None or pres.kind(nxt) is not BlockKind.HANDLE:
-            pants_path = _first_occurrences(pres, BlockKind.PANTS, 1)
-            assert pants_path, "lone Handle over annuli is the punctured torus"
-            pulled = _rebuild(pres, pants_path, "chain")
+            pulled = _rebuild(pres, first_occurrences(pres, BlockKind.PANTS, 1), "chain")
             return _strict_window(pulled, depth)
         p1 = new_piece(PieceKind.PANTS)
         p2 = new_piece(PieceKind.PANTS)
@@ -250,97 +249,50 @@ def _strict_window(
 
 # -- interchange -----------------------------------------------------------
 
-def _path_kind(pres: SurfacePresentation, path: Path) -> BlockKind:
-    return pres.kind(_state_at(pres, path))
-
-
-def _state_at(pres: SurfacePresentation, path: Path) -> str:
-    assert pres.root is not None
-    state = pres.root
-    for i in path:
-        children = pres.children(state)
-        if not 0 <= i < len(children):
-            raise DecomposeError(f"invalid unfolding path {path!r} at step {i}")
-        state = children[i]
-    return state
-
-
-def _first_path_of(pres: SurfacePresentation, name: str) -> Path:
+def _first_path_of(pres: SurfacePresentation, name: str, after: set[str]) -> Path:
+    """First unfolding path of state ``name``; ``after`` holds the states
+    on or after a rule-graph cycle, which recur without end."""
     if name not in pres.rules:
         raise DecomposeError(f"unknown or unreachable state {name!r}")
-    if name in states_after_cycles(pres):
+    if name in after:
         raise OccurrenceInsideCycleError(
             f"state {name!r} recurs inside a cycle; address one occurrence by path"
         )
-    # breadth-first over states: a state's first discovery is its first
-    # occurrence in the unfolding's breadth-first order
-    via: dict[str, tuple[str, int]] = {}
-    order = [pres.root]
-    for state in order:  # grows while it is walked
-        for i, child in enumerate(pres.children(state)):
-            if child not in via and child != pres.root:
-                via[child] = (state, i)
-                order.append(child)
-    path: list[int] = []
-    while name != pres.root:
-        name, i = via[name]
-        path.append(i)
-    return tuple(reversed(path))
-
-
-def _first_occurrences(pres: SurfacePresentation, kind: BlockKind, count: int) -> list[Path]:
-    try:
-        return first_occurrences(pres, kind, count)
-    except ValueError as exc:  # the search budget ran out
-        raise DecomposeError(str(exc)) from None
+    return _first_paths(pres, {name}, 1)[0]
 
 
 def _rebuild(
     pres: SurfacePresentation,
-    paths: Sequence[Path],
+    front: Sequence[Path | str],
     wiring: str,
 ) -> SurfacePresentation:
-    """Pull the block occurrences at ``paths`` out of the unfolding and
-    re-attach them as a fresh front ('chain' in order, or the fixed five
-    pants 'tree5').  A pulled Pants keeps its first child spliced in place
-    and hands its second child's subtree to the front."""
-    assert pres.root is not None
-    if len(set(paths)) != len(paths):
+    """Pull the block occurrences in ``front`` (paths or state names) out
+    of the unfolding and re-attach them as a fresh front ('chain' in order,
+    or the fixed five pants 'tree5').  A pulled Pants keeps its first child
+    spliced in place and hands its second child's subtree to the front."""
+    assert pres.rules is not None and pres.root is not None
+    # the front paths as one trie of unfolding nodes: its states and slot -> node
+    states = [pres.root]
+    below: list[dict[int, int]] = [{}]
+    ends: list[int] = []
+    named = any(isinstance(occ, str) for occ in front)
+    after = states_after_cycles(pres) if named else set()
+    for occ in front:
+        path = _first_path_of(pres, occ, after) if isinstance(occ, str) else tuple(occ)
+        node = 0
+        for i in path:
+            children = pres.children(states[node])
+            if not 0 <= i < len(children):
+                raise DecomposeError(f"invalid unfolding path {path!r} at step {i}")
+            if i not in below[node]:
+                below[node][i] = len(states)
+                states.append(children[i])
+                below.append({})
+            node = below[node][i]
+        ends.append(node)
+    if len(set(ends)) != len(ends):
         raise DecomposeError("duplicate occurrence in front list")
-    prefix: set[Path] = set()
-    for p in paths:
-        for i in range(len(p) + 1):
-            prefix.add(p[:i])
-    ordered = sorted(prefix, key=lambda t: (len(t), t))
-    taken = set(pres.rules or {})
-    node_of = {}
-    for i, t in enumerate(ordered):
-        name = f"u{i}"
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        node_of[t] = name
-    unrolled: dict[str, tuple[BlockKind, list[str]]] = {}
-    for t in ordered:
-        state = _state_at(pres, t)
-        ptrs = []
-        for i, child in enumerate(pres.children(state)):
-            tc = t + (i,)
-            ptrs.append(node_of[tc] if tc in prefix else child)
-        unrolled[node_of[t]] = (pres.kind(state), ptrs)
-    pulled = {node_of[p] for p in paths}
-
-    def spliced(ptr: str) -> str:
-        while ptr in pulled:
-            ptr = unrolled[ptr][1][0]
-        return ptr
-
-    sides: list[str] = []
-    for p in paths:
-        kind, ptrs = unrolled[node_of[p]]
-        if kind is BlockKind.PANTS:
-            sides.append(spliced(ptrs[1]))
-    remainder = spliced(node_of[()])
+    taken = set(pres.rules)
 
     def fresh(base: str) -> str:
         name = base
@@ -349,15 +301,39 @@ def _rebuild(
         taken.add(name)
         return name
 
-    rules: dict[str, Rule] = dict(pres.rules or {})
+    order = [0]
+    for node in order:  # grows while it is walked
+        order.extend(below[node][i] for i in sorted(below[node]))
+    name_of = {node: fresh(f"u{k}") for k, node in enumerate(order)}
+    unrolled: dict[str, tuple[BlockKind, list[str]]] = {}
+    for node in order:
+        state = states[node]
+        unrolled[name_of[node]] = (pres.kind(state), [
+            name_of[below[node][i]] if i in below[node] else child
+            for i, child in enumerate(pres.children(state))
+        ])
+    pulled = {name_of[node] for node in ends}
+
+    def spliced(ptr: str) -> str:
+        while ptr in pulled:
+            ptr = unrolled[ptr][1][0]
+        return ptr
+
+    kinds = [pres.kind(states[node]) for node in ends]
+    sides = [
+        spliced(unrolled[name_of[node]][1][1])
+        for node, kind in zip(ends, kinds)
+        if kind is BlockKind.PANTS
+    ]
+    remainder = spliced(name_of[0])
+    rules: dict[str, Rule] = dict(pres.rules)
     for name, (kind, ptrs) in unrolled.items():
         if name not in pulled:
             rules[name] = (kind, tuple(spliced(q) for q in ptrs))
     if wiring == "chain":
-        fronts = [fresh(f"f{i + 1}") for i in range(len(paths))]
+        fronts = [fresh(f"f{i + 1}") for i in range(len(ends))]
         side_iter = iter(sides)
-        for i, p in enumerate(paths):
-            kind = _path_kind(pres, p)
+        for i, kind in enumerate(kinds):
             nxt = fronts[i + 1] if i + 1 < len(fronts) else remainder
             if kind is BlockKind.PANTS:
                 rules[fronts[i]] = (BlockKind.PANTS, (next(side_iter), nxt))
@@ -365,7 +341,7 @@ def _rebuild(
                 rules[fronts[i]] = (kind, (nxt,))
         root = fronts[0] if fronts else remainder
     elif wiring == "tree5":
-        assert len(paths) == 5 and len(sides) == 5, "tree5 pulls five pants"
+        assert len(ends) == 5 and len(sides) == 5, "tree5 pulls five pants"
         f = [fresh(f"f{i + 1}") for i in range(5)]
         rules[f[0]] = (BlockKind.PANTS, (f[1], f[2]))
         rules[f[1]] = (BlockKind.PANTS, (f[3], f[4]))
@@ -394,15 +370,7 @@ def interchange_normalize(
     pres = regularize(pres)
     if not front:
         return pres
-    paths: list[Path] = []
-    for occ in front:
-        if isinstance(occ, str):
-            paths.append(_first_path_of(pres, occ))
-        else:
-            path = tuple(occ)
-            _state_at(pres, path)
-            paths.append(path)
-    return _rebuild(pres, paths, "chain")
+    return _rebuild(pres, front, "chain")
 
 
 # -- spine graphs ----------------------------------------------------------
@@ -547,13 +515,13 @@ def find_essential_pants(pres: SurfacePresentation) -> EssentialPants:
             )
     if genus(auto) >= 2:
         prepped = _rebuild(
-            pres, _first_occurrences(pres, BlockKind.HANDLE, 2), "chain"
+            pres, first_occurrences(pres, BlockKind.HANDLE, 2), "chain"
         )
     elif ft is not None and ft[0] == 1 and ft[2] < 6:
         prepped = pres
     else:
         prepped = _rebuild(
-            pres, _first_occurrences(pres, BlockKind.PANTS, 5), "tree5"
+            pres, first_occurrences(pres, BlockKind.PANTS, 5), "tree5"
         )
     window = decompose(prepped, "strict", depth=64)
     for piece in window.pieces:

@@ -31,7 +31,7 @@ directive names another.
 
 import math
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
@@ -139,11 +139,8 @@ class SurfacePresentation:
         succ = {s: children for s, (_, children) in self.rules.items()}
         return set(forward(succ, [self.root]))
 
-    def unfold(
-        self, max_nodes: int, within: AbstractSet[str] | None = None
-    ) -> Iterator[tuple[tuple[int, ...], str]]:
-        """Breadth-first occurrences of the unfolding tree, as (path, state);
-        below the root, ``within`` drops the subtrees of states outside it."""
+    def unfold(self, max_nodes: int) -> Iterator[tuple[tuple[int, ...], str]]:
+        """Breadth-first occurrences of the unfolding tree, as (path, state)."""
         assert self.root is not None
         todo = deque([((), self.root)])
         count = 0
@@ -152,8 +149,7 @@ class SurfacePresentation:
             yield path, state
             count += 1
             for i, child in enumerate(self.children(state)):
-                if within is None or child in within:
-                    todo.append((path + (i,), child))
+                todo.append((path + (i,), child))
 
 
 # -- parsing ---------------------------------------------------------------
@@ -577,19 +573,52 @@ def splice_annulus(
     return SurfacePresentation(name=pres.name, rules=rules, root=pres.root)
 
 
+def _first_paths(
+    pres: SurfacePresentation, targets: AbstractSet[str], count: int
+) -> list[tuple[int, ...]]:
+    """Paths of the first ``count`` unfolding nodes labeled by ``targets``,
+    in breadth-first order; fewer when the unfolding holds fewer.
+
+    The walk enqueues each state at most ``count`` times, and that drops no
+    hit.  Breadth-first order is by depth, then by path.  A later occurrence
+    w of a state roots a copy of the subtree of any earlier occurrence u: the
+    node w+p (w's path followed by p) has the state of u+p and comes after
+    it.  So when w is dropped, behind ``count`` enqueued occurrences of its
+    state, every target node in its subtree has ``count`` target
+    counterparts ahead of it, and is not among the first ``count`` hits.
+    O(count * (states + edges)).
+    """
+    assert pres.root is not None
+    states, via = [pres.root], [(0, 0)]  # via: each node's parent and child slot
+    enqueued = Counter(states)
+    hits: list[int] = []
+    for node, state in enumerate(states):  # grows while it is walked
+        if len(hits) == count:
+            break
+        if state in targets:
+            hits.append(node)
+        for i, child in enumerate(pres.children(state)):
+            if enqueued[child] < count:
+                enqueued[child] += 1
+                states.append(child)
+                via.append((node, i))
+    paths = []
+    for node in hits:
+        path = []
+        while node:
+            node, i = via[node]
+            path.append(i)
+        paths.append(tuple(reversed(path)))
+    return paths
+
+
 def first_occurrences(
-    pres: SurfacePresentation, kind: BlockKind, count: int, max_nodes: int = 100_000
+    pres: SurfacePresentation, kind: BlockKind, count: int
 ) -> list[tuple[int, ...]]:
     """Paths of the first ``count`` unfolding occurrences of ``kind``;
-    ValueError when ``max_nodes`` occurrences of states that can reach one
-    hold fewer."""
+    ValueError when the unfolding holds fewer."""
     pres = regularize(pres)
-    succ = {s: pres.children(s) for s in pres.states()}
-    ahead = backward(succ, [s for s in succ if pres.kind(s) is kind])
-    found: list[tuple[int, ...]] = []
-    for path, state in pres.unfold(max_nodes, ahead):
-        if pres.kind(state) is kind:
-            found.append(path)
-            if len(found) == count:
-                return found
-    raise ValueError(f"fewer than {count} occurrences of {kind.value} in {max_nodes} unfolding nodes")
+    paths = _first_paths(pres, {s for s in pres.states() if pres.kind(s) is kind}, count)
+    if len(paths) < count:
+        raise ValueError(f"fewer than {count} occurrences of {kind.value} in the unfolding")
+    return paths

@@ -203,7 +203,7 @@ BINARY_TREE = "surface s { root = P(a1, a1); " + "".join(
     [
         ("essential-pants", (), _behind_chain("x22 = H(y); y = H(y)"), {0}),
         ("normalize", ("x22", "--json"), _behind_chain("x22 = P(t, t); t = A(t)"), {0}),
-        ("essential-pants", (), BINARY_TREE, {0, 1}),
+        ("essential-pants", (), BINARY_TREE, {0}),
     ],
     ids=["handles-behind-cantor", "state-behind-cantor", "handles-behind-binary-tree"],
 )

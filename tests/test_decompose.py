@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from endkit import (
     BlockKind,
     ClassVerdict,
     ComplexityTooLowError,
+    DecomposeError,
     OccurrenceInsideCycleError,
     PieceKind,
     PlaneExcludedError,
@@ -23,11 +26,12 @@ from endkit import (
     interchange_normalize,
     kerekjarto,
     parse_presentation,
+    pretty_print,
     spine,
     standard_presentation,
 )
 from endkit.decompose import _first_path_of
-from endkit.presentation import states_after_cycles
+from endkit.presentation import _first_paths, states_after_cycles
 
 from conftest import finite_type_pairs, presentations
 
@@ -212,15 +216,48 @@ def test_first_occurrences_orders_by_generation():
 
 
 @settings(max_examples=200, deadline=None)
-@given(presentations(max_states=8))
-def test_occurrence_searches_match_the_unfolding_scan(pres):
-    """Both searches prune or skip the unfolding; scanning all of it in
+@given(presentations(max_states=8), st.data())
+def test_occurrence_searches_match_the_unfolding_scan(pres, data):
+    """The searches skip most of the unfolding; scanning a prefix of it in
     breadth-first order is the reference."""
     unfolding = list(pres.unfold(max_nodes=600))  # covers the acyclic prefix of 8 states
-    for state in set(pres.rules) - states_after_cycles(pres):
-        assert _first_path_of(pres, state) == next(p for p, s in unfolding if s == state)
-    for kind in BlockKind:
-        scanned = [p for p, s in unfolding if pres.kind(s) is kind]
-        for count in (1, 3):
-            if len(scanned) >= count:
-                assert first_occurrences(pres, kind, count) == scanned[:count]
+    after = states_after_cycles(pres)
+    for state in set(pres.rules) - after:
+        assert _first_path_of(pres, state, after) == next(p for p, s in unfolding if s == state)
+    drawn = set(data.draw(st.lists(st.sampled_from(sorted(pres.rules)), max_size=3)))
+    for kind in [*BlockKind, None]:
+        targets = drawn if kind is None else {s for s in pres.rules if pres.kind(s) is kind}
+        scanned = [p for p, s in unfolding if s in targets]
+        for count in (1, 2, 3, 5):
+            found = _first_paths(pres, targets, count)
+            if targets.isdisjoint(after):  # the scan holds every hit
+                assert found == scanned[:count]
+            else:  # both are prefixes of the hits, and the scan may stop early
+                seen = min(count, len(scanned))
+                assert len(found) >= seen and found[:seen] == scanned[:seen]
+            if kind is not None and len(found) == count:
+                assert first_occurrences(pres, kind, count) == found
+
+
+def test_interchange_along_a_deep_path():
+    start = time.perf_counter()
+    moved = interchange_normalize(FLUTE, [(0,) * 10_000])
+    assert time.perf_counter() - start < 2.0
+    # the pulled Pants leads, and the 10,000 Pants above it are unrolled
+    assert moved.rules[moved.root] == (BlockKind.PANTS, ("punc", "u0"))
+    assert len(moved.rules) == 10_003
+    assert moved.rules["u9999"] == (BlockKind.PANTS, ("root", "punc"))
+
+
+def test_interchange_front_order_and_errors():
+    # unrolled nodes are named in breadth-first order, not in front order
+    moved = interchange_normalize(CANTOR, [(1, 0), (0,)])
+    assert pretty_print(moved).splitlines()[1:-2] == [
+        "  root = P(root, root);", "  u0 = P(root, u2);", "  u2 = P(root, root);",
+        "  f1 = P(root, f2);", "  f2 = P(root, u0);",
+    ]
+    # every entry is checked before duplicates are
+    with pytest.raises(DecomposeError, match=r"invalid unfolding path \(0, 5\) at step 5"):
+        interchange_normalize(FLUTE, [(0,), (0,), (0, 5)])
+    with pytest.raises(DecomposeError, match="duplicate occurrence"):
+        interchange_normalize(FLUTE, [(0,), (0,)])

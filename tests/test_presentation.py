@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +29,7 @@ from endkit import (
     states_after_cycles,
 )
 import endkit.presentation
-from endkit import decompose, kerekjarto
+from endkit import decompose, interchange_normalize, kerekjarto
 from endkit.cli import main
 from endkit.ends import Cardinality
 from endkit.presentation import backward, forward, on_cycles, path_counts, sccs
@@ -200,7 +202,29 @@ def test_first_occurrences_paths():
     assert first_occurrences(p, BlockKind.PANTS, 2) == [(), (0,)]
     assert first_occurrences(p, BlockKind.ANNULUS, 1) == [(1,)]
     with pytest.raises(ValueError):
-        first_occurrences(p, BlockKind.HANDLE, 1, max_nodes=64)
+        first_occurrences(p, BlockKind.HANDLE, 1)
+
+
+def test_first_occurrences_deep_and_exact():
+    tree = parse_presentation(
+        "surface s { root = P(a1, a1); "
+        + "".join(f"a{i} = P(a{i + 1}, a{i + 1}); " for i in range(1, 20))
+        + "a20 = P(h, h); h = H(h) }"
+    )
+    # 2^21 nodes lie above the first Handle
+    assert first_occurrences(tree, BlockKind.HANDLE, 2) == [(0,) * 21, (0,) * 20 + (1,)]
+
+    chain = "; ".join(f"x{i} = A(x{i + 1})" for i in range(8000))
+    deep = parse_presentation(f"surface s {{ {chain}; x8000 = P(t, t); t = A(t) }}")
+    start = time.perf_counter()
+    assert first_occurrences(deep, BlockKind.PANTS, 1) == [(0,) * 8000]
+    assert time.perf_counter() - start < 1.0
+
+    # two Pants in all of S(0, 0, 3): the search is exhaustive, not budgeted
+    pants3 = parse_presentation("surface s finite S(g=0, b=0, p=3)")
+    assert first_occurrences(pants3, BlockKind.PANTS, 2) == [(), (1,)]
+    with pytest.raises(ValueError):
+        first_occurrences(pants3, BlockKind.PANTS, 3)
 
 
 # -- the rule-graph kernel against brute-force definitions -----------------
@@ -315,6 +339,13 @@ def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
     )
     decompose(s_2_0_3, "strict", 16)
     assert len(runs) == 1
+
+    runs.clear()
+    interchange_normalize(s_2_0_3, ["u", "y", "x", "r"])
+    assert len(runs) == 1
+    runs.clear()
+    interchange_normalize(s_2_0_3, [(0, 0), (0,)])
+    assert len(runs) == 0
 
     runs.clear()
     other = tmp_path / "b.surf"
