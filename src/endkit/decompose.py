@@ -29,7 +29,6 @@ from .errors import (
     PuncturedTorusExcludedInStrictError,
 )
 from .presentation import (
-    INFINITE,
     BlockKind,
     EndsAutomaton,
     Rule,
@@ -44,7 +43,8 @@ from .presentation import (
     regularize,
     states_after_cycles,
     _first_paths,
-    _occurrence_counts,
+    _occurrences,
+    _pants,
 )
 from .ends import Verdict, _pair_verdict
 
@@ -392,13 +392,8 @@ def spine(pres: SurfacePresentation) -> SpineGraph:
     pres = regularize(pres)
     auto = ends_automaton(pres)
     handles = auto.nonplanar_states
-    pants = {s for s in pres.rules if pres.kind(s) is BlockKind.PANTS}
-    if is_finite_type(auto):
-        rank: int | float = (
-            2 * _occurrence_counts(auto, handles) + _occurrence_counts(auto, pants)
-        )
-    else:
-        rank = INFINITE
+    pants = _pants(auto)
+    rank = 2 * _occurrences(auto, handles) + _occurrences(auto, pants)
     core = backward(auto.transitions, handles | pants)
     return SpineGraph(presentation=pres, rank=rank, core_states=frozenset(core), automaton=auto)
 

@@ -365,36 +365,6 @@ def on_cycles(succ: Successors, components: Iterable[list[str]]) -> set[str]:
     }
 
 
-def path_counts(succ: Successors, root: str, through: Iterable[str]) -> dict[str, int]:
-    """Number of paths from ``root`` to each state that run inside
-    ``through`` and stop at the first state outside it.
-
-    ``through`` must induce an acyclic subgraph (Kahn's order over it).
-    """
-    indeg = dict.fromkeys(through, 0)
-    for state in indeg:
-        for child in succ[state]:
-            if child in indeg:
-                indeg[child] += 1
-    counts = {root: 1}
-    todo = [s for s, d in indeg.items() if d == 0]
-    done = 0
-    while todo:
-        state = todo.pop()
-        done += 1
-        n = counts.get(state, 0)
-        for child in succ[state]:
-            if n:
-                counts[child] = counts.get(child, 0) + n
-            if child in indeg:
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    todo.append(child)
-    if done != len(indeg):
-        raise AssertionError("path-count region unexpectedly cyclic")
-    return counts
-
-
 # -- the ends automaton ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -444,16 +414,25 @@ def states_after_cycles(pres: SurfacePresentation) -> set[str]:
     return set(forward(auto.transitions, auto.cyclic))
 
 
-def _occurrence_counts(auto: EndsAutomaton, targets: AbstractSet[str]) -> int:
-    """Number of unfolding-tree nodes labeled by ``targets``.
+def _occurrences(auto: EndsAutomaton, targets: AbstractSet[str]) -> Genus:
+    """Number of unfolding-tree nodes labeled by ``targets``, counted with
+    child multiplicity (``P(a, a)`` doubles); INFINITE when a target lies
+    on or after a cycle."""
+    succ, cyclic = auto.transitions, auto.cyclic
+    if not targets:
+        return 0
+    if not targets.isdisjoint(forward(succ, cyclic)):
+        return INFINITE
+    # children first; no target lies below a cycle, so its members count 0
+    below: dict[str, int] = {}
+    for component in auto.components:
+        for s in component:
+            below[s] = 0 if s in cyclic else (s in targets) + sum(map(below.__getitem__, succ[s]))
+    return below[auto.root]
 
-    Only valid when no target is on or after a cycle (counts are finite
-    exactly then, and the ancestors of the targets form an acyclic region);
-    counted with child multiplicity, so ``P(a, a)`` doubles.
-    """
-    succ = auto.transitions
-    counts = path_counts(succ, auto.root, backward(succ, targets))
-    return sum(counts.get(t, 0) for t in targets)
+
+def _pants(auto: EndsAutomaton) -> set[str]:
+    return {s for s, cs in auto.transitions.items() if len(cs) == 2}
 
 
 # -- invariants ------------------------------------------------------------
@@ -468,12 +447,7 @@ def genus(source: SurfacePresentation | EndsAutomaton) -> Genus:
         if source.finite_type is not None:
             return source.finite_type.genus
         source = ends_automaton(source)
-    handles = source.nonplanar_states
-    if not handles:
-        return 0
-    if not handles.isdisjoint(forward(source.transitions, source.cyclic)):
-        return INFINITE
-    return _occurrence_counts(source, handles)
+    return _occurrences(source, source.nonplanar_states)
 
 
 def is_finite_type(source: SurfacePresentation | EndsAutomaton) -> bool:
@@ -482,11 +456,7 @@ def is_finite_type(source: SurfacePresentation | EndsAutomaton) -> bool:
         if source.finite_type is not None:
             return True
         source = ends_automaton(source)
-    # an annulus is the one block with a single choice that is no Handle
-    return all(
-        len(source.transitions[s]) == 1 and s not in source.nonplanar_states
-        for s in forward(source.transitions, source.cyclic)
-    )
+    return _occurrences(source, source.nonplanar_states | _pants(source)) != INFINITE
 
 
 def canonical_finite_type(
@@ -503,13 +473,11 @@ def canonical_finite_type(
             ft = source.finite_type
             return (ft.genus, 0, ft.boundary + ft.punctures)
         prefix, source = f"{source.name}: ", ends_automaton(source)
-    if not is_finite_type(source):
+    g, pants = _occurrences(source, source.nonplanar_states), _occurrences(source, _pants(source))
+    if INFINITE in (g, pants):
         raise NotFiniteTypeError(f"{prefix}infinite type")
-    g = genus(source)
-    assert g is not INFINITE
-    # no branching once the cycles are reached: each route into them is one end
-    counts = path_counts(source.transitions, source.root, source.transitions.keys() - source.cyclic)
-    return (int(g), 0, sum(n for s, n in counts.items() if s in source.cyclic))
+    # each pants occurrence splits one end in two; annuli and handles never branch
+    return (int(g), 0, int(pants) + 1)
 
 
 # -- constructions ---------------------------------------------------------
@@ -616,7 +584,9 @@ def first_occurrences(
     pres: SurfacePresentation, kind: BlockKind, count: int
 ) -> list[tuple[int, ...]]:
     """Paths of the first ``count`` unfolding occurrences of ``kind``;
-    ValueError when the unfolding holds fewer."""
+    ValueError when the unfolding holds fewer, or when ``count`` is negative."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     pres = regularize(pres)
     paths = _first_paths(pres, {s for s in pres.states() if pres.kind(s) is kind}, count)
     if len(paths) < count:

@@ -500,7 +500,8 @@ def _json_int(value: object) -> int:
 
 def curve_config_from_json(data: Mapping) -> CurveConfig:
     """Rebuild a configuration from its JSON form.  Ids and degrees must be
-    JSON integers and ``pi1_bijective`` true or false."""
+    JSON integers, nesting keys ids exactly as ``str(id)`` writes them, and
+    ``pi1_bijective`` true or false."""
     try:
         components = tuple(
             Component(
@@ -511,10 +512,11 @@ def curve_config_from_json(data: Mapping) -> CurveConfig:
             )
             for entry in data["components"]
         )
-        nesting = {
-            int(child): None if parent is None else _json_int(parent)
-            for child, parent in dict(data.get("nesting", {})).items()
-        }
+        nesting = {}
+        for child, parent in dict(data.get("nesting", {})).items():
+            if not isinstance(child, str) or str(int(child)) != child:
+                raise InvalidCurveConfigError(f"expected a component id key, got {child!r}")
+            nesting[int(child)] = None if parent is None else _json_int(parent)
         pi1_bijective = data.get("pi1_bijective", False)
         if not isinstance(pi1_bijective, bool):
             raise InvalidCurveConfigError(f"pi1_bijective must be true or false, got {pi1_bijective!r}")

@@ -1,4 +1,5 @@
-"""Shared strategies: random presentations, expressions and curve configs."""
+"""Shared strategies: random presentations, successor maps, expressions and
+curve configs."""
 
 from __future__ import annotations
 
@@ -52,6 +53,20 @@ def presentations(draw, max_states: int = 5) -> SurfacePresentation:
         rules={s: r for s, r in rules.items() if s in reachable},
         root=root,
     )
+
+
+@st.composite
+def successor_maps(draw, acyclic: bool = False):
+    """Closed successor maps over at most 8 states, duplicates allowed; with
+    ``acyclic`` every edge goes to a later state."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+    succ = {}
+    for i, name in enumerate(names):
+        pool = names[i + 1:] if acyclic else names
+        succ[name] = tuple(
+            draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else ()
+        )
+    return succ
 
 
 @st.composite

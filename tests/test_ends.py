@@ -6,7 +6,7 @@ import random
 from collections.abc import Iterable
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from endkit import (
     INFINITE,
@@ -30,12 +30,15 @@ from endkit import (
     expr_cb_report,
     find_isolated_planar_end,
     format_end_expr,
+    genus,
+    is_finite_type,
     kerekjarto,
     normalize_end_expr,
     pair_homeomorphic,
     parse_end_expr,
     parse_presentation,
     realize,
+    spine,
     splice_annulus,
     standard_presentation,
     to_end_expr,
@@ -49,9 +52,9 @@ from endkit.ends import (
     _pair_verdict,
     _walk,
 )
-from endkit.presentation import backward, forward, on_cycles, path_counts, sccs
+from endkit.presentation import Successors, backward, forward, on_cycles, sccs
 
-from conftest import end_exprs, presentations
+from conftest import end_exprs, presentations, successor_maps
 
 LOCH = parse_presentation("surface loch_ness { root = H(root) }")
 FLUTE = parse_presentation("surface flute { root = P(root, punc); punc = A(punc) }")
@@ -125,6 +128,25 @@ def test_finite_counts_against_walking_oracle(pres):
         assert counted == EndsCount(Cardinality.FINITE, walked)
 
 
+@settings(max_examples=300, deadline=None)
+@given(presentations(max_states=8))
+@example(parse_presentation("surface doubled { r = P(a, a); a = P(t, h); h = H(t); t = A(t) }"))
+@example(parse_presentation("surface late { r = A(x); x = P(x, h); h = H(t); t = A(t) }"))
+def test_occurrence_counts_against_walking_oracle(pres):
+    """Finite type means finite genus and finitely many ends; then the
+    canonical triple is (g, 0, ends) and the spine rank 2g + ends - 1."""
+    g, walked, rank = genus(pres), _count_ends_by_walking(ends_automaton(pres)), spine(pres).rank
+    finite = g != INFINITE and walked is not None
+    assert is_finite_type(pres) == finite
+    if finite:
+        assert canonical_finite_type(pres) == (g, 0, walked)
+        assert rank == 2 * g + walked - 1
+    else:
+        assert rank == INFINITE
+        with pytest.raises(NotFiniteTypeError):
+            canonical_finite_type(pres)
+
+
 def test_cb_examples():
     loch = cb_report(ends_automaton(LOCH))
     assert (loch.rank, loch.degree, loch.has_perfect_kernel) == (1, 1, False)
@@ -164,7 +186,8 @@ def test_rank_cutoff_flag():
 # The library computes counts and CB data in one pass over the condensation,
 # and reads marked subspaces off it.  These compute the same data step by
 # step on pruned copies of the automaton, one full subspace restriction per
-# derivative step: slow, but independent of the fold.
+# derivative step, and count root paths with Kahn's algorithm: slow, but
+# independent of the fold.
 
 _EMPTY = EndsAutomaton({}, None, frozenset(), (), frozenset())
 
@@ -206,6 +229,55 @@ def _derivative(space: EndsAutomaton) -> EndsAutomaton:
     """Subspace of non-isolated ends: paths that forever keep a branching
     state reachable."""
     return _restrict(space, [s for s, cs in space.transitions.items() if len(cs) >= 2])
+
+
+def path_counts(succ: Successors, root: str, through: Iterable[str]) -> dict[str, int]:
+    """Number of paths from ``root`` to each state that run inside
+    ``through`` and stop at the first state outside it.
+
+    ``through`` must induce an acyclic subgraph (Kahn's order over it).
+    """
+    indeg = dict.fromkeys(through, 0)
+    for state in indeg:
+        for child in succ[state]:
+            if child in indeg:
+                indeg[child] += 1
+    counts = {root: 1}
+    todo = [s for s, d in indeg.items() if d == 0]
+    done = 0
+    while todo:
+        state = todo.pop()
+        done += 1
+        n = counts.get(state, 0)
+        for child in succ[state]:
+            if n:
+                counts[child] = counts.get(child, 0) + n
+            if child in indeg:
+                indeg[child] -= 1
+                if indeg[child] == 0:
+                    todo.append(child)
+    if done != len(indeg):
+        raise AssertionError("path-count region unexpectedly cyclic")
+    return counts
+
+
+@settings(max_examples=200)
+@given(successor_maps(acyclic=True), st.data())
+def test_path_counts_against_enumeration(succ, data):
+    root = data.draw(st.sampled_from(sorted(succ)))
+    through = set(data.draw(st.lists(st.sampled_from(sorted(succ)))))
+    expected: dict[str, int] = {}
+    paths = [root]  # last state of every root path that may still extend
+    for last in paths:
+        expected[last] = expected.get(last, 0) + 1
+        if last in through:
+            paths.extend(succ[last])
+    assert path_counts(succ, root, through) == expected
+
+
+def test_path_counts_rejects_cycles():
+    with pytest.raises(AssertionError):
+        path_counts({"a": ("b",), "b": ("a",)}, "a", {"a", "b"})
 
 
 def _batch_size(old: EndsAutomaton, new: EndsAutomaton) -> int | None:

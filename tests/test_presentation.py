@@ -32,9 +32,9 @@ import endkit.presentation
 from endkit import decompose, interchange_normalize, kerekjarto
 from endkit.cli import main
 from endkit.ends import Cardinality
-from endkit.presentation import backward, forward, on_cycles, path_counts, sccs
+from endkit.presentation import backward, forward, on_cycles, sccs
 
-from conftest import presentations
+from conftest import presentations, successor_maps
 
 LOCH = "surface loch_ness { root = H(root) }"
 FLUTE = "surface flute { root = P(root, punc); punc = A(punc) }"
@@ -203,6 +203,9 @@ def test_first_occurrences_paths():
     assert first_occurrences(p, BlockKind.ANNULUS, 1) == [(1,)]
     with pytest.raises(ValueError):
         first_occurrences(p, BlockKind.HANDLE, 1)
+    assert first_occurrences(p, BlockKind.PANTS, 0) == []
+    with pytest.raises(ValueError):
+        first_occurrences(p, BlockKind.PANTS, -1)
 
 
 def test_first_occurrences_deep_and_exact():
@@ -228,20 +231,6 @@ def test_first_occurrences_deep_and_exact():
 
 
 # -- the rule-graph kernel against brute-force definitions -----------------
-
-@st.composite
-def successor_maps(draw, acyclic: bool = False):
-    """Closed successor maps over at most 8 states, duplicates allowed; with
-    ``acyclic`` every edge goes to a later state."""
-    names = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
-    succ = {}
-    for i, name in enumerate(names):
-        pool = names[i + 1:] if acyclic else names
-        succ[name] = tuple(
-            draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else ()
-        )
-    return succ
-
 
 def _closure(succ):
     """reach[s]: states at the end of a path of one or more steps from s."""
@@ -290,25 +279,6 @@ def test_kernel_reachability_and_cycles(succ, data):
 
     cyclic = {s for s in succ if s in reach[s]}
     assert on_cycles(succ, components) == cyclic
-
-
-@settings(max_examples=200)
-@given(successor_maps(acyclic=True), st.data())
-def test_kernel_path_counts_against_enumeration(succ, data):
-    root = data.draw(st.sampled_from(sorted(succ)))
-    through = set(data.draw(st.lists(st.sampled_from(sorted(succ)))))
-    expected: dict[str, int] = {}
-    paths = [root]  # last state of every root path that may still extend
-    for last in paths:
-        expected[last] = expected.get(last, 0) + 1
-        if last in through:
-            paths.extend(succ[last])
-    assert path_counts(succ, root, through) == expected
-
-
-def test_kernel_path_counts_rejects_cycles():
-    with pytest.raises(AssertionError):
-        path_counts({"a": ("b",), "b": ("a",)}, "a", {"a", "b"})
 
 
 def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):

@@ -40,6 +40,7 @@ from endkit import (
     radial_extension,
     run_pipeline,
 )
+from endkit.cli import main
 
 from conftest import curve_configs
 
@@ -347,6 +348,22 @@ def test_json_reader_takes_exact_types(payload):
     assert curve_config_to_json(curve_config_from_json(_config_json())) == _config_json()
     with pytest.raises(InvalidCurveConfigError):
         curve_config_from_json(json.loads(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("key", ["\u0663", " 3 ", "+3", "03", "3_0"])
+def test_json_nesting_keys_are_written_ids(key, tmp_path, capsys):
+    # int() reads each key as component 3 (or 30); only str(id) is the written form
+    trivial = [{"id": i, "target": "c0", "kind": "Trivial"} for i in (0, 3, 30)]
+    ok = _config_json(components=trivial, nesting={"3": 0, "30": 0}, parallel_orders={})
+    assert dict(curve_config_from_json(ok).nesting) == {3: 0, 30: 0}
+    payload = _config_json(components=trivial, nesting={key: 0}, parallel_orders={})
+    with pytest.raises(InvalidCurveConfigError):
+        curve_config_from_json(json.loads(json.dumps(payload)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert main(["rewrite", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and json.loads(out[0])["error"]["module"] == "rewrite"
 
 
 # -- homotopies ------------------------------------------------------------
