@@ -34,12 +34,10 @@ from .presentation import (
     Rule,
     SurfacePresentation,
     backward,
-    canonical_finite_type,
     ends_automaton,
     first_occurrences,
     forward,
     genus,
-    is_finite_type,
     regularize,
     states_after_cycles,
     _first_paths,
@@ -125,27 +123,13 @@ def decompose(
 
     The plane has no decomposition in either mode; the punctured torus
     decomposes only leniently, as one-holed torus plus punctured disk.
+    The window walk recognises both, so no automaton is built.
     """
     if mode not in ("lenient", "strict"):
         raise DecomposeError(f"mode must be 'lenient' or 'strict', got {mode!r}")
     if depth < 0:
         raise DecomposeError(f"depth must be non-negative, got {depth}")
-    pres = regularize(pres)
-    auto = ends_automaton(pres)
-    ft = canonical_finite_type(auto) if is_finite_type(auto) else None
-    if ft == (0, 0, 1):
-        raise PlaneExcludedError("the plane admits no decomposition")
-    if ft == (1, 0, 1):
-        if mode == "strict":
-            raise PuncturedTorusExcludedInStrictError(
-                "the punctured torus needs a one-holed torus piece"
-            )
-        pieces = (Piece(0, PieceKind.ONE_HOLED_TORUS),
-                  Piece(1, PieceKind.PUNCTURED_DISK))
-        edges: tuple[Edge, ...] = ((0, 0, 1, 0),)
-        return _truncate(mode, depth, pieces, edges, [], True)
-    pieces_l, edges_l, open_l, complete = _strict_window(pres, depth)
-    return _truncate(mode, depth, tuple(pieces_l), tuple(edges_l), open_l, complete)
+    return _truncate(mode, depth, *_window(regularize(pres), mode, depth))
 
 
 def _truncate(
@@ -176,15 +160,18 @@ def _truncate(
     )
 
 
-def _strict_window(
-    pres: SurfacePresentation, depth: int
-) -> tuple[list[Piece], list[Edge], list[tuple[int, int]], bool]:
+def _window(
+    pres: SurfacePresentation, mode: str, depth: int
+) -> tuple[tuple[Piece, ...], tuple[Edge, ...], list[tuple[int, int]], bool]:
     """Generate pieces in BFS order until the piece budget is spent.
 
-    Only called for surfaces that are neither the plane nor the punctured
-    torus, so a root Handle-run is either followed by a second Handle (the
-    three-pants fusion applies) or a Pants is reachable and gets pulled to
-    the front first.
+    Every rule state is reachable, so the first step sees the excluded
+    shapes: the plane S_{0,0,1} is exactly an all-annulus system (the
+    root's run closes a lasso), and the punctured torus S_{1,0,1} exactly
+    no Pants and one Handle off every cycle (annuli, the Handle, then an
+    annulus lasso).  Otherwise a root Handle-run is followed by a second
+    Handle (the three-pants fusion applies) or a Pants is reachable and is
+    pulled to the front first.
     """
     assert pres.root is not None
     pieces: list[Piece] = []
@@ -223,7 +210,8 @@ def _strict_window(
         return pa, 0
 
     root = skip_annuli(pres.root)
-    assert root is not None, "pure-annulus surface is the plane"
+    if root is None:
+        raise PlaneExcludedError("the plane admits no decomposition")
     if pres.kind(root) is BlockKind.PANTS:
         c1, c2 = pres.children(root)
         left = resolve(c1)
@@ -231,20 +219,28 @@ def _strict_window(
         edges.append((left[0], left[1], right[0], right[1]))
     else:
         nxt = skip_annuli(pres.children(root)[0])
-        if nxt is None or pres.kind(nxt) is not BlockKind.HANDLE:
+        if nxt is None:
+            if mode == "strict":
+                raise PuncturedTorusExcludedInStrictError(
+                    "the punctured torus needs a one-holed torus piece"
+                )
+            torus = new_piece(PieceKind.ONE_HOLED_TORUS)
+            edges.append((torus, 0, new_piece(PieceKind.PUNCTURED_DISK), 0))
+        elif pres.kind(nxt) is not BlockKind.HANDLE:
             pulled = _rebuild(pres, first_occurrences(pres, BlockKind.PANTS, 1), "chain")
-            return _strict_window(pulled, depth)
-        p1 = new_piece(PieceKind.PANTS)
-        p2 = new_piece(PieceKind.PANTS)
-        p3 = new_piece(PieceKind.PANTS)
-        edges.extend([(p1, 0, p2, 0), (p1, 1, p2, 1), (p1, 2, p3, 0), (p2, 2, p3, 1)])
-        queue.append((p3, 2, pres.children(nxt)[0]))
+            return _window(pulled, mode, depth)
+        else:
+            p1 = new_piece(PieceKind.PANTS)
+            p2 = new_piece(PieceKind.PANTS)
+            p3 = new_piece(PieceKind.PANTS)
+            edges.extend([(p1, 0, p2, 0), (p1, 1, p2, 1), (p1, 2, p3, 0), (p2, 2, p3, 1)])
+            queue.append((p3, 2, pres.children(nxt)[0]))
     while queue and len(pieces) < depth:
         pid, slot, state = queue.popleft()
         tgt = resolve(state)
         edges.append((pid, slot, tgt[0], tgt[1]))
     pending = [(pid, slot) for pid, slot, _ in queue]
-    return pieces, edges, pending, not queue
+    return tuple(pieces), tuple(edges), pending, not queue
 
 
 # -- interchange -----------------------------------------------------------
@@ -496,23 +492,23 @@ def find_essential_pants(pres: SurfacePresentation) -> EssentialPants:
     """
     pres = regularize(pres)
     auto = ends_automaton(pres)
-    ft = canonical_finite_type(auto) if is_finite_type(auto) else None
-    if ft is not None:
-        g, _, p = ft
-        if not (g + p >= 4 or p >= 6):
-            raise ComplexityTooLowError(
-                f"complexity too low: g+p = {g + p} < 4 and p = {p} < 6"
-            )
-        if g == 0 and p < 6:
-            raise ComplexityTooLowError(
-                f"genus 0 needs at least six ends: p = {p} < 6 "
-                "(every pants leaves a component of abelian fundamental group)"
-            )
-    if genus(auto) >= 2:
+    # each Pants occurrence splits one end in two, so p = 1 + their count;
+    # an INFINITE genus or p passes both checks
+    g, p = genus(auto), 1 + _occurrences(auto, _pants(auto))
+    if not (g + p >= 4 or p >= 6):
+        raise ComplexityTooLowError(
+            f"complexity too low: g+p = {g + p} < 4 and p = {p} < 6"
+        )
+    if g == 0 and p < 6:
+        raise ComplexityTooLowError(
+            f"genus 0 needs at least six ends: p = {p} < 6 "
+            "(every pants leaves a component of abelian fundamental group)"
+        )
+    if g >= 2:
         prepped = _rebuild(
             pres, first_occurrences(pres, BlockKind.HANDLE, 2), "chain"
         )
-    elif ft is not None and ft[0] == 1 and ft[2] < 6:
+    elif g == 1 and p < 6:
         prepped = pres
     else:
         prepped = _rebuild(

@@ -36,14 +36,13 @@ from typing import AbstractSet, Callable, Iterable, Iterator, TypeVar, Union as 
 
 from .errors import EndsError, InvalidEndExprError, NotConvertibleError
 from .presentation import (
-    BlockKind,
     EndsAutomaton,
     SurfacePresentation,
     _Parser,
+    _pants,
     backward,
     ends_automaton,
     forward,
-    regularize,
 )
 
 DEFAULT_RANK_CUTOFF = 16
@@ -551,13 +550,9 @@ def pair_homeomorphic(a: EndsAutomaton, b: EndsAutomaton) -> Verdict:
 def find_isolated_planar_end(pres: SurfacePresentation) -> str | None:
     """A state whose whole future is annulus blocks (the end beyond it is
     an isolated puncture), or None."""
-    pres = regularize(pres)
     auto = ends_automaton(pres)
-    succ = auto.transitions
-    impure = backward(
-        succ, [s for s in succ if pres.kind(s) is not BlockKind.ANNULUS]
-    )
-    for s in forward(succ, [auto.root]):
+    impure = backward(auto.transitions, auto.nonplanar_states | _pants(auto))
+    for s in forward(auto.transitions, [auto.root]):
         if s not in impure:
             return s
     return None

@@ -76,12 +76,23 @@ def test_decompose_json_and_dot(surf, capsys):
     assert out.startswith("graph decomposition {") and "Pants" in out
 
 
-def test_decompose_error_object(surf, capsys):
-    plane = surf("plane.surf", "surface s finite S(g=0, b=0, p=1)")
-    code, out = run(capsys, "decompose", plane, "--mode", "strict")
+@pytest.mark.parametrize(
+    "text, mode, case",
+    [
+        ("surface s finite S(g=0, b=0, p=1)", "strict", "PlaneExcludedError"),
+        ("surface p { a = A(b); b = A(a) }", "lenient", "PlaneExcludedError"),
+        ("surface t { r = A(h); h = H(x); x = A(y); y = A(x) }", "strict",
+         "PuncturedTorusExcludedInStrictError"),
+    ],
+    ids=["finite-plane", "rule-plane", "rule-torus-strict"],
+)
+def test_decompose_error_object(surf, capsys, text, mode, case):
+    path = surf("excluded.surf", text)
+    code, out = run(capsys, "decompose", path, "--mode", mode)
     assert code == 1
+    assert len(out.splitlines()) == 1
     err = json.loads(out)["error"]
-    assert err["module"] == "decompose" and err["case"] == "PlaneExcludedError"
+    assert err["module"] == "decompose" and err["case"] == case
     assert err["message"]
 
 

@@ -18,12 +18,14 @@ from endkit import (
     PlaneExcludedError,
     PuncturedTorusExcludedInStrictError,
     Verdict,
+    canonical_finite_type,
     decompose,
     find_essential_pants,
     first_occurrences,
     genus,
     graph_phe_equal,
     interchange_normalize,
+    is_finite_type,
     kerekjarto,
     parse_presentation,
     pretty_print,
@@ -85,18 +87,55 @@ def test_one_holed_torus_family():
 
 
 def test_mode_exclusions():
-    plane = parse_presentation("surface s finite S(g=0, b=0, p=1)")
-    for mode in ("strict", "lenient"):
-        with pytest.raises(PlaneExcludedError):
-            decompose(plane, mode)
+    for plane in (
+        parse_presentation("surface s finite S(g=0, b=0, p=1)"),
+        parse_presentation("surface p { a = A(b); b = A(a) }"),
+    ):
+        for mode in ("strict", "lenient"):
+            with pytest.raises(PlaneExcludedError):
+                decompose(plane, mode)
 
-    torus1p = parse_presentation("surface s finite S(g=1, b=0, p=1)")
-    with pytest.raises(PuncturedTorusExcludedInStrictError):
-        decompose(torus1p, "strict")
-    g = decompose(torus1p, "lenient")
-    assert g.census() == {"pants": 0, "punctured_disks": 1, "one_holed_tori": 1}
-    assert g.complete
-    _check_graph(g)
+    for torus1p in (
+        parse_presentation("surface s finite S(g=1, b=0, p=1)"),
+        # annuli before and after the Handle
+        parse_presentation("surface t { r = A(h); h = H(x); x = A(y); y = A(x) }"),
+    ):
+        with pytest.raises(PuncturedTorusExcludedInStrictError):
+            decompose(torus1p, "strict")
+        g = decompose(torus1p, "lenient")
+        assert g.census() == {"pants": 0, "punctured_disks": 1, "one_holed_tori": 1}
+        assert g.complete
+        _check_graph(g)
+
+    # a Handle inside an annulus cycle: infinite genus, a pants window
+    loop = parse_presentation("surface l { r = H(a); a = A(r) }")
+    for mode in ("strict", "lenient"):
+        g = decompose(loop, mode, depth=6)
+        assert g.census() == {"pants": 6, "punctured_disks": 0}
+        assert not g.complete
+        _check_graph(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(max_states=8))
+def test_window_walk_recognises_the_excluded_shapes(pres):
+    """The walk's first step decides the plane and the punctured torus; the
+    canonical triple is the reference."""
+    triple = canonical_finite_type(pres) if is_finite_type(pres) else None
+    if triple == (0, 0, 1):
+        for mode in ("strict", "lenient"):
+            with pytest.raises(PlaneExcludedError):
+                decompose(pres, mode)
+    elif triple == (1, 0, 1):
+        with pytest.raises(PuncturedTorusExcludedInStrictError):
+            decompose(pres, "strict")
+        for depth in (2, 5):
+            g = decompose(pres, "lenient", depth)
+            assert g.census() == {"pants": 0, "punctured_disks": 1, "one_holed_tori": 1}
+            assert g.complete
+    else:
+        for mode in ("strict", "lenient"):
+            _check_graph(decompose(pres, mode, depth=6))
 
 
 def test_lenient_agrees_with_strict_elsewhere():
@@ -204,7 +243,7 @@ def test_essential_pants_complexity_gate():
     for g, p in ((1, 1), (0, 4), (0, 5), (1, 2)):
         with pytest.raises(ComplexityTooLowError):
             find_essential_pants(standard_presentation(g, p))
-    for g, p in ((0, 6), (2, 2), (1, 3)):
+    for g, p in ((0, 6), (2, 2), (1, 3), (1, 5)):
         found = find_essential_pants(standard_presentation(g, p))
         assert len(found.components) >= 2
         assert all(c.rank_lower_bound >= 2 for c in found.components)

@@ -29,7 +29,7 @@ from endkit import (
     states_after_cycles,
 )
 import endkit.presentation
-from endkit import decompose, interchange_normalize, kerekjarto
+from endkit import decompose, find_essential_pants, interchange_normalize, kerekjarto
 from endkit.cli import main
 from endkit.ends import Cardinality
 from endkit.presentation import backward, forward, on_cycles, sccs
@@ -308,6 +308,8 @@ def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
         "surface f { r = H(x); x = H(y); y = P(t, u); t = A(t); u = P(t, v); v = A(v) }"
     )
     decompose(s_2_0_3, "strict", 16)
+    assert len(runs) == 0
+    find_essential_pants(s_2_0_3)
     assert len(runs) == 1
 
     runs.clear()
