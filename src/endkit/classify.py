@@ -20,6 +20,8 @@ from .presentation import (
     genus,
 )
 from .ends import (
+    FRAGMENT_IDENTICAL,
+    FRAGMENT_NORMAL_FORM,
     Cantor,
     EndExpr,
     Pt,
@@ -44,8 +46,6 @@ class ClassVerdict(Enum):
 # witness names: the invariant that differed, or the fragment that decided
 WITNESS_GENUS = "genus"
 WITNESS_ENDS = "ends-pair"
-FRAGMENT_IDENTICAL = "identical-presentation"
-FRAGMENT_NORMAL_FORM = "end-expression-normal-form"
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .decompose import (
 )
 from .degree import descriptor_from_json, descriptor_to_json, infer_degree
 from .ends import DEFAULT_RANK_CUTOFF, Verdict, cb_report, cb_report_to_json, ends_count_to_json, ends_automaton, parse_end_expr
-from .errors import ClassifyError, EndkitError, PresentationSyntaxError
+from .errors import ClassifyError, DecomposeError, EndkitError, PresentationSyntaxError
 from .presentation import (
     INFINITE,
     SurfacePresentation,
@@ -39,6 +39,7 @@ from .presentation import (
 from .rewrite import curve_config_from_json, curve_config_to_json, run_pipeline
 
 FAMILY_CAP = 64
+DEPTH_CAP = 1_000_000  # a window costs memory linear in its depth
 
 
 def _emit(obj) -> None:
@@ -92,6 +93,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.depth > DEPTH_CAP:
+        raise DecomposeError(f"depth capped at {DEPTH_CAP}, got {args.depth}")
     g = decompose(_load_surf(args.presentation), mode=args.mode, depth=args.depth)
     if args.dot:
         print(decomposition_to_dot(g))

@@ -16,10 +16,10 @@ graphs with their rank and core, the graph-level proper-homotopy
 comparison, and the essential-pants search.
 """
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     ComplexityTooLowError,
@@ -79,10 +79,7 @@ class DecompositionGraph:
     complete: bool
 
     def census(self) -> dict[str, int]:
-        counts = {PieceKind.PANTS: 0, PieceKind.PUNCTURED_DISK: 0,
-                  PieceKind.ONE_HOLED_TORUS: 0}
-        for p in self.pieces:
-            counts[p.kind] += 1
+        counts = Counter(p.kind for p in self.pieces)
         out = {
             "pants": counts[PieceKind.PANTS],
             "punctured_disks": counts[PieceKind.PUNCTURED_DISK],
@@ -118,61 +115,29 @@ def decomposition_to_dot(g: DecompositionGraph) -> str:
 def decompose(
     pres: SurfacePresentation, mode: str = "lenient", depth: int = 8
 ) -> DecompositionGraph:
-    """Depth-n window of the decomposition (first n pieces in generation
-    order, with the edges and dangling slots among them).
+    """Depth-n window of the decomposition (the first n pieces, with the
+    edges and open slots among them), cut by one walk with no rebuild.
 
-    The plane has no decomposition in either mode; the punctured torus
-    decomposes only leniently, as one-holed torus plus punctured disk.
-    The window walk recognises both, so no automaton is built.
+    Every rule state is reachable, so the first step sees the plane (the
+    root's run closes an annulus lasso; excluded in both modes) and the
+    punctured torus (annuli, one Handle, an annulus lasso; leniently a
+    one-holed torus and a punctured disk).  A root Handle-run then a Pants
+    ``P(c1, c2)`` is walked as the interchange pulling that Pants (the
+    first one, as the unfolding up to it is one path) to the front: the
+    root ``P(c2, rest)``, where ``rest`` meets the Handle and goes on at
+    ``c1``.  So piece ids, edge and queue order match the rebuilt window.
+
+    Every edge runs from an older piece to a newer one.  So with
+    ``n = min(depth, pieces)``, an edge is kept exactly when its newer end
+    is below n; the open slots are the older ends of the edges crossing n,
+    in edge order, then the queued slots below n; and the window is
+    complete when the queue is empty and no piece was cut.
     """
     if mode not in ("lenient", "strict"):
         raise DecomposeError(f"mode must be 'lenient' or 'strict', got {mode!r}")
     if depth < 0:
         raise DecomposeError(f"depth must be non-negative, got {depth}")
-    return _truncate(mode, depth, *_window(regularize(pres), mode, depth))
-
-
-def _truncate(
-    mode: str,
-    depth: int,
-    pieces: tuple[Piece, ...],
-    edges: tuple[Edge, ...],
-    pending: Iterable[tuple[int, int]],
-    complete: bool,
-) -> DecompositionGraph:
-    kept = pieces[:depth]
-    n = len(kept)
-    kept_edges = tuple(e for e in edges if e[0] < n and e[2] < n)
-    opened: list[tuple[int, int]] = []
-    for a, sa, b, sb in edges:
-        if a < n and b >= n:
-            opened.append((a, sa))
-        elif b < n and a >= n:
-            opened.append((b, sb))
-    opened.extend((pid, slot) for pid, slot in pending if pid < n)
-    return DecompositionGraph(
-        mode=mode,
-        depth=depth,
-        pieces=kept,
-        edges=kept_edges,
-        open_slots=tuple(opened),
-        complete=complete and n == len(pieces),
-    )
-
-
-def _window(
-    pres: SurfacePresentation, mode: str, depth: int
-) -> tuple[tuple[Piece, ...], tuple[Edge, ...], list[tuple[int, int]], bool]:
-    """Generate pieces in BFS order until the piece budget is spent.
-
-    Every rule state is reachable, so the first step sees the excluded
-    shapes: the plane S_{0,0,1} is exactly an all-annulus system (the
-    root's run closes a lasso), and the punctured torus S_{1,0,1} exactly
-    no Pants and one Handle off every cycle (annuli, the Handle, then an
-    annulus lasso).  Otherwise a root Handle-run is followed by a second
-    Handle (the three-pants fusion applies) or a Pants is reachable and is
-    pulled to the front first.
-    """
+    pres = regularize(pres)
     assert pres.root is not None
     pieces: list[Piece] = []
     edges: list[Edge] = []
@@ -192,22 +157,27 @@ def _window(
             state = pres.children(state)[0]
         return state
 
-    def resolve(state: str) -> tuple[int, int]:
-        s = skip_annuli(state)
-        if s is None:
-            return new_piece(PieceKind.PUNCTURED_DISK), 0
-        if pres.kind(s) is BlockKind.PANTS:
-            pid = new_piece(PieceKind.PANTS)
-            c1, c2 = pres.children(s)
-            queue.append((pid, 1, c1))
-            queue.append((pid, 2, c2))
-            return pid, 0
+    def handle(then: str) -> int:
+        # a Handle visit: two pants glued along two circles, the walk going on at ``then``
         pa = new_piece(PieceKind.PANTS)
         pb = new_piece(PieceKind.PANTS)
         edges.append((pa, 1, pb, 0))
         edges.append((pa, 2, pb, 1))
-        queue.append((pb, 2, pres.children(s)[0]))
-        return pa, 0
+        queue.append((pb, 2, then))
+        return pa
+
+    def resolve(state: str) -> int:
+        # the piece the circle into ``state`` bounds, always at its slot 0
+        s = skip_annuli(state)
+        if s is None:
+            return new_piece(PieceKind.PUNCTURED_DISK)
+        if pres.kind(s) is BlockKind.HANDLE:
+            return handle(pres.children(s)[0])
+        pid = new_piece(PieceKind.PANTS)
+        c1, c2 = pres.children(s)
+        queue.append((pid, 1, c1))
+        queue.append((pid, 2, c2))
+        return pid
 
     root = skip_annuli(pres.root)
     if root is None:
@@ -215,8 +185,7 @@ def _window(
     if pres.kind(root) is BlockKind.PANTS:
         c1, c2 = pres.children(root)
         left = resolve(c1)
-        right = resolve(c2)
-        edges.append((left[0], left[1], right[0], right[1]))
+        edges.append((left, 0, resolve(c2), 0))
     else:
         nxt = skip_annuli(pres.children(root)[0])
         if nxt is None:
@@ -226,9 +195,10 @@ def _window(
                 )
             torus = new_piece(PieceKind.ONE_HOLED_TORUS)
             edges.append((torus, 0, new_piece(PieceKind.PUNCTURED_DISK), 0))
-        elif pres.kind(nxt) is not BlockKind.HANDLE:
-            pulled = _rebuild(pres, first_occurrences(pres, BlockKind.PANTS, 1), "chain")
-            return _window(pulled, mode, depth)
+        elif pres.kind(nxt) is BlockKind.PANTS:
+            c1, c2 = pres.children(nxt)
+            left = resolve(c2)
+            edges.append((left, 0, handle(c1), 0))
         else:
             p1 = new_piece(PieceKind.PANTS)
             p2 = new_piece(PieceKind.PANTS)
@@ -237,10 +207,18 @@ def _window(
             queue.append((p3, 2, pres.children(nxt)[0]))
     while queue and len(pieces) < depth:
         pid, slot, state = queue.popleft()
-        tgt = resolve(state)
-        edges.append((pid, slot, tgt[0], tgt[1]))
-    pending = [(pid, slot) for pid, slot, _ in queue]
-    return tuple(pieces), tuple(edges), pending, not queue
+        edges.append((pid, slot, resolve(state), 0))
+    n = min(depth, len(pieces))
+    opened = [(a, sa) for a, sa, b, _ in edges if a < n <= b]
+    opened.extend((pid, slot) for pid, slot, _ in queue if pid < n)
+    return DecompositionGraph(
+        mode=mode,
+        depth=depth,
+        pieces=tuple(pieces[:n]),
+        edges=tuple(e for e in edges if e[2] < n),
+        open_slots=tuple(opened),
+        complete=not queue and n == len(pieces),
+    )
 
 
 # -- interchange -----------------------------------------------------------
@@ -336,8 +314,8 @@ def _rebuild(
             else:
                 rules[fronts[i]] = (kind, (nxt,))
         root = fronts[0] if fronts else remainder
-    elif wiring == "tree5":
-        assert len(ends) == 5 and len(sides) == 5, "tree5 pulls five pants"
+    else:
+        assert wiring == "tree5" and len(ends) == 5 and len(sides) == 5, "tree5 pulls five pants"
         f = [fresh(f"f{i + 1}") for i in range(5)]
         rules[f[0]] = (BlockKind.PANTS, (f[1], f[2]))
         rules[f[1]] = (BlockKind.PANTS, (f[3], f[4]))
@@ -345,8 +323,6 @@ def _rebuild(
         rules[f[3]] = (BlockKind.PANTS, (sides[2], sides[3]))
         rules[f[4]] = (BlockKind.PANTS, (sides[4], remainder))
         root = f[0]
-    else:
-        raise ValueError(f"unknown wiring {wiring!r}")
     reachable = set(forward({s: r[1] for s, r in rules.items()}, [root]))
     rules = {s: r for s, r in rules.items() if s in reachable}
     return SurfacePresentation(name=pres.name, rules=rules, root=root)
@@ -458,13 +434,13 @@ def _complement_census(
         p.id: set() for p in g.pieces if p.id != removed
     }
     for a, _, b, _ in g.edges:
-        if a != removed and b != removed and a != b:
+        if removed not in (a, b):
             adjacency[a].add(b)
             adjacency[b].add(a)
     kind_of = {p.id: p.kind for p in g.pieces}
     seen: set[int] = set()
     out: list[ComponentCensus] = []
-    for start in sorted(adjacency):
+    for start in adjacency:
         if start in seen:
             continue
         comp = set(forward(adjacency, [start]))

@@ -46,6 +46,9 @@ from .presentation import (
 )
 
 DEFAULT_RANK_CUTOFF = 16
+# the fragments that decide a Yes; classify reports them as witnesses
+FRAGMENT_IDENTICAL = "identical-presentation"
+FRAGMENT_NORMAL_FORM = "end-expression-normal-form"
 
 
 class Verdict(Enum):
@@ -527,14 +530,14 @@ def _pair_verdict(
     if spaces_differ or _cb_data(space_a, marked_a) != _cb_data(space_b, marked_b):
         return Verdict.NO, "invariants"
     if _canonical_form(space_a, marked_a) == _canonical_form(space_b, marked_b):
-        return Verdict.YES, "identical-presentation"
+        return Verdict.YES, FRAGMENT_IDENTICAL
     try:
         expr_a = _to_expr(space_a, marked_a)
         expr_b = _to_expr(space_b, marked_b)
     except NotConvertibleError:
         return Verdict.UNKNOWN, None
     if _key(expr_a) == _key(expr_b):
-        return Verdict.YES, "end-expression-normal-form"
+        return Verdict.YES, FRAGMENT_NORMAL_FORM
     return Verdict.NO, "normal-form"
 
 

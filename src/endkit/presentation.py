@@ -522,6 +522,7 @@ def splice_annulus(
     pres: SurfacePresentation, state: str, slot: int, fresh: str | None = None
 ) -> SurfacePresentation:
     """Insert an annulus block on one child edge; the surface is unchanged."""
+    pres = regularize(pres)
     assert pres.rules is not None
     kind, children = pres.rules[state]
     if not 0 <= slot < len(children):

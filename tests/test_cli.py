@@ -378,13 +378,17 @@ _S111 = {"s.surf": b"surface s finite S(g=1, b=1, p=1)"}
         ({"a.surf": b"surface s { r = A(r) } \xff"}, ["invariants", "a.surf"], 1, "cli"),
         ({}, ["family", "0"], 1, "classify"),
         ({}, ["family", "-1"], 1, "classify"),
+        ({}, ["family", "65"], 1, "classify"),
+        (_S111, ["decompose", "s.surf", "--depth", "1000000"], 0, None),
+        (_S111, ["decompose", "s.surf", "--depth", "1000000000"], 1, "decompose"),
         (_S111, ["normalize", "s.surf", "mid"], 1, "decompose"),
         (_S111, ["normalize", "s.surf", "0", "--json"], 0, None),
         ({"d.json": b"null"}, ["degree-check", "d.json"], 1, "degree"),
         ({"d.json": b"[1, 2]"}, ["degree-check", "d.json"], 1, "degree"),
         ({}, ["realize", "\u00b2", "Pt(planar)"], 1, "surfaces"),
     ],
-    ids=["non-utf8-surf", "family-0", "family-negative", "normalize-finite-name",
+    ids=["non-utf8-surf", "family-0", "family-negative", "family-over-cap", "depth-at-cap",
+         "depth-over-cap", "normalize-finite-name",
          "normalize-finite-path", "degree-null", "degree-list", "realize-superscript-genus"],
 )
 def test_former_crashes_give_one_json_document(files, argv, code, module, tmp_path, capsys):

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from endkit import (
     INFINITE,
@@ -17,6 +18,7 @@ from endkit import (
     PieceKind,
     PlaneExcludedError,
     PuncturedTorusExcludedInStrictError,
+    SurfacePresentation,
     Verdict,
     canonical_finite_type,
     decompose,
@@ -29,6 +31,7 @@ from endkit import (
     kerekjarto,
     parse_presentation,
     pretty_print,
+    regularize,
     spine,
     standard_presentation,
 )
@@ -53,15 +56,20 @@ def _slot_usage(g):
 
 def _check_graph(g):
     capacity = {p.id: p.kind.slots for p in g.pieces}
+    # every edge joins an older piece to a newer one, and every open slot
+    # belongs to a piece in the window
+    assert all(a < b for a, _, b, _ in g.edges)
+    assert all(pid in capacity for pid, _ in g.open_slots)
     usage = _slot_usage(g)
     assert len(usage) == len(set(usage)), "a slot was glued twice"
     per_piece: dict[int, int] = {p.id: 0 for p in g.pieces}
     for pid, slot in usage:
         assert 0 <= slot < capacity[pid]
         per_piece[pid] += 1
+    # every slot of a piece in the window is glued or open
+    assert per_piece == capacity
     if g.complete:
         assert not g.open_slots
-        assert all(per_piece[p] == capacity[p] for p in per_piece)
 
 
 def test_strict_examples():
@@ -136,6 +144,57 @@ def test_window_walk_recognises_the_excluded_shapes(pres):
     else:
         for mode in ("strict", "lenient"):
             _check_graph(decompose(pres, mode, depth=6))
+
+
+def _handle_then_pants(pres) -> bool:
+    """Does the root's run meet a Handle and then a Pants, past annuli only?"""
+    pres = regularize(pres)
+    kinds, state, seen = [], pres.root, set()
+    while len(kinds) < 2 and state not in seen:
+        seen.add(state)
+        if pres.kind(state) is not BlockKind.ANNULUS:
+            kinds.append(pres.kind(state))
+        state = pres.children(state)[0]
+    return kinds == [BlockKind.HANDLE, BlockKind.PANTS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(max_states=8), st.booleans())
+@example(parse_presentation("surface s finite S(g=1, b=0, p=2)"), False)
+@example(parse_presentation("surface s finite S(g=1, b=0, p=3)"), False)
+@example(parse_presentation("surface s finite S(g=1, b=0, p=4)"), False)
+@example(parse_presentation("surface s finite S(g=1, b=0, p=5)"), False)
+def test_handle_then_pants_is_the_window_of_the_pulled_pants(pres, on_top):
+    """The walk reads a root Handle-run then a Pants as the interchange that
+    pulls the first Pants to the front; the rebuilt presentation's window is
+    the reference."""
+    if on_top:  # one Handle above the root makes the shape common
+        pres = SurfacePresentation(
+            name=pres.name, rules={"top": (BlockKind.HANDLE, (pres.root,)), **pres.rules},
+            root="top",
+        )
+    if not _handle_then_pants(pres):
+        return
+    pulled = interchange_normalize(pres, first_occurrences(pres, BlockKind.PANTS, 1))
+    for mode in ("strict", "lenient"):
+        for depth in (0, 1, 2, 5, 64):
+            assert decompose(pres, mode, depth).to_json() == decompose(pulled, mode, depth).to_json()
+
+
+def test_decompose_rebuilds_no_presentation(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decompose rebuilt the presentation")
+
+    # the package exports the function under the module's name
+    module = importlib.import_module("endkit.decompose")
+    monkeypatch.setattr(module, "_rebuild", forbidden)
+    monkeypatch.setattr(module, "first_occurrences", forbidden)
+    s103 = parse_presentation("surface s finite S(g=1, b=0, p=3)")
+    assert decompose(s103, "strict").census() == {"pants": 3, "punctured_disks": 3}
+    for pres in (FLUTE, LOCH, CANTOR):
+        g = decompose(pres, "strict", depth=6)
+        assert len(g.pieces) == 6 and not g.complete
+        _check_graph(g)
 
 
 def test_lenient_agrees_with_strict_elsewhere():

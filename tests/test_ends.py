@@ -582,6 +582,15 @@ def test_pair_verdicts():
     verdict = _pair_verdict(mixed_marked, mixed_marked.nonplanar_states, ends_automaton(MIXED), ())
     assert verdict == (Verdict.NO, "invariants")
 
+    # equal CB data of the spaces and of the non-planar subspaces; only the
+    # normal forms tell a non-planar limit of punctures from a separate one
+    lim = realize(INFINITE, Seq(Pt(False), True))
+    apart = realize(INFINITE, Union((Seq(Pt(False), False), Pt(True))))
+    a_lim, a_apart = ends_automaton(lim), ends_automaton(apart)
+    verdict = _pair_verdict(a_lim, a_lim.nonplanar_states, a_apart, a_apart.nonplanar_states)
+    assert verdict == (Verdict.NO, "normal-form")
+    assert kerekjarto(lim, apart).to_json() == {"verdict": "NotHomeomorphic", "witness": "ends-pair"}
+
     mixed_swapped = parse_presentation(
         "surface mixed2 { a = P(b, a); b = P(a, c); c = A(c) }"
     )

@@ -176,6 +176,27 @@ def test_splice_annulus_preserves_invariants(pres):
     assert ends_count(spliced) == ends_count(pres)
 
 
+def test_splice_annulus_on_a_finite_triple():
+    ft = parse_presentation("surface x finite S(g=1, b=0, p=2)")
+    spliced = splice_annulus(ft, "h1", 0)
+    assert spliced.rules["h1"] == (BlockKind.HANDLE, ("sp0",))
+    assert canonical_finite_type(spliced) == (1, 0, 2)
+
+
+def test_finite_triples_round_trip_and_match_their_rules():
+    for g in range(4):
+        for b in range(3):
+            for p in range(4):
+                if b + p == 0:
+                    continue
+                pres = parse_presentation(f"surface x finite S(g={g}, b={b}, p={p})")
+                assert parse_presentation(pretty_print(pres)) == pres
+                rules = regularize(pres)
+                assert genus(pres) == genus(rules) == g
+                assert is_finite_type(pres) and is_finite_type(rules)
+                assert canonical_finite_type(pres) == canonical_finite_type(rules) == (g, 0, b + p)
+
+
 def test_standard_presentation_shapes():
     sphere2 = standard_presentation(0, 2)
     assert canonical_finite_type(sphere2) == (0, 0, 2)
