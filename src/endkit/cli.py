@@ -27,7 +27,7 @@ from .decompose import (
 )
 from .degree import descriptor_from_json, descriptor_to_json, infer_degree
 from .ends import DEFAULT_RANK_CUTOFF, Verdict, cb_report, cb_report_to_json, ends_count_to_json, ends_automaton, parse_end_expr
-from .errors import ClassifyError, DecomposeError, EndkitError, PresentationSyntaxError
+from .errors import ClassifyError, DecomposeError, EndkitError, PresentationError, PresentationSyntaxError
 from .presentation import (
     INFINITE,
     SurfacePresentation,
@@ -40,6 +40,7 @@ from .rewrite import curve_config_from_json, curve_config_to_json, run_pipeline
 
 FAMILY_CAP = 64
 DEPTH_CAP = 1_000_000  # a window costs memory linear in its depth
+GENUS_CAP = 1_000_000  # a finite genus or triple expands to that many rules
 
 
 def _emit(obj) -> None:
@@ -47,7 +48,11 @@ def _emit(obj) -> None:
 
 
 def _load_surf(path: str) -> SurfacePresentation:
-    return parse_presentation(Path(path).read_text())
+    pres = parse_presentation(Path(path).read_text())
+    ft = pres.finite_type
+    if ft is not None and (total := ft.genus + ft.boundary + ft.punctures) > GENUS_CAP:
+        raise PresentationError(f"finite S(g, b, p) capped at g + b + p = {GENUS_CAP}, got {total}")
+    return pres
 
 
 def _load_json(path: str):
@@ -170,7 +175,10 @@ def _cmd_degree_check(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    p = realize(_parse_genus(args.genus), parse_end_expr(args.expr))
+    g = _parse_genus(args.genus)
+    if g != INFINITE and g > GENUS_CAP:
+        raise ClassifyError(f"genus capped at {GENUS_CAP}, got {g}")
+    p = realize(g, parse_end_expr(args.expr))
     if args.json:
         _emit({"presentation": pretty_print(p)})
     else:

@@ -250,8 +250,10 @@ def cb_report(
 #
 # Every function below is one per-node step over `_fold` (children first) or
 # `_walk` (preorder), both iterative: the depth of an expression is bounded
-# by memory, never by the recursion limit.  `_key` is the one identity of an
-# expression; dataclass equality and hashing, which recurse, are not used.
+# by memory, never by the recursion limit.  Normal forms are built in a
+# `_Forms` intern table, where equal forms share one integer id: equality,
+# dedupe and absorption compare ids, and `_key` only ranks distinct parts.
+# Dataclass equality and hashing, which recurse, are not used.
 
 @dataclass(frozen=True)
 class Pt:
@@ -345,38 +347,86 @@ def _has_nonplanar(e: EndExpr) -> bool:
     return _fold(e, _nonplanar)
 
 
-def _normal(node: EndExpr, kids: list[EndExpr]) -> EndExpr:
-    """Normal form of ``node`` whose children have normal forms ``kids``."""
-    if isinstance(node, (Pt, Cantor)):
-        return node
-    if isinstance(node, Seq):
-        element = kids[0]
-        if isinstance(element, Union):  # sorted already: drop the repeats
-            parts = tuple({_key(p): p for p in element.parts}.values())
-            element = parts[0] if len(parts) == 1 else Union(parts)
-        if isinstance(element, Cantor) and element.nonplanar == node.limit_nonplanar:
-            return element
-        return Seq(element, node.limit_nonplanar)
-    if len(kids) < 2:
-        if not kids:
-            raise InvalidEndExprError("empty union denotes no space")
-        return kids[0]
-    flat = [q for k in kids for q in (k.parts if isinstance(k, Union) else (k,))]
-    keyed = [(_key(p), p) for p in flat]
-    elements = [k[2:] for k, p in keyed if isinstance(p, Seq)]
-    out: list[tuple[tuple, EndExpr]] = []
-    seen_cantor: set[bool] = set()
-    for k, p in keyed:
-        n = len(k)
-        if elements and any(t[i:i + n] == k for t in elements for i in range(0, len(t) - n + 1, 2)):
-            continue  # a repeated piece of a sibling tower
-        if isinstance(p, Cantor):
-            if p.nonplanar in seen_cantor:
-                continue
-            seen_cantor.add(p.nonplanar)
-        out.append((k, p))
-    out.sort(key=lambda kp: kp[0])
-    return out[0][1] if len(out) == 1 else Union(tuple(p for _, p in out))
+class _Forms:
+    """An intern table of normal forms, for one call or one pair: each
+    distinct normal form gets a small integer id, keyed by (tag, mark, child
+    ids) with the tags and marks of `_key`, a Union's children ranked by
+    `_key`.  Equal forms get equal ids, so equality and dedupe compare ids.
+
+    A union under construction is a bag ``{id: multiplicity}`` of non-Union
+    parts.  Unions flatten, so a Union is never a part of a Union, and under
+    a Seq repeats collapse: a multiplicity above 1 occurs only in an acyclic
+    component's value or at the root, never inside an interned form."""
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}
+        self.nodes: list[tuple] = []  # (tag, mark, child ids) by id
+        self.exprs: list[EndExpr] = []  # the public form by id
+        self.keys: dict[int, tuple] = {}  # `_key` by id, once ranked
+
+    def intern(self, tag: int, mark: bool | int, kids: tuple[int, ...] = ()) -> int:
+        """The id of the form (tag, mark, kids); a new id gets its public node."""
+        node = (tag, mark, kids)
+        i = self.ids.get(node)
+        if i is None:
+            i = self.ids[node] = len(self.nodes)
+            self.nodes.append(node)
+            parts = tuple(self.exprs[k] for k in kids)
+            self.exprs.append(
+                Seq(parts[0], mark) if tag == 2 else Union(parts) if tag == 3
+                else (Cantor if tag else Pt)(mark)
+            )
+        return i
+
+    def ranked(self, bag: dict[int, int]) -> list[int]:
+        """The distinct parts of ``bag`` in `_key` order."""
+        if len(bag) < 2:
+            return list(bag)
+        for i in bag:
+            if i not in self.keys:
+                self.keys[i] = _key(self.exprs[i])
+        return sorted(bag, key=self.keys.__getitem__)
+
+    def seq(self, bag: dict[int, int], limit: bool) -> dict[int, int]:
+        """Copies of the union ``bag`` converging to a limit marked ``limit``:
+        the repeats of the element collapse (omega copies of x+x are omega
+        copies of x), and omega Cantors converging to a same-marked limit
+        are again a Cantor."""
+        parts = self.ranked(bag)
+        element = parts[0] if len(parts) == 1 else self.intern(3, len(parts), tuple(parts))
+        if self.nodes[element][:2] == (1, limit):
+            return {element: 1}
+        return {self.intern(2, limit, (element,)): 1}
+
+    def union(self, bags: list[dict[int, int]]) -> dict[int, int]:
+        """The union of ``bags``, in O(distinct parts): Cantor summands with
+        the same mark merge, and a summand that is a piece (a subtree) of a
+        sibling Seq's element is absorbed into that tower (one extra copy
+        shifts away)."""
+        if len(bags) < 2:
+            if not bags:
+                raise InvalidEndExprError("empty union denotes no space")
+            return bags[0]
+        merged: dict[int, int] = {}
+        for bag in bags:
+            for i, m in bag.items():
+                merged[i] = merged.get(i, 0) + m
+        todo = [self.nodes[i][2][0] for i in merged if self.nodes[i][0] == 2]
+        pieces = set(todo)
+        while todo:
+            for k in self.nodes[todo.pop()][2]:
+                if k not in pieces:
+                    pieces.add(k)
+                    todo.append(k)
+        return {i: 1 if self.nodes[i][0] == 1 else m for i, m in merged.items() if i not in pieces}
+
+    def atom(self, cantor: bool, mark: bool) -> dict[int, int]:
+        return {self.intern(int(cantor), mark): 1}
+
+    def expr(self, bag: dict[int, int]) -> EndExpr:
+        """The public form of ``bag``, its multiplicities expanded."""
+        parts = [self.exprs[i] for i in self.ranked(bag) for _ in range(bag[i])]
+        return parts[0] if len(parts) == 1 else Union(tuple(parts))
 
 
 def normalize_end_expr(e: EndExpr) -> EndExpr:
@@ -387,9 +437,19 @@ def normalize_end_expr(e: EndExpr) -> EndExpr:
     Seq is absorbed into that tower (one extra copy shifts away).  Under a
     Seq, duplicate summands of the element collapse (omega copies of x+x
     are omega copies of x), and omega Cantors converging to a same-marked
-    limit are again a Cantor.
+    limit are again a Cantor.  The expression is folded into bags of one
+    `_Forms` table and materialized once, at the end.
     """
-    return _fold(e, _normal)
+    forms = _Forms()
+
+    def normal(node: EndExpr, kids: list[dict[int, int]]) -> dict[int, int]:
+        if isinstance(node, Union):
+            return forms.union(kids)
+        if isinstance(node, Seq):
+            return forms.seq(kids[0], node.limit_nonplanar)
+        return forms.atom(isinstance(node, Cantor), node.nonplanar)
+
+    return forms.expr(_fold(e, normal))
 
 
 def validate_end_expr(e: EndExpr) -> None:
@@ -477,29 +537,31 @@ def expr_cb_report(e: EndExpr) -> CBReport:
 
 # -- automaton to expression -----------------------------------------------
 
-def _to_expr(space: EndsAutomaton, marked: AbstractSet[str]) -> EndExpr:
-    """Normal-form expression for the path space with the ends inside
-    ``marked`` (a mark closure) marked, or NotConvertibleError when a
-    component mixes internal branching with exits.  Each component's
-    normal form is built once, from its children's."""
+def _to_expr(space: EndsAutomaton, marked: AbstractSet[str], forms: _Forms) -> dict[int, int]:
+    """Normal form, as a bag of ``forms``, of the path space with the ends
+    inside ``marked`` (a mark closure) marked, or NotConvertibleError when a
+    component mixes internal branching with exits.  Each component's bag is
+    built once, from its children's, in time linear in their distinct
+    parts."""
 
-    def expr(kind: _Kind, scc: list[str], kids: list[EndExpr]) -> EndExpr:
+    def expr(kind: _Kind, scc: list[str], kids: list[dict[int, int]]) -> dict[int, int]:
         if kind is _Kind.KERNEL:
             raise NotConvertibleError("component mixes internal branching with exits")
         in_marked = marked.issuperset(scc)
-        if kind is _Kind.POINT:
-            return Pt(in_marked)
-        if kind is _Kind.CANTOR:
-            return Cantor(in_marked)
-        body = _normal(Union(tuple(kids)), kids)
-        return body if kind is _Kind.ACYCLIC else _normal(Seq(body, in_marked), [body])
+        if kind is _Kind.POINT or kind is _Kind.CANTOR:
+            return forms.atom(kind is _Kind.CANTOR, in_marked)
+        body = forms.union(kids)
+        return body if kind is _Kind.ACYCLIC else forms.seq(body, in_marked)
 
     return _fold_components(space, expr)
 
 
 def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
-    """Normal-form expression for (ends, non-planar ends)."""
-    return _to_expr(automaton, backward(automaton.transitions, automaton.nonplanar_states))
+    """Normal-form expression for (ends, non-planar ends), materialized once
+    from its bag, with the multiplicities expanded."""
+    forms = _Forms()
+    marked = backward(automaton.transitions, automaton.nonplanar_states)
+    return forms.expr(_to_expr(automaton, marked, forms))
 
 
 # -- homeomorphism decision for pairs --------------------------------------
@@ -531,12 +593,12 @@ def _pair_verdict(
         return Verdict.NO, "invariants"
     if _canonical_form(space_a, marked_a) == _canonical_form(space_b, marked_b):
         return Verdict.YES, FRAGMENT_IDENTICAL
+    forms = _Forms()  # both sides in one table: equal forms are equal bags
     try:
-        expr_a = _to_expr(space_a, marked_a)
-        expr_b = _to_expr(space_b, marked_b)
+        same = _to_expr(space_a, marked_a, forms) == _to_expr(space_b, marked_b, forms)
     except NotConvertibleError:
         return Verdict.UNKNOWN, None
-    if _key(expr_a) == _key(expr_b):
+    if same:
         return Verdict.YES, FRAGMENT_NORMAL_FORM
     return Verdict.NO, "normal-form"
 

@@ -402,6 +402,33 @@ def test_former_crashes_give_one_json_document(files, argv, code, module, tmp_pa
         assert payload["error"]["module"] == module
 
 
+_HUGE = {"s.surf": b"surface s finite S(g=1000000000, b=0, p=1)"}
+
+
+@pytest.mark.parametrize(
+    "files, argv, module, case",
+    [
+        ({}, ["realize", "1000000000", "Pt(planar)", "--json"], "classify", "ClassifyError"),
+        ({}, ["realize", "1000000000", "Union(Pt(planar), Pt(planar))"], "classify", "ClassifyError"),
+        (_HUGE, ["invariants", "s.surf"], "surfaces", "PresentationError"),
+        (_HUGE, ["classify", "s.surf", "s.surf"], "surfaces", "PresentationError"),
+        (_HUGE, ["decompose", "s.surf", "--mode", "strict"], "surfaces", "PresentationError"),
+    ],
+    ids=["realize-json", "realize-text", "invariants", "classify", "decompose"],
+)
+def test_genus_over_the_cap_is_one_json_error(files, argv, module, case, tmp_path, capsys):
+    # a finite genus, or a triple's g + b + p, above GENUS_CAP is refused
+    # before any of its O(g) rules is built
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    got, out = run_any(capsys, argv)
+    assert got == 1
+    error = one_json_document(out)["error"]
+    assert (error["module"], error["case"]) == (module, case)
+    assert "capped at" in error["message"] and "1000000" in error["message"]
+
+
 @pytest.mark.parametrize(
     "argv", [["--help"], ["invariants", "--help"], ["degree", "check", "-h"]]
 )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
+from typing import AbstractSet
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,11 +45,17 @@ from endkit import (
     to_end_expr,
     validate_end_expr,
 )
+import endkit.ends
 from endkit.ends import (
+    EndExpr,
     EndsAutomaton,
+    _canonical_form,
     _cb_data,
+    _fold,
+    _fold_components,
     _has_nonplanar,
     _key,
+    _Kind,
     _pair_verdict,
     _walk,
 )
@@ -416,6 +423,118 @@ def test_subspaces_inherit_the_condensation(pres):
         assert space.cyclic == on_cycles(succ, sccs(succ))
 
 
+# -- reference normal form: the route the intern table replaced ------------
+#
+# The library folds normal forms into bags of interned ids.  The reference
+# keeps every normal form as a public tree and rebuilds it at each node: the
+# flattened parts of a union are re-keyed and re-sorted, absorption scans the
+# sibling towers' keys, and a pair compares two keys.  Quadratic on combs,
+# but independent of the table.
+
+
+def _reference_normal(node: EndExpr, kids: list[EndExpr]) -> EndExpr:
+    """Normal form of ``node`` whose children have normal forms ``kids``."""
+    if isinstance(node, (Pt, Cantor)):
+        return node
+    if isinstance(node, Seq):
+        element = kids[0]
+        if isinstance(element, Union):  # sorted already: drop the repeats
+            parts = tuple({_key(p): p for p in element.parts}.values())
+            element = parts[0] if len(parts) == 1 else Union(parts)
+        if isinstance(element, Cantor) and element.nonplanar == node.limit_nonplanar:
+            return element
+        return Seq(element, node.limit_nonplanar)
+    if len(kids) < 2:
+        if not kids:
+            raise InvalidEndExprError("empty union denotes no space")
+        return kids[0]
+    flat = [q for k in kids for q in (k.parts if isinstance(k, Union) else (k,))]
+    keyed = [(_key(p), p) for p in flat]
+    elements = [k[2:] for k, p in keyed if isinstance(p, Seq)]
+    out: list[tuple[tuple, EndExpr]] = []
+    seen_cantor: set[bool] = set()
+    for k, p in keyed:
+        n = len(k)
+        if elements and any(t[i:i + n] == k for t in elements for i in range(0, len(t) - n + 1, 2)):
+            continue  # a repeated piece of a sibling tower
+        if isinstance(p, Cantor):
+            if p.nonplanar in seen_cantor:
+                continue
+            seen_cantor.add(p.nonplanar)
+        out.append((k, p))
+    out.sort(key=lambda kp: kp[0])
+    return out[0][1] if len(out) == 1 else Union(tuple(p for _, p in out))
+
+
+def _reference_to_expr(space: EndsAutomaton, marked: AbstractSet[str]) -> EndExpr:
+    def expr(kind: _Kind, scc: list[str], kids: list[EndExpr]) -> EndExpr:
+        if kind is _Kind.KERNEL:
+            raise NotConvertibleError("component mixes internal branching with exits")
+        in_marked = marked.issuperset(scc)
+        if kind is _Kind.POINT:
+            return Pt(in_marked)
+        if kind is _Kind.CANTOR:
+            return Cantor(in_marked)
+        body = _reference_normal(Union(tuple(kids)), kids)
+        return body if kind is _Kind.ACYCLIC else _reference_normal(Seq(body, in_marked), [body])
+
+    return _fold_components(space, expr)
+
+
+def _reference_pair_verdict(space_a, marks_a, space_b, marks_b) -> tuple[Verdict, str | None]:
+    marked_a = backward(space_a.transitions, marks_a)
+    marked_b = backward(space_b.transitions, marks_b)
+    spaces_differ = _cb_data(space_a) != _cb_data(space_b)
+    if spaces_differ or _cb_data(space_a, marked_a) != _cb_data(space_b, marked_b):
+        return Verdict.NO, "invariants"
+    if _canonical_form(space_a, marked_a) == _canonical_form(space_b, marked_b):
+        return Verdict.YES, "identical-presentation"
+    try:
+        expr_a = _reference_to_expr(space_a, marked_a)
+        expr_b = _reference_to_expr(space_b, marked_b)
+    except NotConvertibleError:
+        return Verdict.UNKNOWN, None
+    if _key(expr_a) == _key(expr_b):
+        return Verdict.YES, "end-expression-normal-form"
+    return Verdict.NO, "normal-form"
+
+
+def _reference_text(auto: EndsAutomaton) -> str:
+    try:
+        expr = _reference_to_expr(auto, backward(auto.transitions, auto.nonplanar_states))
+    except NotConvertibleError:
+        return "not convertible"
+    return format_end_expr(expr)
+
+
+@settings(max_examples=400)
+@given(end_exprs(depth=4))
+def test_normalize_matches_the_reference_fold(e):
+    assert format_end_expr(normalize_end_expr(e)) == format_end_expr(_fold(e, _reference_normal))
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(max_states=8), presentations(max_states=8), st.data())
+def test_to_end_expr_and_pair_verdicts_match_the_reference_route(p, q, data):
+    spliced = splice_annulus(p, p.root, 0)  # a copy that differs in presentation only
+    autos = [ends_automaton(x) for x in (p, q, spliced)]
+    for auto in autos:
+        try:
+            text = format_end_expr(to_end_expr(auto))
+        except NotConvertibleError:
+            text = "not convertible"
+        assert text == _reference_text(auto)
+    a, b, c = autos
+    marks = data.draw(st.sets(st.sampled_from(sorted(a.transitions))))
+    for x, mx, y, my in [
+        (a, a.nonplanar_states, b, b.nonplanar_states),
+        (a, a.nonplanar_states, c, c.nonplanar_states),
+        (a, marks, c, marks),
+        (b, b.nonplanar_states, a, marks),
+    ]:
+        assert _pair_verdict(x, mx, y, my) == _reference_pair_verdict(x, mx, y, my)
+
+
 def test_normalize_flatten_and_sort():
     e = Union((Union((Pt(True), Cantor(False))), Pt(False)))
     n = normalize_end_expr(e)
@@ -757,3 +876,26 @@ def test_deep_seq_towers(levels):
     assert exact.cardinality == report.cardinality == EndsCount(Cardinality.COUNTABLY_INFINITE)
     copy = splice_annulus(surface, surface.root, 0)
     assert kerekjarto(surface, copy).to_json() == {"verdict": "Homeomorphic"}
+
+
+def test_comb_normal_form_ranks_no_repeated_parts(monkeypatch):
+    # the k + 1 teeth are one interned part of multiplicity k + 1: no level
+    # re-keys or re-sorts the parts below it
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return _key(e)
+
+    monkeypatch.setattr(endkit.ends, "_key", counted)
+    expr = to_end_expr(ends_automaton(pants_comb(2000)))
+    assert len(calls) <= 10
+    assert format_end_expr(expr) == "Union(" + ", ".join(["Pt(planar)"] * 2001) + ")"
+
+
+def test_deep_comb_pair_through_the_normal_form():
+    comb = pants_comb(5000)
+    # the splice keeps the presentations apart, so the normal forms decide
+    verdict = kerekjarto(comb, _renamed(splice_annulus(comb, comb.root, 0)))
+    assert verdict.to_json() == {"verdict": "Homeomorphic"}
+    assert verdict.witness == "end-expression-normal-form"
