@@ -30,6 +30,7 @@ from .ends import DEFAULT_RANK_CUTOFF, Verdict, cb_report, cb_report_to_json, en
 from .errors import ClassifyError, DecomposeError, EndkitError, PresentationError, PresentationSyntaxError
 from .presentation import (
     INFINITE,
+    MAX_DIGITS,
     SurfacePresentation,
     genus,
     is_finite_type,
@@ -50,8 +51,11 @@ def _emit(obj) -> None:
 def _load_surf(path: str) -> SurfacePresentation:
     pres = parse_presentation(Path(path).read_text())
     ft = pres.finite_type
-    if ft is not None and (total := ft.genus + ft.boundary + ft.punctures) > GENUS_CAP:
-        raise PresentationError(f"finite S(g, b, p) capped at g + b + p = {GENUS_CAP}, got {total}")
+    if ft is not None and ft.genus + ft.boundary + ft.punctures > GENUS_CAP:
+        raise PresentationError(  # the sum may be too long for str()
+            f"finite S(g, b, p) capped at g + b + p = {GENUS_CAP}, "
+            f"got g={ft.genus}, b={ft.boundary}, p={ft.punctures}"
+        )
     return pres
 
 
@@ -69,6 +73,9 @@ def _parse_genus(text: str):
         return INFINITE
     if not re.fullmatch(r"[0-9]+", text):
         raise PresentationSyntaxError(f"genus must be a natural number or 'inf', got {text!r}")
+    # compared by length first: int() refuses very long digit strings
+    if len(text.lstrip("0")) > len(str(GENUS_CAP)) or int(text) > GENUS_CAP:
+        raise ClassifyError(f"genus capped at {GENUS_CAP}, got {text}")
     return int(text)
 
 
@@ -114,7 +121,10 @@ def _front_entry(token: str) -> str | tuple[int, ...]:
     """An index path when the token is comma-joined digits, else a state
     name (interchange_normalize resolves it, or raises DecomposeError)."""
     if re.fullmatch(r"[0-9]+(,[0-9]+)*", token):
-        return tuple(int(part) for part in token.split(","))
+        parts = token.split(",")
+        if max(map(len, parts)) > MAX_DIGITS:  # too long for int()
+            raise DecomposeError(f"invalid unfolding path: a step of over {MAX_DIGITS} digits")
+        return tuple(map(int, parts))
     return token
 
 
@@ -175,10 +185,7 @@ def _cmd_degree_check(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    g = _parse_genus(args.genus)
-    if g != INFINITE and g > GENUS_CAP:
-        raise ClassifyError(f"genus capped at {GENUS_CAP}, got {g}")
-    p = realize(g, parse_end_expr(args.expr))
+    p = realize(_parse_genus(args.genus), parse_end_expr(args.expr))
     if args.json:
         _emit({"presentation": pretty_print(p)})
     else:

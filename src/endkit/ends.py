@@ -38,7 +38,6 @@ from .errors import EndsError, InvalidEndExprError, NotConvertibleError
 from .presentation import (
     EndsAutomaton,
     SurfacePresentation,
-    _Parser,
     _pants,
     backward,
     ends_automaton,
@@ -483,9 +482,31 @@ def format_end_expr(e: EndExpr) -> str:
     return _fold(e, text)
 
 
+class _Parser:
+    """Token cursor over an end expression, the one parser in endkit that
+    reads tokens (presentations are read by compiled patterns); its errors
+    are InvalidEndExprError."""
+
+    def __init__(self, text: str):
+        self.tokens = re.findall(r"[A-Za-z]+|[(),]|\S", text)
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expected: str | None = None) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise InvalidEndExprError("unexpected end of input")
+        if expected is not None and tok != expected:
+            raise InvalidEndExprError(f"expected {expected!r}, got {tok!r}")
+        self.pos += 1
+        return tok
+
+
 def parse_end_expr(text: str) -> EndExpr:
     """Inverse of format_end_expr."""
-    p = _Parser(re.findall(r"[A-Za-z]+|[(),]|\S", text), InvalidEndExprError)
+    p = _Parser(text)
 
     def mark() -> bool:
         tok = p.take()

@@ -32,7 +32,7 @@ directive names another.
 import math
 import re
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
@@ -153,111 +153,83 @@ class SurfacePresentation:
 
 
 # -- parsing ---------------------------------------------------------------
+#
+# The grammar is regular, so each piece is one compiled pattern: the header,
+# then one rule with its ";" or "}", stepped along the text.  Tokens are
+# identifiers [A-Za-z_][A-Za-z0-9_]*, ASCII naturals [0-9]+ and single
+# characters, separated by any run of \s; an identifier or keyword ends where
+# no identifier character follows, so "surfaces" is never "surface s".
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[{}();,=]|\S")
+_END = r"(?![A-Za-z0-9_])"
+_ID = rf"[A-Za-z_][A-Za-z0-9_]*{_END}"
+_HEADER = re.compile(
+    rf"""\s* surface{_END} \s* (?:
+        (?P<name>{_ID}) \s* (?: (?P<open>\{{) | finite{_END} )
+      | finite{_END} (?=\s*S{_END})  # "surface finite S(...)" is named "surface"
+    )
+    (?(open) | \s* S \s*\(\s* g \s*=\s* (?P<g>[0-9]+) \s*,\s* b \s*=\s* (?P<b>[0-9]+)
+               \s*,\s* p \s*=\s* (?P<p>[0-9]+) \s*\) \s*\Z)""",
+    re.VERBOSE,
+)
+# "root = X" is a directive unless a "(" follows X; a rule without its ";"
+# or "}" still matches, so that the error can point past it
+_RULE = re.compile(
+    rf"""\s* (?P<lhs>{_ID}) \s*=\s* (?:
+        (?P<kind>[APH]) \s*\(\s* (?P<a>{_ID}) \s* (?: ,\s* (?P<b>{_ID}) \s* )? \)
+      | (?P<root>{_ID})
+    ) \s* (?P<end> ;(?:\s*\}})? | \}} )?""",
+    re.VERBOSE,
+)
+_KINDS = {kind.value: kind for kind in BlockKind}
+# int() and str() refuse longer digit strings on Python 3.11 and later; the
+# parser refuses them itself, so that every interpreter reads the same language
+MAX_DIGITS = 4300
 
 
-def _tokenize(text: str) -> list[str]:
-    return _TOKEN.findall(text)
-
-
-class _Parser:
-    """Token cursor; its errors are ``error`` instances, so the end
-    expression parser shares it."""
-
-    def __init__(self, tokens: list[str], error: type[Exception] = PresentationSyntaxError):
-        self.tokens = tokens
-        self.pos = 0
-        self.error = error
-
-    def peek(self, ahead: int = 0) -> str | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of input")
-        if expected is not None and tok != expected:
-            raise self.error(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def take_ident(self) -> str:
-        tok = self.take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise self.error(f"expected identifier, got {tok!r}")
-        return tok
-
-    def take_nat(self) -> int:
-        tok = self.take()
-        if not re.fullmatch(r"[0-9]+", tok):
-            raise self.error(f"expected natural number, got {tok!r}")
-        return int(tok)
+def _syntax_error(text: str, pos: int, problem: str | None = None) -> PresentationSyntaxError:
+    """The error at ``pos`` (whitespace skipped), naming its line, column and text."""
+    pos = len(text) - len(text[pos:].lstrip())
+    if pos == len(text):
+        return PresentationSyntaxError("unexpected end of input")
+    near = text[pos:].partition("\n")[0][:40]
+    line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    return PresentationSyntaxError(f"line {line}, column {column}: {problem or f'unexpected {near!r}'}")
 
 
 def parse_presentation(text: str) -> SurfacePresentation:
-    p = _Parser(_tokenize(text))
-    p.take("surface")
-    name = p.take_ident()
-    if name == "finite" and p.peek() == "S":
-        return _parse_finite(p, "surface")
-    if p.peek() == "finite":
-        p.take("finite")
-        return _parse_finite(p, name)
-    p.take("{")
+    head = _HEADER.match(text)
+    if head is None:
+        raise _syntax_error(text, 0)
+    if not head["open"]:
+        for key in "gbp":
+            if len(head[key]) > MAX_DIGITS:
+                raise _syntax_error(text, head.start(key), f"{key} has over {MAX_DIGITS} digits")
+        finite = FiniteType(*map(int, head.group("g", "b", "p")))
+        return SurfacePresentation(name=head["name"] or "surface", finite_type=finite)
     rules: dict[str, Rule] = {}
     root: str | None = None
+    pos = head.end()
     while True:
-        lhs = p.take_ident()
-        p.take("=")
-        if lhs == "root" and p.peek(1) != "(":
-            root = p.take_ident()
+        m = _RULE.match(text, pos)
+        if m is None:
+            raise _syntax_error(text, pos)
+        lhs, kind, a, b, directive, end = m.groups()
+        if kind is None and lhs != "root":
+            raise _syntax_error(text, m.start("root"))
+        if end is None:
+            raise _syntax_error(text, m.end())
+        if kind is None:
+            root = directive
+        elif lhs in rules:
+            raise _syntax_error(text, m.start(), f"duplicate rule for {lhs!r}")
         else:
-            letter = p.take()
-            try:
-                kind = BlockKind(letter)
-            except ValueError:
-                raise PresentationSyntaxError(f"unknown block kind {letter!r}") from None
-            p.take("(")
-            children = [p.take_ident()]
-            if p.peek() == ",":
-                p.take(",")
-                children.append(p.take_ident())
-            p.take(")")
-            if lhs in rules:
-                raise PresentationSyntaxError(f"duplicate rule for {lhs!r}")
-            rules[lhs] = (kind, tuple(children))
-        tok = p.take()
-        if tok == "}":
+            rules[lhs] = (_KINDS[kind], (a,) if b is None else (a, b))
+        pos = m.end()
+        if end != ";":
             break
-        if tok != ";":
-            raise PresentationSyntaxError(f"expected ';' or '}}', got {tok!r}")
-        if p.peek() == "}":  # tolerate a trailing semicolon
-            p.take("}")
-            break
-    if p.peek() is not None:
-        raise PresentationSyntaxError(f"trailing input at {p.peek()!r}")
-    return SurfacePresentation(name=name, rules=rules, root=root)
-
-
-def _parse_finite(p: _Parser, name: str) -> SurfacePresentation:
-    p.take("S")
-    p.take("(")
-    values: dict[str, int] = {}
-    for i, key in enumerate(("g", "b", "p")):
-        if i:
-            p.take(",")
-        p.take(key)
-        p.take("=")
-        values[key] = p.take_nat()
-    p.take(")")
-    if p.peek() is not None:
-        raise PresentationSyntaxError(f"trailing input at {p.peek()!r}")
-    return SurfacePresentation(
-        name=name,
-        finite_type=FiniteType(values["g"], values["b"], values["p"]),
-    )
+    if text[pos:].strip():
+        raise _syntax_error(text, pos)
+    return SurfacePresentation(name=head["name"], rules=rules, root=root)
 
 
 def pretty_print(pres: SurfacePresentation) -> str:

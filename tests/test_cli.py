@@ -370,6 +370,8 @@ def run_any(capsys, argv):
 
 
 _S111 = {"s.surf": b"surface s finite S(g=1, b=1, p=1)"}
+# past the 4,300 digits that int() converts on Python 3.11+
+_LONG = "9" * 5000
 
 
 @pytest.mark.parametrize(
@@ -386,10 +388,15 @@ _S111 = {"s.surf": b"surface s finite S(g=1, b=1, p=1)"}
         ({"d.json": b"null"}, ["degree-check", "d.json"], 1, "degree"),
         ({"d.json": b"[1, 2]"}, ["degree-check", "d.json"], 1, "degree"),
         ({}, ["realize", "\u00b2", "Pt(planar)"], 1, "surfaces"),
+        ({"s.surf": f"surface s finite S(g={_LONG}, b=0, p=1)".encode()}, ["invariants", "s.surf"],
+         1, "surfaces"),
+        ({}, ["realize", _LONG, "Pt(planar)"], 1, "classify"),
+        (_S111, ["normalize", "s.surf", _LONG], 1, "decompose"),
     ],
     ids=["non-utf8-surf", "family-0", "family-negative", "family-over-cap", "depth-at-cap",
          "depth-over-cap", "normalize-finite-name",
-         "normalize-finite-path", "degree-null", "degree-list", "realize-superscript-genus"],
+         "normalize-finite-path", "degree-null", "degree-list", "realize-superscript-genus",
+         "long-triple", "realize-long-genus", "normalize-long-path"],
 )
 def test_former_crashes_give_one_json_document(files, argv, code, module, tmp_path, capsys):
     for name, data in files.items():
@@ -413,8 +420,11 @@ _HUGE = {"s.surf": b"surface s finite S(g=1000000000, b=0, p=1)"}
         (_HUGE, ["invariants", "s.surf"], "surfaces", "PresentationError"),
         (_HUGE, ["classify", "s.surf", "s.surf"], "surfaces", "PresentationError"),
         (_HUGE, ["decompose", "s.surf", "--mode", "strict"], "surfaces", "PresentationError"),
+        # each number fits int() and str(), their sum does not
+        ({"s.surf": f"surface s finite S(g={'9' * 4300}, b={'9' * 4300}, p=1)".encode()},
+         ["invariants", "s.surf"], "surfaces", "PresentationError"),
     ],
-    ids=["realize-json", "realize-text", "invariants", "classify", "decompose"],
+    ids=["realize-json", "realize-text", "invariants", "classify", "decompose", "sum-past-str"],
 )
 def test_genus_over_the_cap_is_one_json_error(files, argv, module, case, tmp_path, capsys):
     # a finite genus, or a triple's g + b + p, above GENUS_CAP is refused
@@ -460,7 +470,10 @@ _JSON_KEYS = (
 _JSON_WORDS = ("Homeo", "Trivial", "Primitive", "unknown", "zero", "plus-minus-one", "C0", "0")
 
 surf_files = st.one_of(
-    st.lists(st.sampled_from(_SURF_TOKENS), max_size=24).map(" ".join).map(str.encode),
+    # joined tight too, so that merged identifiers and tight punctuation occur
+    st.builds(
+        str.join, st.sampled_from(("", " ", "\n")), st.lists(st.sampled_from(_SURF_TOKENS), max_size=24)
+    ).map(str.encode),
     presentations().map(pretty_print).map(str.encode),
     st.text(max_size=30).map(lambda t: t.encode("utf-8", "surrogatepass")),
     st.binary(max_size=30),

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +16,7 @@ from endkit import (
     INFINITE,
     BlockKind,
     DanglingRuleError,
+    EndkitError,
     FiniteType,
     PresentationSyntaxError,
     SurfacePresentation,
@@ -32,7 +38,7 @@ import endkit.presentation
 from endkit import decompose, find_essential_pants, interchange_normalize, kerekjarto
 from endkit.cli import main
 from endkit.ends import Cardinality
-from endkit.presentation import backward, forward, on_cycles, sccs
+from endkit.presentation import MAX_DIGITS, backward, forward, on_cycles, sccs
 
 from conftest import presentations, successor_maps
 
@@ -76,6 +82,27 @@ def test_natural_numbers_are_ascii_digits(digits):
     # str.isdigit() accepts all three; int() rejects the first
     with pytest.raises(PresentationSyntaxError):
         parse_presentation(f"surface x finite S(g={digits}, b=0, p=1)")
+
+
+def test_syntax_errors_name_line_column_and_text():
+    text = "surface x {\n  a = A(a);\n  b = Q(a)\n}"
+    with pytest.raises(PresentationSyntaxError, match=r"line 3, column 7: unexpected 'Q\(a\)'"):
+        parse_presentation(text)
+    with pytest.raises(PresentationSyntaxError, match="unexpected end of input"):
+        parse_presentation("surface x { a = A(a)  \n")
+    with pytest.raises(PresentationSyntaxError, match=r"line 1, column 23: duplicate rule for 'a'"):
+        parse_presentation("surface x { a = A(a); a = A(a) }")
+    with pytest.raises(PresentationSyntaxError, match=r"line 2, column 1: unexpected 'trailing'"):
+        parse_presentation("surface x { a = A(a) }\ntrailing")
+
+
+def test_naturals_over_the_digit_bound_are_syntax_errors():
+    # int() refuses them on Python 3.11+, and the parser does on every version
+    at_bound = "9" * MAX_DIGITS
+    p = parse_presentation(f"surface x finite S(g={at_bound}, b=0, p=1)")
+    assert p.finite_type.genus == int(at_bound)
+    with pytest.raises(PresentationSyntaxError, match="over 4300"):
+        parse_presentation(f"surface x finite S(g=0, b=0, p=0{at_bound})")
 
 
 def test_dangling_and_unreachable():
@@ -346,3 +373,185 @@ def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
     assert main(["graph-phe", str(path), str(other)]) == 0
     capsys.readouterr()
     assert len(runs) == 2
+
+
+# -- the parser against the token parser it replaced ----------------------
+
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[{}();,=]|\S")
+
+
+class _Cursor:
+    def __init__(self, text: str):
+        self.tokens = _TOKEN.findall(text)
+        self.pos = 0
+
+    def peek(self, ahead: int = 0) -> str | None:
+        i = self.pos + ahead
+        return self.tokens[i] if i < len(self.tokens) else None
+
+    def take(self, expected: str | None = None) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise PresentationSyntaxError("unexpected end of input")
+        if expected is not None and tok != expected:
+            raise PresentationSyntaxError(f"expected {expected!r}, got {tok!r}")
+        self.pos += 1
+        return tok
+
+    def take_ident(self) -> str:
+        tok = self.take()
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+            raise PresentationSyntaxError(f"expected identifier, got {tok!r}")
+        return tok
+
+    def take_nat(self) -> int:
+        tok = self.take()
+        if not re.fullmatch(r"[0-9]+", tok):
+            raise PresentationSyntaxError(f"expected natural number, got {tok!r}")
+        return int(tok)
+
+
+def _reference_parse(text: str) -> SurfacePresentation:
+    """The token-cursor parser that parse_presentation replaced, kept as an
+    oracle for the accepted language."""
+    p = _Cursor(text)
+    p.take("surface")
+    name = p.take_ident()
+    if name == "finite" and p.peek() == "S":
+        return _reference_finite(p, "surface")
+    if p.peek() == "finite":
+        p.take("finite")
+        return _reference_finite(p, name)
+    p.take("{")
+    rules = {}
+    root = None
+    while True:
+        lhs = p.take_ident()
+        p.take("=")
+        if lhs == "root" and p.peek(1) != "(":
+            root = p.take_ident()
+        else:
+            letter = p.take()
+            try:
+                kind = BlockKind(letter)
+            except ValueError:
+                raise PresentationSyntaxError(f"unknown block kind {letter!r}") from None
+            p.take("(")
+            children = [p.take_ident()]
+            if p.peek() == ",":
+                p.take(",")
+                children.append(p.take_ident())
+            p.take(")")
+            if lhs in rules:
+                raise PresentationSyntaxError(f"duplicate rule for {lhs!r}")
+            rules[lhs] = (kind, tuple(children))
+        tok = p.take()
+        if tok == "}":
+            break
+        if tok != ";":
+            raise PresentationSyntaxError(f"expected ';' or '}}', got {tok!r}")
+        if p.peek() == "}":  # tolerate a trailing semicolon
+            p.take("}")
+            break
+    if p.peek() is not None:
+        raise PresentationSyntaxError(f"trailing input at {p.peek()!r}")
+    return SurfacePresentation(name=name, rules=rules, root=root)
+
+
+def _reference_finite(p: _Cursor, name: str) -> SurfacePresentation:
+    p.take("S")
+    p.take("(")
+    values = {}
+    for i, key in enumerate(("g", "b", "p")):
+        if i:
+            p.take(",")
+        p.take(key)
+        p.take("=")
+        values[key] = p.take_nat()
+    p.take(")")
+    if p.peek() is not None:
+        raise PresentationSyntaxError(f"trailing input at {p.peek()!r}")
+    return SurfacePresentation(
+        name=name, finite_type=FiniteType(values["g"], values["b"], values["p"])
+    )
+
+
+def _outcome(parse, text):
+    """(name, rules in order, root, finite type), or the error class."""
+    try:
+        p = parse(text)
+    except EndkitError as exc:
+        return type(exc)
+    return p.name, p.rules and list(p.rules.items()), p.root, p.finite_type
+
+
+# state and surface names that are also keywords or block letters
+_NAMES = ("root", "finite", "surface", "S", "A", "P", "H", "g", "p", "x", "x1", "_y")
+_SEPARATORS = ("", " ", "\t", "\n", " \n\t ")
+_JUNK = ("{", "}", "(", ")", ";", ",", "=", "0", "12", "²", "é", "\x00")
+
+
+@st.composite
+def _drawn_presentations(draw):
+    """Rule systems under keyword-like names, in shuffled rule order (so a
+    root directive appears), or finite triples."""
+    name = draw(st.sampled_from(_NAMES))
+    if draw(st.booleans()):
+        g, b, p = (draw(st.integers(0, 20)) for _ in range(3))
+        return SurfacePresentation(name=name, finite_type=FiniteType(g, b, p + (b + p == 0)))
+    pres = draw(presentations())
+    new = dict(zip(pres.rules, draw(st.permutations(_NAMES))))
+    order = draw(st.permutations(list(pres.rules)))
+    rules = {new[s]: (pres.rules[s][0], tuple(new[c] for c in pres.rules[s][1])) for s in order}
+    return SurfacePresentation(name=name, rules=rules, root=new[pres.root])
+
+
+@st.composite
+def presentation_texts(draw):
+    """pretty_print text with redrawn whitespace between its tokens (none
+    merges neighbours), after at most one token mutation."""
+    tokens = _TOKEN.findall(pretty_print(draw(_drawn_presentations())))
+    i = draw(st.integers(0, len(tokens) - 1))
+    move = draw(st.sampled_from(("keep", "delete", "duplicate", "swap", "replace")))
+    if move == "delete":
+        del tokens[i]
+    elif move == "duplicate":
+        tokens.insert(i, tokens[i])
+    elif move == "swap" and i + 1 < len(tokens):
+        tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+    elif move == "replace":
+        tokens[i] = draw(st.sampled_from(_NAMES + _JUNK))
+    gaps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return gaps[0] + "".join(tok + gap for tok, gap in zip(tokens, gaps[1:]))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(presentation_texts())
+def test_parser_matches_the_token_parser(text):
+    assert _outcome(parse_presentation, text) == _outcome(_reference_parse, text)
+
+
+def _bench_inputs():
+    """bench/inputs.py, the generator of the classify-corpus pairs."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _NoTrace:
+    def span(self, name):
+        return contextlib.nullcontext()
+
+
+def test_parser_matches_the_token_parser_on_the_corpus():
+    inputs = _bench_inputs()
+    kinds, sizes = inputs.PAIR_KINDS, inputs.SIZES
+    rng = random.Random(1)
+    for i in range(1024):  # one lap of the classify-corpus workload
+        kind, size = kinds[i % len(kinds)], sizes[(i // len(kinds)) % len(sizes)]
+        for text in inputs.classify_pair(rng, kind, size, _NoTrace())[:2]:
+            expected = _outcome(_reference_parse, text)
+            assert isinstance(expected, tuple)
+            assert _outcome(parse_presentation, text) == expected
