@@ -13,31 +13,11 @@ import argparse
 import json
 import re
 import sys
-from pathlib import Path
 
-from .classify import ClassVerdict, distinct_family, kerekjarto, realize
-from .decompose import (
-    decompose,
-    decomposition_to_dot,
-    find_essential_pants,
-    graph_phe_equal,
-    interchange_normalize,
-    spine,
-    spine_to_dot,
-)
-from .degree import descriptor_from_json, descriptor_to_json, infer_degree
-from .ends import DEFAULT_RANK_CUTOFF, Verdict, cb_report, cb_report_to_json, ends_count_to_json, ends_automaton, parse_end_expr
 from .errors import ClassifyError, DecomposeError, EndkitError, PresentationError, PresentationSyntaxError
-from .presentation import (
-    INFINITE,
-    MAX_DIGITS,
-    SurfacePresentation,
-    genus,
-    is_finite_type,
-    parse_presentation,
-    pretty_print,
-)
-from .rewrite import curve_config_from_json, curve_config_to_json, run_pipeline
+
+# Each command imports the submodules it runs, so that a child process
+# loads only those (see README, "Library layout").
 
 FAMILY_CAP = 64
 DEPTH_CAP = 1_000_000  # a window costs memory linear in its depth
@@ -49,7 +29,10 @@ def _emit(obj) -> None:
 
 
 def _load_surf(path: str) -> SurfacePresentation:
-    pres = parse_presentation(Path(path).read_text())
+    from .presentation import parse_presentation
+
+    with open(path) as fh:
+        pres = parse_presentation(fh.read())
     ft = pres.finite_type
     if ft is not None and ft.genus + ft.boundary + ft.punctures > GENUS_CAP:
         raise PresentationError(  # the sum may be too long for str()
@@ -64,11 +47,9 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _genus_json(g) -> int | str:
-    return "infinite" if g == INFINITE else int(g)
-
-
 def _parse_genus(text: str):
+    from .presentation import INFINITE
+
     if text.lower() in ("inf", "infinite", "infinity"):
         return INFINITE
     if not re.fullmatch(r"[0-9]+", text):
@@ -80,20 +61,29 @@ def _parse_genus(text: str):
 
 
 def _cmd_classify(args) -> int:
+    from .classify import ClassVerdict, kerekjarto
+
     verdict = kerekjarto(_load_surf(args.a), _load_surf(args.b))
     _emit(verdict.to_json())
     return 2 if verdict.verdict is ClassVerdict.UNKNOWN else 0
 
 
 def _cmd_invariants(args) -> int:
+    from .ends import (
+        DEFAULT_RANK_CUTOFF, cb_report, cb_report_to_json, ends_automaton, ends_count_to_json,
+    )
+    from .presentation import INFINITE, genus, is_finite_type
+
     p = _load_surf(args.presentation)
     auto = ends_automaton(p)
+    cutoff = DEFAULT_RANK_CUTOFF if args.rank_cutoff is None else args.rank_cutoff
     # a truncated report keeps the exact cardinality
-    cb = cb_report(auto, rank_cutoff=args.rank_cutoff)
-    cb_nonplanar = cb_report(auto, marked="nonplanar_only", rank_cutoff=args.rank_cutoff)
+    cb = cb_report(auto, rank_cutoff=cutoff)
+    cb_nonplanar = cb_report(auto, marked="nonplanar_only", rank_cutoff=cutoff)
+    g = genus(auto)
     _emit(
         {
-            "genus": _genus_json(genus(auto)),
+            "genus": "infinite" if g == INFINITE else int(g),
             "finite_type": is_finite_type(auto),
             "ends": ends_count_to_json(cb.cardinality),
             "ends_nonplanar": ends_count_to_json(cb_nonplanar.cardinality),
@@ -105,6 +95,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .decompose import decompose, decomposition_to_dot
+
     if args.depth > DEPTH_CAP:
         raise DecomposeError(f"depth capped at {DEPTH_CAP}, got {args.depth}")
     g = decompose(_load_surf(args.presentation), mode=args.mode, depth=args.depth)
@@ -120,6 +112,8 @@ def _cmd_decompose(args) -> int:
 def _front_entry(token: str) -> str | tuple[int, ...]:
     """An index path when the token is comma-joined digits, else a state
     name (interchange_normalize resolves it, or raises DecomposeError)."""
+    from .presentation import MAX_DIGITS
+
     if re.fullmatch(r"[0-9]+(,[0-9]+)*", token):
         parts = token.split(",")
         if max(map(len, parts)) > MAX_DIGITS:  # too long for int()
@@ -129,6 +123,9 @@ def _front_entry(token: str) -> str | tuple[int, ...]:
 
 
 def _cmd_normalize(args) -> int:
+    from .decompose import interchange_normalize
+    from .presentation import pretty_print
+
     p = _load_surf(args.presentation)
     front = [_front_entry(token) for token in args.front]
     result = interchange_normalize(p, front)
@@ -140,6 +137,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_spine(args) -> int:
+    from .decompose import spine, spine_to_dot
+    from .presentation import INFINITE
+
     s = spine(_load_surf(args.presentation))
     if args.dot:
         print(spine_to_dot(s))
@@ -154,17 +154,24 @@ def _cmd_spine(args) -> int:
 
 
 def _cmd_graph_phe(args) -> int:
+    from .decompose import graph_phe_equal, spine
+    from .ends import Verdict
+
     verdict = graph_phe_equal(spine(_load_surf(args.a)), spine(_load_surf(args.b)))
     _emit({"verdict": verdict.value})
     return 2 if verdict is Verdict.UNKNOWN else 0
 
 
 def _cmd_essential_pants(args) -> int:
+    from .decompose import find_essential_pants
+
     _emit(find_essential_pants(_load_surf(args.presentation)).to_json())
     return 0
 
 
 def _cmd_rewrite(args) -> int:
+    from .rewrite import curve_config_from_json, curve_config_to_json, run_pipeline
+
     config = curve_config_from_json(_load_json(args.config))
     schedule = args.schedule.split(",") if args.schedule else None
     final, trace = run_pipeline(config, schedule)
@@ -179,12 +186,18 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_degree_check(args) -> int:
+    from .degree import descriptor_from_json, descriptor_to_json, infer_degree
+
     closed = infer_degree(descriptor_from_json(_load_json(args.descriptor)))
     _emit(descriptor_to_json(closed))
     return 0
 
 
 def _cmd_realize(args) -> int:
+    from .classify import realize
+    from .ends import parse_end_expr
+    from .presentation import pretty_print
+
     p = realize(_parse_genus(args.genus), parse_end_expr(args.expr))
     if args.json:
         _emit({"presentation": pretty_print(p)})
@@ -194,6 +207,9 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .classify import distinct_family
+    from .presentation import pretty_print
+
     if args.n > FAMILY_CAP:
         raise ClassifyError(f"family size capped at {FAMILY_CAP}, got {args.n}")
     members = distinct_family(args.n)
@@ -226,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="genus, ends count and derivative analysis")
     p.add_argument("presentation")
-    p.add_argument("--rank-cutoff", type=int, default=DEFAULT_RANK_CUTOFF)
+    p.add_argument("--rank-cutoff", type=int)  # None: ends.DEFAULT_RANK_CUTOFF
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("decompose", help="cut a window into pants and punctured disks")

@@ -44,7 +44,6 @@ from .presentation import (
     _occurrences,
     _pants,
 )
-from .ends import Verdict, _pair_verdict
 
 Path = tuple[int, ...]
 
@@ -383,9 +382,11 @@ def spine_to_dot(g: SpineGraph) -> str:
     return "\n".join(lines)
 
 
-def graph_phe_equal(g1: SpineGraph, g2: SpineGraph) -> Verdict:
+def graph_phe_equal(g1: SpineGraph, g2: SpineGraph) -> "Verdict":
     """Proper-homotopy comparison: equal rank plus a homeomorphism of ends
     spaces carrying core ends to core ends."""
+    from .ends import Verdict, _pair_verdict  # only this comparison needs the ends layer
+
     if g1.rank != g2.rank:
         return Verdict.NO
     verdict, _ = _pair_verdict(g1.automaton, g1.core_states, g2.automaton, g2.core_states)

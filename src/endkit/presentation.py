@@ -39,6 +39,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 from .errors import (
     DanglingRuleError,
     NotFiniteTypeError,
+    PresentationError,
     PresentationSyntaxError,
     UnreachableRuleError,
 )
@@ -93,8 +94,9 @@ class SurfacePresentation:
             self.root = next(iter(self.rules))
         if self.root not in self.rules:
             raise DanglingRuleError(f"{self.name}: root {self.root!r} is not a rule")
+        succ = {}
         for lhs, (kind, children) in self.rules.items():
-            if len(children) != kind.arity:
+            if len(children) != _ARITY[kind]:
                 raise PresentationSyntaxError(
                     f"{self.name}: {lhs} = {kind.value}(...) takes "
                     f"{kind.arity} child(ren), got {len(children)}"
@@ -104,10 +106,11 @@ class SurfacePresentation:
                     raise DanglingRuleError(
                         f"{self.name}: rule {lhs!r} references undefined {child!r}"
                     )
-        unreachable = set(self.rules) - self.reachable()
-        if unreachable:
+            succ[lhs] = children
+        reached = forward(succ, [self.root])
+        if len(reached) < len(succ):
             raise UnreachableRuleError(
-                f"{self.name}: unreachable rule(s) {sorted(unreachable)}"
+                f"{self.name}: unreachable rule(s) {sorted(set(succ).difference(reached))}"
             )
 
     def _validate_finite(self) -> None:
@@ -133,11 +136,6 @@ class SurfacePresentation:
     def states(self) -> list[str]:
         assert self.rules is not None
         return sorted(self.rules)
-
-    def reachable(self) -> set[str]:
-        assert self.rules is not None and self.root is not None
-        succ = {s: children for s, (_, children) in self.rules.items()}
-        return set(forward(succ, [self.root]))
 
     def unfold(self, max_nodes: int) -> Iterator[tuple[tuple[int, ...], str]]:
         """Breadth-first occurrences of the unfolding tree, as (path, state)."""
@@ -181,6 +179,8 @@ _RULE = re.compile(
     re.VERBOSE,
 )
 _KINDS = {kind.value: kind for kind in BlockKind}
+_ARITY = {kind: kind.arity for kind in BlockKind}  # a lookup, not a property call per rule
+_NAME = re.compile(_ID)
 # int() and str() refuse longer digit strings on Python 3.11 and later; the
 # parser refuses them itself, so that every interpreter reads the same language
 MAX_DIGITS = 4300
@@ -233,7 +233,11 @@ def parse_presentation(text: str) -> SurfacePresentation:
 
 
 def pretty_print(pres: SurfacePresentation) -> str:
-    """Inverse of parse_presentation up to whitespace."""
+    """Inverse of parse_presentation up to whitespace; a surface or state
+    name that is not an identifier raises PresentationError."""
+    bad = next((n for n in (pres.name, *(pres.rules or ())) if not _NAME.fullmatch(n)), None)
+    if bad is not None:
+        raise PresentationError(f"cannot print {bad!r}: a name must match [A-Za-z_][A-Za-z0-9_]*")
     if pres.finite_type is not None:
         ft = pres.finite_type
         return f"surface {pres.name} finite S(g={ft.genus}, b={ft.boundary}, p={ft.punctures})"

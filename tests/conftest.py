@@ -1,7 +1,12 @@
 """Shared strategies: random presentations, successor maps, expressions and
-curve configs."""
+curve configs; and a runner for fresh interpreters."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -26,6 +31,16 @@ from endkit import (
 from endkit.ends import _has_nonplanar
 
 _NAMES = tuple(f"s{i}" for i in range(8))
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports endkit from src/."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=_SRC + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+    )
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from endkit import curve_config_to_json, format_end_expr, parse_presentation, pretty_print
 from endkit.cli import main
 
-from conftest import curve_configs, end_exprs, presentations
+from conftest import curve_configs, end_exprs, presentations, run_python
 
 LOCH = "surface loch_ness { root = H(root) }"
 FLUTE = "surface flute { root = P(root, punc); punc = A(punc) }"
@@ -446,6 +446,68 @@ def test_help_is_one_json_document(argv, capsys):
     code, out = run_any(capsys, argv)
     assert code == 0
     assert one_json_document(out)["help"].startswith("usage: endkit")
+
+
+# -- each command in a fresh process ------------------------------------------
+#
+# Each command imports the submodules it runs, so a missing import shows only
+# in that command's own process; the child also lists what it loaded.
+
+_CHILD = (
+    "import atexit, runpy, sys\n"
+    "out = sys.argv.pop(1)\n"
+    "def dump():\n"
+    "    with open(out, 'w') as fh:\n"
+    "        fh.write(' '.join(m for m in sys.modules if m.startswith('endkit.')))\n"
+    "atexit.register(dump)\n"
+    "runpy.run_module('endkit.cli', run_name='__main__', alter_sys=True)\n"
+)
+_ONLY_ERRORS = {"classify", "decompose", "degree", "ends", "presentation", "rewrite"}
+_NO_WINDOWS = {"rewrite", "degree", "decompose"}
+_NO_ENDS = {"ends", "classify", "rewrite"}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        pytest.param(["degree-check", "desc.json"], {"presentation", "ends"}, id="degree-check"),
+        pytest.param(["degree", "check", "desc.json"], {"presentation", "ends"}, id="degree-check2"),
+        pytest.param(["rewrite", "config.json"], {"ends"}, id="rewrite"),
+        pytest.param(["classify", "flute.surf", "s.surf"], _NO_WINDOWS, id="classify"),
+        pytest.param(["realize", "2", "Union(Pt(planar), Pt(planar))", "--json"], _NO_WINDOWS,
+                     id="realize"),
+        pytest.param(["invariants", "flute.surf"], _NO_WINDOWS, id="invariants"),
+        pytest.param(["family", "3"], _NO_WINDOWS, id="family"),
+        pytest.param(["decompose", "s.surf", "--mode", "strict"], _NO_ENDS, id="decompose"),
+        pytest.param(["normalize", "mid.surf", "mid", "--json"], _NO_ENDS, id="normalize"),
+        pytest.param(["spine", "flute.surf"], _NO_ENDS, id="spine"),
+        pytest.param(["essential-pants", "cantor.surf"], _NO_ENDS, id="essential-pants"),
+        pytest.param(["graph-phe", "cantor.surf", "cantor.surf"], {"classify", "rewrite", "degree"},
+                     id="graph-phe"),
+        pytest.param(["classify", "flute.surf"], _ONLY_ERRORS, id="usage-error"),
+        pytest.param(["--help"], _ONLY_ERRORS, id="help"),
+    ],
+)
+def test_each_command_in_a_fresh_process(argv, unloaded, tmp_path, monkeypatch, capsys):
+    (tmp_path / "flute.surf").write_text(FLUTE + "\n")
+    (tmp_path / "cantor.surf").write_text(CANTOR + "\n")
+    (tmp_path / "s.surf").write_text("surface s finite S(g=3, b=0, p=1)\n")
+    (tmp_path / "mid.surf").write_text("surface s { root = A(mid); mid = P(x, y); x = H(x); y = A(y) }")
+    (tmp_path / "desc.json").write_text(json.dumps({"proper": True, "boundary_embedding": [3, 3]}))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "target_circles": ["c0"],
+        "components": [{"id": 0, "target": "c0", "kind": "Trivial"},
+                       {"id": 1, "target": "c0", "kind": "Primitive", "label": "Homeo"}],
+        "nesting": {"0": None},
+        "pi1_bijective": True,
+        "global_degree": "plus-minus-one",
+    }))
+    loaded = tmp_path / "loaded.txt"
+    child = run_python("-c", _CHILD, str(loaded), *argv, cwd=tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert (child.returncode, child.stdout) == run_any(capsys, argv)
+    modules = {m.removeprefix("endkit.") for m in loaded.read_text().split()}
+    assert modules and not modules & unloaded, modules
 
 
 # -- the CLI contract under fuzzed input -------------------------------------

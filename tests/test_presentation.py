@@ -18,6 +18,7 @@ from endkit import (
     DanglingRuleError,
     EndkitError,
     FiniteType,
+    PresentationError,
     PresentationSyntaxError,
     SurfacePresentation,
     UnreachableRuleError,
@@ -555,3 +556,99 @@ def test_parser_matches_the_token_parser_on_the_corpus():
             expected = _outcome(_reference_parse, text)
             assert isinstance(expected, tuple)
             assert _outcome(parse_presentation, text) == expected
+
+
+# -- rule validation and printing -------------------------------------------
+
+def _reference_validate(name, rules, root):
+    """SurfacePresentation._validate_rules as two passes, the rules then a
+    reachability walk over a second successor map: the oracle for its errors,
+    their messages and their order.  Returns the root it settles on."""
+    if not rules:
+        raise PresentationSyntaxError(f"{name}: empty rule system")
+    if root is None:
+        root = next(iter(rules))
+    if root not in rules:
+        raise DanglingRuleError(f"{name}: root {root!r} is not a rule")
+    for lhs, (kind, children) in rules.items():
+        if len(children) != kind.arity:
+            raise PresentationSyntaxError(
+                f"{name}: {lhs} = {kind.value}(...) takes {kind.arity} child(ren), got {len(children)}"
+            )
+        for child in children:
+            if child not in rules:
+                raise DanglingRuleError(f"{name}: rule {lhs!r} references undefined {child!r}")
+    unreachable = set(rules) - set(forward({s: c for s, (_, c) in rules.items()}, [root]))
+    if unreachable:
+        raise UnreachableRuleError(f"{name}: unreachable rule(s) {sorted(unreachable)}")
+    return root
+
+
+@st.composite
+def _rule_systems(draw):
+    """Rules over four states, mostly of the right arity, whose children and
+    root may be undefined; the root may be left to default."""
+    states = ("a", "b", "c", "d")
+    defined = draw(st.lists(st.sampled_from(states), unique=True, max_size=4))
+    rules = {}
+    for lhs in defined:
+        kind = draw(st.sampled_from(list(BlockKind)))
+        n = draw(st.sampled_from((kind.arity,) * 4 + (0, 1, 2, 3)))
+        rules[lhs] = (kind, tuple(draw(st.sampled_from([*defined, "ghost"])) for _ in range(n)))
+    return rules, draw(st.none() | st.sampled_from([*defined, "ghost"]))
+
+
+@settings(max_examples=1000)
+@given(_rule_systems())
+def test_validation_matches_the_two_pass_routine(system):
+    rules, root = system
+
+    def outcome(validate):
+        try:
+            return validate()
+        except EndkitError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(lambda: SurfacePresentation("x", dict(rules), root).root) == outcome(
+        lambda: _reference_validate("x", rules, root)
+    )
+
+
+def test_pretty_print_refuses_a_name_it_cannot_write():
+    pres = SurfacePresentation(name="my surface", rules={"a b": (BlockKind.ANNULUS, ("a b",))})
+    with pytest.raises(PresentationError, match="'my surface'"):
+        pretty_print(pres)
+    pres = SurfacePresentation(name="ok", rules={"a b": (BlockKind.ANNULUS, ("a b",))})
+    with pytest.raises(PresentationError, match="'a b'"):
+        pretty_print(pres)
+
+
+_ANY_NAME = st.sampled_from(_NAMES) | st.text(max_size=4)
+
+
+@st.composite
+def _any_named(draw):
+    """_drawn_presentations renamed with arbitrary strings, identifiers or not."""
+    pres = draw(_drawn_presentations())
+    name = draw(_ANY_NAME)
+    if pres.finite_type is not None:
+        return SurfacePresentation(name=name, finite_type=pres.finite_type)
+    k = len(pres.rules)
+    new = dict(zip(pres.rules, draw(st.lists(_ANY_NAME, unique=True, min_size=k, max_size=k))))
+    rules = {new[s]: (kind, tuple(new[c] for c in children)) for s, (kind, children) in pres.rules.items()}
+    return SurfacePresentation(name=name, rules=rules, root=new[pres.root])
+
+
+@settings(max_examples=500)
+@given(_any_named())
+def test_printed_text_parses_back(pres):
+    names = [pres.name, *(pres.rules or ())]
+    try:
+        text = pretty_print(pres)
+    except PresentationError as exc:
+        first = next(n for n in names if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", n))
+        assert repr(first) in str(exc)
+        return
+    again = parse_presentation(text)
+    assert again == pres
+    assert again.rules is None or list(again.rules.items()) == list(pres.rules.items())
