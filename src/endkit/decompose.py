@@ -141,20 +141,23 @@ def decompose(
     pieces: list[Piece] = []
     edges: list[Edge] = []
     queue: deque[tuple[int, int, str]] = deque()
+    exits: dict[str, str | None] = {}  # the run exit of each annulus state walked
 
     def new_piece(kind: PieceKind) -> int:
         pieces.append(Piece(len(pieces), kind))
         return len(pieces) - 1
 
     def skip_annuli(state: str) -> str | None:
-        # None means the run closes a pure-annulus lasso
-        seen = set()
-        while pres.kind(state) is BlockKind.ANNULUS:
-            if state in seen:
-                return None
-            seen.add(state)
+        # None means the run closes a pure-annulus lasso; each run is walked once
+        run = []
+        while pres.kind(state) is BlockKind.ANNULUS and state not in exits:
+            exits[state] = None  # until the exit is found, so a lasso meets None
+            run.append(state)
             state = pres.children(state)[0]
-        return state
+        end = exits.get(state, state)
+        for s in run:
+            exits[s] = end
+        return end
 
     def handle(then: str) -> int:
         # a Handle visit: two pants glued along two circles, the walk going on at ``then``
@@ -253,10 +256,10 @@ def _rebuild(
     for occ in front:
         path = _first_path_of(pres, occ, after) if isinstance(occ, str) else tuple(occ)
         node = 0
-        for i in path:
+        for step, i in enumerate(path):
             children = pres.children(states[node])
             if not 0 <= i < len(children):
-                raise DecomposeError(f"invalid unfolding path {path!r} at step {i}")
+                raise DecomposeError(f"invalid unfolding path {path!r}: index {i} at step {step}")
             if i not in below[node]:
                 below[node][i] = len(states)
                 states.append(children[i])

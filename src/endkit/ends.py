@@ -39,6 +39,7 @@ from .presentation import (
     EndsAutomaton,
     SurfacePresentation,
     _pants,
+    _syntax_error,
     backward,
     ends_automaton,
     forward,
@@ -482,66 +483,54 @@ def format_end_expr(e: EndExpr) -> str:
     return _fold(e, text)
 
 
-class _Parser:
-    """Token cursor over an end expression, the one parser in endkit that
-    reads tokens (presentations are read by compiled patterns); its errors
-    are InvalidEndExprError."""
+# Three compiled patterns are stepped along the text, the open Seq and Union
+# nodes on a stack: a part (a whole leaf, or a Seq or Union head), a Seq's tail
+# after its element, and what follows a Union's part.  Each matches the longest
+# prefix of its piece that fits, so a broken piece ends at the offending
+# character; a whole piece ends with an "open", "close" or "more" group.
 
-    def __init__(self, text: str):
-        self.tokens = re.findall(r"[A-Za-z]+|[(),]|\S", text)
-        self.pos = 0
+_KW = r"(?![A-Za-z])"  # keywords end where no ASCII letter follows; whitespace is \s
+_MARK = rf"(?:\s*(?P<mark>planar|nonplanar){_KW}(?:\s*(?P<close>\)))?)?"
+_PART = re.compile(rf"\s*(?:(?P<head>Seq|Union){_KW}\s*(?P<open>\()?|(?P<leaf>Pt|Cantor){_KW}(?:\s*\({_MARK})?)?")
+_SEQ_TAIL = re.compile(rf"\s*(?:,{_MARK})?")
+_UNION_NEXT = re.compile(r"\s*(?:(?P<more>,)|(?P<close>\)))?")
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise InvalidEndExprError("unexpected end of input")
-        if expected is not None and tok != expected:
-            raise InvalidEndExprError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
+def _piece(pattern: re.Pattern, text: str, pos: int) -> re.Match:
+    m = pattern.match(text, pos)
+    assert m is not None  # every part of each pattern is optional
+    if m.lastgroup not in ("open", "close", "more"):
+        raise _syntax_error(text, m.end(), error=InvalidEndExprError)
+    return m
 
 
 def parse_end_expr(text: str) -> EndExpr:
-    """Inverse of format_end_expr."""
-    p = _Parser(text)
-
-    def mark() -> bool:
-        tok = p.take()
-        if tok not in ("planar", "nonplanar"):
-            raise InvalidEndExprError(f"expected planar/nonplanar, got {tok!r}")
-        return tok == "nonplanar"
-
-    pending: list[tuple[str, list[EndExpr]]] = []  # open Seq and Union nodes
+    """Inverse of format_end_expr; syntax errors name a line and column."""
+    pending: list[tuple[bool, list[EndExpr]]] = []  # open nodes: (a Seq?, parts so far)
+    pos = 0
     while True:
-        head = p.take()
-        p.take("(")
-        if head in ("Seq", "Union"):
-            pending.append((head, []))
+        m = _piece(_PART, text, pos)
+        pos = m.end()
+        if m["head"]:
+            pending.append((m["head"] == "Seq", []))
             continue
-        if head not in ("Pt", "Cantor"):
-            raise InvalidEndExprError(f"unknown constructor {head!r}")
-        expr: EndExpr = Pt(mark()) if head == "Pt" else Cantor(mark())
-        p.take(")")
+        expr: EndExpr = (Pt if m["leaf"] == "Pt" else Cantor)(m["mark"] == "nonplanar")
         while pending:  # close every node that this part completes
-            head, parts = pending[-1]
+            is_seq, parts = pending[-1]
             parts.append(expr)
-            if head == "Union" and p.peek() == ",":
-                p.take(",")
+            m = _piece(_SEQ_TAIL if is_seq else _UNION_NEXT, text, pos)
+            pos = m.end()
+            if is_seq:
+                expr = Seq(parts[0], m["mark"] == "nonplanar")
+            elif m["more"]:
                 break
-            if head == "Seq":
-                p.take(",")
-                expr = Seq(parts[0], mark())
             else:
                 expr = Union(tuple(parts))
-            p.take(")")
             pending.pop()
         else:
             break
-    if p.peek() is not None:
-        raise InvalidEndExprError(f"trailing input at {p.peek()!r}")
+    if text[pos:].strip():
+        raise _syntax_error(text, pos, error=InvalidEndExprError)
     return expr
 
 

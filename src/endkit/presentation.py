@@ -38,6 +38,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DanglingRuleError,
+    EndkitError,
     NotFiniteTypeError,
     PresentationError,
     PresentationSyntaxError,
@@ -186,14 +187,16 @@ _NAME = re.compile(_ID)
 MAX_DIGITS = 4300
 
 
-def _syntax_error(text: str, pos: int, problem: str | None = None) -> PresentationSyntaxError:
-    """The error at ``pos`` (whitespace skipped), naming its line, column and text."""
+def _syntax_error(
+    text: str, pos: int, problem: str | None = None, error: type[EndkitError] = PresentationSyntaxError
+) -> EndkitError:
+    """The ``error`` at ``pos`` (whitespace skipped), naming its line, column and text."""
     pos = len(text) - len(text[pos:].lstrip())
     if pos == len(text):
-        return PresentationSyntaxError("unexpected end of input")
+        return error("unexpected end of input")
     near = text[pos:].partition("\n")[0][:40]
     line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-    return PresentationSyntaxError(f"line {line}, column {column}: {problem or f'unexpected {near!r}'}")
+    return error(f"line {line}, column {column}: {problem or f'unexpected {near!r}'}")
 
 
 def parse_presentation(text: str) -> SurfacePresentation:

@@ -175,14 +175,14 @@ class CurveConfig:
                     )
             if child == parent:
                 raise InvalidCurveConfigError(f"component {child} nested in itself")
+        walk_of: dict[int, int] = {}  # component -> start of the first walk that met it
         for start in parent_of:
-            seen = {start}
-            node = parent_of.get(start)
-            while node is not None:
-                if node in seen:
-                    raise InvalidCurveConfigError("nesting contains a cycle")
-                seen.add(node)
+            node: int | None = start
+            while node is not None and node not in walk_of:
+                walk_of[node] = start
                 node = parent_of.get(node)
+            if node is not None and walk_of[node] == start:  # the walk met itself
+                raise InvalidCurveConfigError("nesting contains a cycle")
         object.__setattr__(self, "nesting", tuple(pairs))
 
         raw_orders = self.parallel_orders

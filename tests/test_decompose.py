@@ -220,6 +220,29 @@ def test_window_is_a_prefix_of_the_deeper_window():
         assert set(small.edges) <= set(big.edges)
 
 
+def _annulus_run(k: int, head: str, back: str) -> SurfacePresentation:
+    """``r = head`` over a run of k annuli a0 -> ... -> a(k-1) -> ``back``."""
+    rules = {"r": (BlockKind.PANTS, tuple(head.split()))}
+    rules.update({f"a{i}": (BlockKind.ANNULUS, (f"a{i + 1}",)) for i in range(k - 1)})
+    rules[f"a{k - 1}"] = (BlockKind.ANNULUS, (back,))
+    return SurfacePresentation(name="run", rules=rules, root="r")
+
+
+def test_long_annulus_runs_are_walked_once():
+    # annuli are skipped, so the windows are those of the runs cut out
+    cases = [
+        (_annulus_run(2000, "a0 a0", "r"), CANTOR, 4000),
+        (_annulus_run(2000, "r a0", "a0"), FLUTE, 4000),  # the run closes a lasso
+        (_annulus_run(10_000, "a0 a0", "r"), CANTOR, 20_000),
+    ]
+    for pres, cut, depth in cases:
+        for mode in ("strict", "lenient"):
+            start = time.perf_counter()
+            window = decompose(pres, mode, depth)
+            assert time.perf_counter() - start < 2.0
+            assert window == decompose(cut, mode, depth)
+
+
 @settings(max_examples=60, deadline=None)
 @given(finite_type_pairs())
 def test_census_matches_euler_characteristic(gp):
@@ -355,7 +378,7 @@ def test_interchange_front_order_and_errors():
         "  f1 = P(root, f2);", "  f2 = P(root, u0);",
     ]
     # every entry is checked before duplicates are
-    with pytest.raises(DecomposeError, match=r"invalid unfolding path \(0, 5\) at step 5"):
+    with pytest.raises(DecomposeError, match=r"invalid unfolding path \(0, 5\): index 5 at step 1"):
         interchange_normalize(FLUTE, [(0,), (0,), (0, 5)])
     with pytest.raises(DecomposeError, match="duplicate occurrence"):
         interchange_normalize(FLUTE, [(0,), (0,)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections.abc import Iterable
 from typing import AbstractSet
 
@@ -15,6 +16,7 @@ from endkit import (
     Cantor,
     CBReport,
     Cardinality,
+    EndkitError,
     EndsCount,
     InvalidEndExprError,
     NotConvertibleError,
@@ -601,6 +603,142 @@ def test_parse_end_expr_rejects_stray_characters(text):
 @given(end_exprs())
 def test_format_parse_roundtrip(e):
     assert parse_end_expr(format_end_expr(e)) == e
+
+
+_TOKEN = re.compile(r"[A-Za-z]+|[(),]|\S")
+
+
+class _Cursor:
+    """Token cursor over an end expression."""
+
+    def __init__(self, text: str):
+        self.tokens = _TOKEN.findall(text)
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expected: str | None = None) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise InvalidEndExprError("unexpected end of input")
+        if expected is not None and tok != expected:
+            raise InvalidEndExprError(f"expected {expected!r}, got {tok!r}")
+        self.pos += 1
+        return tok
+
+
+def _reference_parse_end_expr(text: str) -> EndExpr:
+    """The token-cursor parser that parse_end_expr replaced, kept as an
+    oracle for the accepted language."""
+    p = _Cursor(text)
+
+    def mark() -> bool:
+        tok = p.take()
+        if tok not in ("planar", "nonplanar"):
+            raise InvalidEndExprError(f"expected planar/nonplanar, got {tok!r}")
+        return tok == "nonplanar"
+
+    pending: list[tuple[str, list[EndExpr]]] = []  # open Seq and Union nodes
+    while True:
+        head = p.take()
+        p.take("(")
+        if head in ("Seq", "Union"):
+            pending.append((head, []))
+            continue
+        if head not in ("Pt", "Cantor"):
+            raise InvalidEndExprError(f"unknown constructor {head!r}")
+        expr: EndExpr = Pt(mark()) if head == "Pt" else Cantor(mark())
+        p.take(")")
+        while pending:  # close every node that this part completes
+            head, parts = pending[-1]
+            parts.append(expr)
+            if head == "Union" and p.peek() == ",":
+                p.take(",")
+                break
+            if head == "Seq":
+                p.take(",")
+                expr = Seq(parts[0], mark())
+            else:
+                expr = Union(tuple(parts))
+            p.take(")")
+            pending.pop()
+        else:
+            break
+    if p.peek() is not None:
+        raise InvalidEndExprError(f"trailing input at {p.peek()!r}")
+    return expr
+
+
+def _outcome(parse, text):
+    """The formatted expression, or the error class."""
+    try:
+        return format_end_expr(parse(text))
+    except EndkitError as exc:
+        return type(exc)
+
+
+_WORDS = ("Pt", "Cantor", "Seq", "Union", "planar", "nonplanar", "Pts", "S", "x")
+_SEPARATORS = ("", " ", "\t", "\n", " \n\t ", "\u00a0")
+_JUNK = ("(", ")", ",", "0", ";", "\u00e9", "\x00")
+
+
+@st.composite
+def end_expr_texts(draw):
+    """format_end_expr text with whitespace redrawn between its tokens (an
+    empty gap may merge two words), after at most one token mutation."""
+    tokens = _TOKEN.findall(format_end_expr(draw(end_exprs())))
+    i = draw(st.integers(0, len(tokens) - 1))
+    move = draw(st.sampled_from(("keep", "delete", "duplicate", "swap", "replace")))
+    if move == "delete":
+        del tokens[i]
+    elif move == "duplicate":
+        tokens.insert(i, tokens[i])
+    elif move == "swap" and i + 1 < len(tokens):
+        tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+    elif move == "replace":
+        tokens[i] = draw(st.sampled_from(_WORDS + _JUNK))
+    gaps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return gaps[0] + "".join(tok + gap for tok, gap in zip(tokens, gaps[1:]))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(end_expr_texts())
+@example("Union(Pt(planar))")
+@example("Union()")
+@example(",")
+@example("Union(Pt(planar),\n)")
+@example("Seq(Pt(planar),)")
+@example("Pt (\u2003nonplanar\t)")
+def test_parser_matches_the_token_parser(text):
+    assert _outcome(parse_end_expr, text) == _outcome(_reference_parse_end_expr, text)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("Union()", r"line 1, column 7: unexpected '\)'"),
+        (",", r"line 1, column 1: unexpected ','"),
+        ("Union(Pt(planar),)", r"line 1, column 18: unexpected '\)'"),
+        ("Seq(Pt(planar),\n  flat)", r"line 2, column 3: unexpected 'flat\)'"),
+        ("Pt(planar) Pt(planar)", r"line 1, column 12: unexpected 'Pt\(planar\)'"),
+        ("Seq(Ptx(planar), planar)", r"line 1, column 5: unexpected 'Ptx\(planar\), planar\)'"),
+        ("Seq(Pt(planar), planar", "unexpected end of input"),
+    ],
+)
+def test_parse_errors_name_the_offending_character(text, error):
+    with pytest.raises(InvalidEndExprError, match=error):
+        parse_end_expr(text)
+
+
+def test_parse_a_very_deep_seq_text():
+    levels = 10**5
+    text = "Seq(" * levels + "Pt(nonplanar)" + ", nonplanar)" * levels
+    node = parse_end_expr(text)
+    for _ in range(levels):  # walked down: dataclass == recurses
+        assert isinstance(node, Seq) and node.limit_nonplanar
+        node = node.element
+    assert node == Pt(True)
 
 
 def _nested_key(e):

@@ -6,6 +6,7 @@ import cmath
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,43 @@ def test_construction_rejects_malformed_data():
         Other(1)
     with pytest.raises(InvalidCurveConfigError):
         Component(0, "c0", ComponentKind.TRIVIAL, HOMEO)
+
+
+def test_deep_nesting_validates_in_linear_time():
+    n = 50_000
+    trivial = tuple(_trivial(i) for i in range(n))
+    chain = {i: i - 1 for i in range(1, n)}
+    start = time.perf_counter()
+    config = CurveConfig(target_circles=("c0",), components=trivial, nesting=chain)
+    assert time.perf_counter() - start < 2.0
+    assert len(config.nesting) == n - 1
+    with pytest.raises(InvalidCurveConfigError, match="nesting contains a cycle"):
+        CurveConfig(target_circles=("c0",), components=trivial, nesting={**chain, 0: n - 1})
+
+
+def _has_cycle(parent_of: dict[int, int]) -> bool:
+    """The quadratic reference: walk the whole chain from every start."""
+    for start in parent_of:
+        seen, node = {start}, parent_of.get(start)
+        while node is not None:
+            if node in seen:
+                return True
+            seen.add(node)
+            node = parent_of.get(node)
+    return False
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.integers(0, 7), st.integers(0, 7), max_size=8))
+def test_nesting_cycle_check_matches_the_whole_chain_walk(parent_of):
+    parent_of = {c: p for c, p in parent_of.items() if c != p}
+    components = tuple(_trivial(i) for i in range(8))
+    try:
+        config = CurveConfig(target_circles=("c0",), components=components, nesting=parent_of)
+    except InvalidCurveConfigError as exc:
+        assert "nesting contains a cycle" in str(exc) and _has_cycle(parent_of)
+    else:
+        assert not _has_cycle(parent_of) and dict(config.nesting) == parent_of
 
 
 @settings(max_examples=150)
