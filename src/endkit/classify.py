@@ -20,7 +20,6 @@ from .presentation import (
     genus,
 )
 from .ends import (
-    FRAGMENT_IDENTICAL,
     FRAGMENT_NORMAL_FORM,
     Cantor,
     EndExpr,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -303,14 +304,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except EndkitError as exc:
-        _emit({"error": {"module": exc.module, "case": exc.case, "message": str(exc)}})
-        return 1
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        _emit({"error": {"module": "cli", "case": type(exc).__name__, "message": str(exc)}})
+        args = _build_parser().parse_args(argv)
+        try:
+            code = args.func(args)
+        except EndkitError as exc:
+            _emit({"error": {"module": exc.module, "case": exc.case, "message": str(exc)}})
+            code = 1
+        # json's decoder recurses once per nesting level: deep JSON is unreadable input
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            _emit({"error": {"module": "cli", "case": type(exc).__name__, "message": str(exc)}})
+            code = 1
+        sys.stdout.flush()  # a closed pipe shows here when the output fit its buffer
+        return code
+    except BrokenPipeError:  # the reader stopped early: drop the rest quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

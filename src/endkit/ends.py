@@ -68,11 +68,6 @@ class EndsCount:
     cardinality: Cardinality
     count: int | None = None  # set exactly when cardinality is FINITE
 
-    def __str__(self) -> str:
-        if self.cardinality is Cardinality.FINITE:
-            return f"finite({self.count})"
-        return self.cardinality.value
-
 
 def ends_count(
     source: SurfacePresentation | EndsAutomaton, marked: str = "all"
@@ -249,41 +244,49 @@ def cb_report(
 # -- the expression algebra ------------------------------------------------
 #
 # Every function below is one per-node step over `_fold` (children first) or
-# `_walk` (preorder), both iterative: the depth of an expression is bounded
-# by memory, never by the recursion limit.  Normal forms are built in a
-# `_Forms` intern table, where equal forms share one integer id: equality,
-# dedupe and absorption compare ids, and `_key` only ranks distinct parts.
-# Dataclass equality and hashing, which recurse, are not used.
+# a preorder walk, both iterative: the depth of an expression is bounded by
+# memory, never by the recursion limit.  `==` and `hash` compare `_key`, and
+# `repr` is `format_end_expr`.  Normal forms are built in a `_Forms` intern
+# table, where equal forms share one integer id: dedupe and absorption
+# compare ids, and `_key` only ranks distinct parts.
 
-@dataclass(frozen=True)
-class Pt:
+class _Node:
+    def __eq__(self, other: object) -> bool:
+        return _key(self) == _key(other) if isinstance(other, _Node) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_key(self))
+
+    def __repr__(self) -> str:
+        return format_end_expr(self)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Pt(_Node):
     nonplanar: bool = False
 
 
-@dataclass(frozen=True)
-class Cantor:
+@dataclass(frozen=True, eq=False, repr=False)
+class Cantor(_Node):
     nonplanar: bool = False
 
 
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, eq=False, repr=False)
+class Seq(_Node):
     """Countably many copies of ``element`` converging to one limit point."""
 
     element: "EndExpr"
     limit_nonplanar: bool = False
 
 
-@dataclass(frozen=True)
-class Union:
+@dataclass(frozen=True, eq=False, repr=False)
+class Union(_Node):
     parts: tuple["EndExpr", ...]
 
     def __init__(self, *parts: "EndExpr"):
-        flat: tuple[EndExpr, ...]
-        if len(parts) == 1 and isinstance(parts[0], tuple):
-            flat = parts[0]  # Union(tuple_of_parts) for programmatic use
-        else:
-            flat = tuple(parts)
-        object.__setattr__(self, "parts", flat)
+        # Union(a, b, ...), or Union(tuple_of_parts) for programmatic use
+        as_tuple = len(parts) == 1 and isinstance(parts[0], tuple)
+        object.__setattr__(self, "parts", parts[0] if as_tuple else parts)
 
 
 EndExpr = TUnion[Pt, Cantor, Seq, Union]
@@ -471,16 +474,25 @@ def validate_end_expr(e: EndExpr) -> None:
 
 
 def format_end_expr(e: EndExpr) -> str:
-    def text(node: EndExpr, kids: list[str]) -> str:
-        if isinstance(node, Union):
-            return f"Union({', '.join(kids)})"
-        np = node.limit_nonplanar if isinstance(node, Seq) else node.nonplanar
-        mark = "nonplanar" if np else "planar"
-        if isinstance(node, Seq):
-            return f"Seq({kids[0]}, {mark})"
-        return f"{type(node).__name__}({mark})"
-
-    return _fold(e, text)
+    """The text that parse_end_expr reads, in one preorder walk."""
+    out: list[str] = []
+    stack: list[EndExpr | str] = [e]  # a node's closing text waits below its children
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Union):
+            out.append("Union(")
+            stack.append(")")
+            for part in reversed(node.parts[1:]):
+                stack += (part, ", ")
+            stack += node.parts[:1]
+        elif isinstance(node, Seq):
+            out.append("Seq(")
+            stack += (f", {'nonplanar' if node.limit_nonplanar else 'planar'})", node.element)
+        else:
+            out.append(f"{type(node).__name__}({'nonplanar' if node.nonplanar else 'planar'})")
+    return "".join(out)
 
 
 # Three compiled patterns are stepped along the text, the open Seq and Union

@@ -466,26 +466,13 @@ def standard_presentation(g: int, n: int, name: str = "std") -> SurfacePresentat
     then a pants comb fanning out to n puncture tails (n >= 1)."""
     if n < 1:
         raise ValueError("need at least one end")
-    rules: dict[str, Rule] = {}
     tails = [f"t{i}" for i in range(1, n + 1)]
-    if n == 1:
-        comb_entry = tails[0]
-    else:
-        for i in range(1, n):
-            nxt = f"c{i + 1}" if i < n - 1 else tails[n - 1]
-            rules[f"c{i}"] = (BlockKind.PANTS, (tails[i - 1], nxt))
-        comb_entry = "c1"
-    handle_rules: dict[str, Rule] = {}
-    for i in range(1, g + 1):
-        nxt = f"h{i + 1}" if i < g else comb_entry
-        handle_rules[f"h{i}"] = (BlockKind.HANDLE, (nxt,))
-    ordered: dict[str, Rule] = {}
-    ordered.update(handle_rules)
-    ordered.update(rules)
-    for t in tails:
-        ordered[t] = (BlockKind.ANNULUS, (t,))
-    root = "h1" if g else comb_entry
-    return SurfacePresentation(name=name, rules=ordered, root=root)
+    comb = [f"c{i}" for i in range(1, n)] + tails[-1:]  # each pants' second child is the next
+    chain = [f"h{i}" for i in range(1, g + 1)] + comb[:1]
+    rules: dict[str, Rule] = {h: (BlockKind.HANDLE, (nxt,)) for h, nxt in zip(chain, chain[1:])}
+    rules.update((c, (BlockKind.PANTS, (t, nxt))) for c, t, nxt in zip(comb, tails, comb[1:]))
+    rules.update((t, (BlockKind.ANNULUS, (t,))) for t in tails)
+    return SurfacePresentation(name=name, rules=rules, root=chain[0])
 
 
 def regularize(pres: SurfacePresentation) -> SurfacePresentation:
@@ -497,22 +484,16 @@ def regularize(pres: SurfacePresentation) -> SurfacePresentation:
     return standard_presentation(ft.genus, ft.boundary + ft.punctures, pres.name)
 
 
-def splice_annulus(
-    pres: SurfacePresentation, state: str, slot: int, fresh: str | None = None
-) -> SurfacePresentation:
-    """Insert an annulus block on one child edge; the surface is unchanged."""
+def splice_annulus(pres: SurfacePresentation, state: str, slot: int) -> SurfacePresentation:
+    """Insert an annulus block, a fresh ``sp<i>`` state, on one child edge;
+    the surface is unchanged."""
     pres = regularize(pres)
     assert pres.rules is not None
     kind, children = pres.rules[state]
     if not 0 <= slot < len(children):
         raise ValueError(f"slot {slot} out of range for {state}")
-    if fresh is None:
-        i = 0
-        while f"sp{i}" in pres.rules:
-            i += 1
-        fresh = f"sp{i}"
-    if fresh in pres.rules:
-        raise ValueError(f"state {fresh!r} already present")
+    # one of the first len(rules) + 1 names is free
+    fresh = next(f"sp{i}" for i in range(len(pres.rules) + 1) if f"sp{i}" not in pres.rules)
     rules = dict(pres.rules)
     new_children = list(children)
     new_children[slot] = fresh

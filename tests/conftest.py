@@ -34,12 +34,17 @@ _NAMES = tuple(f"s{i}" for i in range(8))
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def python_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports endkit from src/."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=_SRC + (os.pathsep + path if path else ""))
+
+
 def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter that imports endkit from src/."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=_SRC + (os.pathsep + path if path else ""))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=python_env(), cwd=cwd,
+        timeout=120,
     )
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -11,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from endkit import curve_config_to_json, format_end_expr, parse_presentation, pretty_print
 from endkit.cli import main
 
-from conftest import curve_configs, end_exprs, presentations, run_python
+from conftest import curve_configs, end_exprs, presentations, python_env, run_python
 
 LOCH = "surface loch_ness { root = H(root) }"
 FLUTE = "surface flute { root = P(root, punc); punc = A(punc) }"
@@ -134,6 +136,32 @@ def test_realize_a_deep_tower(capsys):
     assert code == 0
     assert out.count("\n") == 1
     assert len(parse_presentation(json.loads(out)["presentation"]).rules) == levels + 1
+
+
+def test_a_reader_that_stops_early_gets_no_traceback(capsys):
+    levels = 5000
+    argv = ["realize", "0", "Seq(" * levels + "Pt(planar)" + ", planar)" * levels, "--json"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and len(out) > 2 * 65536  # more than a pipe buffer holds
+    child = subprocess.Popen(
+        [sys.executable, "-m", "endkit.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env(),
+    )
+    assert child.stdout.read(50) == out.encode()[:50]
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert (child.wait(timeout=120), stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("command", ["degree-check", "rewrite"])
+def test_deeply_nested_json_is_one_json_error(command, tmp_path, capsys):
+    # json's decoder recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5 + "]" * 10**5)
+    code, out = run(capsys, command, str(path))
+    assert code == 1
+    error = one_json_document(out)["error"]
+    assert (error["module"], error["case"]) == ("cli", "RecursionError")
 
 def test_invariants_rank_cutoff(surf, capsys):
     flute = surf("flute.surf", FLUTE)
@@ -511,9 +539,6 @@ def test_each_command_in_a_fresh_process(argv, unloaded, tmp_path, monkeypatch, 
 
 
 # -- the CLI contract under fuzzed input -------------------------------------
-#
-# Inputs stay short: nesting deep enough to reach the recursion limit is a
-# separate problem.
 
 _SURF_TOKENS = (
     "surface", "s", "finite", "S", "g", "b", "p", "root", "x", "y", "A", "P", "H",

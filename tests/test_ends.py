@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 from collections.abc import Iterable
 from typing import AbstractSet
 
@@ -605,6 +606,81 @@ def test_format_parse_roundtrip(e):
     assert parse_end_expr(format_end_expr(e)) == e
 
 
+# -- one identity and one text: `_key` and format_end_expr -------------------
+
+def _fold_format(e: EndExpr) -> str:
+    """The fold-based formatter that the preorder walk replaced, kept as its
+    reference: each node's text built from its children's."""
+
+    def text(node: EndExpr, kids: list[str]) -> str:
+        if isinstance(node, Union):
+            return f"Union({', '.join(kids)})"
+        np = node.limit_nonplanar if isinstance(node, Seq) else node.nonplanar
+        mark = "nonplanar" if np else "planar"
+        if isinstance(node, Seq):
+            return f"Seq({kids[0]}, {mark})"
+        return f"{type(node).__name__}({mark})"
+
+    return _fold(e, text)
+
+
+def _fields_equal(a: EndExpr, b: EndExpr) -> bool:
+    """Class-and-fields equality, recursive, as the generated dataclass
+    ``__eq__`` had it: the reference for ``==``."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Seq):
+        return a.limit_nonplanar == b.limit_nonplanar and _fields_equal(a.element, b.element)
+    if isinstance(a, Union):
+        return len(a.parts) == len(b.parts) and all(map(_fields_equal, a.parts, b.parts))
+    return a.nonplanar == b.nonplanar
+
+
+# any shape, valid or not: empty unions and non-planar points at planar limits too
+_any_exprs = st.recursive(
+    st.builds(Pt, st.booleans()) | st.builds(Cantor, st.booleans()),
+    lambda kids: st.builds(Seq, kids, st.booleans())
+    | st.lists(kids, max_size=3).map(lambda parts: Union(tuple(parts))),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=500)
+@given(_any_exprs)
+def test_format_matches_the_fold_formatter(e):
+    assert format_end_expr(e) == _fold_format(e) == repr(e)
+
+
+@settings(max_examples=300)
+@given(end_exprs(depth=4), end_exprs(depth=4))
+def test_equality_and_hash_match_class_and_fields(a, b):
+    pairs = [(a, b), (a, a), (a, parse_end_expr(format_end_expr(a))), (a, normalize_end_expr(a))]
+    pairs += [(Union((a, b)), Union(a, b)), (Seq(a, True), Seq(b, True)), (Union((a,)), a)]
+    for x, y in pairs:
+        assert (x == y) == _fields_equal(x, y) == (not x != y)
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+def test_nodes_have_no_generated_identity_or_text():
+    assert repr(Seq(Pt(False), False)) == "Seq(Pt(planar), planar)"
+    assert Pt(True) != Cantor(True) and Pt(False) != False and Union() == Union(())
+    for cls in (Pt, Cantor, Seq, Union):
+        assert not {"__eq__", "__hash__", "__repr__"} & set(vars(cls)), cls
+
+
+def test_a_very_deep_tower_compares_hashes_and_prints():
+    levels = 10**5
+    tower, copy = _planar_tower(levels), _planar_tower(levels)
+    assert tower == copy and tower is not copy and tower != Seq(tower, False)
+    assert hash(tower) == hash(copy) and copy in {tower}
+    start = time.perf_counter()
+    text = format_end_expr(tower)
+    assert time.perf_counter() - start < 2.0  # linear: about 0.1 s; the fold took about 17 s
+    assert repr(tower) == text == "Seq(" * levels + "Pt(planar)" + ", planar)" * levels
+    assert parse_end_expr(repr(tower)) == tower
+
+
 _TOKEN = re.compile(r"[A-Za-z]+|[(),]|\S")
 
 
@@ -734,11 +810,10 @@ def test_parse_errors_name_the_offending_character(text, error):
 def test_parse_a_very_deep_seq_text():
     levels = 10**5
     text = "Seq(" * levels + "Pt(nonplanar)" + ", nonplanar)" * levels
-    node = parse_end_expr(text)
-    for _ in range(levels):  # walked down: dataclass == recurses
-        assert isinstance(node, Seq) and node.limit_nonplanar
-        node = node.element
-    assert node == Pt(True)
+    expected = Pt(True)
+    for _ in range(levels):
+        expected = Seq(expected, True)
+    assert parse_end_expr(text) == expected
 
 
 def _nested_key(e):
@@ -997,17 +1072,16 @@ def test_marked_subspaces_match_restriction_on_deep_families(pres):
 
 @pytest.mark.parametrize("levels", [DEEP, 5000])
 def test_deep_seq_towers(levels):
-    # compared through format_end_expr: dataclass == recurses
     tower = _planar_tower(levels)
     text = format_end_expr(tower)
     assert text == "Seq(" * levels + "Pt(planar)" + ", planar)" * levels
-    assert format_end_expr(parse_end_expr(text)) == text
-    assert format_end_expr(normalize_end_expr(tower)) == text
+    assert parse_end_expr(text) == tower
+    assert normalize_end_expr(tower) == tower
     validate_end_expr(tower)
     report = expr_cb_report(tower)
     assert (report.rank, report.degree, report.has_perfect_kernel) == (levels + 1, 1, False)
     surface = realize(0, tower)
-    assert format_end_expr(to_end_expr(ends_automaton(surface))) == text
+    assert to_end_expr(ends_automaton(surface)) == tower
     exact = cb_report(ends_automaton(surface), rank_cutoff=10**4)
     assert (exact.rank, exact.degree, exact.has_perfect_kernel) == (levels + 1, 1, False)
     assert exact.profile == (None,) * levels + (1,) and not exact.rank_exceeded

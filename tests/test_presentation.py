@@ -232,6 +232,37 @@ def test_standard_presentation_shapes():
         standard_presentation(1, 0)
 
 
+def _reference_standard_presentation(g: int, n: int) -> SurfacePresentation:
+    """The three-dict construction that the one-dict standard_presentation
+    replaced, kept as its reference: handles, then pants, then tails."""
+    rules = {}
+    tails = [f"t{i}" for i in range(1, n + 1)]
+    if n == 1:
+        comb_entry = tails[0]
+    else:
+        for i in range(1, n):
+            nxt = f"c{i + 1}" if i < n - 1 else tails[n - 1]
+            rules[f"c{i}"] = (BlockKind.PANTS, (tails[i - 1], nxt))
+        comb_entry = "c1"
+    handle_rules = {}
+    for i in range(1, g + 1):
+        nxt = f"h{i + 1}" if i < g else comb_entry
+        handle_rules[f"h{i}"] = (BlockKind.HANDLE, (nxt,))
+    ordered = {**handle_rules, **rules}
+    for t in tails:
+        ordered[t] = (BlockKind.ANNULUS, (t,))
+    return SurfacePresentation(name="std", rules=ordered, root="h1" if g else comb_entry)
+
+
+def test_standard_presentation_matches_its_reference():
+    # regularize prints through it, so the rule order and root are pinned
+    for g in range(7):
+        for n in range(1, 7):
+            got, want = standard_presentation(g, n), _reference_standard_presentation(g, n)
+            assert list(got.rules.items()) == list(want.rules.items()) and got.root == want.root
+            assert pretty_print(got) == pretty_print(want)
+
+
 def test_regularize_identity_on_rules():
     p = parse_presentation(FLUTE)
     assert regularize(p) is p
