@@ -43,9 +43,19 @@ def _load_surf(path: str) -> SurfacePresentation:
     return pres
 
 
+class _DeepJSONError(EndkitError):
+    """JSON nested past the decoder's recursion limit: unreadable input."""
+
+    module = "cli"
+    case = "RecursionError"
+
+
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:  # json's decoder recurses once per nesting level
+            raise _DeepJSONError(str(exc)) from None
 
 
 def _parse_genus(text: str):
@@ -311,8 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         except EndkitError as exc:
             _emit({"error": {"module": exc.module, "case": exc.case, "message": str(exc)}})
             code = 1
-        # json's decoder recurses once per nesting level: deep JSON is unreadable input
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             _emit({"error": {"module": "cli", "case": type(exc).__name__, "message": str(exc)}})
             code = 1
         sys.stdout.flush()  # a closed pipe shows here when the output fit its buffer

@@ -467,12 +467,18 @@ def standard_presentation(g: int, n: int, name: str = "std") -> SurfacePresentat
     if n < 1:
         raise ValueError("need at least one end")
     tails = [f"t{i}" for i in range(1, n + 1)]
-    comb = [f"c{i}" for i in range(1, n)] + tails[-1:]  # each pants' second child is the next
-    chain = [f"h{i}" for i in range(1, g + 1)] + comb[:1]
-    rules: dict[str, Rule] = {h: (BlockKind.HANDLE, (nxt,)) for h, nxt in zip(chain, chain[1:])}
-    rules.update((c, (BlockKind.PANTS, (t, nxt))) for c, t, nxt in zip(comb, tails, comb[1:]))
-    rules.update((t, (BlockKind.ANNULUS, (t,))) for t in tails)
-    return SurfacePresentation(name=name, rules=rules, root=chain[0])
+    comb_entry = "c1" if n > 1 else tails[0]
+    rules: dict[str, Rule] = {}
+    for i in range(1, g + 1):
+        nxt = f"h{i + 1}" if i < g else comb_entry
+        rules[f"h{i}"] = (BlockKind.HANDLE, (nxt,))
+    for i in range(1, n):
+        nxt = f"c{i + 1}" if i < n - 1 else tails[n - 1]
+        rules[f"c{i}"] = (BlockKind.PANTS, (tails[i - 1], nxt))
+    for t in tails:
+        rules[t] = (BlockKind.ANNULUS, (t,))
+    root = "h1" if g else comb_entry
+    return SurfacePresentation(name=name, rules=rules, root=root)
 
 
 def regularize(pres: SurfacePresentation) -> SurfacePresentation:
@@ -492,8 +498,10 @@ def splice_annulus(pres: SurfacePresentation, state: str, slot: int) -> SurfaceP
     kind, children = pres.rules[state]
     if not 0 <= slot < len(children):
         raise ValueError(f"slot {slot} out of range for {state}")
-    # one of the first len(rules) + 1 names is free
-    fresh = next(f"sp{i}" for i in range(len(pres.rules) + 1) if f"sp{i}" not in pres.rules)
+    i = 0
+    while f"sp{i}" in pres.rules:
+        i += 1
+    fresh = f"sp{i}"
     rules = dict(pres.rules)
     new_children = list(children)
     new_children[slot] = fresh

@@ -163,6 +163,18 @@ def test_deeply_nested_json_is_one_json_error(command, tmp_path, capsys):
     error = one_json_document(out)["error"]
     assert (error["module"], error["case"]) == ("cli", "RecursionError")
 
+
+def test_a_recursion_error_in_a_command_is_not_reported_as_input(monkeypatch, capsys):
+    # only the JSON reader turns RecursionError into an error object
+    def recurse(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("endkit.cli._cmd_family", recurse)
+    with pytest.raises(RecursionError):
+        main(["family", "3"])
+    assert capsys.readouterr().out == ""
+
+
 def test_invariants_rank_cutoff(surf, capsys):
     flute = surf("flute.surf", FLUTE)
     _, out = run(capsys, "invariants", flute, "--rank-cutoff", "1")
