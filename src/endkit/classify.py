@@ -7,9 +7,9 @@ pair to the ends machinery; `realize` goes the other way and compiles a
 (genus, expression) pair back into a presentation.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record
 from .errors import ClassifyError, InconsistentInvariantsError
 from .presentation import (
     INFINITE,
@@ -47,10 +47,9 @@ WITNESS_GENUS = "genus"
 WITNESS_ENDS = "ends-pair"
 
 
-@dataclass(frozen=True)
-class ClassifierVerdict:
-    verdict: ClassVerdict
-    witness: str | None = None
+class ClassifierVerdict(Record):
+    __slots__ = ("verdict", "witness")
+    _defaults = {"witness": None}
 
     def to_json(self) -> dict:
         out: dict = {"verdict": self.verdict.value}

@@ -17,10 +17,10 @@ comparison, and the essential-pants search.
 """
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from ._record import Record
 from .errors import (
     ComplexityTooLowError,
     DecomposeError,
@@ -30,7 +30,6 @@ from .errors import (
 )
 from .presentation import (
     BlockKind,
-    EndsAutomaton,
     Rule,
     SurfacePresentation,
     backward,
@@ -58,24 +57,21 @@ class PieceKind(Enum):
         return 3 if self is PieceKind.PANTS else 1
 
 
-@dataclass(frozen=True)
-class Piece:
-    id: int
-    kind: PieceKind
+class Piece(Record):
+    __slots__ = ("id", "kind")
+
+    def __init__(self, id: int, kind: PieceKind) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "kind", kind)
 
 
 # an edge is one decomposition circle: (piece, slot, piece, slot)
 Edge = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class DecompositionGraph:
-    mode: str
-    depth: int
-    pieces: tuple[Piece, ...]
-    edges: tuple[Edge, ...]
-    open_slots: tuple[tuple[int, int], ...]  # awaiting pieces beyond the window
-    complete: bool
+class DecompositionGraph(Record):
+    # open_slots are the (piece, slot) pairs awaiting pieces beyond the window
+    __slots__ = ("mode", "depth", "pieces", "edges", "open_slots", "complete")
 
     def census(self) -> dict[str, int]:
         counts = Counter(p.kind for p in self.pieces)
@@ -349,17 +345,13 @@ def interchange_normalize(
 
 # -- spine graphs ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpineGraph:
+class SpineGraph(Record):
     """Deformation-retract graph of the surface: each Pants visit donates
     one independent loop, each Handle visit two.  core_states span the
     smallest subgraph carrying all loops (X_g); automaton is the
     presentation's."""
 
-    presentation: SurfacePresentation
-    rank: int | float
-    core_states: frozenset[str]
-    automaton: EndsAutomaton
+    __slots__ = ("presentation", "rank", "core_states", "automaton")
 
 
 def spine(pres: SurfacePresentation) -> SpineGraph:
@@ -398,13 +390,8 @@ def graph_phe_equal(g1: SpineGraph, g2: SpineGraph) -> "Verdict":
 
 # -- essential pants -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentCensus:
-    pants: int
-    punctured_disks: int
-    one_holed_tori: int
-    rank_lower_bound: int
-    exact: bool
+class ComponentCensus(Record):
+    __slots__ = ("pants", "punctured_disks", "one_holed_tori", "rank_lower_bound", "exact")
 
     def to_json(self) -> dict:
         return {
@@ -416,11 +403,8 @@ class ComponentCensus:
         }
 
 
-@dataclass(frozen=True)
-class EssentialPants:
-    pants_id: int
-    components: tuple[ComponentCensus, ...]
-    window: DecompositionGraph
+class EssentialPants(Record):
+    __slots__ = ("pants_id", "components", "window")
 
     def to_json(self) -> dict:
         return {

@@ -12,13 +12,18 @@ through :func:`degree_from_disk_witness`.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 
+from ._record import Record, replace
 from .errors import BoundaryCountMismatchError, DegreeContradictionError, DegreeError
 
+# the fields that are true or false; every other field may be None, unknown
+_BOOLEAN = (
+    "proper", "proper_homotopy_equivalence", "pseudo_phe", "target_plane_or_punctured_plane",
+    "pi1_surjective",
+)
 
-@dataclass(frozen=True)
-class MapDescriptor:
+
+class MapDescriptor(Record):
     """Evidence about one proper map, to be closed under inference.
 
     Boolean flags mean "known to hold"; the tri-state fields
@@ -26,30 +31,20 @@ class MapDescriptor:
     unknown, because a known failure is itself load-bearing evidence.
     """
 
-    proper: bool = False
-    surjective: bool | None = None
-    boundary_embedding: tuple[int, int] | None = None
-    proper_homotopy_equivalence: bool = False
-    pseudo_phe: bool = False
-    target_plane_or_punctured_plane: bool = False
-    ends_map_injective: bool | None = None
-    orientation: int | None = None
-    abs_degree: int | None = None
-    pi1_surjective: bool = False
+    __slots__ = (
+        "proper", "surjective", "boundary_embedding", "proper_homotopy_equivalence", "pseudo_phe",
+        "target_plane_or_punctured_plane", "ends_map_injective", "orientation", "abs_degree",
+        "pi1_surjective",
+    )
+    _defaults = {**dict.fromkeys(__slots__), **dict.fromkeys(_BOOLEAN, False)}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.boundary_embedding is not None:
             b1, b2 = self.boundary_embedding
             if not (_is_int(b1) and _is_int(b2)):
                 raise DegreeError(f"boundary counts must be integers, got {self.boundary_embedding!r}")
             object.__setattr__(self, "boundary_embedding", (b1, b2))
-        for name in (
-            "proper",
-            "proper_homotopy_equivalence",
-            "pseudo_phe",
-            "target_plane_or_punctured_plane",
-            "pi1_surjective",
-        ):
+        for name in _BOOLEAN:
             if not isinstance(getattr(self, name), bool):
                 raise DegreeError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name in ("surjective", "ends_map_injective"):

@@ -30,10 +30,10 @@ components, and the fold skips the others.
 """
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Callable, Iterable, Iterator, TypeVar, Union as TUnion
 
+from ._record import Record
 from .errors import EndsError, InvalidEndExprError, NotConvertibleError
 from .presentation import (
     EndsAutomaton,
@@ -63,10 +63,12 @@ class Cardinality(Enum):
     UNCOUNTABLE = "uncountable"
 
 
-@dataclass(frozen=True)
-class EndsCount:
-    cardinality: Cardinality
-    count: int | None = None  # set exactly when cardinality is FINITE
+class EndsCount(Record):
+    __slots__ = ("cardinality", "count")
+
+    def __init__(self, cardinality: Cardinality, count: int | None = None) -> None:
+        object.__setattr__(self, "cardinality", cardinality)
+        object.__setattr__(self, "count", count)  # set exactly when cardinality is FINITE
 
 
 def ends_count(
@@ -133,8 +135,7 @@ def _fold_components(
 
 # -- Cantor-Bendixson analysis ---------------------------------------------
 
-@dataclass(frozen=True)
-class CBReport:
+class CBReport(Record):
     """Cantor-Bendixson analysis of an ends space.
 
     rank is the number of derivative steps until the chain stabilizes;
@@ -148,12 +149,8 @@ class CBReport:
     ``(None,) * cutoff``, degree 0, no kernel, and rank_exceeded set.
     """
 
-    rank: int
-    degree: int
-    has_perfect_kernel: bool
-    cardinality: EndsCount
-    profile: tuple[int | None, ...] | None = None
-    rank_exceeded: bool = False
+    __slots__ = ("rank", "degree", "has_perfect_kernel", "cardinality", "profile", "rank_exceeded")
+    _defaults = {"profile": None, "rank_exceeded": False}
 
     def invariant_key(self) -> tuple:
         return (
@@ -250,7 +247,9 @@ def cb_report(
 # table, where equal forms share one integer id: dedupe and absorption
 # compare ids, and `_key` only ranks distinct parts.
 
-class _Node:
+class _Node(Record):
+    __slots__ = ()
+
     def __eq__(self, other: object) -> bool:
         return _key(self) == _key(other) if isinstance(other, _Node) else NotImplemented
 
@@ -261,27 +260,32 @@ class _Node:
         return format_end_expr(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Pt(_Node):
-    nonplanar: bool = False
+    __slots__ = ("nonplanar",)
+
+    def __init__(self, nonplanar: bool = False) -> None:
+        object.__setattr__(self, "nonplanar", nonplanar)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Cantor(_Node):
-    nonplanar: bool = False
+    __slots__ = ("nonplanar",)
+
+    def __init__(self, nonplanar: bool = False) -> None:
+        object.__setattr__(self, "nonplanar", nonplanar)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Seq(_Node):
     """Countably many copies of ``element`` converging to one limit point."""
 
-    element: "EndExpr"
-    limit_nonplanar: bool = False
+    __slots__ = ("element", "limit_nonplanar")
+
+    def __init__(self, element: "EndExpr", limit_nonplanar: bool = False) -> None:
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "limit_nonplanar", limit_nonplanar)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Union(_Node):
-    parts: tuple["EndExpr", ...]
+    __slots__ = ("parts",)
 
     def __init__(self, *parts: "EndExpr"):
         # Union(a, b, ...), or Union(tuple_of_parts) for programmatic use

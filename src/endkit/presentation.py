@@ -32,10 +32,10 @@ directive names another.
 import math
 import re
 from collections import Counter, deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
+from ._record import Record
 from .errors import (
     DanglingRuleError,
     EndkitError,
@@ -63,23 +63,23 @@ class BlockKind(Enum):
 Rule = tuple[BlockKind, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class FiniteType:
-    genus: int
-    boundary: int
-    punctures: int
+class FiniteType(Record):
+    __slots__ = ("genus", "boundary", "punctures")
 
 
-@dataclass
-class SurfacePresentation:
-    """Either a rule system with a root, or a finite-type triple."""
+class SurfacePresentation(Record):
+    """Either a rule system with a root, or a finite-type triple; mutable, so unhashable."""
 
-    name: str
-    rules: dict[str, Rule] | None = None
-    root: str | None = None
-    finite_type: FiniteType | None = None
+    __slots__ = ("name", "rules", "root", "finite_type")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, name: str, rules: dict[str, Rule] | None = None, root: str | None = None,
+        finite_type: FiniteType | None = None,
+    ) -> None:
+        self.name, self.rules, self.root, self.finite_type = name, rules, root, finite_type
         if (self.rules is None) == (self.finite_type is None):
             raise ValueError("exactly one of rules / finite_type required")
         if self.rules is not None:
@@ -346,8 +346,7 @@ def on_cycles(succ: Successors, components: Iterable[list[str]]) -> set[str]:
 
 # -- the ends automaton ----------------------------------------------------
 
-@dataclass(frozen=True)
-class EndsAutomaton:
+class EndsAutomaton(Record):
     """Reachable rule states with their successor choices.
 
     ``transitions[s]`` keeps child order and multiplicity; ``nonplanar_states``
@@ -358,11 +357,7 @@ class EndsAutomaton:
     condensation, as a union of its components.
     """
 
-    transitions: dict[str, tuple[str, ...]]
-    root: str
-    nonplanar_states: frozenset[str]
-    components: tuple[list[str], ...]
-    cyclic: frozenset[str]
+    __slots__ = ("transitions", "root", "nonplanar_states", "components", "cyclic")
 
 
 def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
@@ -371,15 +366,10 @@ def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
     states = sorted(pres.rules)
     transitions = {s: pres.rules[s][1] for s in states}
     components = sccs(transitions)
-    return EndsAutomaton(
-        transitions=transitions,
-        root=pres.root,
-        nonplanar_states=frozenset(
-            s for s in states if pres.rules[s][0] is BlockKind.HANDLE
-        ),
-        components=tuple(components),
-        cyclic=frozenset(on_cycles(transitions, components)),
-    )
+    handles = frozenset(s for s in states if pres.rules[s][0] is BlockKind.HANDLE)
+    cyclic = frozenset(on_cycles(transitions, components))
+    # every field positional: the record constructor's fast path
+    return EndsAutomaton(transitions, pres.root, handles, tuple(components), cyclic)
 
 
 def cyclic_states(pres: SurfacePresentation) -> set[str]:

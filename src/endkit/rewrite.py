@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, replace
 from enum import Enum
 
+from ._record import Record, replace
 from .degree import _is_int
 from .errors import (
     DegreeUnknownError,
@@ -46,29 +46,26 @@ class ComponentKind(Enum):
     PRIMITIVE = "Primitive"
 
 
-@dataclass(frozen=True)
-class Degree:
+class Degree(Record):
     """Restriction label: the component covers its target circle with this degree."""
 
-    value: int
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Homeo:
+class Homeo(Record):
     """Restriction label: the component maps homeomorphically onto its target."""
+
+    __slots__ = ()
 
 
 HOMEO = Homeo()
 
 
-@dataclass(frozen=True)
-class Component:
-    id: int
-    target: str
-    kind: ComponentKind
-    label: Degree | Homeo | None = None
+class Component(Record):
+    __slots__ = ("id", "target", "kind", "label")
+    _defaults = {"label": None}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind is ComponentKind.TRIVIAL:
             if self.label is not None:
                 raise InvalidCurveConfigError(
@@ -80,28 +77,30 @@ class Component:
             )
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Record):
     """Global degree not yet committed."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Zero:
+
+class Zero(Record):
     """Global degree zero: the map may miss target circles."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class PlusMinusOne:
+
+class PlusMinusOne(Record):
     """Global degree of modulus one."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Other:
+
+class Other(Record):
     """Committed global degree outside {0, 1, -1}."""
 
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.value in (-1, 0, 1):
             raise InvalidCurveConfigError(
                 f"degree {self.value} belongs to a dedicated class, not Other"
@@ -115,8 +114,7 @@ PLUS_MINUS_ONE = PlusMinusOne()
 GlobalDegree = Unknown | Zero | PlusMinusOne | Other
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+class CurveConfig(Record):
     """A finite window of circle preimages, up to isotopy data.
 
     ``nesting`` is a forest over trivial components given as (child, parent)
@@ -127,14 +125,13 @@ class CurveConfig:
     sorted tuples, so equality is structural.
     """
 
-    target_circles: tuple[str, ...]
-    components: tuple[Component, ...]
-    nesting: tuple[tuple[int, int], ...] = ()
-    parallel_orders: tuple[tuple[str, tuple[int, ...]], ...] = ()
-    pi1_bijective: bool = False
-    global_degree: GlobalDegree = UNKNOWN
+    __slots__ = (
+        "target_circles", "components", "nesting", "parallel_orders", "pi1_bijective",
+        "global_degree",
+    )
+    _defaults = {"nesting": (), "parallel_orders": (), "pi1_bijective": False, "global_degree": UNKNOWN}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         targets = tuple(self.target_circles)
         if not all(isinstance(t, str) for t in targets):
             raise InvalidCurveConfigError("target circle ids must be strings")
@@ -220,13 +217,10 @@ class CurveConfig:
         return {target: len(order) for target, order in self.parallel_orders}
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    rule: str
-    before: tuple[int, int]
-    after: tuple[int, int]
+class TraceStep(Record):
+    __slots__ = ("rule", "before", "after")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         shrank = (
             self.after[0] <= self.before[0]
             and self.after[1] <= self.before[1]
@@ -243,16 +237,15 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
+class RewriteTrace(Record):
     """Effective rule applications with before and after cleanup measures.
 
     Only measure-shrinking applications become steps; label upgrades leave
     the measure alone and are kept as free-form notes instead.
     """
 
-    steps: tuple[TraceStep, ...] = ()
-    notes: tuple[str, ...] = ()
+    __slots__ = ("steps", "notes")
+    _defaults = {"steps": (), "notes": ()}
 
     def to_json_lines(self) -> str:
         lines = [json.dumps(step.to_json(), sort_keys=True) for step in self.steps]

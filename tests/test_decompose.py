@@ -33,6 +33,7 @@ from endkit import (
     pretty_print,
     regularize,
     spine,
+    splice_annulus,
     standard_presentation,
 )
 from endkit.decompose import _first_path_of
@@ -309,6 +310,54 @@ def test_graph_phe_verdicts():
     s3 = spine(standard_presentation(0, 3))
     s4 = spine(standard_presentation(0, 4))
     assert graph_phe_equal(s3, s4) is Verdict.NO
+
+
+# -- rigidity: Kerekjarto type against the spine's proper homotopy type -------
+#
+# Homeomorphic surfaces have properly homotopy equivalent spines.  On a planar
+# surface loops accumulate exactly at the non-isolated ends, so there the two
+# comparisons are one: each verdict, Unknown too, matches the other.  Off
+# genus 0 the converse fails, and must (a flute and a flute with genus at its
+# limit have PHE spines).
+
+_PHE_VERDICT = {
+    ClassVerdict.HOMEOMORPHIC: Verdict.YES,
+    ClassVerdict.NOT_HOMEOMORPHIC: Verdict.NO,
+    ClassVerdict.UNKNOWN: Verdict.UNKNOWN,
+}
+
+
+@st.composite
+def _cores_with_a_copy(draw):
+    """Random cores of up to 6 states, and the first one again with an
+    annulus spliced on one of its edges (the same surface)."""
+    cores = draw(st.lists(presentations(max_states=6), min_size=2, max_size=8))
+    first = cores[0]
+    state = draw(st.sampled_from(sorted(first.rules)))
+    slot = draw(st.integers(0, len(first.rules[state][1]) - 1))
+    return cores + [splice_annulus(first, state, slot)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cores_with_a_copy())
+def test_homeomorphic_surfaces_have_phe_spines(cores):
+    spines = [spine(c) for c in cores]
+    assert kerekjarto(cores[0], cores[-1]).verdict is not ClassVerdict.NOT_HOMEOMORPHIC
+    for i in range(len(cores)):
+        for j in range(i, len(cores)):
+            if kerekjarto(cores[i], cores[j]).verdict is ClassVerdict.HOMEOMORPHIC:
+                assert graph_phe_equal(spines[i], spines[j]) is Verdict.YES, (i, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cores_with_a_copy())
+def test_on_planar_pairs_homeomorphy_and_spine_phe_agree(cores):
+    planar = [c for c in cores if genus(c) == 0]
+    spines = [spine(c) for c in planar]
+    for i in range(len(planar)):
+        for j in range(i, len(planar)):
+            verdict = kerekjarto(planar[i], planar[j]).verdict
+            assert graph_phe_equal(spines[i], spines[j]) is _PHE_VERDICT[verdict], (i, j)
 
 
 def test_essential_pants_on_infinite_type():
