@@ -110,20 +110,33 @@ def _fold_components(
     root, or None when no such path is infinite.
 
     A component outside ``within``, or acyclic with no exit left, carries
-    no infinite path: it is skipped, and so are the exits into it."""
-    succ = space.transitions
+    no infinite path: it is skipped, and so are the exits into it.  An
+    acyclic state with one exit left passes that exit's value through
+    without a call: every combiner returns ``kids[0]`` for
+    ``(_Kind.ACYCLIC, [state], [kid])``."""
+    if within is not None and not within:
+        return None
+    succ, cyclic = space.transitions, space.cyclic
     value_of: dict[str, _V] = {}
     for scc in space.components:
-        if within is not None and scc[0] not in within:
+        first = scc[0]
+        if within is not None and first not in within:
             continue
-        members = set(scc)
-        # the members have no value yet: these are the kept exits
-        kids = [value_of[c] for s in sorted(scc) for c in succ[s] if c in value_of]
-        if scc[0] not in space.cyclic:
-            if not kids:
+        if len(scc) == 1:  # most components: no set, sort or scan
+            # the state has no value yet: these are the kept exits
+            kids = [value_of[c] for c in succ[first] if c in value_of]
+            if first not in cyclic:
+                if len(kids) > 1:
+                    value_of[first] = combine(_Kind.ACYCLIC, scc, kids)
+                elif kids:
+                    value_of[first] = kids[0]
                 continue
-            kind = _Kind.ACYCLIC
-        elif any(sum(c in members for c in succ[s]) >= 2 for s in scc):
+            branching = succ[first].count(first) >= 2
+        else:
+            members = set(scc)
+            kids = [value_of[c] for s in sorted(scc) for c in succ[s] if c in value_of]
+            branching = any(sum(c in members for c in succ[s]) >= 2 for s in scc)
+        if branching:
             kind = _Kind.KERNEL if kids else _Kind.CANTOR
         else:
             kind = _Kind.SEQ if kids else _Kind.POINT
@@ -573,11 +586,12 @@ def _to_expr(space: EndsAutomaton, marked: AbstractSet[str], forms: _Forms) -> d
     def expr(kind: _Kind, scc: list[str], kids: list[dict[int, int]]) -> dict[int, int]:
         if kind is _Kind.KERNEL:
             raise NotConvertibleError("component mixes internal branching with exits")
+        if kind is _Kind.ACYCLIC:
+            return forms.union(kids)
         in_marked = marked.issuperset(scc)
-        if kind is _Kind.POINT or kind is _Kind.CANTOR:
-            return forms.atom(kind is _Kind.CANTOR, in_marked)
-        body = forms.union(kids)
-        return body if kind is _Kind.ACYCLIC else forms.seq(body, in_marked)
+        if kind is _Kind.SEQ:
+            return forms.seq(forms.union(kids), in_marked)
+        return forms.atom(kind is _Kind.CANTOR, in_marked)
 
     return _fold_components(space, expr)
 

@@ -88,22 +88,42 @@ class SurfacePresentation(Record):
             self._validate_finite()
 
     def _validate_rules(self) -> None:
-        assert self.rules is not None
-        if not self.rules:
+        rules = self.rules
+        assert rules is not None
+        if not rules:
             raise PresentationSyntaxError(f"{self.name}: empty rule system")
         if self.root is None:
-            self.root = next(iter(self.rules))
-        if self.root not in self.rules:
+            self.root = next(iter(rules))
+        if self.root not in rules:
             raise DanglingRuleError(f"{self.name}: root {self.root!r} is not a rule")
+        # a valid system passes in one breadth-first walk from the root
+        order = [self.root]
+        seen = set(order)
+        try:
+            for state in order:  # grows while it is walked
+                kind, children = rules[state]  # KeyError at an undefined child
+                if len(children) != _ARITY[kind]:
+                    break
+                for child in children:
+                    if child not in seen:
+                        seen.add(child)
+                        order.append(child)
+            else:
+                if len(order) == len(rules):
+                    return
+        except (KeyError, TypeError, ValueError):
+            pass
+        # a fault: the scan in rule order raises the first, so errors do not
+        # depend on the walk
         succ = {}
-        for lhs, (kind, children) in self.rules.items():
+        for lhs, (kind, children) in rules.items():
             if len(children) != _ARITY[kind]:
                 raise PresentationSyntaxError(
                     f"{self.name}: {lhs} = {kind.value}(...) takes "
                     f"{kind.arity} child(ren), got {len(children)}"
                 )
             for child in children:
-                if child not in self.rules:
+                if child not in rules:
                     raise DanglingRuleError(
                         f"{self.name}: rule {lhs!r} references undefined {child!r}"
                     )
@@ -280,11 +300,13 @@ def forward(succ: Successors, starts: Iterable[str]) -> list[str]:
 
 def backward(succ: Successors, targets: Iterable[str]) -> set[str]:
     """States from which some target is reachable (targets included)."""
+    hit = {t for t in targets if t in succ}
+    if not hit:  # e.g. the Handles of a genus-0 surface: no predecessor map needed
+        return hit
     preds: dict[str, list[str]] = {s: [] for s in succ}
     for state, children in succ.items():
         for child in children:
             preds[child].append(state)
-    hit = {t for t in targets if t in preds}
     todo = list(hit)
     while todo:
         for pred in preds[todo.pop()]:
@@ -295,45 +317,45 @@ def backward(succ: Successors, targets: Iterable[str]) -> set[str]:
 
 
 def sccs(succ: Successors) -> list[list[str]]:
-    """Strongly connected components (Tarjan), in reverse topological
-    order: every component precedes the components that can reach it."""
-    order: dict[str, int] = {}
+    """Strongly connected components, in reverse topological order: every
+    component precedes the components that can reach it.
+
+    The low-link form of Tarjan's algorithm (Nuutila, Pearce): a state's
+    link is its position on the component stack, lowered by the links of
+    the states it reaches there, and a closed component's members get a
+    link above every position, so no on-stack set is kept.  Components and
+    member order are the textbook Tarjan's; a differential test pins them."""
     low: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
     out: list[list[str]] = []
+    closed = len(succ)
     for start in succ:
-        if start in order:
+        if start in low:
             continue
-        work: list[tuple[str, int]] = [(start, 0)]
+        low[start] = 0  # the stack is empty between trees
+        stack.append(start)
+        work = [(start, 0, iter(succ[start]))]
         while work:
-            state, idx = work[-1]
-            if idx == 0:
-                order[state] = low[state] = len(order)
-                stack.append(state)
-                on_stack.add(state)
-            children = succ[state]
-            if idx < len(children):
-                work[-1] = (state, idx + 1)
-                child = children[idx]
-                if child not in order:
-                    work.append((child, 0))
-                elif child in on_stack:
-                    low[state] = min(low[state], order[child])
+            state, pos, children = work[-1]
+            for child in children:
+                if child not in low:
+                    low[child] = len(stack)
+                    work.append((child, len(stack), iter(succ[child])))
+                    stack.append(child)
+                    break
+                if low[child] < low[state]:
+                    low[state] = low[child]
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[state])
-                if low[state] == order[state]:
-                    component = []
-                    while True:
-                        s = stack.pop()
-                        on_stack.discard(s)
-                        component.append(s)
-                        if s == state:
-                            break
+                if low[state] == pos:
+                    component = stack[pos:]
+                    del stack[pos:]
+                    for s in component:
+                        low[s] = closed
+                    component.reverse()
                     out.append(component)
+                elif low[state] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[state]
     return out
 
 

@@ -3,6 +3,7 @@ curve configs; and a runner for fresh interpreters."""
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -46,6 +47,15 @@ def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
         [sys.executable, *args], capture_output=True, text=True, env=python_env(), cwd=cwd,
         timeout=120,
     )
+
+
+def bench_inputs():
+    """bench/inputs.py: the benchmark's input generators and families."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @st.composite

@@ -56,10 +56,12 @@ from endkit.ends import (
     _cb_data,
     _fold,
     _fold_components,
+    _Forms,
     _has_nonplanar,
     _key,
     _Kind,
     _pair_verdict,
+    _to_expr,
     _walk,
 )
 from endkit.presentation import Successors, backward, forward, on_cycles, sccs
@@ -536,6 +538,78 @@ def test_to_end_expr_and_pair_verdicts_match_the_reference_route(p, q, data):
         (b, b.nonplanar_states, a, marks),
     ]:
         assert _pair_verdict(x, mx, y, my) == _reference_pair_verdict(x, mx, y, my)
+
+
+# -- reference condensation fold: the general rule at every component -----
+
+
+def _reference_fold(space: EndsAutomaton, combine, within: AbstractSet[str] | None = None):
+    """_fold_components without its fast paths: every component is read by
+    the general rule, and every kept one calls ``combine``."""
+    succ = space.transitions
+    value_of: dict = {}
+    for scc in space.components:
+        if within is not None and scc[0] not in within:
+            continue
+        members = set(scc)
+        kids = [value_of[c] for s in sorted(scc) for c in succ[s] if c in value_of]
+        if scc[0] not in space.cyclic:
+            if not kids:
+                continue
+            kind = _Kind.ACYCLIC
+        elif any(sum(c in members for c in succ[s]) >= 2 for s in scc):
+            kind = _Kind.KERNEL if kids else _Kind.CANTOR
+        else:
+            kind = _Kind.SEQ if kids else _Kind.POINT
+        value = combine(kind, scc, kids)
+        for s in scc:
+            value_of[s] = value
+    return value_of.get(space.root)
+
+
+def _fold_results(auto: EndsAutomaton) -> tuple:
+    """CB data within all states, the non-planar closure and no state; then
+    the `_to_expr` bag of the non-planar closure, with its intern table."""
+    closure = backward(auto.transitions, auto.nonplanar_states)
+    cb = [_cb_data(auto, within) for within in (None, closure, set())]
+    forms = _Forms()
+    try:
+        bag = _to_expr(auto, closure, forms)
+    except NotConvertibleError:
+        bag = None
+    return cb, bag, forms.nodes
+
+
+def _assert_fold_matches_reference(auto: EndsAutomaton) -> None:
+    got = _fold_results(auto)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(endkit.ends, "_fold_components", _reference_fold)
+        assert got == _fold_results(auto)
+
+
+@settings(max_examples=500, deadline=None)
+@given(presentations(max_states=8))
+def test_fold_matches_the_reference_fold(pres):
+    _assert_fold_matches_reference(ends_automaton(pres))
+
+
+def test_every_combiner_passes_a_lone_exit_through(monkeypatch):
+    """The fold skips the combiner at an acyclic state with one kept exit:
+    each combiner returns that exit's value itself there."""
+    combiners = []
+
+    def recording(space, combine, within=None):
+        combiners.append(combine)
+        return _reference_fold(space, combine, within)
+
+    monkeypatch.setattr(endkit.ends, "_fold_components", recording)
+    monkeypatch.setitem(globals(), "_fold_components", recording)  # _reference_to_expr's
+    auto = ends_automaton(FLUTE)
+    marked = backward(auto.transitions, auto.nonplanar_states)
+    kids = [_cb_data(auto), _to_expr(auto, marked, _Forms()), _reference_to_expr(auto, marked)]
+    assert len(combiners) == 3
+    for combine, kid in zip(combiners, kids):
+        assert combine(_Kind.ACYCLIC, ["x"], [kid]) is kid
 
 
 def test_normalize_flatten_and_sort():
@@ -1048,6 +1122,7 @@ def _planar_tower(levels: int) -> Seq:
 )
 def test_fold_matches_derivative_chain_on_deep_families(pres):
     _assert_fold_matches_derivative_chain(pres)
+    _assert_fold_matches_reference(ends_automaton(pres))
 
 
 @pytest.mark.parametrize(

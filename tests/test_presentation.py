@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import random
 import re
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,9 +37,11 @@ import endkit.presentation
 from endkit import decompose, find_essential_pants, interchange_normalize, kerekjarto
 from endkit.cli import main
 from endkit.ends import Cardinality
-from endkit.presentation import MAX_DIGITS, backward, forward, on_cycles, sccs
+from endkit.presentation import (
+    MAX_DIGITS, Successors, backward, ends_automaton, forward, on_cycles, sccs,
+)
 
-from conftest import presentations, successor_maps
+from conftest import bench_inputs, presentations, successor_maps
 
 LOCH = "surface loch_ness { root = H(root) }"
 FLUTE = "surface flute { root = P(root, punc); punc = A(punc) }"
@@ -312,6 +312,49 @@ def test_first_occurrences_deep_and_exact():
 
 # -- the rule-graph kernel against brute-force definitions -----------------
 
+def _reference_sccs(succ: Successors) -> list[list[str]]:
+    """The textbook Tarjan, with an on-stack set and a frame per child index:
+    the oracle for sccs' components, their order and their member order."""
+    order: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    out: list[list[str]] = []
+    for start in succ:
+        if start in order:
+            continue
+        work: list[tuple[str, int]] = [(start, 0)]
+        while work:
+            state, idx = work[-1]
+            if idx == 0:
+                order[state] = low[state] = len(order)
+                stack.append(state)
+                on_stack.add(state)
+            children = succ[state]
+            if idx < len(children):
+                work[-1] = (state, idx + 1)
+                child = children[idx]
+                if child not in order:
+                    work.append((child, 0))
+                elif child in on_stack:
+                    low[state] = min(low[state], order[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[state])
+                if low[state] == order[state]:
+                    component = []
+                    while True:
+                        s = stack.pop()
+                        on_stack.discard(s)
+                        component.append(s)
+                        if s == state:
+                            break
+                    out.append(component)
+    return out
+
+
 def _closure(succ):
     """reach[s]: states at the end of a path of one or more steps from s."""
     reach = {s: set(cs) for s, cs in succ.items()}
@@ -326,7 +369,7 @@ def _closure(succ):
     return reach
 
 
-@settings(max_examples=200)
+@settings(max_examples=500)
 @given(successor_maps(), st.data())
 def test_kernel_reachability_and_cycles(succ, data):
     reach = _closure(succ)
@@ -348,6 +391,7 @@ def test_kernel_reachability_and_cycles(succ, data):
     assert backward(succ, targets) == hit
 
     components = sccs(succ)
+    assert components == _reference_sccs(succ)
     assert sorted(s for c in components for s in c) == sorted(succ)
     for c in components:
         for s in succ:
@@ -359,6 +403,17 @@ def test_kernel_reachability_and_cycles(succ, data):
 
     cyclic = {s for s in succ if s in reach[s]}
     assert on_cycles(succ, components) == cyclic
+
+
+def test_sccs_matches_the_textbook_tarjan_on_the_families():
+    """Each benchmark family at 10^3 states, in rule order and in the
+    automaton's sorted order, and a 10^5-state annulus chain: a depth-first
+    path 10^5 states deep."""
+    inputs = bench_inputs()
+    family = [inputs.chain(1000), inputs.comb(1001), inputs.cantor_marked(1000), inputs.seq_tower(999)]
+    for pres in [*family, inputs.chain(10**5)]:
+        for succ in ({s: cs for s, (_, cs) in pres.rules.items()}, ends_automaton(pres).transitions):
+            assert sccs(succ) == _reference_sccs(succ)
 
 
 def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
@@ -563,22 +618,13 @@ def test_parser_matches_the_token_parser(text):
     assert _outcome(parse_presentation, text) == _outcome(_reference_parse, text)
 
 
-def _bench_inputs():
-    """bench/inputs.py, the generator of the classify-corpus pairs."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class _NoTrace:
     def span(self, name):
         return contextlib.nullcontext()
 
 
 def test_parser_matches_the_token_parser_on_the_corpus():
-    inputs = _bench_inputs()
+    inputs = bench_inputs()
     kinds, sizes = inputs.PAIR_KINDS, inputs.SIZES
     rng = random.Random(1)
     for i in range(1024):  # one lap of the classify-corpus workload
@@ -629,8 +675,33 @@ def _rule_systems(draw):
     return rules, draw(st.none() | st.sampled_from([*defined, "ghost"]))
 
 
-@settings(max_examples=1000)
-@given(_rule_systems())
+@st.composite
+def _faulty_systems(draw):
+    """A valid rule system with faults injected: rules of the wrong arity,
+    undefined children and unreachable rules, none or several of each, in a
+    shuffled rule order; the root is given, or left to the first rule."""
+    pres = draw(presentations(max_states=8))
+    rules = dict(pres.rules)
+    states = list(rules)
+    faults = draw(st.lists(st.sampled_from(("arity", "undefined", "unreachable")), max_size=4))
+    for i, fault in enumerate(faults):
+        lhs = draw(st.sampled_from(sorted(rules)))
+        kind, children = rules[lhs]
+        if fault == "arity":
+            n = draw(st.sampled_from([n for n in range(4) if n != kind.arity]))
+            rules[lhs] = (kind, tuple(draw(st.sampled_from(states)) for _ in range(n)))
+        elif fault == "undefined" and children:
+            slot = draw(st.integers(0, len(children) - 1))
+            rules[lhs] = (kind, children[:slot] + (f"ghost{i}",) + children[slot + 1:])
+        elif fault == "unreachable":
+            kind = draw(st.sampled_from(list(BlockKind)))
+            rules[f"u{i}"] = (kind, tuple(draw(st.sampled_from(states)) for _ in range(kind.arity)))
+    order = draw(st.permutations(list(rules)))
+    return {s: rules[s] for s in order}, draw(st.sampled_from((None, pres.root)))
+
+
+@settings(max_examples=2000)
+@given(_rule_systems() | _faulty_systems())
 def test_validation_matches_the_two_pass_routine(system):
     rules, root = system
 
