@@ -61,8 +61,9 @@ class Piece(Record):
     __slots__ = ("id", "kind")
 
     def __init__(self, id: int, kind: PieceKind) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "kind", kind)
+        set_id, set_kind = self._stores
+        set_id(self, id)
+        set_kind(self, kind)
 
 
 # an edge is one decomposition circle: (piece, slot, piece, slot)
@@ -127,95 +128,107 @@ def decompose(
     is below n; the open slots are the older ends of the edges crossing n,
     in edge order, then the queued slots below n; and the window is
     complete when the queue is empty and no piece was cut.
+
+    Only the last five edges need that test.  Each edge's newer end is a
+    piece made by the step that made the edge, and a piece at or past n
+    comes from the last loop step, since each loop step starts below depth,
+    or from the root's first step when no loop step ran.  The root's first
+    step makes at most five edges and a loop step at most three, so every
+    edge crossing n or past it is among the last five.
     """
     if mode not in ("lenient", "strict"):
         raise DecomposeError(f"mode must be 'lenient' or 'strict', got {mode!r}")
     if depth < 0:
         raise DecomposeError(f"depth must be non-negative, got {depth}")
     pres = regularize(pres)
-    assert pres.root is not None
-    pieces: list[Piece] = []
+    assert pres.rules is not None and pres.root is not None
+    rules = pres.rules
+    pants, disk = PieceKind.PANTS, PieceKind.PUNCTURED_DISK  # an enum's attribute is slow to read
+    kinds: list[PieceKind] = []
     edges: list[Edge] = []
     queue: deque[tuple[int, int, str]] = deque()
-    exits: dict[str, str | None] = {}  # the run exit of each annulus state walked
+    # each walked state's block past its annulus run: None where the run
+    # closes a lasso (a punctured disk), else the Handle's or the Pants' children
+    steps: dict[str, tuple[str, ...] | None] = {}
 
-    def new_piece(kind: PieceKind) -> int:
-        pieces.append(Piece(len(pieces), kind))
-        return len(pieces) - 1
-
-    def skip_annuli(state: str) -> str | None:
-        # None means the run closes a pure-annulus lasso; each run is walked once
-        run = []
-        while pres.kind(state) is BlockKind.ANNULUS and state not in exits:
-            exits[state] = None  # until the exit is found, so a lasso meets None
+    def walk_run(state: str) -> tuple[str, ...] | None:
+        run = []  # each run is walked once
+        while state not in steps:
+            kind, children = rules[state]
+            if kind is not BlockKind.ANNULUS:
+                steps[state] = children
+                break
+            steps[state] = None  # until the run's end is found, so a lasso meets None
             run.append(state)
-            state = pres.children(state)[0]
-        end = exits.get(state, state)
+            state = children[0]
+        end = steps[state]
         for s in run:
-            exits[s] = end
+            steps[s] = end
         return end
 
     def handle(then: str) -> int:
         # a Handle visit: two pants glued along two circles, the walk going on at ``then``
-        pa = new_piece(PieceKind.PANTS)
-        pb = new_piece(PieceKind.PANTS)
-        edges.append((pa, 1, pb, 0))
-        edges.append((pa, 2, pb, 1))
-        queue.append((pb, 2, then))
+        pa = len(kinds)
+        kinds.extend((pants, pants))
+        edges.extend(((pa, 1, pa + 1, 0), (pa, 2, pa + 1, 1)))
+        queue.append((pa + 1, 2, then))
         return pa
 
     def resolve(state: str) -> int:
         # the piece the circle into ``state`` bounds, always at its slot 0
-        s = skip_annuli(state)
-        if s is None:
-            return new_piece(PieceKind.PUNCTURED_DISK)
-        if pres.kind(s) is BlockKind.HANDLE:
-            return handle(pres.children(s)[0])
-        pid = new_piece(PieceKind.PANTS)
-        c1, c2 = pres.children(s)
-        queue.append((pid, 1, c1))
-        queue.append((pid, 2, c2))
+        try:
+            children = steps[state]
+        except KeyError:
+            children = walk_run(state)
+        pid = len(kinds)
+        if children is None:
+            kinds.append(disk)
+        elif len(children) == 2:
+            kinds.append(pants)
+            queue.append((pid, 1, children[0]))
+            queue.append((pid, 2, children[1]))
+        else:
+            handle(children[0])
         return pid
 
-    root = skip_annuli(pres.root)
+    root = walk_run(pres.root)
     if root is None:
         raise PlaneExcludedError("the plane admits no decomposition")
-    if pres.kind(root) is BlockKind.PANTS:
-        c1, c2 = pres.children(root)
-        left = resolve(c1)
-        edges.append((left, 0, resolve(c2), 0))
+    if len(root) == 2:
+        left = resolve(root[0])
+        edges.append((left, 0, resolve(root[1]), 0))
     else:
-        nxt = skip_annuli(pres.children(root)[0])
+        nxt = walk_run(root[0])
         if nxt is None:
             if mode == "strict":
                 raise PuncturedTorusExcludedInStrictError(
                     "the punctured torus needs a one-holed torus piece"
                 )
-            torus = new_piece(PieceKind.ONE_HOLED_TORUS)
-            edges.append((torus, 0, new_piece(PieceKind.PUNCTURED_DISK), 0))
-        elif pres.kind(nxt) is BlockKind.PANTS:
-            c1, c2 = pres.children(nxt)
-            left = resolve(c2)
-            edges.append((left, 0, handle(c1), 0))
+            kinds.extend((PieceKind.ONE_HOLED_TORUS, disk))
+            edges.append((0, 0, 1, 0))
+        elif len(nxt) == 2:
+            left = resolve(nxt[1])
+            edges.append((left, 0, handle(nxt[0]), 0))
         else:
-            p1 = new_piece(PieceKind.PANTS)
-            p2 = new_piece(PieceKind.PANTS)
-            p3 = new_piece(PieceKind.PANTS)
-            edges.extend([(p1, 0, p2, 0), (p1, 1, p2, 1), (p1, 2, p3, 0), (p2, 2, p3, 1)])
-            queue.append((p3, 2, pres.children(nxt)[0]))
-    while queue and len(pieces) < depth:
+            kinds.extend((pants,) * 3)
+            edges.extend([(0, 0, 1, 0), (0, 1, 1, 1), (0, 2, 2, 0), (1, 2, 2, 1)])
+            queue.append((2, 2, nxt[0]))
+    while queue and len(kinds) < depth:
         pid, slot, state = queue.popleft()
         edges.append((pid, slot, resolve(state), 0))
-    n = min(depth, len(pieces))
-    opened = [(a, sa) for a, sa, b, _ in edges if a < n <= b]
-    opened.extend((pid, slot) for pid, slot, _ in queue if pid < n)
+    n = min(depth, len(kinds))
+    tail = edges[-5:]
+    del edges[-5:]
+    edges.extend(e for e in tail if e[2] < n)
+    opened = [(a, sa) for a, sa, b, _ in tail if a < n <= b]
+    opened += [(pid, slot) for pid, slot, _ in queue if pid < n]
     return DecompositionGraph(
         mode=mode,
         depth=depth,
-        pieces=tuple(pieces[:n]),
-        edges=tuple(e for e in edges if e[2] < n),
+        pieces=tuple(map(Piece, range(n), kinds)),
+        edges=tuple(edges),
         open_slots=tuple(opened),
-        complete=not queue and n == len(pieces),
+        complete=not queue and n == len(kinds),
     )
 
 
@@ -415,33 +428,38 @@ class EssentialPants(Record):
 
 
 def _complement_census(
-    g: DecompositionGraph, removed: int
+    g: DecompositionGraph, removed: int, around: list[list[int]]
 ) -> list[ComponentCensus]:
+    """The components of the window without piece ``removed``, by least
+    piece id; ``around`` lists each piece's neighbours.  Every piece but the
+    first is glued to an older one, so the window is connected and each
+    component holds a neighbour of ``removed``."""
     open_pids = {pid for pid, _ in g.open_slots}
-    adjacency: dict[int, set[int]] = {
-        p.id: set() for p in g.pieces if p.id != removed
-    }
-    for a, _, b, _ in g.edges:
-        if removed not in (a, b):
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    kind_of = {p.id: p.kind for p in g.pieces}
-    seen: set[int] = set()
-    out: list[ComponentCensus] = []
-    for start in adjacency:
+    seen = {removed}
+    comps = []
+    for start in around[removed]:
         if start in seen:
             continue
-        comp = set(forward(adjacency, [start]))
-        seen |= comp
-        pants = sum(1 for pid in comp if kind_of[pid] is PieceKind.PANTS)
-        tori = sum(1 for pid in comp if kind_of[pid] is PieceKind.ONE_HOLED_TORUS)
-        pds = len(comp) - pants - tori
+        seen.add(start)
+        comp = [start]
+        for pid in comp:  # grows while it is walked
+            for other in around[pid]:
+                if other not in seen:
+                    seen.add(other)
+                    comp.append(other)
+        comps.append(comp)
+    comps.sort(key=min)
+    out: list[ComponentCensus] = []
+    for comp in comps:
+        kinds = [g.pieces[pid].kind for pid in comp]
+        pants = kinds.count(PieceKind.PANTS)
+        tori = kinds.count(PieceKind.ONE_HOLED_TORUS)
         out.append(ComponentCensus(
             pants=pants,
-            punctured_disks=pds,
+            punctured_disks=len(comp) - pants - tori,
             one_holed_tori=tori,
             rank_lower_bound=1 + pants + tori,
-            exact=not (comp & open_pids),
+            exact=open_pids.isdisjoint(comp),
         ))
     return out
 
@@ -479,10 +497,14 @@ def find_essential_pants(pres: SurfacePresentation) -> EssentialPants:
             pres, first_occurrences(pres, BlockKind.PANTS, 5), "tree5"
         )
     window = decompose(prepped, "strict", depth=64)
+    around: list[list[int]] = [[] for _ in window.pieces]
+    for a, _, b, _ in window.edges:
+        around[a].append(b)
+        around[b].append(a)
     for piece in window.pieces:
         if piece.kind is not PieceKind.PANTS:
             continue
-        comps = _complement_census(window, piece.id)
+        comps = _complement_census(window, piece.id, around)
         if len(comps) >= 2 and all(c.rank_lower_bound >= 2 for c in comps):
             return EssentialPants(piece.id, tuple(comps), window)
     raise AssertionError("no essential pants found despite complexity bounds")

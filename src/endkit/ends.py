@@ -67,8 +67,9 @@ class EndsCount(Record):
     __slots__ = ("cardinality", "count")
 
     def __init__(self, cardinality: Cardinality, count: int | None = None) -> None:
-        object.__setattr__(self, "cardinality", cardinality)
-        object.__setattr__(self, "count", count)  # set exactly when cardinality is FINITE
+        set_cardinality, set_count = self._stores
+        set_cardinality(self, cardinality)
+        set_count(self, count)  # set exactly when cardinality is FINITE
 
 
 def ends_count(
@@ -277,14 +278,14 @@ class Pt(_Node):
     __slots__ = ("nonplanar",)
 
     def __init__(self, nonplanar: bool = False) -> None:
-        object.__setattr__(self, "nonplanar", nonplanar)
+        self._stores[0](self, nonplanar)
 
 
 class Cantor(_Node):
     __slots__ = ("nonplanar",)
 
     def __init__(self, nonplanar: bool = False) -> None:
-        object.__setattr__(self, "nonplanar", nonplanar)
+        self._stores[0](self, nonplanar)
 
 
 class Seq(_Node):
@@ -293,8 +294,9 @@ class Seq(_Node):
     __slots__ = ("element", "limit_nonplanar")
 
     def __init__(self, element: "EndExpr", limit_nonplanar: bool = False) -> None:
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "limit_nonplanar", limit_nonplanar)
+        set_element, set_limit = self._stores
+        set_element(self, element)
+        set_limit(self, limit_nonplanar)
 
 
 class Union(_Node):
@@ -303,7 +305,7 @@ class Union(_Node):
     def __init__(self, *parts: "EndExpr"):
         # Union(a, b, ...), or Union(tuple_of_parts) for programmatic use
         as_tuple = len(parts) == 1 and isinstance(parts[0], tuple)
-        object.__setattr__(self, "parts", parts[0] if as_tuple else parts)
+        self._stores[0](self, parts[0] if as_tuple else parts)
 
 
 EndExpr = TUnion[Pt, Cantor, Seq, Union]

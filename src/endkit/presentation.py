@@ -116,11 +116,19 @@ class SurfacePresentation(Record):
         # a fault: the scan in rule order raises the first, so errors do not
         # depend on the walk
         succ = {}
-        for lhs, (kind, children) in rules.items():
-            if len(children) != _ARITY[kind]:
+        for lhs, rule in rules.items():
+            try:
+                kind, children = rule
+                arity = _ARITY[kind]
+                count = len(children)
+            except (KeyError, TypeError, ValueError):
+                raise PresentationSyntaxError(
+                    f"{self.name}: rule {lhs!r} is not a (BlockKind, children) pair, got {rule!r}"
+                ) from None
+            if count != arity:
                 raise PresentationSyntaxError(
                     f"{self.name}: {lhs} = {kind.value}(...) takes "
-                    f"{kind.arity} child(ren), got {len(children)}"
+                    f"{arity} child(ren), got {count}"
                 )
             for child in children:
                 if child not in rules:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import random
 import time
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,8 +15,12 @@ from endkit import (
     BlockKind,
     ClassVerdict,
     ComplexityTooLowError,
+    ComponentCensus,
     DecomposeError,
+    DecompositionGraph,
+    EndkitError,
     OccurrenceInsideCycleError,
+    Piece,
     PieceKind,
     PlaneExcludedError,
     PuncturedTorusExcludedInStrictError,
@@ -36,10 +42,10 @@ from endkit import (
     splice_annulus,
     standard_presentation,
 )
-from endkit.decompose import _first_path_of
-from endkit.presentation import _first_paths, states_after_cycles
+from endkit.decompose import Edge, _complement_census, _first_path_of
+from endkit.presentation import _first_paths, forward, states_after_cycles
 
-from conftest import finite_type_pairs, presentations
+from conftest import bench_inputs, finite_type_pairs, presentations
 
 LOCH = parse_presentation("surface loch_ness { root = H(root) }")
 FLUTE = parse_presentation("surface flute { root = P(root, punc); punc = A(punc) }")
@@ -71,6 +77,12 @@ def _check_graph(g):
     assert per_piece == capacity
     if g.complete:
         assert not g.open_slots
+    # the window is connected, as the essential-pants census assumes
+    around: dict[int, list[int]] = {p.id: [] for p in g.pieces}
+    for a, _, b, _ in g.edges:
+        around[a].append(b)
+        around[b].append(a)
+    assert not around or len(forward(around, [0])) == len(around)
 
 
 def test_strict_examples():
@@ -229,19 +241,160 @@ def _annulus_run(k: int, head: str, back: str) -> SurfacePresentation:
     return SurfacePresentation(name="run", rules=rules, root="r")
 
 
+# (a long annulus run, the surface with the run cut out, a depth)
+_ANNULUS_RUN_CASES = [
+    (_annulus_run(2000, "a0 a0", "r"), CANTOR, 4000),
+    (_annulus_run(2000, "r a0", "a0"), FLUTE, 4000),  # the run closes a lasso
+    (_annulus_run(10_000, "a0 a0", "r"), CANTOR, 20_000),
+]
+
+
 def test_long_annulus_runs_are_walked_once():
     # annuli are skipped, so the windows are those of the runs cut out
-    cases = [
-        (_annulus_run(2000, "a0 a0", "r"), CANTOR, 4000),
-        (_annulus_run(2000, "r a0", "a0"), FLUTE, 4000),  # the run closes a lasso
-        (_annulus_run(10_000, "a0 a0", "r"), CANTOR, 20_000),
-    ]
-    for pres, cut, depth in cases:
+    for pres, cut, depth in _ANNULUS_RUN_CASES:
         for mode in ("strict", "lenient"):
             start = time.perf_counter()
             window = decompose(pres, mode, depth)
             assert time.perf_counter() - start < 2.0
             assert window == decompose(cut, mode, depth)
+
+
+def _reference_decompose(
+    pres: SurfacePresentation, mode: str = "lenient", depth: int = 8
+) -> DecompositionGraph:
+    """The window walk with a Piece made per piece, method calls per block
+    and two passes over the edges to cut it: the oracle for ``decompose``'s
+    pieces, edges, open slots, completeness and errors."""
+    if mode not in ("lenient", "strict"):
+        raise DecomposeError(f"mode must be 'lenient' or 'strict', got {mode!r}")
+    if depth < 0:
+        raise DecomposeError(f"depth must be non-negative, got {depth}")
+    pres = regularize(pres)
+    assert pres.root is not None
+    pieces: list[Piece] = []
+    edges: list[Edge] = []
+    queue: deque[tuple[int, int, str]] = deque()
+    exits: dict[str, str | None] = {}  # the run exit of each annulus state walked
+
+    def new_piece(kind: PieceKind) -> int:
+        pieces.append(Piece(len(pieces), kind))
+        return len(pieces) - 1
+
+    def skip_annuli(state: str) -> str | None:
+        # None means the run closes a pure-annulus lasso; each run is walked once
+        run = []
+        while pres.kind(state) is BlockKind.ANNULUS and state not in exits:
+            exits[state] = None  # until the exit is found, so a lasso meets None
+            run.append(state)
+            state = pres.children(state)[0]
+        end = exits.get(state, state)
+        for s in run:
+            exits[s] = end
+        return end
+
+    def handle(then: str) -> int:
+        # a Handle visit: two pants glued along two circles, the walk going on at ``then``
+        pa = new_piece(PieceKind.PANTS)
+        pb = new_piece(PieceKind.PANTS)
+        edges.append((pa, 1, pb, 0))
+        edges.append((pa, 2, pb, 1))
+        queue.append((pb, 2, then))
+        return pa
+
+    def resolve(state: str) -> int:
+        # the piece the circle into ``state`` bounds, always at its slot 0
+        s = skip_annuli(state)
+        if s is None:
+            return new_piece(PieceKind.PUNCTURED_DISK)
+        if pres.kind(s) is BlockKind.HANDLE:
+            return handle(pres.children(s)[0])
+        pid = new_piece(PieceKind.PANTS)
+        c1, c2 = pres.children(s)
+        queue.append((pid, 1, c1))
+        queue.append((pid, 2, c2))
+        return pid
+
+    root = skip_annuli(pres.root)
+    if root is None:
+        raise PlaneExcludedError("the plane admits no decomposition")
+    if pres.kind(root) is BlockKind.PANTS:
+        c1, c2 = pres.children(root)
+        left = resolve(c1)
+        edges.append((left, 0, resolve(c2), 0))
+    else:
+        nxt = skip_annuli(pres.children(root)[0])
+        if nxt is None:
+            if mode == "strict":
+                raise PuncturedTorusExcludedInStrictError(
+                    "the punctured torus needs a one-holed torus piece"
+                )
+            torus = new_piece(PieceKind.ONE_HOLED_TORUS)
+            edges.append((torus, 0, new_piece(PieceKind.PUNCTURED_DISK), 0))
+        elif pres.kind(nxt) is BlockKind.PANTS:
+            c1, c2 = pres.children(nxt)
+            left = resolve(c2)
+            edges.append((left, 0, handle(c1), 0))
+        else:
+            p1 = new_piece(PieceKind.PANTS)
+            p2 = new_piece(PieceKind.PANTS)
+            p3 = new_piece(PieceKind.PANTS)
+            edges.extend([(p1, 0, p2, 0), (p1, 1, p2, 1), (p1, 2, p3, 0), (p2, 2, p3, 1)])
+            queue.append((p3, 2, pres.children(nxt)[0]))
+    while queue and len(pieces) < depth:
+        pid, slot, state = queue.popleft()
+        edges.append((pid, slot, resolve(state), 0))
+    n = min(depth, len(pieces))
+    opened = [(a, sa) for a, sa, b, _ in edges if a < n <= b]
+    opened.extend((pid, slot) for pid, slot, _ in queue if pid < n)
+    return DecompositionGraph(
+        mode=mode,
+        depth=depth,
+        pieces=tuple(pieces[:n]),
+        edges=tuple(e for e in edges if e[2] < n),
+        open_slots=tuple(opened),
+        complete=not queue and n == len(pieces),
+    )
+
+def _outcome(walk, pres, mode, depth):
+    try:
+        return repr(walk(pres, mode, depth))
+    except EndkitError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_walks_agree(pres, modes=("strict", "lenient"), depths=range(71)):
+    for mode in modes:
+        for depth in depths:
+            assert _outcome(decompose, pres, mode, depth) == _outcome(
+                _reference_decompose, pres, mode, depth
+            ), (mode, depth)
+
+
+@st.composite
+def _grown_cores(draw):
+    """A random core, with up to 12 annuli spliced on random child edges."""
+    pres = draw(presentations(max_states=8))
+    for _ in range(draw(st.integers(0, 12))):
+        state = draw(st.sampled_from(sorted(pres.rules)))
+        pres = splice_annulus(pres, state, draw(st.integers(0, len(pres.rules[state][1]) - 1)))
+    return pres
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(max_states=8) | _grown_cores())
+def test_decompose_matches_the_reference_walk(pres):
+    _assert_walks_agree(pres)
+
+
+def test_decompose_matches_the_reference_walk_on_the_examples():
+    for pres in (LOCH, CANTOR, FLUTE):
+        _assert_walks_agree(pres, depths=(1024,))
+    for g in range(9):
+        for p in range(1, 9):
+            pres = parse_presentation(f"surface s finite S(g={g}, b=0, p={p})")
+            _assert_walks_agree(pres, depths=(0, 1, 2, 3, 5, 8, 4 * (g + p), 64))
+    for pres, _, depth in _ANNULUS_RUN_CASES:
+        _assert_walks_agree(pres, depths=(0, 7, depth))
 
 
 @settings(max_examples=60, deadline=None)
@@ -378,6 +531,72 @@ def test_essential_pants_complexity_gate():
         found = find_essential_pants(standard_presentation(g, p))
         assert len(found.components) >= 2
         assert all(c.rank_lower_bound >= 2 for c in found.components)
+
+
+def _reference_complement_census(
+    g: DecompositionGraph, removed: int
+) -> list[ComponentCensus]:
+    """The census with the adjacency rebuilt as a dict of sets per removed
+    piece, its components in piece order: the oracle for ``_complement_census``."""
+    open_pids = {pid for pid, _ in g.open_slots}
+    adjacency: dict[int, set[int]] = {
+        p.id: set() for p in g.pieces if p.id != removed
+    }
+    for a, _, b, _ in g.edges:
+        if removed not in (a, b):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    kind_of = {p.id: p.kind for p in g.pieces}
+    seen: set[int] = set()
+    out: list[ComponentCensus] = []
+    for start in adjacency:
+        if start in seen:
+            continue
+        comp = set(forward(adjacency, [start]))
+        seen |= comp
+        pants = sum(1 for pid in comp if kind_of[pid] is PieceKind.PANTS)
+        tori = sum(1 for pid in comp if kind_of[pid] is PieceKind.ONE_HOLED_TORUS)
+        pds = len(comp) - pants - tori
+        out.append(ComponentCensus(
+            pants=pants,
+            punctured_disks=pds,
+            one_holed_tori=tori,
+            rank_lower_bound=1 + pants + tori,
+            exact=not (comp & open_pids),
+        ))
+    return out
+
+
+def _assert_censuses_agree(window):
+    around: list[list[int]] = [[] for _ in window.pieces]
+    for a, _, b, _ in window.edges:
+        around[a].append(b)
+        around[b].append(a)
+    for piece in window.pieces:
+        if piece.kind is PieceKind.PANTS:
+            assert _complement_census(window, piece.id, around) == _reference_complement_census(
+                window, piece.id
+            ), piece.id
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(max_states=8) | _grown_cores(), st.sampled_from((1, 2, 5, 13, 64)))
+def test_complement_census_matches_the_reference(pres, depth):
+    try:
+        window = decompose(pres, "lenient", depth)
+    except PlaneExcludedError:
+        return
+    _check_graph(window)
+    _assert_censuses_agree(window)
+
+
+def test_complement_census_matches_the_reference_on_the_bench_shapes():
+    inputs = bench_inputs()
+    rng = random.Random(5)
+    for i in range(40):
+        found = find_essential_pants(parse_presentation(inputs.essential_pants_case(rng, i % 5)))
+        _check_graph(found.window)
+        _assert_censuses_agree(found.window)
 
 
 def test_first_occurrences_orders_by_generation():

@@ -716,6 +716,17 @@ def test_validation_matches_the_two_pass_routine(system):
     )
 
 
+@pytest.mark.parametrize("rules", [
+    {"a": ("A", ("a",))},  # a kind that is not a BlockKind
+    {"a": (BlockKind.ANNULUS,)},  # not a (kind, children) pair
+    {"a": (BlockKind.ANNULUS, None)},  # children that are not a sequence
+    {"b": (BlockKind.ANNULUS, ("a",)), "a": "A(a)"},  # after a valid rule
+], ids=["kind", "pair", "children", "second"])
+def test_a_malformed_rule_is_a_syntax_error_naming_it(rules):
+    with pytest.raises(PresentationSyntaxError, match=r"s: rule 'a' is not a \(BlockKind, children\) pair"):
+        SurfacePresentation("s", rules=rules)
+
+
 def test_pretty_print_refuses_a_name_it_cannot_write():
     pres = SurfacePresentation(name="my surface", rules={"a b": (BlockKind.ANNULUS, ("a b",))})
     with pytest.raises(PresentationError, match="'my surface'"):
