@@ -31,7 +31,7 @@ components, and the fold skips the others.
 
 import re
 from enum import Enum
-from typing import AbstractSet, Callable, Iterable, Iterator, TypeVar, Union as TUnion
+from typing import Callable, Iterable, Iterator, TypeVar, Union as TUnion
 
 from ._record import Record
 from .errors import EndsError, InvalidEndExprError, NotConvertibleError
@@ -98,53 +98,51 @@ class _Kind(Enum):
 
 
 _V = TypeVar("_V")
+# a kept component's kind by its shape (ACYCLIC, CYCLE, BRANCHING), then by
+# whether it keeps an exit
+_KINDS = ((None, _Kind.ACYCLIC), (_Kind.POINT, _Kind.SEQ), (_Kind.CANTOR, _Kind.KERNEL))
 
 
 def _fold_components(
     space: EndsAutomaton,
-    combine: Callable[[_Kind, list[str], list], _V],
-    within: AbstractSet[str] | None = None,
+    combine: Callable[[_Kind, int, list], _V],
+    within: list[bool] | None = None,
 ) -> _V | None:
-    """``combine(kind, component, values of its exits)`` at every component
-    of the paths that stay ``within`` a set of states closed under
-    predecessors (all states by default), children first; the value at the
-    root, or None when no such path is infinite.
+    """``combine(kind, i, values of its exits)`` at every component ``i`` of
+    the paths that stay within the components flagged in ``within`` (all by
+    default; flags closed under predecessors, as `_reaching` gives), children
+    first; the value at the root, or None when no such path is infinite.
 
     A component outside ``within``, or acyclic with no exit left, carries
-    no infinite path: it is skipped, and so are the exits into it.  An
-    acyclic state with one exit left passes that exit's value through
-    without a call: every combiner returns ``kids[0]`` for
-    ``(_Kind.ACYCLIC, [state], [kid])``."""
-    if within is not None and not within:
-        return None
-    succ, cyclic = space.transitions, space.cyclic
-    value_of: dict[str, _V] = {}
-    for scc in space.components:
-        first = scc[0]
-        if within is not None and first not in within:
+    no infinite path: its value is None, and the exits into it are skipped.
+    An acyclic component with one exit left passes that exit's value
+    through without a call: every combiner returns ``kids[0]`` for
+    ``(_Kind.ACYCLIC, i, [kid])``."""
+    root = space.component_of[space.root]
+    if within is not None and not within[root]:
+        return None  # the root reaches every state, so no component is kept
+    values: list = []
+    for i, (exits, shape) in enumerate(zip(space.exits, space.shapes)):
+        if within is not None and not within[i]:
+            values.append(None)
             continue
-        if len(scc) == 1:  # most components: no set, sort or scan
-            # the state has no value yet: these are the kept exits
-            kids = [value_of[c] for c in succ[first] if c in value_of]
-            if first not in cyclic:
-                if len(kids) > 1:
-                    value_of[first] = combine(_Kind.ACYCLIC, scc, kids)
-                elif kids:
-                    value_of[first] = kids[0]
-                continue
-            branching = succ[first].count(first) >= 2
+        kids = [v for k in exits if (v := values[k]) is not None]
+        if shape or len(kids) > 1:
+            values.append(combine(_KINDS[shape][bool(kids)], i, kids))
         else:
-            members = set(scc)
-            kids = [value_of[c] for s in sorted(scc) for c in succ[s] if c in value_of]
-            branching = any(sum(c in members for c in succ[s]) >= 2 for s in scc)
-        if branching:
-            kind = _Kind.KERNEL if kids else _Kind.CANTOR
-        else:
-            kind = _Kind.SEQ if kids else _Kind.POINT
-        value = combine(kind, scc, kids)
-        for s in scc:
-            value_of[s] = value
-    return value_of.get(space.root)
+            values.append(kids[0] if kids else None)
+    return values[root]
+
+
+def _reaching(space: EndsAutomaton, marks: Iterable[str]) -> list[bool]:
+    """Per component, whether its states reach a state of ``marks``: the
+    mark closure, a union of components, in one children-first pass."""
+    hit = [False] * len(space.exits)
+    for s in space.component_of.keys() & marks:
+        hit[space.component_of[s]] = True
+    for i, exits in enumerate(space.exits):
+        hit[i] = hit[i] or any(map(hit.__getitem__, exits))
+    return hit
 
 
 # -- Cantor-Bendixson analysis ---------------------------------------------
@@ -217,7 +215,7 @@ def _cb(kind: _Kind, kids: list[_CBData]) -> _CBData:
     return (rank + 1, 1, False, card)  # SEQ: the cycle's end is the new level
 
 
-def _cb_data(space: EndsAutomaton, within: AbstractSet[str] | None = None) -> _CBData:
+def _cb_data(space: EndsAutomaton, within: list[bool] | None = None) -> _CBData:
     """CB data of the paths that stay ``within`` (see _fold_components)."""
     return _fold_components(space, lambda kind, _, kids: _cb(kind, kids), within) or _EMPTY_CB
 
@@ -228,7 +226,7 @@ def _cb_of(automaton: EndsAutomaton, marked: str) -> _CBData:
     if marked == "all":
         return _cb_data(automaton)
     if marked == "nonplanar_only":
-        return _cb_data(automaton, backward(automaton.transitions, automaton.nonplanar_states))
+        return _cb_data(automaton, _reaching(automaton, automaton.nonplanar_states))
     raise ValueError(f"marked must be 'all' or 'nonplanar_only', got {marked!r}")
 
 
@@ -578,22 +576,21 @@ def expr_cb_report(e: EndExpr) -> CBReport:
 
 # -- automaton to expression -----------------------------------------------
 
-def _to_expr(space: EndsAutomaton, marked: AbstractSet[str], forms: _Forms) -> dict[int, int]:
+def _to_expr(space: EndsAutomaton, marked: list[bool], forms: _Forms) -> dict[int, int]:
     """Normal form, as a bag of ``forms``, of the path space with the ends
-    inside ``marked`` (a mark closure) marked, or NotConvertibleError when a
-    component mixes internal branching with exits.  Each component's bag is
-    built once, from its children's, in time linear in their distinct
-    parts."""
+    inside the components flagged ``marked`` (a mark closure) marked, or
+    NotConvertibleError when a component mixes internal branching with
+    exits.  Each component's bag is built once, from its children's, in
+    time linear in their distinct parts."""
 
-    def expr(kind: _Kind, scc: list[str], kids: list[dict[int, int]]) -> dict[int, int]:
+    def expr(kind: _Kind, i: int, kids: list[dict[int, int]]) -> dict[int, int]:
         if kind is _Kind.KERNEL:
             raise NotConvertibleError("component mixes internal branching with exits")
         if kind is _Kind.ACYCLIC:
             return forms.union(kids)
-        in_marked = marked.issuperset(scc)
         if kind is _Kind.SEQ:
-            return forms.seq(forms.union(kids), in_marked)
-        return forms.atom(kind is _Kind.CANTOR, in_marked)
+            return forms.seq(forms.union(kids), marked[i])
+        return forms.atom(kind is _Kind.CANTOR, marked[i])
 
     return _fold_components(space, expr)
 
@@ -602,20 +599,24 @@ def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
     """Normal-form expression for (ends, non-planar ends), materialized once
     from its bag, with the multiplicities expanded."""
     forms = _Forms()
-    marked = backward(automaton.transitions, automaton.nonplanar_states)
+    marked = _reaching(automaton, automaton.nonplanar_states)
     return forms.expr(_to_expr(automaton, marked, forms))
 
 
 # -- homeomorphism decision for pairs --------------------------------------
 
-def _canonical_form(space: EndsAutomaton, marked: AbstractSet[str]) -> tuple:
-    """Relabel states by BFS discovery order (child order preserved)."""
-    order = forward(space.transitions, [space.root])
+def _canonical_form(space: EndsAutomaton, marked: list[bool]) -> tuple:
+    """Relabel states by BFS discovery order (child order preserved), each
+    with its component's flag in ``marked``."""
+    succ, component_of = space.transitions, space.component_of
+    order = forward(succ, [space.root])
     index = {s: i for i, s in enumerate(order)}
-    return tuple(
-        (tuple(index[c] for c in space.transitions[s]), s in marked)
-        for s in order
-    )
+    return tuple((tuple(index[c] for c in succ[s]), marked[component_of[s]]) for s in order)
+
+
+def _census(space: EndsAutomaton, marked: list[bool]) -> tuple[int, int]:
+    """The numbers of states and of marked states: equal canonical forms share them."""
+    return len(space.component_of), sum(len(c) for c, m in zip(space.components, marked) if m)
 
 
 def _pair_verdict(
@@ -627,13 +628,14 @@ def _pair_verdict(
     """Verdict plus what decided it: 'identical-presentation' or
     'end-expression-normal-form' for Yes, 'invariants' or 'normal-form'
     for No, None for Unknown."""
-    marked_a = backward(space_a.transitions, marks_a)
-    marked_b = backward(space_b.transitions, marks_b)
+    marked_a, marked_b = _reaching(space_a, marks_a), _reaching(space_b, marks_b)
     # the exact CB data of the spaces, then of their marked subspaces
     spaces_differ = _cb_data(space_a) != _cb_data(space_b)
     if spaces_differ or _cb_data(space_a, marked_a) != _cb_data(space_b, marked_b):
         return Verdict.NO, "invariants"
-    if _canonical_form(space_a, marked_a) == _canonical_form(space_b, marked_b):
+    if _census(space_a, marked_a) == _census(space_b, marked_b) and (
+        _canonical_form(space_a, marked_a) == _canonical_form(space_b, marked_b)
+    ):
         return Verdict.YES, FRAGMENT_IDENTICAL
     forms = _Forms()  # both sides in one table: equal forms are equal bags
     try:

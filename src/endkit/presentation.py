@@ -94,7 +94,11 @@ class SurfacePresentation(Record):
             raise PresentationSyntaxError(f"{self.name}: empty rule system")
         if self.root is None:
             self.root = next(iter(rules))
-        if self.root not in rules:
+        try:
+            dangling = self.root not in rules
+        except TypeError:
+            raise PresentationSyntaxError(f"{self.name}: root {self.root!r} is unhashable") from None
+        if dangling:
             raise DanglingRuleError(f"{self.name}: root {self.root!r} is not a rule")
         # a valid system passes in one breadth-first walk from the root
         order = [self.root]
@@ -131,7 +135,13 @@ class SurfacePresentation(Record):
                     f"{arity} child(ren), got {count}"
                 )
             for child in children:
-                if child not in rules:
+                try:
+                    dangling = child not in rules
+                except TypeError:
+                    raise PresentationSyntaxError(
+                        f"{self.name}: rule {lhs!r} has an unhashable child {child!r}"
+                    ) from None
+                if dangling:
                     raise DanglingRuleError(
                         f"{self.name}: rule {lhs!r} references undefined {child!r}"
                     )
@@ -287,7 +297,7 @@ def pretty_print(pres: SurfacePresentation) -> str:
 # The one graph form is a successor map: each state to its children in
 # child order, with multiplicity.  Every successor must itself be a key.
 # EndsAutomaton.transitions is such a map; ends_automaton() builds it once
-# per presentation, with its condensation, and every invariant reads that.
+# per presentation, with its condensation compiled, and every invariant reads that.
 # All routines below are iterative and O(states + edges).
 
 Successors = Mapping[str, Sequence[str]]
@@ -367,39 +377,64 @@ def sccs(succ: Successors) -> list[list[str]]:
     return out
 
 
-def on_cycles(succ: Successors, components: Iterable[list[str]]) -> set[str]:
-    """States lying on some cycle, given ``components = sccs(succ)``."""
-    return {
-        s for c in components if len(c) > 1 or c[0] in succ[c[0]] for s in c
-    }
-
-
 # -- the ends automaton ----------------------------------------------------
 
+# a component's shape: a state on no cycle, a cycle, or branching inside it
+ACYCLIC, CYCLE, BRANCHING = range(3)
+
+
 class EndsAutomaton(Record):
-    """Reachable rule states with their successor choices.
+    """Reachable rule states with their successor choices, and their
+    condensation compiled into a DAG of components.
 
     ``transitions[s]`` keeps child order and multiplicity; ``nonplanar_states``
     holds the Handle-labeled states (the raw genus data from which the
     non-planar subspace is derived).  ``components`` is the SCC condensation
-    of ``transitions`` (reverse topological order) and ``cyclic`` the states
-    on its cycles.  The ends module reads every marked subspace off this
-    condensation, as a union of its components.
+    of ``transitions`` in reverse topological order, ``component_of[s]`` the
+    index of the component of s, and ``cyclic`` the states on its cycles.
+    Component ``i`` has the shape ``shapes[i]`` and ``exits[i]``, a list of
+    the components of its members' children outside it, members in
+    ``transitions`` order, with multiplicity.  Every invariant walks this
+    table children first, and reads a marked subspace off it as a union of
+    components.
     """
 
-    __slots__ = ("transitions", "root", "nonplanar_states", "components", "cyclic")
+    __slots__ = ("transitions", "root", "nonplanar_states", "components", "cyclic",
+                 "component_of", "exits", "shapes")
 
 
 def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
     pres = regularize(pres)
-    assert pres.rules is not None and pres.root is not None
-    states = sorted(pres.rules)
-    transitions = {s: pres.rules[s][1] for s in states}
-    components = sccs(transitions)
-    handles = frozenset(s for s in states if pres.rules[s][0] is BlockKind.HANDLE)
-    cyclic = frozenset(on_cycles(transitions, components))
+    rules, handle = pres.rules, BlockKind.HANDLE
+    assert rules is not None and pres.root is not None
+    states = sorted(rules)  # so a component's exits follow its sorted members
+    transitions = {s: rules[s][1] for s in states}
+    handles = frozenset([s for s in states if rules[s][0] is handle])
+    return _compile_automaton(transitions, pres.root, handles, tuple(sccs(transitions)))
+
+
+def _compile_automaton(transitions: Successors, root: str | None, nonplanar: frozenset[str],
+                       components: tuple[list[str], ...]) -> EndsAutomaton:
+    """The automaton over ``components = sccs(transitions)``, compiled in
+    one pass over the edges."""
+    component_of = {s: i for i, c in enumerate(components) for s in c}
+    exits: list[list[int]] = [[] for _ in components]
+    shapes = [ACYCLIC] * len(components)
+    for s, children in transitions.items():
+        i = component_of[s]
+        inside = 0
+        for c in children:
+            k = component_of[c]
+            if k == i:
+                inside += 1
+            else:
+                exits[i].append(k)
+        if inside:
+            shapes[i] = BRANCHING if inside > 1 else shapes[i] or CYCLE
+    cyclic = frozenset(s for c, shape in zip(components, shapes) if shape for s in c)
     # every field positional: the record constructor's fast path
-    return EndsAutomaton(transitions, pres.root, handles, tuple(components), cyclic)
+    return EndsAutomaton(transitions, root, nonplanar, components, cyclic, component_of,
+                         tuple(exits), tuple(shapes))
 
 
 def cyclic_states(pres: SurfacePresentation) -> set[str]:
@@ -416,18 +451,19 @@ def states_after_cycles(pres: SurfacePresentation) -> set[str]:
 def _occurrences(auto: EndsAutomaton, targets: AbstractSet[str]) -> Genus:
     """Number of unfolding-tree nodes labeled by ``targets``, counted with
     child multiplicity (``P(a, a)`` doubles); INFINITE when a target lies
-    on or after a cycle."""
-    succ, cyclic = auto.transitions, auto.cyclic
+    on or after a cycle.  Children first over the components: a cycle with
+    a target on or below it repeats that target forever."""
     if not targets:
         return 0
-    if not targets.isdisjoint(forward(succ, cyclic)):
-        return INFINITE
-    # children first; no target lies below a cycle, so its members count 0
-    below: dict[str, int] = {}
-    for component in auto.components:
-        for s in component:
-            below[s] = 0 if s in cyclic else (s in targets) + sum(map(below.__getitem__, succ[s]))
-    return below[auto.root]
+    below: list[Genus] = []
+    for members, exits, shape in zip(auto.components, auto.exits, auto.shapes):
+        n = sum(map(below.__getitem__, exits))
+        if shape:
+            n = INFINITE if n or not targets.isdisjoint(members) else 0
+        else:
+            n += members[0] in targets
+        below.append(n)
+    return below[auto.component_of[auto.root]]
 
 
 def _pants(auto: EndsAutomaton) -> set[str]:

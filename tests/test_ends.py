@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import re
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from typing import AbstractSet
 
 import pytest
@@ -61,10 +62,14 @@ from endkit.ends import (
     _key,
     _Kind,
     _pair_verdict,
+    _reaching,
     _to_expr,
     _walk,
 )
-from endkit.presentation import Successors, backward, forward, on_cycles, sccs
+from endkit._record import replace
+from endkit.presentation import (
+    Successors, _compile_automaton, _occurrences, backward, forward, sccs,
+)
 
 from conftest import end_exprs, presentations, successor_maps
 
@@ -201,7 +206,7 @@ def test_rank_cutoff_flag():
 # derivative step, and count root paths with Kahn's algorithm: slow, but
 # independent of the fold.
 
-_EMPTY = EndsAutomaton({}, None, frozenset(), (), frozenset())
+_EMPTY = _compile_automaton({}, None, frozenset(), ())
 
 
 def _restrict(space: EndsAutomaton, targets: Iterable[str]) -> EndsAutomaton:
@@ -209,7 +214,8 @@ def _restrict(space: EndsAutomaton, targets: Iterable[str]) -> EndsAutomaton:
 
     The kept states are closed under predecessors, then under successors
     from the root, so they are a union of components of ``space``: the
-    cycles inside are the parent's and so are the components.
+    cycles inside are the parent's and so are the components, compiled
+    again over the kept edges.
     """
     if space.root is None:
         return _EMPTY
@@ -223,12 +229,11 @@ def _restrict(space: EndsAutomaton, targets: Iterable[str]) -> EndsAutomaton:
         return _EMPTY
     live = {s: tuple(c for c in inside[s] if c in alive) for s in alive}
     transitions = {s: live[s] for s in forward(live, [space.root])}
-    return EndsAutomaton(
-        transitions=transitions,
-        root=space.root,
-        nonplanar_states=space.nonplanar_states.intersection(transitions),
-        components=tuple(c for c in space.components if c[0] in transitions),
-        cyclic=space.cyclic.intersection(transitions),
+    return _compile_automaton(
+        transitions,
+        space.root,
+        space.nonplanar_states.intersection(transitions),
+        tuple(c for c in space.components if c[0] in transitions),
     )
 
 
@@ -395,7 +400,7 @@ def _assert_marked_data_matches_restriction(auto: EndsAutomaton, marks: set[str]
     report = _cb_space(_restrict(auto, marks), 10**4)
     last = report.profile[-1] if report.profile else 0
     expected = (report.rank, last, report.has_perfect_kernel, report.cardinality)
-    assert _cb_data(auto, backward(auto.transitions, marks)) == expected
+    assert _cb_data(auto, _reaching(auto, marks)) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -425,7 +430,7 @@ def test_subspaces_inherit_the_condensation(pres):
         position = {s: i for i, c in enumerate(space.components) for s in c}
         for s, children in succ.items():
             assert all(position[c] <= position[s] for c in children)
-        assert space.cyclic == on_cycles(succ, sccs(succ))
+        assert space.cyclic == _on_cycles(succ)
 
 
 # -- reference normal form: the route the intern table replaced ------------
@@ -472,10 +477,13 @@ def _reference_normal(node: EndExpr, kids: list[EndExpr]) -> EndExpr:
 
 
 def _reference_to_expr(space: EndsAutomaton, marked: AbstractSet[str]) -> EndExpr:
-    def expr(kind: _Kind, scc: list[str], kids: list[EndExpr]) -> EndExpr:
+    """The normal form, with the ends inside the mark closure ``marked`` (a
+    set of states) marked."""
+
+    def expr(kind: _Kind, i: int, kids: list[EndExpr]) -> EndExpr:
         if kind is _Kind.KERNEL:
             raise NotConvertibleError("component mixes internal branching with exits")
-        in_marked = marked.issuperset(scc)
+        in_marked = marked.issuperset(space.components[i])
         if kind is _Kind.POINT:
             return Pt(in_marked)
         if kind is _Kind.CANTOR:
@@ -487,12 +495,14 @@ def _reference_to_expr(space: EndsAutomaton, marked: AbstractSet[str]) -> EndExp
 
 
 def _reference_pair_verdict(space_a, marks_a, space_b, marks_b) -> tuple[Verdict, str | None]:
+    """Every layer in turn, the canonical forms compared on every pair."""
     marked_a = backward(space_a.transitions, marks_a)
     marked_b = backward(space_b.transitions, marks_b)
+    flags_a, flags_b = _flags(space_a, marked_a), _flags(space_b, marked_b)
     spaces_differ = _cb_data(space_a) != _cb_data(space_b)
-    if spaces_differ or _cb_data(space_a, marked_a) != _cb_data(space_b, marked_b):
+    if spaces_differ or _cb_data(space_a, flags_a) != _cb_data(space_b, flags_b):
         return Verdict.NO, "invariants"
-    if _canonical_form(space_a, marked_a) == _canonical_form(space_b, marked_b):
+    if _canonical_form(space_a, flags_a) == _canonical_form(space_b, flags_b):
         return Verdict.YES, "identical-presentation"
     try:
         expr_a = _reference_to_expr(space_a, marked_a)
@@ -502,6 +512,11 @@ def _reference_pair_verdict(space_a, marks_a, space_b, marks_b) -> tuple[Verdict
     if _key(expr_a) == _key(expr_b):
         return Verdict.YES, "end-expression-normal-form"
     return Verdict.NO, "normal-form"
+
+
+def _flags(space: EndsAutomaton, closure: AbstractSet[str]) -> list[bool]:
+    """A mark closure, given as a set of states, flagged per component."""
+    return [c[0] in closure for c in space.components]
 
 
 def _reference_text(auto: EndsAutomaton) -> str:
@@ -543,17 +558,25 @@ def test_to_end_expr_and_pair_verdicts_match_the_reference_route(p, q, data):
 # -- reference condensation fold: the general rule at every component -----
 
 
-def _reference_fold(space: EndsAutomaton, combine, within: AbstractSet[str] | None = None):
-    """_fold_components without its fast paths: every component is read by
-    the general rule, and every kept one calls ``combine``."""
+def _on_cycles(succ: Successors) -> set[str]:
+    """States lying on some cycle: the members of the components that have
+    two states, or one with a self-loop."""
+    return {s for c in sccs(succ) if len(c) > 1 or c[0] in succ[c[0]] for s in c}
+
+
+def _reference_fold(space: EndsAutomaton, combine, within: list[bool] | None = None):
+    """_fold_components over the states, not the compiled table: every
+    component's exits, cycles and branching are read off ``transitions``
+    by the general rule, and every kept component calls ``combine``."""
     succ = space.transitions
+    cyclic = _on_cycles(succ)
     value_of: dict = {}
-    for scc in space.components:
-        if within is not None and scc[0] not in within:
+    for i, scc in enumerate(space.components):
+        if within is not None and not within[i]:
             continue
         members = set(scc)
         kids = [value_of[c] for s in sorted(scc) for c in succ[s] if c in value_of]
-        if scc[0] not in space.cyclic:
+        if scc[0] not in cyclic:
             if not kids:
                 continue
             kind = _Kind.ACYCLIC
@@ -561,17 +584,18 @@ def _reference_fold(space: EndsAutomaton, combine, within: AbstractSet[str] | No
             kind = _Kind.KERNEL if kids else _Kind.CANTOR
         else:
             kind = _Kind.SEQ if kids else _Kind.POINT
-        value = combine(kind, scc, kids)
+        value = combine(kind, i, kids)
         for s in scc:
             value_of[s] = value
     return value_of.get(space.root)
 
 
-def _fold_results(auto: EndsAutomaton) -> tuple:
-    """CB data within all states, the non-planar closure and no state; then
-    the `_to_expr` bag of the non-planar closure, with its intern table."""
-    closure = backward(auto.transitions, auto.nonplanar_states)
-    cb = [_cb_data(auto, within) for within in (None, closure, set())]
+def _fold_results(auto: EndsAutomaton, marks: Iterable[str] | None = None) -> tuple:
+    """CB data within all states, the closure of ``marks`` (the non-planar
+    states by default) and no state; then the `_to_expr` bag of that
+    closure, with its intern table."""
+    closure = _reaching(auto, auto.nonplanar_states if marks is None else marks)
+    cb = [_cb_data(auto, within) for within in (None, closure, [False] * len(closure))]
     forms = _Forms()
     try:
         bag = _to_expr(auto, closure, forms)
@@ -580,17 +604,66 @@ def _fold_results(auto: EndsAutomaton) -> tuple:
     return cb, bag, forms.nodes
 
 
-def _assert_fold_matches_reference(auto: EndsAutomaton) -> None:
-    got = _fold_results(auto)
+def _assert_fold_matches_reference(auto: EndsAutomaton, marks: Iterable[str] | None = None):
+    got = _fold_results(auto, marks)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(endkit.ends, "_fold_components", _reference_fold)
-        assert got == _fold_results(auto)
+        assert got == _fold_results(auto, marks)
 
 
 @settings(max_examples=500, deadline=None)
 @given(presentations(max_states=8))
 def test_fold_matches_the_reference_fold(pres):
     _assert_fold_matches_reference(ends_automaton(pres))
+
+
+def _reference_occurrences(succ: Successors, root: str, targets: AbstractSet[str]):
+    """The occurrence count over the states: INFINITE when a target lies on
+    or after a cycle, else each state's count below it, children first."""
+    cyclic = _on_cycles(succ)
+    if not targets.isdisjoint(forward(succ, cyclic)):
+        return INFINITE
+    below: dict[str, int] = {}
+    for component in sccs(succ):
+        for s in component:
+            below[s] = 0 if s in cyclic else (s in targets) + sum(below[c] for c in succ[s])
+    return below[root]
+
+
+@st.composite
+def _grown_cores(draw, max_states: int = 200) -> SurfacePresentation:
+    """A random core of up to 8 states, grown to up to ``max_states`` by
+    splicing annuli on random child edges: its cycles grow long."""
+    core = draw(presentations(max_states=8))
+    rng = draw(st.randoms(use_true_random=False))
+    rules, states = dict(core.rules), list(core.rules)
+    for i in range(draw(st.integers(0, max_states - len(states)))):
+        state = rng.choice(states)
+        kind, children = rules[state]
+        slot = rng.randrange(len(children))
+        rules[state] = (kind, children[:slot] + (f"g{i}",) + children[slot + 1:])
+        rules[f"g{i}"] = (BlockKind.ANNULUS, (children[slot],))
+        states.append(f"g{i}")
+    return SurfacePresentation("grown", rules, core.root)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grown_cores(), st.data())
+def test_compiled_folds_match_the_state_level_references(pres, data):
+    """The passes over the compiled condensation against references that
+    read the states: `backward` for a mark closure, the state-level
+    occurrence count and `_reference_fold`, on long cycles and any marks."""
+    auto = ends_automaton(pres)
+    marks = data.draw(st.sets(st.sampled_from(sorted(auto.transitions))))
+    closure = backward(auto.transitions, marks)
+    assert _reaching(auto, marks) == _flags(auto, closure)
+    assert closure == {s for c in auto.components if c[0] in closure for s in c}
+    pants = {s for s, cs in auto.transitions.items() if len(cs) == 2}
+    for targets in (marks, auto.nonplanar_states, pants):
+        expected = _reference_occurrences(auto.transitions, auto.root, targets)
+        assert _occurrences(auto, targets) == expected
+    _assert_fold_matches_reference(auto, marks)
+    _assert_fold_matches_reference(auto)
 
 
 def test_every_combiner_passes_a_lone_exit_through(monkeypatch):
@@ -606,10 +679,13 @@ def test_every_combiner_passes_a_lone_exit_through(monkeypatch):
     monkeypatch.setitem(globals(), "_fold_components", recording)  # _reference_to_expr's
     auto = ends_automaton(FLUTE)
     marked = backward(auto.transitions, auto.nonplanar_states)
-    kids = [_cb_data(auto), _to_expr(auto, marked, _Forms()), _reference_to_expr(auto, marked)]
+    kids = [
+        _cb_data(auto), _to_expr(auto, _flags(auto, marked), _Forms()),
+        _reference_to_expr(auto, marked),
+    ]
     assert len(combiners) == 3
     for combine, kid in zip(combiners, kids):
-        assert combine(_Kind.ACYCLIC, ["x"], [kid]) is kid
+        assert combine(_Kind.ACYCLIC, 0, [kid]) is kid
 
 
 def test_normalize_flatten_and_sort():
@@ -1186,3 +1262,43 @@ def test_deep_comb_pair_through_the_normal_form():
     verdict = kerekjarto(comb, _renamed(splice_annulus(comb, comb.root, 0)))
     assert verdict.to_json() == {"verdict": "Homeomorphic"}
     assert verdict.witness == "end-expression-normal-form"
+
+
+class _CountedReads(Mapping):
+    """A successor map that counts the reads of it."""
+
+    def __init__(self, succ: Successors) -> None:
+        self.succ, self.reads = succ, 0
+
+    def __getitem__(self, state: str):
+        self.reads += 1
+        return self.succ[state]
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.succ)
+
+    def __len__(self) -> int:
+        self.reads += 1
+        return len(self.succ)
+
+
+@pytest.mark.parametrize(
+    "pres", [LOCH, FLUTE, CANTOR, BLOOM, MIXED, pants_comb(50), cantor_marked(50)],
+    ids=["loch", "flute", "cantor", "bloom", "mixed", "comb", "cantor-marked"],
+)
+def test_invariants_read_the_compiled_condensation_only(pres):
+    """Counts, CB data, genus and the normal form walk the compiled table,
+    never the successor map; the canonical form is its one reader."""
+    auto = ends_automaton(pres)
+    counted = _CountedReads(auto.transitions)
+    auto = replace(auto, transitions=counted)
+    for marked in ("all", "nonplanar_only"):
+        cb_report(auto, marked)
+        ends_count(auto, marked)
+    genus(auto)
+    with contextlib.suppress(NotConvertibleError):
+        to_end_expr(auto)
+    assert counted.reads == 0
+    _canonical_form(auto, _reaching(auto, auto.nonplanar_states))
+    assert counted.reads > 0

@@ -38,7 +38,8 @@ from endkit import decompose, find_essential_pants, interchange_normalize, kerek
 from endkit.cli import main
 from endkit.ends import Cardinality
 from endkit.presentation import (
-    MAX_DIGITS, Successors, backward, ends_automaton, forward, on_cycles, sccs,
+    ACYCLIC, BRANCHING, CYCLE, MAX_DIGITS, Successors, _compile_automaton, backward,
+    ends_automaton, forward, sccs,
 )
 
 from conftest import bench_inputs, presentations, successor_maps
@@ -401,8 +402,15 @@ def test_kernel_reachability_and_cycles(succ, data):
     for s, cs in succ.items():
         assert all(position[c] <= position[s] for c in cs)
 
-    cyclic = {s for s in succ if s in reach[s]}
-    assert on_cycles(succ, components) == cyclic
+    # the compiled condensation: exits in member order, with multiplicity
+    compiled = _compile_automaton(succ, None, frozenset(), tuple(components))
+    assert compiled.component_of == position
+    assert compiled.cyclic == {s for s in succ if s in reach[s]}
+    for i, c in enumerate(components):
+        assert compiled.exits[i] == [position[x] for s in sorted(c) for x in succ[s] if x not in c]
+        branching = any(sum(x in c for x in succ[s]) >= 2 for s in c)
+        shape = BRANCHING if branching else CYCLE if c[0] in reach[c[0]] else ACYCLIC
+        assert compiled.shapes[i] == shape
 
 
 def test_sccs_matches_the_textbook_tarjan_on_the_families():
@@ -725,6 +733,17 @@ def test_validation_matches_the_two_pass_routine(system):
 def test_a_malformed_rule_is_a_syntax_error_naming_it(rules):
     with pytest.raises(PresentationSyntaxError, match=r"s: rule 'a' is not a \(BlockKind, children\) pair"):
         SurfacePresentation("s", rules=rules)
+
+
+@pytest.mark.parametrize("rules, root, message", [
+    ({"a": (BlockKind.ANNULUS, (["x"],))}, None, r"s: rule 'a' has an unhashable child \['x'\]"),
+    ({"b": (BlockKind.PANTS, ("a", "b")), "a": (BlockKind.PANTS, ("a", {"x"}))}, None,
+     r"s: rule 'a' has an unhashable child \{'x'\}"),
+    ({"a": (BlockKind.ANNULUS, ("a",))}, ["a"], r"s: root \['a'\] is unhashable"),
+], ids=["child", "second-child", "root"])
+def test_an_unhashable_name_is_a_syntax_error_naming_it(rules, root, message):
+    with pytest.raises(PresentationSyntaxError, match=message):
+        SurfacePresentation("s", rules=rules, root=root)
 
 
 def test_pretty_print_refuses_a_name_it_cannot_write():
