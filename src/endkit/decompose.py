@@ -16,9 +16,9 @@ graphs with their rank and core, the graph-level proper-homotopy
 comparison, and the essential-pants search.
 """
 
-from collections import Counter, deque
+from array import array
+from collections.abc import Sequence
 from enum import Enum
-from typing import Sequence
 
 from ._record import Record
 from .errors import (
@@ -32,7 +32,6 @@ from .presentation import (
     BlockKind,
     Rule,
     SurfacePresentation,
-    backward,
     ends_automaton,
     first_occurrences,
     forward,
@@ -42,6 +41,7 @@ from .presentation import (
     _first_paths,
     _occurrences,
     _pants,
+    _reaching,
 )
 
 Path = tuple[int, ...]
@@ -57,31 +57,80 @@ class PieceKind(Enum):
         return 3 if self is PieceKind.PANTS else 1
 
 
+# a kind code is the index here; other columns are 32-bit (2^31 pieces need some 64 GB)
+_KINDS = tuple(PieceKind)
+_PANTS, _DISK, _TORUS = range(3)
+
+
 class Piece(Record):
     __slots__ = ("id", "kind")
-
-    def __init__(self, id: int, kind: PieceKind) -> None:
-        set_id, set_kind = self._stores
-        set_id(self, id)
-        set_kind(self, kind)
 
 
 # an edge is one decomposition circle: (piece, slot, piece, slot)
 Edge = tuple[int, int, int, int]
 
 
+class _Column(Sequence):
+    """A window's tuple of rows as one flat column, ``width`` integers a row
+    (the pieces: one kind code a row).  It equals, hashes, prints and pickles
+    as that tuple, and builds a row (a tuple or a Piece) only when read."""
+
+    __slots__ = ("flat", "width")
+
+    def __init__(self, flat: bytes | array, width: int) -> None:
+        self.flat, self.width = flat, width
+
+    def __len__(self) -> int:
+        return len(self.flat) // self.width
+
+    def __iter__(self):
+        if self.width == 1:
+            return map(Piece, range(len(self.flat)), map(_KINDS.__getitem__, self.flat))
+        return zip(*[iter(self.flat)] * self.width)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if not isinstance(i, int):
+            return tuple(map(self.__getitem__, i))
+        w = self.width
+        return Piece(i, _KINDS[self.flat[i]]) if w == 1 else tuple(self.flat[i * w:i * w + w])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is _Column and other.width == self.width:
+            return self.flat == other.flat
+        return tuple(self) == other if isinstance(other, (tuple, _Column)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):  # any pickle protocol, as for a tuple
+        return _Column, (self.flat, self.width)
+
+
 class DecompositionGraph(Record):
     # open_slots are the (piece, slot) pairs awaiting pieces beyond the window
     __slots__ = ("mode", "depth", "pieces", "edges", "open_slots", "complete")
 
+    def _check(self) -> None:
+        # a window built from tuples is packed as decompose packs its own
+        for store, name, width in zip(self._stores[2:5], self.__slots__[2:5], (1, 4, 2)):
+            if type(rows := getattr(self, name)) is not _Column:
+                rows = tuple(rows)
+                column = _Column(bytes(_KINDS.index(p.kind) for p in rows) if width == 1
+                                 else array("i", [v for row in rows for v in row]), width)
+                if column != rows:
+                    held = "pieces numbered 0, 1, ..." if width == 1 else f"{width} integers a row"
+                    raise DecomposeError(f"{name} must hold {held}, got {rows!r}")
+                store(self, column)
+
     def census(self) -> dict[str, int]:
-        counts = Counter(p.kind for p in self.pieces)
-        out = {
-            "pants": counts[PieceKind.PANTS],
-            "punctured_disks": counts[PieceKind.PUNCTURED_DISK],
-        }
-        if counts[PieceKind.ONE_HOLED_TORUS]:
-            out["one_holed_tori"] = counts[PieceKind.ONE_HOLED_TORUS]
+        codes = self.pieces.flat
+        out = {"pants": codes.count(_PANTS), "punctured_disks": codes.count(_DISK)}
+        if tori := codes.count(_TORUS):
+            out["one_holed_tori"] = tori
         return out
 
     def to_json(self) -> dict:
@@ -89,23 +138,19 @@ class DecompositionGraph(Record):
             "mode": self.mode,
             "depth": self.depth,
             "complete": self.complete,
-            "pieces": [{"id": p.id, "kind": p.kind.value} for p in self.pieces],
-            "edges": [list(e) for e in self.edges],
-            "open_slots": [list(s) for s in self.open_slots],
+            "pieces": [{"id": i, "kind": _KINDS[c].value} for i, c in enumerate(self.pieces.flat)],
+            "edges": list(map(list, self.edges)),
+            "open_slots": list(map(list, self.open_slots)),
             "census": self.census(),
         }
 
 
 def decomposition_to_dot(g: DecompositionGraph) -> str:
     lines = ["graph decomposition {"]
-    for p in g.pieces:
-        lines.append(f'  p{p.id} [label="{p.kind.value} {p.id}"];')
-    for a, sa, b, sb in g.edges:
-        lines.append(f'  p{a} -- p{b} [taillabel="{sa}", headlabel="{sb}"];')
-    for pid, slot in g.open_slots:
-        lines.append(f'  // open: p{pid} slot {slot}')
-    lines.append("}")
-    return "\n".join(lines)
+    lines += [f'  p{i} [label="{_KINDS[c].value} {i}"];' for i, c in enumerate(g.pieces.flat)]
+    lines += [f'  p{a} -- p{b} [taillabel="{sa}", headlabel="{sb}"];' for a, sa, b, sb in g.edges]
+    lines += [f"  // open: p{pid} slot {slot}" for pid, slot in g.open_slots]
+    return "\n".join(lines + ["}"])
 
 
 def decompose(
@@ -123,6 +168,9 @@ def decompose(
     root ``P(c2, rest)``, where ``rest`` meets the Handle and goes on at
     ``c1``.  So piece ids, edge and queue order match the rebuilt window.
 
+    The walk keeps a kind code a piece, and flat lists of four integers an
+    edge and of (piece, slot, state beyond) a queued slot.
+
     Every edge runs from an older piece to a newer one.  So with
     ``n = min(depth, pieces)``, an edge is kept exactly when its newer end
     is below n; the open slots are the older ends of the edges crossing n,
@@ -138,15 +186,14 @@ def decompose(
     """
     if mode not in ("lenient", "strict"):
         raise DecomposeError(f"mode must be 'lenient' or 'strict', got {mode!r}")
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise DecomposeError(f"depth must be an integer, got {depth!r}")
     if depth < 0:
         raise DecomposeError(f"depth must be non-negative, got {depth}")
     pres = regularize(pres)
     assert pres.rules is not None and pres.root is not None
     rules = pres.rules
-    pants, disk = PieceKind.PANTS, PieceKind.PUNCTURED_DISK  # an enum's attribute is slow to read
-    kinds: list[PieceKind] = []
-    edges: list[Edge] = []
-    queue: deque[tuple[int, int, str]] = deque()
+    kinds, edges, queue = bytearray(), [], []
     # each walked state's block past its annulus run: None where the run
     # closes a lasso (a punctured disk), else the Handle's or the Pants' children
     steps: dict[str, tuple[str, ...] | None] = {}
@@ -166,37 +213,25 @@ def decompose(
             steps[s] = end
         return end
 
-    def handle(then: str) -> int:
-        # a Handle visit: two pants glued along two circles, the walk going on at ``then``
-        pa = len(kinds)
-        kinds.extend((pants, pants))
-        edges.extend(((pa, 1, pa + 1, 0), (pa, 2, pa + 1, 1)))
-        queue.append((pa + 1, 2, then))
-        return pa
-
-    def resolve(state: str) -> int:
-        # the piece the circle into ``state`` bounds, always at its slot 0
-        try:
-            children = steps[state]
-        except KeyError:
-            children = walk_run(state)
+    def make(step) -> int:  # the root step's piece(s) for a block, glued by the caller at slot 0
         pid = len(kinds)
-        if children is None:
-            kinds.append(disk)
-        elif len(children) == 2:
-            kinds.append(pants)
-            queue.append((pid, 1, children[0]))
-            queue.append((pid, 2, children[1]))
-        else:
-            handle(children[0])
+        if step is None:
+            kinds.append(_DISK)
+        elif len(step) == 2:
+            kinds.append(_PANTS)
+            queue.extend((pid, 1, step[0], pid, 2, step[1]))
+        else:  # a Handle: two pants glued along two circles, the walk going on at step[0]
+            kinds.extend(b"\0\0")
+            edges.extend((pid, 1, pid + 1, 0, pid, 2, pid + 1, 1))
+            queue.extend((pid + 1, 2, step[0]))
         return pid
 
     root = walk_run(pres.root)
     if root is None:
         raise PlaneExcludedError("the plane admits no decomposition")
     if len(root) == 2:
-        left = resolve(root[0])
-        edges.append((left, 0, resolve(root[1]), 0))
+        make(walk_run(root[0]))
+        edges.extend((0, 0, make(walk_run(root[1])), 0))
     else:
         nxt = walk_run(root[0])
         if nxt is None:
@@ -204,31 +239,49 @@ def decompose(
                 raise PuncturedTorusExcludedInStrictError(
                     "the punctured torus needs a one-holed torus piece"
                 )
-            kinds.extend((PieceKind.ONE_HOLED_TORUS, disk))
-            edges.append((0, 0, 1, 0))
+            kinds.extend((_TORUS, _DISK))
+            edges.extend((0, 0, 1, 0))
         elif len(nxt) == 2:
-            left = resolve(nxt[1])
-            edges.append((left, 0, handle(nxt[0]), 0))
+            make(walk_run(nxt[1]))
+            edges.extend((0, 0, make(nxt[:1]), 0))
         else:
-            kinds.extend((pants,) * 3)
-            edges.extend([(0, 0, 1, 0), (0, 1, 1, 1), (0, 2, 2, 0), (1, 2, 2, 1)])
-            queue.append((2, 2, nxt[0]))
-    while queue and len(kinds) < depth:
-        pid, slot, state = queue.popleft()
-        edges.append((pid, slot, resolve(state), 0))
-    n = min(depth, len(kinds))
-    tail = edges[-5:]
-    del edges[-5:]
-    edges.extend(e for e in tail if e[2] < n)
-    opened = [(a, sa) for a, sa, b, _ in tail if a < n <= b]
-    opened += [(pid, slot) for pid, slot, _ in queue if pid < n]
+            kinds.extend(b"\0\0\0")
+            edges.extend((0, 0, 1, 0, 0, 1, 1, 1, 0, 2, 2, 0, 1, 2, 2, 1))
+            queue.extend((2, 2, nxt[0]))
+    pid = len(kinds)
+    walked = iter(queue)  # the loop appends to the queue it walks
+    if pid < depth:
+        for a, sa, state in zip(walked, walked, walked):  # make, inlined, glued to (a, sa)
+            try:
+                step = steps[state]
+            except KeyError:
+                step = walk_run(state)
+            if step is None:
+                kinds.append(_DISK)
+                edges += (a, sa, pid, 0)
+                pid += 1
+            elif len(step) == 2:
+                kinds.append(_PANTS)
+                edges += (a, sa, pid, 0)
+                queue += (pid, 1, step[0], pid, 2, step[1])
+                pid += 1
+            else:
+                kinds += b"\0\0"
+                edges += (pid, 1, pid + 1, 0, pid, 2, pid + 1, 1, a, sa, pid, 0)
+                queue += (pid + 1, 2, step[0])
+                pid += 2
+            if pid >= depth:
+                break
+    del queue[:len(queue) - walked.__length_hint__()]  # the slots still queued
+    n = min(depth, pid)
+    tail = [edges[i:i + 4] for i in range(max(0, len(edges) - 20), len(edges), 4)]
+    del edges[-20:]
+    edges += [v for e in tail if e[2] < n for v in e]
+    opened = [v for a, sa, b, _ in tail if a < n <= b for v in (a, sa)]
+    opened += [v for i in range(0, len(queue), 3) if queue[i] < n for v in queue[i:i + 2]]
     return DecompositionGraph(
-        mode=mode,
-        depth=depth,
-        pieces=tuple(map(Piece, range(n), kinds)),
-        edges=tuple(edges),
-        open_slots=tuple(opened),
-        complete=not queue and n == len(kinds),
+        mode, depth, _Column(bytes(kinds[:n]), 1), _Column(array("i", edges), 4),
+        _Column(array("i", opened), 2), not queue and n == pid,
     )
 
 
@@ -373,8 +426,9 @@ def spine(pres: SurfacePresentation) -> SpineGraph:
     handles = auto.nonplanar_states
     pants = _pants(auto)
     rank = 2 * _occurrences(auto, handles) + _occurrences(auto, pants)
-    core = backward(auto.transitions, handles | pants)
-    return SpineGraph(presentation=pres, rank=rank, core_states=frozenset(core), automaton=auto)
+    hit = _reaching(auto, handles | pants)
+    core = frozenset(s for i, members in enumerate(auto.components) if hit[i] for s in members)
+    return SpineGraph(presentation=pres, rank=rank, core_states=core, automaton=auto)
 
 
 def spine_to_dot(g: SpineGraph) -> str:
@@ -434,7 +488,7 @@ def _complement_census(
     piece id; ``around`` lists each piece's neighbours.  Every piece but the
     first is glued to an older one, so the window is connected and each
     component holds a neighbour of ``removed``."""
-    open_pids = {pid for pid, _ in g.open_slots}
+    open_pids = set(g.open_slots.flat[0::2])
     seen = {removed}
     comps = []
     for start in around[removed]:
@@ -451,16 +505,10 @@ def _complement_census(
     comps.sort(key=min)
     out: list[ComponentCensus] = []
     for comp in comps:
-        kinds = [g.pieces[pid].kind for pid in comp]
-        pants = kinds.count(PieceKind.PANTS)
-        tori = kinds.count(PieceKind.ONE_HOLED_TORUS)
-        out.append(ComponentCensus(
-            pants=pants,
-            punctured_disks=len(comp) - pants - tori,
-            one_holed_tori=tori,
-            rank_lower_bound=1 + pants + tori,
-            exact=open_pids.isdisjoint(comp),
-        ))
+        kinds = bytes(map(g.pieces.flat.__getitem__, comp))
+        pants, tori = kinds.count(_PANTS), kinds.count(_TORUS)
+        disks, exact = len(comp) - pants - tori, open_pids.isdisjoint(comp)
+        out.append(ComponentCensus(pants, disks, tori, 1 + pants + tori, exact))
     return out
 
 
@@ -497,14 +545,15 @@ def find_essential_pants(pres: SurfacePresentation) -> EssentialPants:
             pres, first_occurrences(pres, BlockKind.PANTS, 5), "tree5"
         )
     window = decompose(prepped, "strict", depth=64)
-    around: list[list[int]] = [[] for _ in window.pieces]
-    for a, _, b, _ in window.edges:
+    codes, flat = window.pieces.flat, window.edges.flat
+    around: list[list[int]] = [[] for _ in codes]
+    for a, b in zip(flat[0::4], flat[2::4]):
         around[a].append(b)
         around[b].append(a)
-    for piece in window.pieces:
-        if piece.kind is not PieceKind.PANTS:
+    for pid, code in enumerate(codes):
+        if code != _PANTS:
             continue
-        comps = _complement_census(window, piece.id, around)
+        comps = _complement_census(window, pid, around)
         if len(comps) >= 2 and all(c.rank_lower_bound >= 2 for c in comps):
-            return EssentialPants(piece.id, tuple(comps), window)
+            return EssentialPants(pid, tuple(comps), window)
     raise AssertionError("no essential pants found despite complexity bounds")

@@ -39,6 +39,7 @@ from .presentation import (
     EndsAutomaton,
     SurfacePresentation,
     _pants,
+    _reaching,
     _syntax_error,
     backward,
     ends_automaton,
@@ -132,17 +133,6 @@ def _fold_components(
         else:
             values.append(kids[0] if kids else None)
     return values[root]
-
-
-def _reaching(space: EndsAutomaton, marks: Iterable[str]) -> list[bool]:
-    """Per component, whether its states reach a state of ``marks``: the
-    mark closure, a union of components, in one children-first pass."""
-    hit = [False] * len(space.exits)
-    for s in space.component_of.keys() & marks:
-        hit[space.component_of[s]] = True
-    for i, exits in enumerate(space.exits):
-        hit[i] = hit[i] or any(map(hit.__getitem__, exits))
-    return hit
 
 
 # -- Cantor-Bendixson analysis ---------------------------------------------

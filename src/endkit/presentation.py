@@ -466,6 +466,17 @@ def _occurrences(auto: EndsAutomaton, targets: AbstractSet[str]) -> Genus:
     return below[auto.component_of[auto.root]]
 
 
+def _reaching(space: EndsAutomaton, marks: Iterable[str]) -> list[bool]:
+    """Per component, whether its states reach a state of ``marks``: the
+    mark closure, a union of components, in one children-first pass."""
+    hit = [False] * len(space.exits)
+    for s in space.component_of.keys() & marks:
+        hit[space.component_of[s]] = True
+    for i, exits in enumerate(space.exits):
+        hit[i] = hit[i] or any(map(hit.__getitem__, exits))
+    return hit
+
+
 def _pants(auto: EndsAutomaton) -> set[str]:
     return {s for s, cs in auto.transitions.items() if len(cs) == 2}
 

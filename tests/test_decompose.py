@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import importlib
+import json
+import pickle
 import random
+import re
 import time
-from collections import deque
+import tracemalloc
+from collections import Counter, deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,6 +32,7 @@ from endkit import (
     Verdict,
     canonical_finite_type,
     decompose,
+    decomposition_to_dot,
     find_essential_pants,
     first_occurrences,
     genus,
@@ -259,12 +264,11 @@ def test_long_annulus_runs_are_walked_once():
             assert window == decompose(cut, mode, depth)
 
 
-def _reference_decompose(
-    pres: SurfacePresentation, mode: str = "lenient", depth: int = 8
-) -> DecompositionGraph:
+def _reference_walk(pres: SurfacePresentation, mode: str = "lenient", depth: int = 8) -> dict:
     """The window walk with a Piece made per piece, method calls per block
     and two passes over the edges to cut it: the oracle for ``decompose``'s
-    pieces, edges, open slots, completeness and errors."""
+    pieces, edges, open slots, completeness and errors, as the fields of a
+    window, the sequences as tuples."""
     if mode not in ("lenient", "strict"):
         raise DecomposeError(f"mode must be 'lenient' or 'strict', got {mode!r}")
     if depth < 0:
@@ -346,7 +350,7 @@ def _reference_decompose(
     n = min(depth, len(pieces))
     opened = [(a, sa) for a, sa, b, _ in edges if a < n <= b]
     opened.extend((pid, slot) for pid, slot, _ in queue if pid < n)
-    return DecompositionGraph(
+    return dict(
         mode=mode,
         depth=depth,
         pieces=tuple(pieces[:n]),
@@ -354,6 +358,12 @@ def _reference_decompose(
         open_slots=tuple(opened),
         complete=not queue and n == len(pieces),
     )
+
+
+def _reference_decompose(
+    pres: SurfacePresentation, mode: str = "lenient", depth: int = 8
+) -> DecompositionGraph:
+    return DecompositionGraph(**_reference_walk(pres, mode, depth))
 
 def _outcome(walk, pres, mode, depth):
     try:
@@ -395,6 +405,116 @@ def test_decompose_matches_the_reference_walk_on_the_examples():
             _assert_walks_agree(pres, depths=(0, 1, 2, 3, 5, 8, 4 * (g + p), 64))
     for pres, _, depth in _ANNULUS_RUN_CASES:
         _assert_walks_agree(pres, depths=(0, 7, depth))
+
+
+def _reference_outputs(fields: dict) -> tuple[dict, str, str]:
+    """The census, the JSON text and the dot text of a window, computed from
+    the reference walk's tuples by reading each Piece."""
+    counts = Counter(p.kind for p in fields["pieces"])
+    census = {
+        "pants": counts[PieceKind.PANTS],
+        "punctured_disks": counts[PieceKind.PUNCTURED_DISK],
+    }
+    if counts[PieceKind.ONE_HOLED_TORUS]:
+        census["one_holed_tori"] = counts[PieceKind.ONE_HOLED_TORUS]
+    payload = {
+        "mode": fields["mode"],
+        "depth": fields["depth"],
+        "complete": fields["complete"],
+        "pieces": [{"id": p.id, "kind": p.kind.value} for p in fields["pieces"]],
+        "edges": [list(e) for e in fields["edges"]],
+        "open_slots": [list(s) for s in fields["open_slots"]],
+        "census": census,
+    }
+    lines = ["graph decomposition {"]
+    lines += [f'  p{p.id} [label="{p.kind.value} {p.id}"];' for p in fields["pieces"]]
+    lines += [
+        f'  p{a} -- p{b} [taillabel="{sa}", headlabel="{sb}"];' for a, sa, b, sb in fields["edges"]
+    ]
+    lines += [f"  // open: p{pid} slot {slot}" for pid, slot in fields["open_slots"]]
+    return census, json.dumps(payload), "\n".join(lines + ["}"])
+
+
+_SLICES = (slice(None), slice(2), slice(1, None, 2), slice(-3, None), slice(None, None, -1), slice(5, 1))
+
+
+def _assert_views_agree(pres, modes=("strict", "lenient"), depths=range(71)):
+    """The window's census, JSON and dot, and its three sequences under
+    ``==``, ``hash``, ``repr``, indexing, slicing and pickle, against the
+    reference walk's tuples."""
+    for mode in modes:
+        for depth in depths:
+            try:
+                fields = _reference_walk(pres, mode, depth)
+            except EndkitError:
+                continue  # the errors are compared with the reference walk's above
+            window = decompose(pres, mode, depth)
+            census, payload, dot = _reference_outputs(fields)
+            assert window.census() == census, (mode, depth)
+            assert json.dumps(window.to_json()) == payload, (mode, depth)
+            assert decomposition_to_dot(window) == dot, (mode, depth)
+            built = DecompositionGraph(**fields)
+            assert window == built and hash(window) == hash(built)
+            assert pickle.loads(pickle.dumps(window)) == window
+            for name in ("pieces", "edges", "open_slots"):
+                view, rows = getattr(window, name), fields[name]
+                assert view == rows and rows == view and not view != rows, (mode, depth, name)
+                assert hash(view) == hash(rows) and repr(view) == repr(rows)
+                assert len(view) == len(rows) and list(view) == list(rows)
+                assert [view[s] for s in _SLICES] == [rows[s] for s in _SLICES]
+                if rows:
+                    assert (view[0], view[-1]) == (rows[0], rows[-1])
+                for protocol in (0, pickle.HIGHEST_PROTOCOL):
+                    clone = pickle.loads(pickle.dumps(view, protocol))
+                    assert clone == rows and clone == view and hash(clone) == hash(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_states=8) | _grown_cores())
+def test_window_views_match_the_reference_tuples(pres):
+    _assert_views_agree(pres, depths=(0, 1, 2, 3, 5, 8, 13, 21, 34, 70))
+
+
+def test_window_views_match_the_reference_tuples_on_the_examples():
+    for pres in (LOCH, CANTOR, FLUTE):
+        _assert_views_agree(pres, depths=(0, 1, 2, 6, 64, 1024))
+    for g in range(5):
+        for p in range(1, 6):
+            pres = parse_presentation(f"surface s finite S(g={g}, b=0, p={p})")
+            _assert_views_agree(pres, depths=(0, 1, 3, 4 * (g + p)))
+    for pres, _, depth in _ANNULUS_RUN_CASES:
+        _assert_views_agree(pres, depths=(0, 7, depth))
+
+
+def test_a_window_holds_its_pieces_edges_and_slots_as_columns():
+    # the Cantor window at depth 10^5: 10^5 pieces, about as many edges, and
+    # as many open slots as pieces; a record or tuple per row takes over 5 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        window = decompose(CANTOR, "strict", 10**5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(window.pieces) == 10**5 and len(window.open_slots) == 10**5 + 2
+    assert held <= 4 * 2**20, held
+
+
+@pytest.mark.parametrize("depth", [8.5, "8", None, True, False])
+def test_a_depth_that_is_not_an_integer_is_a_decompose_error(depth):
+    with pytest.raises(DecomposeError, match=re.escape(f"got {depth!r}")):
+        decompose(CANTOR, "strict", depth)
+
+
+def test_a_hand_made_window_is_checked():
+    disk = Piece(0, PieceKind.PUNCTURED_DISK)
+    window = DecompositionGraph("strict", 1, [disk], [], [(0, 0)], False)
+    assert window.pieces == (disk,) and window.edges == () and window.open_slots == ((0, 0),)
+    assert window.census() == {"pants": 0, "punctured_disks": 1}
+    with pytest.raises(DecomposeError, match="pieces must hold pieces numbered"):
+        DecompositionGraph("strict", 1, (Piece(1, PieceKind.PANTS),), (), (), True)
+    with pytest.raises(DecomposeError, match="edges must hold 4 integers a row"):
+        DecompositionGraph("strict", 1, (disk,), ((0, 0, 1),), (), True)
 
 
 @settings(max_examples=60, deadline=None)
