@@ -29,7 +29,9 @@ from .errors import (
     PuncturedTorusExcludedInStrictError,
 )
 from .presentation import (
+    INFINITE,
     BlockKind,
+    EndsAutomaton,
     Rule,
     SurfacePresentation,
     ends_automaton,
@@ -37,7 +39,6 @@ from .presentation import (
     forward,
     genus,
     regularize,
-    states_after_cycles,
     _first_paths,
     _occurrences,
     _pants,
@@ -287,12 +288,12 @@ def decompose(
 
 # -- interchange -----------------------------------------------------------
 
-def _first_path_of(pres: SurfacePresentation, name: str, after: set[str]) -> Path:
-    """First unfolding path of state ``name``; ``after`` holds the states
-    on or after a rule-graph cycle, which recur without end."""
+def _first_path_of(pres: SurfacePresentation, name: str, auto: EndsAutomaton) -> Path:
+    """First unfolding path of state ``name``, which must occur finitely
+    often: a state on or after a rule-graph cycle recurs without end."""
     if name not in pres.rules:
         raise DecomposeError(f"unknown or unreachable state {name!r}")
-    if name in after:
+    if _occurrences(auto, {name}) == INFINITE:
         raise OccurrenceInsideCycleError(
             f"state {name!r} recurs inside a cycle; address one occurrence by path"
         )
@@ -314,9 +315,9 @@ def _rebuild(
     below: list[dict[int, int]] = [{}]
     ends: list[int] = []
     named = any(isinstance(occ, str) for occ in front)
-    after = states_after_cycles(pres) if named else set()
+    auto = ends_automaton(pres) if named else None
     for occ in front:
-        path = _first_path_of(pres, occ, after) if isinstance(occ, str) else tuple(occ)
+        path = _first_path_of(pres, occ, auto) if isinstance(occ, str) else tuple(occ)
         node = 0
         for step, i in enumerate(path):
             children = pres.children(states[node])

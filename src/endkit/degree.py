@@ -5,8 +5,8 @@ flags (properness, surjectivity, boundary behaviour, whether the map is a
 proper homotopy equivalence or merely a pseudo one) and the absolute value
 of its degree where determined.  :func:`infer_degree` closes a descriptor
 under the implications that tie these together, raising when they clash.
-Degrees are tracked only up to sign; a sign enters the ledger solely
-through :func:`degree_from_disk_witness`.
+Degrees are tracked only up to sign; a sign is only ever the descriptor's
+given ``orientation``, which inference leaves as it is.
 """
 
 from __future__ import annotations
@@ -61,20 +61,6 @@ class MapDescriptor(Record):
 def _is_int(value: object) -> bool:
     """An integer that is not a bool (JSON true and false are not numbers)."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def deg_compose(d1: int, d2: int) -> int:
-    """Degree of a composite map: degrees multiply."""
-    return d1 * d2
-
-
-def degree_from_disk_witness(orientation_preserving: bool) -> int:
-    """Sign of a degree-one map certified by a good disk preimage.
-
-    The caller certifies a disk whose preimage is a single disk mapped
-    homeomorphically; the witness data itself is not re-derived here.
-    """
-    return 1 if orientation_preserving else -1
 
 
 def _set(desc: MapDescriptor, field: str, value) -> MapDescriptor:

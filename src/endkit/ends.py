@@ -38,10 +38,8 @@ from .errors import EndsError, InvalidEndExprError, NotConvertibleError
 from .presentation import (
     EndsAutomaton,
     SurfacePresentation,
-    _pants,
     _reaching,
     _syntax_error,
-    backward,
     ends_automaton,
     forward,
 )
@@ -642,19 +640,6 @@ def pair_homeomorphic(a: EndsAutomaton, b: EndsAutomaton) -> Verdict:
     subsets?  Sound on Yes and No; Unknown outside the decided fragment."""
     verdict, _ = _pair_verdict(a, a.nonplanar_states, b, b.nonplanar_states)
     return verdict
-
-
-# -- isolated planar ends --------------------------------------------------
-
-def find_isolated_planar_end(pres: SurfacePresentation) -> str | None:
-    """A state whose whole future is annulus blocks (the end beyond it is
-    an isolated puncture), or None."""
-    auto = ends_automaton(pres)
-    impure = backward(auto.transitions, auto.nonplanar_states | _pants(auto))
-    for s in forward(auto.transitions, [auto.root]):
-        if s not in impure:
-            return s
-    return None
 
 
 # -- JSON ------------------------------------------------------------------

@@ -316,24 +316,6 @@ def forward(succ: Successors, starts: Iterable[str]) -> list[str]:
     return order
 
 
-def backward(succ: Successors, targets: Iterable[str]) -> set[str]:
-    """States from which some target is reachable (targets included)."""
-    hit = {t for t in targets if t in succ}
-    if not hit:  # e.g. the Handles of a genus-0 surface: no predecessor map needed
-        return hit
-    preds: dict[str, list[str]] = {s: [] for s in succ}
-    for state, children in succ.items():
-        for child in children:
-            preds[child].append(state)
-    todo = list(hit)
-    while todo:
-        for pred in preds[todo.pop()]:
-            if pred not in hit:
-                hit.add(pred)
-                todo.append(pred)
-    return hit
-
-
 def sccs(succ: Successors) -> list[list[str]]:
     """Strongly connected components, in reverse topological order: every
     component precedes the components that can reach it.
@@ -390,17 +372,16 @@ class EndsAutomaton(Record):
     ``transitions[s]`` keeps child order and multiplicity; ``nonplanar_states``
     holds the Handle-labeled states (the raw genus data from which the
     non-planar subspace is derived).  ``components`` is the SCC condensation
-    of ``transitions`` in reverse topological order, ``component_of[s]`` the
-    index of the component of s, and ``cyclic`` the states on its cycles.
-    Component ``i`` has the shape ``shapes[i]`` and ``exits[i]``, a list of
-    the components of its members' children outside it, members in
-    ``transitions`` order, with multiplicity.  Every invariant walks this
-    table children first, and reads a marked subspace off it as a union of
-    components.
+    of ``transitions`` in reverse topological order, and ``component_of[s]``
+    the index of the component of s.  Component ``i`` has the shape
+    ``shapes[i]`` and ``exits[i]``, a list of the components of its members'
+    children outside it, members in ``transitions`` order, with multiplicity.
+    Every invariant walks this table children first, and reads a marked
+    subspace off it as a union of components.
     """
 
-    __slots__ = ("transitions", "root", "nonplanar_states", "components", "cyclic",
-                 "component_of", "exits", "shapes")
+    __slots__ = ("transitions", "root", "nonplanar_states", "components", "component_of",
+                 "exits", "shapes")
 
 
 def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
@@ -431,21 +412,9 @@ def _compile_automaton(transitions: Successors, root: str | None, nonplanar: fro
                 exits[i].append(k)
         if inside:
             shapes[i] = BRANCHING if inside > 1 else shapes[i] or CYCLE
-    cyclic = frozenset(s for c, shape in zip(components, shapes) if shape for s in c)
     # every field positional: the record constructor's fast path
-    return EndsAutomaton(transitions, root, nonplanar, components, cyclic, component_of,
-                         tuple(exits), tuple(shapes))
-
-
-def cyclic_states(pres: SurfacePresentation) -> set[str]:
-    """States lying on some cycle of the rule graph."""
-    return set(ends_automaton(pres).cyclic)
-
-
-def states_after_cycles(pres: SurfacePresentation) -> set[str]:
-    """States on or reachable from a rule-graph cycle."""
-    auto = ends_automaton(pres)
-    return set(forward(auto.transitions, auto.cyclic))
+    return EndsAutomaton(transitions, root, nonplanar, components, component_of, tuple(exits),
+                         tuple(shapes))
 
 
 def _occurrences(auto: EndsAutomaton, targets: AbstractSet[str]) -> Genus:

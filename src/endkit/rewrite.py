@@ -23,7 +23,6 @@ target circle is hit only by the far boundary).
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Mapping
 from enum import Enum
 
@@ -246,11 +245,6 @@ class RewriteTrace(Record):
 
     __slots__ = ("steps", "notes")
     _defaults = {"steps": (), "notes": ()}
-
-    def to_json_lines(self) -> str:
-        lines = [json.dumps(step.to_json(), sort_keys=True) for step in self.steps]
-        lines.extend(json.dumps({"note": note}) for note in self.notes)
-        return "\n".join(lines)
 
 
 def _has_trivial(config: CurveConfig) -> bool:
@@ -552,17 +546,6 @@ def alexander_homotopy(
     if t < 1 and r <= 1 - t:
         return (1 - t) * phi(z / (1 - t))
     return r * phi(z / r)
-
-
-def radial_extension(
-    phi: Callable[[complex], complex],
-) -> Callable[[complex], complex]:
-    """Extend a circle map over the punctured disk along rays.
-
-    Returns the map ``z -> |z| * phi(z / |z|)``, the time-one end of
-    :func:`alexander_homotopy`.
-    """
-    return lambda z: alexander_homotopy(phi, z, 1)
 
 
 def annulus_push(

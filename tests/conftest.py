@@ -30,6 +30,7 @@ from endkit import (
     Other,
 )
 from endkit.ends import _has_nonplanar
+from endkit.presentation import Successors, sccs
 
 _NAMES = tuple(f"s{i}" for i in range(8))
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -56,6 +57,35 @@ def bench_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def backward(succ: Successors, targets) -> set[str]:
+    """States from which some target is reachable (targets included): a
+    state-level oracle for the mark closures read off the condensation."""
+    hit = {t for t in targets if t in succ}
+    preds: dict[str, list[str]] = {s: [] for s in succ}
+    for state, children in succ.items():
+        for child in children:
+            preds[child].append(state)
+    todo = list(hit)
+    while todo:
+        for pred in preds[todo.pop()]:
+            if pred not in hit:
+                hit.add(pred)
+                todo.append(pred)
+    return hit
+
+
+def _on_cycles(succ: Successors) -> set[str]:
+    """States lying on some cycle: the members of the components that have
+    two states, or one with a self-loop."""
+    return {s for c in sccs(succ) if len(c) > 1 or c[0] in succ[c[0]] for s in c}
+
+
+def shaped_cycles(auto) -> set[str]:
+    """The cycle members an automaton's ``shapes`` give: the states of its
+    components that are a cycle or branch inside."""
+    return {s for c, shape in zip(auto.components, auto.shapes) if shape for s in c}
 
 
 @st.composite

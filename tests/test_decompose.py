@@ -48,9 +48,9 @@ from endkit import (
     standard_presentation,
 )
 from endkit.decompose import Edge, _complement_census, _first_path_of
-from endkit.presentation import _first_paths, forward, states_after_cycles
+from endkit.presentation import _first_paths, ends_automaton, forward
 
-from conftest import bench_inputs, finite_type_pairs, presentations
+from conftest import _on_cycles, bench_inputs, finite_type_pairs, presentations
 
 LOCH = parse_presentation("surface loch_ness { root = H(root) }")
 FLUTE = parse_presentation("surface flute { root = P(root, punc); punc = A(punc) }")
@@ -730,9 +730,10 @@ def test_occurrence_searches_match_the_unfolding_scan(pres, data):
     """The searches skip most of the unfolding; scanning a prefix of it in
     breadth-first order is the reference."""
     unfolding = list(pres.unfold(max_nodes=600))  # covers the acyclic prefix of 8 states
-    after = states_after_cycles(pres)
+    after = _after_cycles(pres)
+    auto = ends_automaton(pres)
     for state in set(pres.rules) - after:
-        assert _first_path_of(pres, state, after) == next(p for p, s in unfolding if s == state)
+        assert _first_path_of(pres, state, auto) == next(p for p, s in unfolding if s == state)
     drawn = set(data.draw(st.lists(st.sampled_from(sorted(pres.rules)), max_size=3)))
     for kind in [*BlockKind, None]:
         targets = drawn if kind is None else {s for s in pres.rules if pres.kind(s) is kind}
@@ -746,6 +747,29 @@ def test_occurrence_searches_match_the_unfolding_scan(pres, data):
                 assert len(found) >= seen and found[:seen] == scanned[:seen]
             if kind is not None and len(found) == count:
                 assert first_occurrences(pres, kind, count) == found
+
+
+def _after_cycles(pres: SurfacePresentation) -> set[str]:
+    """States on or after a rule-graph cycle, read off the states."""
+    succ = {s: children for s, (_, children) in pres.rules.items()}
+    return set(forward(succ, _on_cycles(succ)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(max_states=8))
+def test_named_fronts_refuse_exactly_the_states_on_or_after_cycles(pres):
+    """A state name in the front is checked by its occurrence count: a state
+    on or after a cycle recurs without end, and any other is pulled from its
+    first unfolding path."""
+    unfolding = list(pres.unfold(max_nodes=600))  # covers the acyclic prefix of 8 states
+    after = _after_cycles(pres)
+    for state in pres.rules:
+        if state in after:
+            with pytest.raises(OccurrenceInsideCycleError, match=f"state {state!r} recurs"):
+                interchange_normalize(pres, [state])
+        else:
+            first = next(p for p, s in unfolding if s == state)
+            assert interchange_normalize(pres, [state]) == interchange_normalize(pres, [first])
 
 
 def test_interchange_along_a_deep_path():

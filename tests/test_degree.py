@@ -12,8 +12,6 @@ from endkit import (
     DegreeContradictionError,
     DegreeError,
     MapDescriptor,
-    deg_compose,
-    degree_from_disk_witness,
     descriptor_from_json,
     descriptor_to_json,
     infer_degree,
@@ -173,13 +171,6 @@ def test_json_defaults_and_garbage():
 def test_json_reader_takes_exact_types(payload):
     with pytest.raises(DegreeError):
         descriptor_from_json(json.loads(json.dumps(payload)))
-
-def test_compose_and_disk_witness():
-    assert deg_compose(2, -3) == -6
-    assert deg_compose(1, 1) == 1
-    assert degree_from_disk_witness(True) == 1
-    assert degree_from_disk_witness(False) == -1
-
 
 def test_constructor_validation():
     with pytest.raises(DegreeError):

@@ -33,7 +33,6 @@ from endkit import (
     ends_automaton,
     ends_count,
     expr_cb_report,
-    find_isolated_planar_end,
     format_end_expr,
     genus,
     is_finite_type,
@@ -68,10 +67,12 @@ from endkit.ends import (
 )
 from endkit._record import replace
 from endkit.presentation import (
-    Successors, _compile_automaton, _occurrences, backward, forward, sccs,
+    Successors, _compile_automaton, _occurrences, forward, sccs,
 )
 
-from conftest import end_exprs, presentations, successor_maps
+from conftest import (
+    _on_cycles, backward, end_exprs, presentations, shaped_cycles, successor_maps,
+)
 
 LOCH = parse_presentation("surface loch_ness { root = H(root) }")
 FLUTE = parse_presentation("surface flute { root = P(root, punc); punc = A(punc) }")
@@ -224,7 +225,7 @@ def _restrict(space: EndsAutomaton, targets: Iterable[str]) -> EndsAutomaton:
         s: tuple(c for c in cs if c in keep)
         for s, cs in space.transitions.items() if s in keep
     }
-    alive = backward(inside, space.cyclic & keep)
+    alive = backward(inside, _on_cycles(space.transitions) & keep)
     if space.root not in alive:
         return _EMPTY
     live = {s: tuple(c for c in inside[s] if c in alive) for s in alive}
@@ -305,15 +306,16 @@ def _batch_size(old: EndsAutomaton, new: EndsAutomaton) -> int | None:
     ``old`` that leaves ``new`` and first meets a cycle there is one removed
     end.  Paths leaving after a cycle of ``new`` come in infinite numbers.
     """
-    pumped = set(forward(new.transitions, new.cyclic))
+    old_cyclic = _on_cycles(old.transitions)
+    pumped = set(forward(new.transitions, _on_cycles(new.transitions)))
     if any(c not in new.transitions for s in pumped for c in old.transitions[s]):
         return None
-    landing = old.cyclic - new.transitions.keys()
+    landing = old_cyclic - new.transitions.keys()
     if any(len(old.transitions[s]) >= 2 for s in forward(old.transitions, landing)):
         raise AssertionError("removed subspace must have finitely many ends")
     assert old.root is not None
     paths = path_counts(
-        old.transitions, old.root, old.transitions.keys() - old.cyclic - pumped
+        old.transitions, old.root, old.transitions.keys() - old_cyclic - pumped
     )
     return sum(paths.get(s, 0) for s in landing)
 
@@ -326,13 +328,12 @@ def _ends_count_space(space: EndsAutomaton) -> EndsCount:
     for s, cs in succ.items():
         if sum(1 for c in cs if scc_of[c] == scc_of[s]) >= 2:
             return EndsCount(Cardinality.UNCOUNTABLE)
-    if any(len(succ[s]) >= 2 for s in forward(succ, space.cyclic)):
+    cyclic = _on_cycles(succ)
+    if any(len(succ[s]) >= 2 for s in forward(succ, cyclic)):
         return EndsCount(Cardinality.COUNTABLY_INFINITE)
     # deterministic beyond the cyclic region, so each entry is one end
-    counts = path_counts(succ, space.root, succ.keys() - space.cyclic)
-    return EndsCount(
-        Cardinality.FINITE, sum(n for s, n in counts.items() if s in space.cyclic)
-    )
+    counts = path_counts(succ, space.root, succ.keys() - cyclic)
+    return EndsCount(Cardinality.FINITE, sum(n for s, n in counts.items() if s in cyclic))
 
 
 def _cb_space(space: EndsAutomaton, rank_cutoff: int) -> CBReport:
@@ -430,7 +431,7 @@ def test_subspaces_inherit_the_condensation(pres):
         position = {s: i for i, c in enumerate(space.components) for s in c}
         for s, children in succ.items():
             assert all(position[c] <= position[s] for c in children)
-        assert space.cyclic == _on_cycles(succ)
+        assert shaped_cycles(space) == _on_cycles(succ)
 
 
 # -- reference normal form: the route the intern table replaced ------------
@@ -556,12 +557,6 @@ def test_to_end_expr_and_pair_verdicts_match_the_reference_route(p, q, data):
 
 
 # -- reference condensation fold: the general rule at every component -----
-
-
-def _on_cycles(succ: Successors) -> set[str]:
-    """States lying on some cycle: the members of the components that have
-    two states, or one with a self-loop."""
-    return {s for c in sccs(succ) if len(c) > 1 or c[0] in succ[c[0]] for s in c}
 
 
 def _reference_fold(space: EndsAutomaton, combine, within: list[bool] | None = None):
@@ -1082,12 +1077,6 @@ def test_pair_verdicts():
     )
 
 
-def test_find_isolated_planar_end():
-    assert find_isolated_planar_end(FLUTE) == "punc"
-    assert find_isolated_planar_end(CANTOR) is None
-    assert find_isolated_planar_end(LOCH) is None
-
-
 # -- deep inputs: past the default recursion limit -------------------------
 
 A, P, H = BlockKind.ANNULUS, BlockKind.PANTS, BlockKind.HANDLE
@@ -1140,26 +1129,26 @@ UNCOUNTABLE = EndsCount(Cardinality.UNCOUNTABLE)
 
 
 @pytest.mark.parametrize(
-    "pres, ends, nonplanar, cb, cb_nonplanar, finite_type, isolated",
+    "pres, ends, nonplanar, cb, cb_nonplanar, finite_type",
     [
         # one non-planar end, isolated
         (annulus_chain(DEEP), _finite(1), _finite(1),
          (1, 1, False, _finite(1), (1,)), (1, 1, False, _finite(1), (1,)),
-         None, None),
+         None),
         # S_{0,0,DEEP+1}: DEEP + 1 isolated planar ends
         (pants_comb(DEEP), _finite(DEEP + 1), _finite(0),
          (1, DEEP + 1, False, _finite(DEEP + 1), (DEEP + 1,)),
          (0, 0, False, _finite(0), ()),
-         (0, 0, DEEP + 1), "t0"),
+         (0, 0, DEEP + 1)),
         # a Cantor set whose non-planar part is again a Cantor set
         (cantor_marked(DEEP), UNCOUNTABLE, UNCOUNTABLE,
          (0, 0, True, UNCOUNTABLE, ()), (0, 0, True, UNCOUNTABLE, ()),
-         None, None),
+         None),
     ],
     ids=["chain", "comb", "cantor-marked"],
 )
 def test_deep_inputs_match_closed_forms(
-    pres, ends, nonplanar, cb, cb_nonplanar, finite_type, isolated
+    pres, ends, nonplanar, cb, cb_nonplanar, finite_type
 ):
     auto = ends_automaton(pres)
     assert ends_count(auto) == ends
@@ -1173,7 +1162,6 @@ def test_deep_inputs_match_closed_forms(
             canonical_finite_type(pres)
     else:
         assert canonical_finite_type(pres) == finite_type
-    assert find_isolated_planar_end(pres) == isolated
     verdict = kerekjarto(pres, _renamed(pres))
     assert verdict.to_json() == {"verdict": "Homeomorphic"}
 

@@ -21,7 +21,6 @@ from endkit import (
     SurfacePresentation,
     UnreachableRuleError,
     canonical_finite_type,
-    cyclic_states,
     ends_count,
     first_occurrences,
     genus,
@@ -31,18 +30,19 @@ from endkit import (
     regularize,
     splice_annulus,
     standard_presentation,
-    states_after_cycles,
 )
 import endkit.presentation
 from endkit import decompose, find_essential_pants, interchange_normalize, kerekjarto
 from endkit.cli import main
 from endkit.ends import Cardinality
 from endkit.presentation import (
-    ACYCLIC, BRANCHING, CYCLE, MAX_DIGITS, Successors, _compile_automaton, backward,
+    ACYCLIC, BRANCHING, CYCLE, MAX_DIGITS, Successors, _compile_automaton, _occurrences,
     ends_automaton, forward, sccs,
 )
 
-from conftest import bench_inputs, presentations, successor_maps
+from conftest import (
+    _on_cycles, backward, bench_inputs, presentations, shaped_cycles, successor_maps,
+)
 
 LOCH = "surface loch_ness { root = H(root) }"
 FLUTE = "surface flute { root = P(root, punc); punc = A(punc) }"
@@ -273,9 +273,10 @@ def test_regularize_identity_on_rules():
 
 
 def test_cycle_bookkeeping_on_flute():
-    p = parse_presentation(FLUTE)
-    assert cyclic_states(p) == {"root", "punc"}
-    assert states_after_cycles(p) == {"root", "punc"}
+    auto = ends_automaton(parse_presentation(FLUTE))
+    assert shaped_cycles(auto) == _on_cycles(auto.transitions) == {"root", "punc"}
+    assert set(forward(auto.transitions, shaped_cycles(auto))) == {"root", "punc"}
+    assert _occurrences(auto, {"root"}) == _occurrences(auto, {"punc"}) == INFINITE
 
 
 def test_first_occurrences_paths():
@@ -405,7 +406,7 @@ def test_kernel_reachability_and_cycles(succ, data):
     # the compiled condensation: exits in member order, with multiplicity
     compiled = _compile_automaton(succ, None, frozenset(), tuple(components))
     assert compiled.component_of == position
-    assert compiled.cyclic == {s for s in succ if s in reach[s]}
+    assert shaped_cycles(compiled) == _on_cycles(succ) == {s for s in succ if s in reach[s]}
     for i, c in enumerate(components):
         assert compiled.exits[i] == [position[x] for s in sorted(c) for x in succ[s] if x not in c]
         branching = any(sum(x in c for x in succ[s]) >= 2 for s in c)
