@@ -17,7 +17,7 @@ from .presentation import (
     Genus,
     Rule,
     SurfacePresentation,
-    genus,
+    _occurrences,
 )
 from .ends import (
     FRAGMENT_NORMAL_FORM,
@@ -67,10 +67,13 @@ def kerekjarto(p1: SurfacePresentation, p2: SurfacePresentation) -> ClassifierVe
     witness for every remaining case.
     """
     a1, a2 = ends_automaton(p1), ends_automaton(p2)
-    g1, g2 = genus(a1), genus(a2)
+    # per side, one Handle count: its root entry is the genus, and its
+    # non-zero entries are the non-planar closure
+    c1, c2 = _occurrences(a1, a1.nonplanar_states), _occurrences(a2, a2.nonplanar_states)
+    g1, g2 = c1[-1], c2[-1]
     if g1 != INFINITE and g2 != INFINITE and g1 != g2:
         return ClassifierVerdict(ClassVerdict.NOT_HOMEOMORPHIC, WITNESS_GENUS)
-    pair, reason = _pair_verdict(a1, a1.nonplanar_states, a2, a2.nonplanar_states)
+    pair, reason = _pair_verdict(a1, c1, a2, c2)
     if pair is Verdict.NO:
         return ClassifierVerdict(ClassVerdict.NOT_HOMEOMORPHIC, WITNESS_ENDS)
     if pair is Verdict.UNKNOWN:
@@ -100,7 +103,7 @@ def realize(g: Genus, e: EndExpr, name: str = "realized") -> SurfacePresentation
         raise InconsistentInvariantsError(
             "infinite genus must accumulate toward a non-planar end"
         )
-    if g != INFINITE and (not isinstance(g, int) or g < 0):
+    if g != INFINITE and (not isinstance(g, int) or isinstance(g, bool) or g < 0):
         raise InconsistentInvariantsError(f"genus must be a natural or infinite, got {g!r}")
 
     rules: dict[str, Rule] = {}

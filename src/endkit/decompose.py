@@ -42,7 +42,6 @@ from .presentation import (
     _first_paths,
     _occurrences,
     _pants,
-    _reaching,
 )
 
 Path = tuple[int, ...]
@@ -293,7 +292,7 @@ def _first_path_of(pres: SurfacePresentation, name: str, auto: EndsAutomaton) ->
     often: a state on or after a rule-graph cycle recurs without end."""
     if name not in pres.rules:
         raise DecomposeError(f"unknown or unreachable state {name!r}")
-    if _occurrences(auto, {name}) == INFINITE:
+    if _occurrences(auto, {name})[-1] == INFINITE:
         raise OccurrenceInsideCycleError(
             f"state {name!r} recurs inside a cycle; address one occurrence by path"
         )
@@ -424,11 +423,9 @@ class SpineGraph(Record):
 def spine(pres: SurfacePresentation) -> SpineGraph:
     pres = regularize(pres)
     auto = ends_automaton(pres)
-    handles = auto.nonplanar_states
-    pants = _pants(auto)
-    rank = 2 * _occurrences(auto, handles) + _occurrences(auto, pants)
-    hit = _reaching(auto, handles | pants)
-    core = frozenset(s for i, members in enumerate(auto.components) if hit[i] for s in members)
+    handles, pants = _occurrences(auto, auto.nonplanar_states), _occurrences(auto, _pants(auto))
+    rank = 2 * handles[-1] + pants[-1]
+    core = frozenset(s for c, h, p in zip(auto.components, handles, pants) if h or p for s in c)
     return SpineGraph(presentation=pres, rank=rank, core_states=core, automaton=auto)
 
 
@@ -452,7 +449,8 @@ def graph_phe_equal(g1: SpineGraph, g2: SpineGraph) -> "Verdict":
 
     if g1.rank != g2.rank:
         return Verdict.NO
-    verdict, _ = _pair_verdict(g1.automaton, g1.core_states, g2.automaton, g2.core_states)
+    a1, a2 = g1.automaton, g2.automaton
+    verdict, _ = _pair_verdict(a1, _occurrences(a1, g1.core_states), a2, _occurrences(a2, g2.core_states))
     return verdict
 
 
@@ -525,7 +523,7 @@ def find_essential_pants(pres: SurfacePresentation) -> EssentialPants:
     auto = ends_automaton(pres)
     # each Pants occurrence splits one end in two, so p = 1 + their count;
     # an INFINITE genus or p passes both checks
-    g, p = genus(auto), 1 + _occurrences(auto, _pants(auto))
+    g, p = genus(auto), 1 + _occurrences(auto, _pants(auto))[-1]
     if not (g + p >= 4 or p >= 6):
         raise ComplexityTooLowError(
             f"complexity too low: g+p = {g + p} < 4 and p = {p} < 6"

@@ -129,22 +129,10 @@ def infer_degree(descriptor: MapDescriptor) -> MapDescriptor:
 
 
 def descriptor_to_json(descriptor: MapDescriptor) -> dict:
-    return {
-        "proper": descriptor.proper,
-        "surjective": descriptor.surjective,
-        "boundary_embedding": (
-            list(descriptor.boundary_embedding)
-            if descriptor.boundary_embedding is not None
-            else None
-        ),
-        "proper_homotopy_equivalence": descriptor.proper_homotopy_equivalence,
-        "pseudo_phe": descriptor.pseudo_phe,
-        "target_plane_or_punctured_plane": descriptor.target_plane_or_punctured_plane,
-        "ends_map_injective": descriptor.ends_map_injective,
-        "orientation": descriptor.orientation,
-        "abs_degree": descriptor.abs_degree,
-        "pi1_surjective": descriptor.pi1_surjective,
-    }
+    out = dict(zip(MapDescriptor.__slots__, descriptor._values()))
+    if descriptor.boundary_embedding is not None:
+        out["boundary_embedding"] = list(descriptor.boundary_embedding)
+    return out
 
 
 def descriptor_from_json(data: Mapping) -> MapDescriptor:
@@ -154,19 +142,10 @@ def descriptor_from_json(data: Mapping) -> MapDescriptor:
     if not isinstance(data, Mapping):
         raise DegreeError(f"malformed map descriptor: expected an object, got {data!r}")
     try:
-        boundary = data.get("boundary_embedding")
-        return MapDescriptor(
-            proper=data.get("proper", False),
-            surjective=data.get("surjective"),
-            boundary_embedding=tuple(boundary) if boundary is not None else None,
-            proper_homotopy_equivalence=data.get("proper_homotopy_equivalence", False),
-            pseudo_phe=data.get("pseudo_phe", False),
-            target_plane_or_punctured_plane=data.get("target_plane_or_punctured_plane", False),
-            ends_map_injective=data.get("ends_map_injective"),
-            orientation=data.get("orientation"),
-            abs_degree=data.get("abs_degree"),
-            pi1_surjective=data.get("pi1_surjective", False),
-        )
+        fields = {name: data.get(name, default) for name, default in MapDescriptor._defaults.items()}
+        if fields["boundary_embedding"] is not None:
+            fields["boundary_embedding"] = tuple(fields["boundary_embedding"])
+        return MapDescriptor(**fields)
     except DegreeError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:

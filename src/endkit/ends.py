@@ -31,14 +31,15 @@ components, and the fold skips the others.
 
 import re
 from enum import Enum
-from typing import Callable, Iterable, Iterator, TypeVar, Union as TUnion
+from typing import Callable, Iterator, Sequence, TypeVar, Union as TUnion
 
 from ._record import Record
 from .errors import EndsError, InvalidEndExprError, NotConvertibleError
 from .presentation import (
     EndsAutomaton,
+    Genus,
     SurfacePresentation,
-    _reaching,
+    _occurrences,
     _syntax_error,
     ends_automaton,
     forward,
@@ -105,11 +106,11 @@ _KINDS = ((None, _Kind.ACYCLIC), (_Kind.POINT, _Kind.SEQ), (_Kind.CANTOR, _Kind.
 def _fold_components(
     space: EndsAutomaton,
     combine: Callable[[_Kind, int, list], _V],
-    within: list[bool] | None = None,
+    within: Sequence[Genus] | None = None,
 ) -> _V | None:
     """``combine(kind, i, values of its exits)`` at every component ``i`` of
-    the paths that stay within the components flagged in ``within`` (all by
-    default; flags closed under predecessors, as `_reaching` gives), children
+    the paths that stay within the components non-zero in ``within`` (all by
+    default; a mark closure, as `_occurrences` counts it), children
     first; the value at the root, or None when no such path is infinite.
 
     A component outside ``within``, or acyclic with no exit left, carries
@@ -203,7 +204,7 @@ def _cb(kind: _Kind, kids: list[_CBData]) -> _CBData:
     return (rank + 1, 1, False, card)  # SEQ: the cycle's end is the new level
 
 
-def _cb_data(space: EndsAutomaton, within: list[bool] | None = None) -> _CBData:
+def _cb_data(space: EndsAutomaton, within: Sequence[Genus] | None = None) -> _CBData:
     """CB data of the paths that stay ``within`` (see _fold_components)."""
     return _fold_components(space, lambda kind, _, kids: _cb(kind, kids), within) or _EMPTY_CB
 
@@ -214,7 +215,7 @@ def _cb_of(automaton: EndsAutomaton, marked: str) -> _CBData:
     if marked == "all":
         return _cb_data(automaton)
     if marked == "nonplanar_only":
-        return _cb_data(automaton, _reaching(automaton, automaton.nonplanar_states))
+        return _cb_data(automaton, _occurrences(automaton, automaton.nonplanar_states))
     raise ValueError(f"marked must be 'all' or 'nonplanar_only', got {marked!r}")
 
 
@@ -564,9 +565,9 @@ def expr_cb_report(e: EndExpr) -> CBReport:
 
 # -- automaton to expression -----------------------------------------------
 
-def _to_expr(space: EndsAutomaton, marked: list[bool], forms: _Forms) -> dict[int, int]:
+def _to_expr(space: EndsAutomaton, marked: Sequence[Genus], forms: _Forms) -> dict[int, int]:
     """Normal form, as a bag of ``forms``, of the path space with the ends
-    inside the components flagged ``marked`` (a mark closure) marked, or
+    inside the components non-zero in ``marked`` (a mark closure) marked, or
     NotConvertibleError when a component mixes internal branching with
     exits.  Each component's bag is built once, from its children's, in
     time linear in their distinct parts."""
@@ -577,8 +578,8 @@ def _to_expr(space: EndsAutomaton, marked: list[bool], forms: _Forms) -> dict[in
         if kind is _Kind.ACYCLIC:
             return forms.union(kids)
         if kind is _Kind.SEQ:
-            return forms.seq(forms.union(kids), marked[i])
-        return forms.atom(kind is _Kind.CANTOR, marked[i])
+            return forms.seq(forms.union(kids), marked[i] != 0)
+        return forms.atom(kind is _Kind.CANTOR, marked[i] != 0)
 
     return _fold_components(space, expr)
 
@@ -587,36 +588,35 @@ def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
     """Normal-form expression for (ends, non-planar ends), materialized once
     from its bag, with the multiplicities expanded."""
     forms = _Forms()
-    marked = _reaching(automaton, automaton.nonplanar_states)
+    marked = _occurrences(automaton, automaton.nonplanar_states)
     return forms.expr(_to_expr(automaton, marked, forms))
 
 
 # -- homeomorphism decision for pairs --------------------------------------
 
-def _canonical_form(space: EndsAutomaton, marked: list[bool]) -> tuple:
+def _canonical_form(space: EndsAutomaton, marked: Sequence[Genus]) -> tuple:
     """Relabel states by BFS discovery order (child order preserved), each
-    with its component's flag in ``marked``."""
+    with whether its component is in the mark closure ``marked``."""
     succ, component_of = space.transitions, space.component_of
     order = forward(succ, [space.root])
     index = {s: i for i, s in enumerate(order)}
-    return tuple((tuple(index[c] for c in succ[s]), marked[component_of[s]]) for s in order)
+    return tuple((tuple(index[c] for c in succ[s]), marked[component_of[s]] != 0) for s in order)
 
 
-def _census(space: EndsAutomaton, marked: list[bool]) -> tuple[int, int]:
+def _census(space: EndsAutomaton, marked: Sequence[Genus]) -> tuple[int, int]:
     """The numbers of states and of marked states: equal canonical forms share them."""
     return len(space.component_of), sum(len(c) for c, m in zip(space.components, marked) if m)
 
 
 def _pair_verdict(
     space_a: EndsAutomaton,
-    marks_a: Iterable[str],
+    marked_a: Sequence[Genus],
     space_b: EndsAutomaton,
-    marks_b: Iterable[str],
+    marked_b: Sequence[Genus],
 ) -> tuple[Verdict, str | None]:
-    """Verdict plus what decided it: 'identical-presentation' or
-    'end-expression-normal-form' for Yes, 'invariants' or 'normal-form'
-    for No, None for Unknown."""
-    marked_a, marked_b = _reaching(space_a, marks_a), _reaching(space_b, marks_b)
+    """Verdict on two spaces with mark closures counted by `_occurrences`, plus
+    what decided it: 'identical-presentation' or 'end-expression-normal-form'
+    for Yes, 'invariants' or 'normal-form' for No, None for Unknown."""
     # the exact CB data of the spaces, then of their marked subspaces
     spaces_differ = _cb_data(space_a) != _cb_data(space_b)
     if spaces_differ or _cb_data(space_a, marked_a) != _cb_data(space_b, marked_b):
@@ -638,7 +638,8 @@ def _pair_verdict(
 def pair_homeomorphic(a: EndsAutomaton, b: EndsAutomaton) -> Verdict:
     """Is there a homeomorphism of ends spaces matching the non-planar
     subsets?  Sound on Yes and No; Unknown outside the decided fragment."""
-    verdict, _ = _pair_verdict(a, a.nonplanar_states, b, b.nonplanar_states)
+    marked_a, marked_b = _occurrences(a, a.nonplanar_states), _occurrences(b, b.nonplanar_states)
+    verdict, _ = _pair_verdict(a, marked_a, b, marked_b)
     return verdict
 
 

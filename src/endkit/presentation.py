@@ -119,7 +119,6 @@ class SurfacePresentation(Record):
             pass
         # a fault: the scan in rule order raises the first, so errors do not
         # depend on the walk
-        succ = {}
         for lhs, rule in rules.items():
             try:
                 kind, children = rule
@@ -145,12 +144,11 @@ class SurfacePresentation(Record):
                     raise DanglingRuleError(
                         f"{self.name}: rule {lhs!r} references undefined {child!r}"
                     )
-            succ[lhs] = children
-        reached = forward(succ, [self.root])
-        if len(reached) < len(succ):
-            raise UnreachableRuleError(
-                f"{self.name}: unreachable rule(s) {sorted(set(succ).difference(reached))}"
-            )
+        # every fault that stops the walk is one the scan raises, so the walk
+        # ran to its end and ``seen`` is the reachable set
+        raise UnreachableRuleError(
+            f"{self.name}: unreachable rule(s) {sorted(set(rules).difference(seen))}"
+        )
 
     def _validate_finite(self) -> None:
         ft = self.finite_type
@@ -369,15 +367,16 @@ class EndsAutomaton(Record):
     """Reachable rule states with their successor choices, and their
     condensation compiled into a DAG of components.
 
-    ``transitions[s]`` keeps child order and multiplicity; ``nonplanar_states``
-    holds the Handle-labeled states (the raw genus data from which the
-    non-planar subspace is derived).  ``components`` is the SCC condensation
-    of ``transitions`` in reverse topological order, and ``component_of[s]``
-    the index of the component of s.  Component ``i`` has the shape
-    ``shapes[i]`` and ``exits[i]``, a list of the components of its members'
-    children outside it, members in ``transitions`` order, with multiplicity.
-    Every invariant walks this table children first, and reads a marked
-    subspace off it as a union of components.
+    ``transitions[s]`` keeps child order and multiplicity, states in rule
+    order; ``nonplanar_states`` holds the Handle-labeled states (the raw
+    genus data from which the non-planar subspace is derived).
+    ``components`` is the SCC condensation of ``transitions`` in reverse
+    topological order, so the root's component is the last, and
+    ``component_of[s]`` the index of the component of s.  Component ``i``
+    has the shape ``shapes[i]`` and ``exits[i]``, a list of the components
+    of its members' children outside it, members in ``transitions`` order,
+    with multiplicity.  Every invariant walks this table children first,
+    and reads a marked subspace off it as a union of components.
     """
 
     __slots__ = ("transitions", "root", "nonplanar_states", "components", "component_of",
@@ -388,16 +387,16 @@ def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
     pres = regularize(pres)
     rules, handle = pres.rules, BlockKind.HANDLE
     assert rules is not None and pres.root is not None
-    states = sorted(rules)  # so a component's exits follow its sorted members
-    transitions = {s: rules[s][1] for s in states}
-    handles = frozenset([s for s in states if rules[s][0] is handle])
+    transitions = {s: children for s, (_, children) in rules.items()}
+    handles = frozenset([s for s, (kind, _) in rules.items() if kind is handle])
     return _compile_automaton(transitions, pres.root, handles, tuple(sccs(transitions)))
 
 
 def _compile_automaton(transitions: Successors, root: str | None, nonplanar: frozenset[str],
                        components: tuple[list[str], ...]) -> EndsAutomaton:
     """The automaton over ``components = sccs(transitions)``, compiled in
-    one pass over the edges."""
+    one pass over the edges in ``transitions`` order; no fold depends on
+    that order."""
     component_of = {s: i for i, c in enumerate(components) for s in c}
     exits: list[list[int]] = [[] for _ in components]
     shapes = [ACYCLIC] * len(components)
@@ -417,13 +416,16 @@ def _compile_automaton(transitions: Successors, root: str | None, nonplanar: fro
                          tuple(shapes))
 
 
-def _occurrences(auto: EndsAutomaton, targets: AbstractSet[str]) -> Genus:
-    """Number of unfolding-tree nodes labeled by ``targets``, counted with
-    child multiplicity (``P(a, a)`` doubles); INFINITE when a target lies
-    on or after a cycle.  Children first over the components: a cycle with
-    a target on or below it repeats that target forever."""
+def _occurrences(auto: EndsAutomaton, targets: AbstractSet[str]) -> list[Genus]:
+    """Per component, the number of unfolding-tree nodes labeled by
+    ``targets`` in the subtree of one of its states, counted with child
+    multiplicity (``P(a, a)`` doubles); INFINITE when a target lies on or
+    after a cycle.  The last entry, the root's, counts the whole unfolding,
+    and the non-zero entries are the mark closure: the components whose
+    states reach a target.  Children first over the components: a cycle
+    with a target on or below it repeats that target forever."""
     if not targets:
-        return 0
+        return [0] * len(auto.components)
     below: list[Genus] = []
     for members, exits, shape in zip(auto.components, auto.exits, auto.shapes):
         n = sum(map(below.__getitem__, exits))
@@ -432,18 +434,7 @@ def _occurrences(auto: EndsAutomaton, targets: AbstractSet[str]) -> Genus:
         else:
             n += members[0] in targets
         below.append(n)
-    return below[auto.component_of[auto.root]]
-
-
-def _reaching(space: EndsAutomaton, marks: Iterable[str]) -> list[bool]:
-    """Per component, whether its states reach a state of ``marks``: the
-    mark closure, a union of components, in one children-first pass."""
-    hit = [False] * len(space.exits)
-    for s in space.component_of.keys() & marks:
-        hit[space.component_of[s]] = True
-    for i, exits in enumerate(space.exits):
-        hit[i] = hit[i] or any(map(hit.__getitem__, exits))
-    return hit
+    return below
 
 
 def _pants(auto: EndsAutomaton) -> set[str]:
@@ -462,7 +453,7 @@ def genus(source: SurfacePresentation | EndsAutomaton) -> Genus:
         if source.finite_type is not None:
             return source.finite_type.genus
         source = ends_automaton(source)
-    return _occurrences(source, source.nonplanar_states)
+    return _occurrences(source, source.nonplanar_states)[-1]
 
 
 def is_finite_type(source: SurfacePresentation | EndsAutomaton) -> bool:
@@ -471,7 +462,7 @@ def is_finite_type(source: SurfacePresentation | EndsAutomaton) -> bool:
         if source.finite_type is not None:
             return True
         source = ends_automaton(source)
-    return _occurrences(source, source.nonplanar_states | _pants(source)) != INFINITE
+    return _occurrences(source, source.nonplanar_states | _pants(source))[-1] != INFINITE
 
 
 def canonical_finite_type(
@@ -488,7 +479,7 @@ def canonical_finite_type(
             ft = source.finite_type
             return (ft.genus, 0, ft.boundary + ft.punctures)
         prefix, source = f"{source.name}: ", ends_automaton(source)
-    g, pants = _occurrences(source, source.nonplanar_states), _occurrences(source, _pants(source))
+    g, pants = _occurrences(source, source.nonplanar_states)[-1], _occurrences(source, _pants(source))[-1]
     if INFINITE in (g, pants):
         raise NotFiniteTypeError(f"{prefix}infinite type")
     # each pants occurrence splits one end in two; annuli and handles never branch

@@ -272,44 +272,28 @@ def r1_disk_removal(config: CurveConfig) -> CurveConfig:
     return replace(config, components=kept, nesting=())
 
 
-def _homeo_coerce(config: CurveConfig) -> tuple[CurveConfig, tuple[str, ...]]:
-    if _has_trivial(config):
-        raise TrivialComponentsPresentError(
-            "remove trivial components before normalizing labels"
-        )
-    if not config.pi1_bijective:
-        # Constant-or-covering dichotomy: any Degree label is already legal,
-        # so validation leaves the configuration alone.
-        return config, ()
-    notes = []
-    rebuilt = []
-    changed = False
-    for c in config.components:
-        if isinstance(c.label, Degree):
-            if abs(c.label.value) != 1:
-                notes.append(
-                    f"r2_homeo_normalize: component {c.id} coerced from "
-                    f"Degree({c.label.value}) to Homeo"
-                )
-            rebuilt.append(Component(c.id, c.target, c.kind, HOMEO))
-            changed = True
-        else:
-            rebuilt.append(c)
-    if not changed:
-        return config, ()
-    return replace(config, components=tuple(rebuilt), nesting=()), tuple(notes)
-
-
 def r2_homeo_normalize(config: CurveConfig) -> CurveConfig:
     """Upgrade primitive restriction labels to homeomorphisms.
 
     Needs a trivial-free configuration.  When the ambient map is bijective
     on loops, every primitive component must restrict to a homeomorphism,
-    so all Degree labels are rewritten; coercions from degrees of modulus
-    other than one are reported through the pipeline trace.  Without loop
+    so all Degree labels are rewritten; `run_pipeline` notes each label
+    coerced from a degree of modulus other than one.  Without loop
     bijectivity the labels stay put.
     """
-    return _homeo_coerce(config)[0]
+    if _has_trivial(config):
+        raise TrivialComponentsPresentError(
+            "remove trivial components before normalizing labels"
+        )
+    if not config.pi1_bijective or not any(isinstance(c.label, Degree) for c in config.components):
+        # Constant-or-covering dichotomy: without loop bijectivity any Degree
+        # label is already legal, so validation leaves the configuration alone.
+        return config
+    rebuilt = tuple(
+        Component(c.id, c.target, c.kind, HOMEO) if isinstance(c.label, Degree) else c
+        for c in config.components
+    )
+    return replace(config, components=rebuilt, nesting=())
 
 
 def r3_annulus_removal(config: CurveConfig) -> CurveConfig:
@@ -398,11 +382,13 @@ def run_pipeline(
 
     def apply(name: str, current: CurveConfig) -> CurveConfig:
         rule = _RULES[name]
-        if rule is r2_homeo_normalize:
-            after, coercions = _homeo_coerce(current)
-            notes.extend(coercions)
-        else:
-            after = rule(current)
+        after = rule(current)
+        if after is not current:
+            before = {c.id: c.label for c in current.components}
+            for c in after.components:
+                label = before[c.id]
+                if isinstance(label, Degree) and abs(label.value) != 1 and isinstance(c.label, Homeo):
+                    notes.append(f"{rule.__name__}: component {c.id} coerced from Degree({label.value}) to Homeo")
         if after.measure() != current.measure():
             steps.append(TraceStep(rule.__name__, current.measure(), after.measure()))
         return after

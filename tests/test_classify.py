@@ -169,6 +169,9 @@ def test_realize_consistency_check():
         realize(3, Pt(True))
     with pytest.raises(InconsistentInvariantsError):
         realize(INFINITE, Pt(False))
+    for g in (True, False, 1.0, -1):  # a bool is an int, but not a genus
+        with pytest.raises(InconsistentInvariantsError, match=f"natural or infinite, got {g!r}"):
+            realize(g, Pt(False))
 
 
 def test_distinct_family_profile():

@@ -506,6 +506,15 @@ def test_a_depth_that_is_not_an_integer_is_a_decompose_error(depth):
         decompose(CANTOR, "strict", depth)
 
 
+@pytest.mark.parametrize("mode, depth, message", [
+    ("x", 8, "mode must be 'lenient' or 'strict', got 'x'"),
+    ("strict", -1, "depth must be non-negative, got -1"),
+])
+def test_a_bad_mode_or_negative_depth_is_a_decompose_error(mode, depth, message):
+    with pytest.raises(DecomposeError, match=message):
+        decompose(CANTOR, mode, depth)
+
+
 def test_a_hand_made_window_is_checked():
     disk = Piece(0, PieceKind.PUNCTURED_DISK)
     window = DecompositionGraph("strict", 1, [disk], [], [(0, 0)], False)
@@ -794,3 +803,11 @@ def test_interchange_front_order_and_errors():
         interchange_normalize(FLUTE, [(0,), (0,), (0, 5)])
     with pytest.raises(DecomposeError, match="duplicate occurrence"):
         interchange_normalize(FLUTE, [(0,), (0,)])
+
+
+def test_fresh_names_step_past_the_taken_ones():
+    pres = parse_presentation("surface s { u0 = P(f1, u0); f1 = A(f1) }")
+    moved = interchange_normalize(pres, [(0,)])
+    assert moved.rules["u0_"] == (BlockKind.PANTS, ("f1", "u0"))
+    assert moved.root == "f1_" and moved.rules["f1_"] == (BlockKind.ANNULUS, ("u0_",))
+    assert kerekjarto(pres, moved).verdict is ClassVerdict.HOMEOMORPHIC

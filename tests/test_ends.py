@@ -61,7 +61,6 @@ from endkit.ends import (
     _key,
     _Kind,
     _pair_verdict,
-    _reaching,
     _to_expr,
     _walk,
 )
@@ -401,7 +400,7 @@ def _assert_marked_data_matches_restriction(auto: EndsAutomaton, marks: set[str]
     report = _cb_space(_restrict(auto, marks), 10**4)
     last = report.profile[-1] if report.profile else 0
     expected = (report.rank, last, report.has_perfect_kernel, report.cardinality)
-    assert _cb_data(auto, _reaching(auto, marks)) == expected
+    assert _cb_data(auto, _closure(auto, marks)) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -520,6 +519,12 @@ def _flags(space: EndsAutomaton, closure: AbstractSet[str]) -> list[bool]:
     return [c[0] in closure for c in space.components]
 
 
+def _closure(space: EndsAutomaton, marks: Iterable[str]) -> list:
+    """The mark closure of ``marks`` as the library reads it: the components
+    with a non-zero occurrence count."""
+    return _occurrences(space, frozenset(marks))
+
+
 def _reference_text(auto: EndsAutomaton) -> str:
     try:
         expr = _reference_to_expr(auto, backward(auto.transitions, auto.nonplanar_states))
@@ -553,7 +558,8 @@ def test_to_end_expr_and_pair_verdicts_match_the_reference_route(p, q, data):
         (a, marks, c, marks),
         (b, b.nonplanar_states, a, marks),
     ]:
-        assert _pair_verdict(x, mx, y, my) == _reference_pair_verdict(x, mx, y, my)
+        verdict = _pair_verdict(x, _closure(x, mx), y, _closure(y, my))
+        assert verdict == _reference_pair_verdict(x, mx, y, my)
 
 
 # -- reference condensation fold: the general rule at every component -----
@@ -589,7 +595,7 @@ def _fold_results(auto: EndsAutomaton, marks: Iterable[str] | None = None) -> tu
     """CB data within all states, the closure of ``marks`` (the non-planar
     states by default) and no state; then the `_to_expr` bag of that
     closure, with its intern table."""
-    closure = _reaching(auto, auto.nonplanar_states if marks is None else marks)
+    closure = _closure(auto, auto.nonplanar_states if marks is None else marks)
     cb = [_cb_data(auto, within) for within in (None, closure, [False] * len(closure))]
     forms = _Forms()
     try:
@@ -651,12 +657,12 @@ def test_compiled_folds_match_the_state_level_references(pres, data):
     auto = ends_automaton(pres)
     marks = data.draw(st.sets(st.sampled_from(sorted(auto.transitions))))
     closure = backward(auto.transitions, marks)
-    assert _reaching(auto, marks) == _flags(auto, closure)
+    assert [n != 0 for n in _closure(auto, marks)] == _flags(auto, closure)
     assert closure == {s for c in auto.components if c[0] in closure for s in c}
     pants = {s for s, cs in auto.transitions.items() if len(cs) == 2}
     for targets in (marks, auto.nonplanar_states, pants):
         expected = _reference_occurrences(auto.transitions, auto.root, targets)
-        assert _occurrences(auto, targets) == expected
+        assert _occurrences(auto, targets)[-1] == expected
     _assert_fold_matches_reference(auto, marks)
     _assert_fold_matches_reference(auto)
 
@@ -719,6 +725,18 @@ def test_seq_element_dedupe():
 def test_expr_cb_report_rejects_empty_union(e):
     with pytest.raises(InvalidEndExprError, match="empty union denotes no space"):
         expr_cb_report(e)
+
+
+@pytest.mark.parametrize("read", [validate_end_expr, normalize_end_expr])
+def test_an_empty_union_is_no_space(read):
+    with pytest.raises(InvalidEndExprError, match="empty union denotes no space"):
+        read(Union(()))
+
+
+@pytest.mark.parametrize("read", [cb_report, ends_count])
+def test_an_unknown_marked_mode_is_refused(read):
+    with pytest.raises(ValueError, match="marked must be 'all' or 'nonplanar_only', got 'x'"):
+        read(ends_automaton(FLUTE), marked="x")
 
 
 def test_validate_rejects_open_marked_set():
@@ -1017,6 +1035,33 @@ def test_to_end_expr_examples():
         to_end_expr(ends_automaton(MIXED))
 
 
+def _order_free_invariants(pres: SurfacePresentation) -> tuple:
+    auto = ends_automaton(pres)
+    try:
+        text = format_end_expr(to_end_expr(auto))
+    except NotConvertibleError:
+        text = "not convertible"
+    reports = [f(auto, marked) for f in (cb_report, ends_count) for marked in ("all", "nonplanar_only")]
+    found = spine(pres)
+    return genus(auto), is_finite_type(auto), *reports, text, found.rank, found.core_states
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(max_states=8), st.randoms(use_true_random=False))
+def test_invariants_ignore_rule_order_and_state_names(pres, rng):
+    """The automaton takes its states in rule order; no invariant reads that
+    order, or the names."""
+    names, order = list(pres.rules), list(pres.rules)
+    rng.shuffle(names)
+    rng.shuffle(order)
+    new = {s: f"q{names.index(s)}" for s in names}
+    rules = {new[s]: (pres.rules[s][0], tuple(new[c] for c in pres.rules[s][1])) for s in order}
+    *same, core = _order_free_invariants(pres)
+    *moved_same, moved_core = _order_free_invariants(SurfacePresentation("moved", rules, new[pres.root]))
+    assert moved_same == same
+    assert moved_core == {new[s] for s in core}
+
+
 @settings(max_examples=150, deadline=None)
 @given(end_exprs())
 def test_realize_recovers_normal_form(e):
@@ -1048,7 +1093,8 @@ def test_pair_verdicts():
     a18 = ends_automaton(realize(0, t18))
     assert cb_report(a17).invariant_key() == cb_report(a18).invariant_key()
     assert pair_homeomorphic(a17, a18) is Verdict.NO
-    verdict = _pair_verdict(a17, a17.nonplanar_states, a18, a18.nonplanar_states)
+    verdict = _pair_verdict(a17, _closure(a17, a17.nonplanar_states),
+                            a18, _closure(a18, a18.nonplanar_states))
     assert verdict == (Verdict.NO, "invariants")
 
     # same ends space, outside the expression fragment: only the marked
@@ -1056,7 +1102,9 @@ def test_pair_verdicts():
     mixed_marked = ends_automaton(
         parse_presentation("surface mixed3 { a = P(a, b); b = P(a, c); c = H(c) }")
     )
-    verdict = _pair_verdict(mixed_marked, mixed_marked.nonplanar_states, ends_automaton(MIXED), ())
+    mixed = ends_automaton(MIXED)
+    verdict = _pair_verdict(mixed_marked, _closure(mixed_marked, mixed_marked.nonplanar_states),
+                            mixed, _closure(mixed, ()))
     assert verdict == (Verdict.NO, "invariants")
 
     # equal CB data of the spaces and of the non-planar subspaces; only the
@@ -1064,7 +1112,8 @@ def test_pair_verdicts():
     lim = realize(INFINITE, Seq(Pt(False), True))
     apart = realize(INFINITE, Union((Seq(Pt(False), False), Pt(True))))
     a_lim, a_apart = ends_automaton(lim), ends_automaton(apart)
-    verdict = _pair_verdict(a_lim, a_lim.nonplanar_states, a_apart, a_apart.nonplanar_states)
+    verdict = _pair_verdict(a_lim, _closure(a_lim, a_lim.nonplanar_states),
+                            a_apart, _closure(a_apart, a_apart.nonplanar_states))
     assert verdict == (Verdict.NO, "normal-form")
     assert kerekjarto(lim, apart).to_json() == {"verdict": "NotHomeomorphic", "witness": "ends-pair"}
 
@@ -1288,5 +1337,5 @@ def test_invariants_read_the_compiled_condensation_only(pres):
     with contextlib.suppress(NotConvertibleError):
         to_end_expr(auto)
     assert counted.reads == 0
-    _canonical_form(auto, _reaching(auto, auto.nonplanar_states))
+    _canonical_form(auto, _closure(auto, auto.nonplanar_states))
     assert counted.reads > 0

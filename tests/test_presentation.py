@@ -128,6 +128,15 @@ def test_closed_surface_rejected():
         SurfacePresentation(name="x", finite_type=FiniteType(2, 0, 0))
 
 
+def test_a_presentation_is_one_form_with_natural_data():
+    rules = {"a": (BlockKind.ANNULUS, ("a",))}
+    for forms in ({}, {"rules": rules, "finite_type": FiniteType(0, 0, 1)}):
+        with pytest.raises(ValueError, match="exactly one of rules / finite_type required"):
+            SurfacePresentation("s", **forms)
+    with pytest.raises(PresentationSyntaxError, match="s: negative finite-type datum"):
+        SurfacePresentation("s", finite_type=FiniteType(0, -1, 2))
+
+
 def test_genus_examples():
     assert genus(parse_presentation(LOCH)) == INFINITE
     assert genus(parse_presentation(FLUTE)) == 0
@@ -205,6 +214,12 @@ def test_splice_annulus_preserves_invariants(pres):
     assert ends_count(spliced) == ends_count(pres)
 
 
+def test_splice_annulus_refuses_a_slot_out_of_range():
+    flute = parse_presentation("surface flute { root = P(root, punc); punc = A(punc) }")
+    with pytest.raises(ValueError, match="slot 1 out of range for punc"):
+        splice_annulus(flute, "punc", 1)
+
+
 def test_splice_annulus_on_a_finite_triple():
     ft = parse_presentation("surface x finite S(g=1, b=0, p=2)")
     spliced = splice_annulus(ft, "h1", 0)
@@ -276,7 +291,7 @@ def test_cycle_bookkeeping_on_flute():
     auto = ends_automaton(parse_presentation(FLUTE))
     assert shaped_cycles(auto) == _on_cycles(auto.transitions) == {"root", "punc"}
     assert set(forward(auto.transitions, shaped_cycles(auto))) == {"root", "punc"}
-    assert _occurrences(auto, {"root"}) == _occurrences(auto, {"punc"}) == INFINITE
+    assert _occurrences(auto, {"root"})[-1] == _occurrences(auto, {"punc"})[-1] == INFINITE
 
 
 def test_first_occurrences_paths():
