@@ -67,10 +67,11 @@ def kerekjarto(p1: SurfacePresentation, p2: SurfacePresentation) -> ClassifierVe
     witness for every remaining case.
     """
     a1, a2 = ends_automaton(p1), ends_automaton(p2)
-    # per side, one Handle count: its root entry is the genus, and its
-    # non-zero entries are the non-planar closure
-    c1, c2 = _occurrences(a1, a1.nonplanar_states), _occurrences(a2, a2.nonplanar_states)
-    g1, g2 = c1[-1], c2[-1]
+    # per side one Handle count: the genus at its root, the non-planar closure kept as flags
+    c1 = _occurrences(a1, a1.nonplanar_states)
+    g1, c1 = c1[-1], [n != 0 for n in c1]
+    c2 = _occurrences(a2, a2.nonplanar_states)
+    g2, c2 = c2[-1], [n != 0 for n in c2]
     if g1 != INFINITE and g2 != INFINITE and g1 != g2:
         return ClassifierVerdict(ClassVerdict.NOT_HOMEOMORPHIC, WITNESS_GENUS)
     pair, reason = _pair_verdict(a1, c1, a2, c2)

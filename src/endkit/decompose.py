@@ -424,7 +424,7 @@ def spine(pres: SurfacePresentation) -> SpineGraph:
     pres = regularize(pres)
     auto = ends_automaton(pres)
     handles, pants = _occurrences(auto, auto.nonplanar_states), _occurrences(auto, _pants(auto))
-    rank = 2 * handles[-1] + pants[-1]
+    rank = INFINITE if INFINITE in (handles[-1], pants[-1]) else 2 * handles[-1] + pants[-1]
     core = frozenset(s for c, h, p in zip(auto.components, handles, pants) if h or p for s in c)
     return SpineGraph(presentation=pres, rank=rank, core_states=core, automaton=auto)
 
@@ -449,8 +449,8 @@ def graph_phe_equal(g1: SpineGraph, g2: SpineGraph) -> "Verdict":
 
     if g1.rank != g2.rank:
         return Verdict.NO
-    a1, a2 = g1.automaton, g2.automaton
-    verdict, _ = _pair_verdict(a1, _occurrences(a1, g1.core_states), a2, _occurrences(a2, g2.core_states))
+    core_a, core_b = (_occurrences(g.automaton, g.core_states, 1) for g in (g1, g2))
+    verdict, _ = _pair_verdict(g1.automaton, core_a, g2.automaton, core_b)
     return verdict
 
 
@@ -524,7 +524,7 @@ def find_essential_pants(pres: SurfacePresentation) -> EssentialPants:
     # each Pants occurrence splits one end in two, so p = 1 + their count;
     # an INFINITE genus or p passes both checks
     g, p = genus(auto), 1 + _occurrences(auto, _pants(auto))[-1]
-    if not (g + p >= 4 or p >= 6):
+    if not (p >= 6 or g + p >= 4):  # p < 6 first: g + p overflows past 2**1024
         raise ComplexityTooLowError(
             f"complexity too low: g+p = {g + p} < 4 and p = {p} < 6"
         )

@@ -215,7 +215,7 @@ def _cb_of(automaton: EndsAutomaton, marked: str) -> _CBData:
     if marked == "all":
         return _cb_data(automaton)
     if marked == "nonplanar_only":
-        return _cb_data(automaton, _occurrences(automaton, automaton.nonplanar_states))
+        return _cb_data(automaton, _occurrences(automaton, automaton.nonplanar_states, 1))
     raise ValueError(f"marked must be 'all' or 'nonplanar_only', got {marked!r}")
 
 
@@ -588,7 +588,7 @@ def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
     """Normal-form expression for (ends, non-planar ends), materialized once
     from its bag, with the multiplicities expanded."""
     forms = _Forms()
-    marked = _occurrences(automaton, automaton.nonplanar_states)
+    marked = _occurrences(automaton, automaton.nonplanar_states, 1)
     return forms.expr(_to_expr(automaton, marked, forms))
 
 
@@ -638,7 +638,7 @@ def _pair_verdict(
 def pair_homeomorphic(a: EndsAutomaton, b: EndsAutomaton) -> Verdict:
     """Is there a homeomorphism of ends spaces matching the non-planar
     subsets?  Sound on Yes and No; Unknown outside the decided fragment."""
-    marked_a, marked_b = _occurrences(a, a.nonplanar_states), _occurrences(b, b.nonplanar_states)
+    marked_a, marked_b = (_occurrences(s, s.nonplanar_states, 1) for s in (a, b))
     verdict, _ = _pair_verdict(a, marked_a, b, marked_b)
     return verdict
 

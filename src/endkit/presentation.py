@@ -416,24 +416,27 @@ def _compile_automaton(transitions: Successors, root: str | None, nonplanar: fro
                          tuple(shapes))
 
 
-def _occurrences(auto: EndsAutomaton, targets: AbstractSet[str]) -> list[Genus]:
+def _occurrences(auto: EndsAutomaton, targets: AbstractSet[str], cap: Genus = INFINITE) -> list[Genus]:
     """Per component, the number of unfolding-tree nodes labeled by
-    ``targets`` in the subtree of one of its states, counted with child
-    multiplicity (``P(a, a)`` doubles); INFINITE when a target lies on or
-    after a cycle.  The last entry, the root's, counts the whole unfolding,
-    and the non-zero entries are the mark closure: the components whose
-    states reach a target.  Children first over the components: a cycle
-    with a target on or below it repeats that target forever."""
+    ``targets`` below one of its states, with child multiplicity (``P(a, a)``
+    doubles), up to ``cap`` (1 reads the closure alone, with no big integers);
+    INFINITE when a target lies on or after a cycle, as a cycle with a
+    target on or below it repeats that target forever.  The root's entry,
+    the last, counts the whole unfolding; the non-zero entries are the mark
+    closure, the components whose states reach a target."""
     if not targets:
         return [0] * len(auto.components)
     below: list[Genus] = []
     for members, exits, shape in zip(auto.components, auto.exits, auto.shapes):
-        n = sum(map(below.__getitem__, exits))
+        try:
+            n = sum(map(below.__getitem__, exits))
+        except OverflowError:  # INFINITE, a float, plus an integer past 2**1024
+            n = INFINITE
         if shape:
             n = INFINITE if n or not targets.isdisjoint(members) else 0
         else:
             n += members[0] in targets
-        below.append(n)
+        below.append(n if n < cap else cap)
     return below
 
 

@@ -33,8 +33,10 @@ from endkit import (
     ends_automaton,
     ends_count,
     expr_cb_report,
+    find_essential_pants,
     format_end_expr,
     genus,
+    graph_phe_equal,
     is_finite_type,
     kerekjarto,
     normalize_end_expr,
@@ -521,8 +523,8 @@ def _flags(space: EndsAutomaton, closure: AbstractSet[str]) -> list[bool]:
 
 def _closure(space: EndsAutomaton, marks: Iterable[str]) -> list:
     """The mark closure of ``marks`` as the library reads it: the components
-    with a non-zero occurrence count."""
-    return _occurrences(space, frozenset(marks))
+    with a non-zero occurrence count, capped at 1."""
+    return _occurrences(space, frozenset(marks), 1)
 
 
 def _reference_text(auto: EndsAutomaton) -> str:
@@ -657,7 +659,8 @@ def test_compiled_folds_match_the_state_level_references(pres, data):
     auto = ends_automaton(pres)
     marks = data.draw(st.sets(st.sampled_from(sorted(auto.transitions))))
     closure = backward(auto.transitions, marks)
-    assert [n != 0 for n in _closure(auto, marks)] == _flags(auto, closure)
+    assert [n != 0 for n in _occurrences(auto, frozenset(marks))] == _flags(auto, closure)
+    assert _closure(auto, marks) == [int(f) for f in _flags(auto, closure)]
     assert closure == {s for c in auto.components if c[0] in closure for s in c}
     pants = {s for s, cs in auto.transitions.items() if len(cs) == 2}
     for targets in (marks, auto.nonplanar_states, pants):
@@ -665,6 +668,43 @@ def test_compiled_folds_match_the_state_level_references(pres, data):
         assert _occurrences(auto, targets)[-1] == expected
     _assert_fold_matches_reference(auto, marks)
     _assert_fold_matches_reference(auto)
+
+
+def test_counts_past_the_float_range(monkeypatch):
+    """A Handle below 1,025 levels of ``P(x, x)`` occurs 2**1025 times, past
+    the float range: beside an infinite branch, adding that count to
+    INFINITE, a float, would overflow.  Genus, spine rank and the essential
+    pants census saturate at INFINITE or stay exact, and the closures that
+    CB reports, expressions and pair verdicts read hold only 0 and 1."""
+    n = 1025
+    chain = [f"x{i} = P(x{i + 1}, x{i + 1})" for i in range(n)] + [f"x{n} = H(c)", "c = P(c, c)"]
+    alone = parse_presentation("surface alone { " + "; ".join(chain) + " }")
+    beside = parse_presentation("surface beside { " + "; ".join(["root = P(x0, l)", *chain, "l = H(l)"]) + " }")
+    above = parse_presentation("surface above { " + "; ".join(["root = H(x0)", *chain]) + " }")
+    small = parse_presentation("surface small { root = P(c, l); c = P(c, c); l = H(l) }")
+    auto = ends_automaton(beside)
+    assert _occurrences(auto, auto.nonplanar_states)[auto.component_of["x0"]] == 2**n
+    assert set(_closure(auto, auto.nonplanar_states)) == {0, 1}
+    assert (genus(alone), genus(beside), genus(above)) == (2**n, INFINITE, 2**n + 1)
+    assert format_end_expr(to_end_expr(auto)) == "Union(Pt(nonplanar), Cantor(planar))"
+    assert cb_report(auto, marked="nonplanar_only") == cb_report(ends_automaton(LOCH))
+    assert ends_count(auto, marked="nonplanar_only") == EndsCount(Cardinality.FINITE, 1)
+    assert pair_homeomorphic(auto, ends_automaton(small)) is Verdict.YES
+    assert kerekjarto(beside, small).to_json() == {"verdict": "Homeomorphic"}
+    assert kerekjarto(alone, above).to_json() == {"verdict": "NotHomeomorphic", "witness": "genus"}
+    assert kerekjarto(alone, beside).to_json() == {"verdict": "NotHomeomorphic", "witness": "ends-pair"}
+    assert spine(alone).rank == spine(beside).rank == INFINITE  # 2**1026 Handles, INFINITE Pants
+    assert graph_phe_equal(spine(beside), spine(small)) is Verdict.YES
+    assert find_essential_pants(alone).pants_id == find_essential_pants(beside).pants_id == 2
+    read = []
+    for name in ("_cb_data", "_to_expr"):
+        def spy(space, marked=None, *rest, real=getattr(endkit.ends, name)):
+            read.append(max(marked or [0]))
+            return real(space, marked, *rest)
+        monkeypatch.setattr(endkit.ends, name, spy)
+    cb_report(auto, marked="nonplanar_only"), to_end_expr(auto), kerekjarto(beside, small)
+    pair_homeomorphic(auto, ends_automaton(small)), graph_phe_equal(spine(beside), spine(small))
+    assert max(read) == 1
 
 
 def test_every_combiner_passes_a_lone_exit_through(monkeypatch):
