@@ -26,7 +26,17 @@ GENUS_CAP = 1_000_000  # a finite genus or triple expands to that many rules
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    # an exact count may pass the interpreter's int-to-str limit, which guards
+    # parsing (where inputs keep their own MAX_DIGITS checks), not output
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def _load_surf(path: str) -> SurfacePresentation:

@@ -36,6 +36,7 @@ from typing import Callable, Iterator, Sequence, TypeVar, Union as TUnion
 from ._record import Record
 from .errors import EndsError, InvalidEndExprError, NotConvertibleError
 from .presentation import (
+    INFINITE,
     EndsAutomaton,
     Genus,
     SurfacePresentation,
@@ -46,6 +47,7 @@ from .presentation import (
 )
 
 DEFAULT_RANK_CUTOFF = 16
+EXPR_PARTS_CAP = 1_000_000  # a multiplicity of the normal form expands to that many summands
 # the fragments that decide a Yes; classify reports them as witnesses
 FRAGMENT_IDENTICAL = "identical-presentation"
 FRAGMENT_NORMAL_FORM = "end-expression-normal-form"
@@ -122,15 +124,18 @@ def _fold_components(
     if within is not None and not within[root]:
         return None  # the root reaches every state, so no component is kept
     values: list = []
+    append = values.append
     for i, (exits, shape) in enumerate(zip(space.exits, space.shapes)):
         if within is not None and not within[i]:
-            values.append(None)
-            continue
-        kids = [v for k in exits if (v := values[k]) is not None]
-        if shape or len(kids) > 1:
-            values.append(combine(_KINDS[shape][bool(kids)], i, kids))
+            append(None)
+        elif not shape and len(exits) == 1:  # most components: a lone exit passes through
+            append(values[exits[0]])
         else:
-            values.append(kids[0] if kids else None)
+            kids = [v for k in exits if (v := values[k]) is not None]
+            if shape or len(kids) > 1:
+                append(combine(_KINDS[shape][bool(kids)], i, kids))
+            else:
+                append(kids[0] if kids else None)
     return values[root]
 
 
@@ -167,17 +172,20 @@ class CBReport(Record):
 # A point of level k >= 1 is a limit of infinitely many points of level
 # k - 1, so the whole derivative chain is the tuple (rank, last batch or
 # None when infinite, perfect kernel, cardinality); at rank 0 the last batch
-# is 0, so equal spaces give equal tuples.
+# is 0, so equal spaces give equal tuples.  A fold step carries the number of
+# ends (a natural or INFINITE) for the cardinality, read at the root: a compact
+# metrizable space is uncountable exactly when its perfect kernel is non-empty.
 _CBData = tuple[int, "int | None", bool, EndsCount]
+_CBStep = tuple[int, "int | None", bool, Genus]
 _COUNTABLE = EndsCount(Cardinality.COUNTABLY_INFINITE)
 _UNCOUNTABLE = EndsCount(Cardinality.UNCOUNTABLE)
-_EMPTY_CB: _CBData = (0, 0, False, EndsCount(Cardinality.FINITE, 0))
-_POINT_CB: _CBData = (1, 1, False, EndsCount(Cardinality.FINITE, 1))
-_CANTOR_CB: _CBData = (0, 0, True, _UNCOUNTABLE)
+_EMPTY_CB: _CBStep = (0, 0, False, 0)
+_POINT_CB: _CBStep = (1, 1, False, 1)
+_CANTOR_CB: _CBStep = (0, 0, True, INFINITE)
 
 
-def _cb(kind: _Kind, kids: list[_CBData]) -> _CBData:
-    """The CB tuple of the ends beyond a component from its exits'."""
+def _cb(kind: _Kind, i: int | None, kids: list[_CBStep]) -> _CBStep:
+    """The CB step of the ends beyond a component from its exits'."""
     if kind is _Kind.POINT:
         return _POINT_CB
     if kind is _Kind.CANTOR:
@@ -188,25 +196,26 @@ def _cb(kind: _Kind, kids: list[_CBData]) -> _CBData:
         return kids[0]
     rank = max(k[0] for k in kids)
     kernel = any(k[2] for k in kids)
-    cards = [k[3].cardinality for k in kids]
     if kind is _Kind.ACYCLIC:
         lasts = [k[1] for k in kids if k[0] == rank]
-        if Cardinality.UNCOUNTABLE in cards:
-            card = _UNCOUNTABLE
-        elif Cardinality.COUNTABLY_INFINITE in cards:
-            card = _COUNTABLE
-        else:
-            card = EndsCount(Cardinality.FINITE, sum(k[3].count or 0 for k in kids))
-        return (rank, None if None in lasts else sum(lasts), kernel, card)
-    card = _UNCOUNTABLE if kind is _Kind.KERNEL or Cardinality.UNCOUNTABLE in cards else _COUNTABLE
+        try:
+            count = sum(k[3] for k in kids)
+        except OverflowError:  # INFINITE, a float, plus an integer past 2**1024
+            count = INFINITE
+        return (rank, None if None in lasts else sum(lasts), kernel, count)
     if kind is _Kind.KERNEL or kernel:  # the exits' last batch, copied forever
-        return (rank, None if rank else 0, True, card)
-    return (rank + 1, 1, False, card)  # SEQ: the cycle's end is the new level
+        return (rank, None if rank else 0, True, INFINITE)
+    return (rank + 1, 1, False, INFINITE)  # SEQ: the cycle's end is the new level
+
+
+def _cardinality(kernel: bool, count: Genus) -> EndsCount:
+    return _UNCOUNTABLE if kernel else _COUNTABLE if count == INFINITE else EndsCount(Cardinality.FINITE, count)
 
 
 def _cb_data(space: EndsAutomaton, within: Sequence[Genus] | None = None) -> _CBData:
     """CB data of the paths that stay ``within`` (see _fold_components)."""
-    return _fold_components(space, lambda kind, _, kids: _cb(kind, kids), within) or _EMPTY_CB
+    rank, last, kernel, count = _fold_components(space, _cb, within) or _EMPTY_CB
+    return rank, last, kernel, _cardinality(kernel, count)
 
 
 def _cb_of(automaton: EndsAutomaton, marked: str) -> _CBData:
@@ -372,6 +381,7 @@ class _Forms:
         self.nodes: list[tuple] = []  # (tag, mark, child ids) by id
         self.exprs: list[EndExpr] = []  # the public form by id
         self.keys: dict[int, tuple] = {}  # `_key` by id, once ranked
+        self.inside: dict[tuple[int, int], bool] = {}  # (summand, Seq): a piece of it?
 
     def intern(self, tag: int, mark: bool | int, kids: tuple[int, ...] = ()) -> int:
         """The id of the form (tag, mark, kids); a new id gets its public node."""
@@ -408,10 +418,15 @@ class _Forms:
         return {self.intern(2, limit, (element,)): 1}
 
     def union(self, bags: list[dict[int, int]]) -> dict[int, int]:
-        """The union of ``bags``, in O(distinct parts): Cantor summands with
-        the same mark merge, and a summand that is a piece (a subtree) of a
-        sibling Seq's element is absorbed into that tower (one extra copy
-        shifts away)."""
+        """The union of ``bags``: Cantor summands with the same mark merge,
+        and a summand that is a piece (a subtree) of a sibling Seq's element
+        is absorbed into that tower (one extra copy shifts away).
+
+        A form's pieces have smaller ids, so a summand can be a piece only of
+        a larger Seq, and a Seq absorbed by a larger one holds no other piece.
+        ``inside[i, s]`` (is summand i a piece of Seq s?) is answered once per
+        table, by one walk of s for all summands of the first union asking,
+        which stops at each Seq already answered: no closure is kept."""
         if len(bags) < 2:
             if not bags:
                 raise InvalidEndExprError("empty union denotes no space")
@@ -420,20 +435,32 @@ class _Forms:
         for bag in bags:
             for i, m in bag.items():
                 merged[i] = merged.get(i, 0) + m
-        todo = [self.nodes[i][2][0] for i in merged if self.nodes[i][0] == 2]
-        pieces = set(todo)
-        while todo:
-            for k in self.nodes[todo.pop()][2]:
-                if k not in pieces:
-                    pieces.add(k)
-                    todo.append(k)
-        return {i: 1 if self.nodes[i][0] == 1 else m for i, m in merged.items() if i not in pieces}
+        nodes, inside, absorbed = self.nodes, self.inside, set()
+        for s in sorted((i for i in merged if nodes[i][0] == 2), reverse=True):
+            asked = [] if s in absorbed else [i for i in merged if i < s and i not in absorbed]
+            if any((i, s) not in inside for i in asked):
+                low, todo, seen = min(asked), [nodes[s][2][0]], set()
+                while todo:  # no form below ``low`` holds a summand
+                    k = todo.pop()
+                    if k >= low and k not in seen:
+                        seen.add(k)
+                        if nodes[k][0] == 2 and all((i, k) in inside for i in asked if i < k):
+                            seen.update(i for i in asked if i < k and inside[i, k])
+                        else:
+                            todo.extend(nodes[k][2])
+                inside.update(((i, s), i in seen) for i in asked)
+            absorbed.update(i for i in asked if inside[i, s])
+        return {i: 1 if nodes[i][0] == 1 else m for i, m in merged.items() if i not in absorbed}
 
     def atom(self, cantor: bool, mark: bool) -> dict[int, int]:
         return {self.intern(int(cantor), mark): 1}
 
     def expr(self, bag: dict[int, int]) -> EndExpr:
-        """The public form of ``bag``, its multiplicities expanded."""
+        """The public form of ``bag``, its multiplicities expanded; EndsError
+        past EXPR_PARTS_CAP parts, before any is built."""
+        if (total := sum(bag.values())) > EXPR_PARTS_CAP:  # past 10**18, named by its power of two
+            many = total if total < 10**18 else f"at least 2**{total.bit_length() - 1}"
+            raise EndsError(f"end expression expands to {many} parts, capped at {EXPR_PARTS_CAP}")
         parts = [self.exprs[i] for i in self.ranked(bag) for _ in range(bag[i])]
         return parts[0] if len(parts) == 1 else Union(tuple(parts))
 
@@ -559,8 +586,8 @@ def expr_cb_report(e: EndExpr) -> CBReport:
     """Cantor-Bendixson data computed over the algebra: each node is read as
     the component kind that realizes it, through the automaton route's
     combiner."""
-    rank, last, kernel, card = _fold(e, lambda node, kids: _cb(_KIND_OF_NODE[type(node)], kids))
-    return CBReport(rank, 0 if kernel else last, kernel, card)
+    rank, last, kernel, count = _fold(e, lambda node, kids: _cb(_KIND_OF_NODE[type(node)], None, kids))
+    return CBReport(rank, 0 if kernel else last, kernel, _cardinality(kernel, count))
 
 
 # -- automaton to expression -----------------------------------------------
@@ -573,10 +600,10 @@ def _to_expr(space: EndsAutomaton, marked: Sequence[Genus], forms: _Forms) -> di
     time linear in their distinct parts."""
 
     def expr(kind: _Kind, i: int, kids: list[dict[int, int]]) -> dict[int, int]:
-        if kind is _Kind.KERNEL:
-            raise NotConvertibleError("component mixes internal branching with exits")
         if kind is _Kind.ACYCLIC:
             return forms.union(kids)
+        if kind is _Kind.KERNEL:
+            raise NotConvertibleError("component mixes internal branching with exits")
         if kind is _Kind.SEQ:
             return forms.seq(forms.union(kids), marked[i] != 0)
         return forms.atom(kind is _Kind.CANTOR, marked[i] != 0)
@@ -616,23 +643,31 @@ def _pair_verdict(
 ) -> tuple[Verdict, str | None]:
     """Verdict on two spaces with mark closures counted by `_occurrences`, plus
     what decided it: 'identical-presentation' or 'end-expression-normal-form'
-    for Yes, 'invariants' or 'normal-form' for No, None for Unknown."""
-    # the exact CB data of the spaces, then of their marked subspaces
-    spaces_differ = _cb_data(space_a) != _cb_data(space_b)
-    if spaces_differ or _cb_data(space_a, marked_a) != _cb_data(space_b, marked_b):
-        return Verdict.NO, "invariants"
-    if _census(space_a, marked_a) == _census(space_b, marked_b) and (
-        _canonical_form(space_a, marked_a) == _canonical_form(space_b, marked_b)
-    ):
-        return Verdict.YES, FRAGMENT_IDENTICAL
+    for Yes, 'invariants' or 'normal-form' for No, None for Unknown.
+
+    The normal forms decide first: equal canonical forms give equal normal
+    forms, which give equal CB data, so the CB data only name a No, or
+    decide when a side has no normal form."""
+
+    def cb_differs() -> bool:  # the exact CB data of the spaces, then of their marked subspaces
+        if _cb_data(space_a) != _cb_data(space_b):
+            return True
+        return _cb_data(space_a, marked_a) != _cb_data(space_b, marked_b)
+
     forms = _Forms()  # both sides in one table: equal forms are equal bags
     try:
         same = _to_expr(space_a, marked_a, forms) == _to_expr(space_b, marked_b, forms)
     except NotConvertibleError:
-        return Verdict.UNKNOWN, None
-    if same:
-        return Verdict.YES, FRAGMENT_NORMAL_FORM
-    return Verdict.NO, "normal-form"
+        if cb_differs():
+            return Verdict.NO, "invariants"
+        same = None
+    if same is False:
+        return Verdict.NO, "invariants" if cb_differs() else "normal-form"
+    if _census(space_a, marked_a) == _census(space_b, marked_b) and (
+        _canonical_form(space_a, marked_a) == _canonical_form(space_b, marked_b)
+    ):
+        return Verdict.YES, FRAGMENT_IDENTICAL
+    return (Verdict.YES, FRAGMENT_NORMAL_FORM) if same else (Verdict.UNKNOWN, None)
 
 
 def pair_homeomorphic(a: EndsAutomaton, b: EndsAutomaton) -> Verdict:

@@ -128,6 +128,23 @@ def test_invariants_on_a_deep_comb(surf, capsys):
     assert payload["cb"]["profile"] == [k + 1]
 
 
+def test_invariants_print_a_genus_past_the_int_to_str_limit(surf, capsys):
+    """2**15000 has 4,516 digits, past the interpreter's default of 4,300 for
+    converting an integer to text; the limit holds again after the output."""
+    n = 15000
+    rules = [f"x{i} = P(x{i + 1}, x{i + 1})" for i in range(n)] + [f"x{n} = H(c)", "c = P(c, c)"]
+    chain = surf("chain.surf", "surface chain { " + "; ".join(rules) + " }")
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "invariants", chain)
+    assert code == 0 and out.count("\n") == 1
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)  # to read the genus back
+    try:
+        assert json.loads(out)["genus"] == 2**n
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 
 def test_realize_a_deep_tower(capsys):
     levels = 1200

@@ -20,6 +20,7 @@ from endkit import (
     Cardinality,
     EndkitError,
     EndsCount,
+    EndsError,
     InvalidEndExprError,
     NotConvertibleError,
     Pt,
@@ -675,9 +676,21 @@ def test_counts_past_the_float_range(monkeypatch):
     the float range: beside an infinite branch, adding that count to
     INFINITE, a float, would overflow.  Genus, spine rank and the essential
     pants census saturate at INFINITE or stay exact, and the closures that
-    CB reports, expressions and pair verdicts read hold only 0 and 1."""
+    CB reports, expressions and pair verdicts read hold only 0 and 1.  Over
+    a puncture the chain has 2**1025 ends, and beside a countable branch the
+    count of ends saturates at INFINITE in the CB fold too."""
     n = 1025
     chain = [f"x{i} = P(x{i + 1}, x{i + 1})" for i in range(n)] + [f"x{n} = H(c)", "c = P(c, c)"]
+    punctured = [f"x{i} = P(x{i + 1}, x{i + 1})" for i in range(n)] + [f"x{n} = A(x{n})"]
+    points = parse_presentation("surface points { " + "; ".join(punctured) + " }")
+    countable = parse_presentation(
+        "surface countable { " + "; ".join(["r = P(x0, f)", "f = P(f, t)", "t = A(t)", *punctured]) + " }"
+    )
+    assert ends_count(points) == EndsCount(Cardinality.FINITE, 2**n)
+    assert cb_report(ends_automaton(points)) == CBReport(1, 2**n, False, ends_count(points), (2**n,))
+    report = cb_report(ends_automaton(countable))
+    assert (report.rank, report.degree, report.has_perfect_kernel) == (2, 1, False)
+    assert report.cardinality == ends_count(countable) == EndsCount(Cardinality.COUNTABLY_INFINITE)
     alone = parse_presentation("surface alone { " + "; ".join(chain) + " }")
     beside = parse_presentation("surface beside { " + "; ".join(["root = P(x0, l)", *chain, "l = H(l)"]) + " }")
     above = parse_presentation("surface above { " + "; ".join(["root = H(x0)", *chain]) + " }")
@@ -705,6 +718,20 @@ def test_counts_past_the_float_range(monkeypatch):
     cb_report(auto, marked="nonplanar_only"), to_end_expr(auto), kerekjarto(beside, small)
     pair_homeomorphic(auto, ends_automaton(small)), graph_phe_equal(spine(beside), spine(small))
     assert max(read) == 1
+
+
+@pytest.mark.parametrize("levels", [16, 21])
+def test_to_end_expr_expands_at_most_the_cap(levels):
+    """A ``P(x, x)`` chain over a puncture has 2**levels point ends, one
+    summand each in the public form: 2**21 is over the cap of 10**6, and
+    the error names the part count before any part is built."""
+    rules = [f"x{i} = P(x{i + 1}, x{i + 1})" for i in range(levels)] + [f"x{levels} = A(x{levels})"]
+    auto = ends_automaton(parse_presentation("surface s { " + "; ".join(rules) + " }"))
+    if 2**levels > endkit.ends.EXPR_PARTS_CAP:
+        with pytest.raises(EndsError, match=f"expands to {2**levels} parts, capped at 1000000"):
+            to_end_expr(auto)
+    else:
+        assert to_end_expr(auto) == Union((Pt(False),) * 2**levels)
 
 
 def test_every_combiner_passes_a_lone_exit_through(monkeypatch):
