@@ -54,6 +54,7 @@ class BlockKind(Enum):
     ANNULUS = "A"
     PANTS = "P"
     HANDLE = "H"
+    __hash__ = object.__hash__  # members are singletons: a C-level hash, consistent with ==
 
     @property
     def arity(self) -> int:
@@ -294,8 +295,8 @@ def pretty_print(pres: SurfacePresentation) -> str:
 #
 # The one graph form is a successor map: each state to its children in
 # child order, with multiplicity.  Every successor must itself be a key.
-# EndsAutomaton.transitions is such a map; ends_automaton() builds it once
-# per presentation, with its condensation compiled, and every invariant reads that.
+# EndsAutomaton.transitions is such a map; ends_automaton() builds it, with
+# its condensation compiled, and every invariant reads that.
 # All routines below are iterative and O(states + edges).
 
 Successors = Mapping[str, Sequence[str]]
@@ -361,6 +362,7 @@ def sccs(succ: Successors) -> list[list[str]]:
 
 # a component's shape: a state on no cycle, a cycle, or branching inside it
 ACYCLIC, CYCLE, BRANCHING = range(3)
+_last: tuple = (None, None)  # ends_automaton's memo: the last system's key and automaton
 
 
 class EndsAutomaton(Record):
@@ -384,12 +386,25 @@ class EndsAutomaton(Record):
 
 
 def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
+    """The compiled automaton of ``pres``, read-only: consecutive calls may share
+    it, as the last one built is kept under its root and its rules, by value."""
+    global _last
     pres = regularize(pres)
     rules, handle = pres.rules, BlockKind.HANDLE
     assert rules is not None and pres.root is not None
+    key = (pres.root, tuple(rules.items()))  # the name is not read
+    last_key, last_auto = _last
+    if last_key == key:
+        return last_auto
     transitions = {s: children for s, (_, children) in rules.items()}
     handles = frozenset([s for s, (kind, _) in rules.items() if kind is handle])
-    return _compile_automaton(transitions, pres.root, handles, tuple(sccs(transitions)))
+    auto = _compile_automaton(transitions, pres.root, handles, tuple(sccs(transitions)))
+    try:
+        hash(key)
+    except TypeError:  # a list in the rules could change in place: compiled on every call
+        return auto
+    _last = key, auto
+    return auto
 
 
 def _compile_automaton(transitions: Successors, root: str | None, nonplanar: frozenset[str],

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import copy
+import pickle
 import random
 import re
 import time
@@ -30,10 +32,12 @@ from endkit import (
     regularize,
     splice_annulus,
     standard_presentation,
+    to_end_expr,
 )
 import endkit.presentation
 from endkit import decompose, find_essential_pants, interchange_normalize, kerekjarto
 from endkit.cli import main
+from endkit.classify import ClassVerdict
 from endkit.ends import Cardinality
 from endkit.presentation import (
     ACYCLIC, BRANCHING, CYCLE, MAX_DIGITS, Successors, _compile_automaton, _occurrences,
@@ -440,16 +444,25 @@ def test_sccs_matches_the_textbook_tarjan_on_the_families():
             assert sccs(succ) == _reference_sccs(succ)
 
 
-def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
-    """Every invariant reads the automaton's condensation: Tarjan runs once
-    per input presentation."""
-    runs = []
+def _count_condensations(monkeypatch) -> list[int]:
+    """Clear ends_automaton's memo and count Tarjan runs from here on, so a
+    count does not depend on which test compiled last."""
+    runs: list[int] = []
 
     def counted(succ):
         runs.append(len(succ))
         return sccs(succ)
 
+    monkeypatch.setattr(endkit.presentation, "_last", (None, None))
     monkeypatch.setattr(endkit.presentation, "sccs", counted)
+    return runs
+
+
+def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
+    """Every invariant reads the automaton's condensation: Tarjan runs once
+    per input presentation, and not at all when the rule system is the one
+    compiled just before."""
+    runs = _count_condensations(monkeypatch)
     a = parse_presentation("surface a { r = H(x); x = P(x, t); t = A(t) }")
     b = parse_presentation("surface b { r = P(h, t); h = H(h); t = A(t) }")
     kerekjarto(a, b)
@@ -473,7 +486,7 @@ def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
 
     runs.clear()
     interchange_normalize(s_2_0_3, ["u", "y", "x", "r"])
-    assert len(runs) == 1
+    assert len(runs) == 0  # find_essential_pants compiled this system last
     runs.clear()
     interchange_normalize(s_2_0_3, [(0, 0), (0,)])
     assert len(runs) == 0
@@ -484,6 +497,99 @@ def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
     assert main(["graph-phe", str(path), str(other)]) == 0
     capsys.readouterr()
     assert len(runs) == 2
+
+
+# -- ends_automaton's memo: the last rule system compiled, keyed by value ---
+#
+# Each case fails against a memo keyed by object identity.
+
+
+def test_memo_serves_a_text_parsed_twice(monkeypatch):
+    runs = _count_condensations(monkeypatch)
+    first, second = parse_presentation(FLUTE), parse_presentation(FLUTE)
+    assert ends_automaton(first) is ends_automaton(second)
+    assert len(runs) == 1
+
+    runs.clear()
+    p = parse_presentation(CANTOR)
+    assert kerekjarto(p, p).verdict is ClassVerdict.HOMEOMORPHIC
+    assert len(runs) == 1
+
+
+def test_memo_sees_a_rule_edited_in_place(monkeypatch):
+    runs = _count_condensations(monkeypatch)
+    p = parse_presentation(FLUTE)
+    assert genus(p) == 0
+    before = to_end_expr(ends_automaton(p)), ends_count(p, marked="nonplanar_only")
+    p.rules["punc"] = (BlockKind.HANDLE, ("punc",))
+    assert genus(p) == INFINITE
+    after = to_end_expr(ends_automaton(p)), ends_count(p, marked="nonplanar_only")
+    assert after[0] != before[0] and after[1] != before[1]
+    assert len(runs) == 2
+
+
+def test_memo_sees_a_reassigned_root(monkeypatch):
+    runs = _count_condensations(monkeypatch)
+    p = parse_presentation("surface two { r = P(a, b); a = A(a); b = H(b) }")
+    assert ends_count(p).count == 2
+    before = to_end_expr(ends_automaton(p))
+    p.root = "b"  # r and a are unreachable now; the fold reads b's component
+    auto = ends_automaton(p)
+    assert auto.root == "b" and len(runs) == 2
+    assert ends_count(p).count == 1 and to_end_expr(auto) != before
+
+
+def test_memo_keeps_no_system_with_a_list(monkeypatch):
+    runs = _count_condensations(monkeypatch)
+    children = ["r", "t"]
+    p = SurfacePresentation("l", {"r": (BlockKind.PANTS, children), "t": (BlockKind.ANNULUS, ("t",))})
+    assert ends_count(p).cardinality is Cardinality.COUNTABLY_INFINITE
+    assert ends_count(p).cardinality is Cardinality.COUNTABLY_INFINITE
+    assert len(runs) == 2 and endkit.presentation._last == (None, None)
+    children[1] = "r"  # r = P(r, r): a Cantor set of ends
+    assert ends_count(p).cardinality is Cardinality.UNCOUNTABLE
+    assert len(runs) == 3
+
+
+def test_memo_keys_the_rule_order(monkeypatch):
+    """The same rules in another order compile to another automaton, equal
+    to a fresh build; the rules are reordered in place."""
+    runs = _count_condensations(monkeypatch)
+    p = parse_presentation("surface a { r = P(x, t); x = H(x); t = A(t) }")
+    original = ends_automaton(p)
+    for state in ("x", "r"):  # rule order t, x, r
+        p.rules[state] = p.rules.pop(state)
+    reordered = ends_automaton(p)
+    assert len(runs) == 2
+    monkeypatch.setattr(endkit.presentation, "_last", (None, None))
+    fresh = ends_automaton(p)
+    assert reordered is not fresh and reordered == fresh
+    assert list(reordered.transitions) == list(fresh.transitions) == ["t", "x", "r"]
+    assert reordered.components != original.components
+
+
+def test_memo_serves_a_finite_triple_compiled_twice(monkeypatch):
+    runs = _count_condensations(monkeypatch)
+    text = "surface s finite S(g=2, b=1, p=2)"
+    assert ends_automaton(parse_presentation(text)) is ends_automaton(parse_presentation(text))
+    assert len(runs) == 1
+
+
+def test_memo_holds_one_entry(monkeypatch):
+    runs = _count_condensations(monkeypatch)
+    for text in (FLUTE, LOCH, LOCH, FLUTE):
+        auto = ends_automaton(parse_presentation(text))
+    assert len(runs) == 3  # the second system replaced the first
+    assert endkit.presentation._last[1] is auto
+
+
+def test_block_kinds_hash_by_identity():
+    table = {kind: kind.value for kind in BlockKind}
+    for kind in BlockKind:
+        assert hash(kind) == object.__hash__(kind)
+    for copied in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+        assert copied == table
+        assert all(copied[kind] == kind.value and k is kind for k, kind in zip(copied, BlockKind))
 
 
 # -- the parser against the token parser it replaced ----------------------
