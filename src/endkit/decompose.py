@@ -292,7 +292,7 @@ def _first_path_of(pres: SurfacePresentation, name: str, auto: EndsAutomaton) ->
     often: a state on or after a rule-graph cycle recurs without end."""
     if name not in pres.rules:
         raise DecomposeError(f"unknown or unreachable state {name!r}")
-    if _occurrences(auto, {name})[-1] == INFINITE:
+    if _occurrences(auto, {auto.names.index(name)})[-1] == INFINITE:
         raise OccurrenceInsideCycleError(
             f"state {name!r} recurs inside a cycle; address one occurrence by path"
         )
@@ -425,7 +425,7 @@ def spine(pres: SurfacePresentation) -> SpineGraph:
     auto = ends_automaton(pres)
     handles, pants = _occurrences(auto, auto.nonplanar_states), _occurrences(auto, _pants(auto))
     rank = INFINITE if INFINITE in (handles[-1], pants[-1]) else 2 * handles[-1] + pants[-1]
-    core = frozenset(s for c, h, p in zip(auto.components, handles, pants) if h or p for s in c)
+    core = frozenset(auto.names[s] for c, h, p in zip(auto.components, handles, pants) if h or p for s in c)
     return SpineGraph(presentation=pres, rank=rank, core_states=core, automaton=auto)
 
 
@@ -449,7 +449,9 @@ def graph_phe_equal(g1: SpineGraph, g2: SpineGraph) -> "Verdict":
 
     if g1.rank != g2.rank:
         return Verdict.NO
-    core_a, core_b = (_occurrences(g.automaton, g.core_states, 1) for g in (g1, g2))
+    # a core is closed under predecessors, so it is its own closure: one test per component
+    core_a, core_b = ([g.automaton.names[c[0]] in g.core_states for c in g.automaton.components]
+                      for g in (g1, g2))
     verdict, _ = _pair_verdict(g1.automaton, core_a, g2.automaton, core_b)
     return verdict
 

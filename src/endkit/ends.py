@@ -43,7 +43,6 @@ from .presentation import (
     _occurrences,
     _syntax_error,
     ends_automaton,
-    forward,
 )
 
 DEFAULT_RANK_CUTOFF = 16
@@ -120,9 +119,8 @@ def _fold_components(
     An acyclic component with one exit left passes that exit's value
     through without a call: every combiner returns ``kids[0]`` for
     ``(_Kind.ACYCLIC, i, [kid])``."""
-    root = space.component_of[space.root]
-    if within is not None and not within[root]:
-        return None  # the root reaches every state, so no component is kept
+    if within is not None and not within[-1]:
+        return None  # the root's component reaches every other, so none is kept
     values: list = []
     append = values.append
     for i, (exits, shape) in enumerate(zip(space.exits, space.shapes)):
@@ -136,7 +134,7 @@ def _fold_components(
                 append(combine(_KINDS[shape][bool(kids)], i, kids))
             else:
                 append(kids[0] if kids else None)
-    return values[root]
+    return values[-1]
 
 
 # -- Cantor-Bendixson analysis ---------------------------------------------
@@ -622,17 +620,9 @@ def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
 # -- homeomorphism decision for pairs --------------------------------------
 
 def _canonical_form(space: EndsAutomaton, marked: Sequence[Genus]) -> tuple:
-    """Relabel states by BFS discovery order (child order preserved), each
-    with whether its component is in the mark closure ``marked``."""
-    succ, component_of = space.transitions, space.component_of
-    order = forward(succ, [space.root])
-    index = {s: i for i, s in enumerate(order)}
-    return tuple((tuple(index[c] for c in succ[s]), marked[component_of[s]] != 0) for s in order)
-
-
-def _census(space: EndsAutomaton, marked: Sequence[Genus]) -> tuple[int, int]:
-    """The numbers of states and of marked states: equal canonical forms share them."""
-    return len(space.component_of), sum(len(c) for c, m in zip(space.components, marked) if m)
+    """The numbered transitions, a canonical relabelling, with one flag per
+    state: whether its component is in the mark closure ``marked``."""
+    return space.transitions, [marked[i] != 0 for i in space.component_of]
 
 
 def _pair_verdict(
@@ -663,7 +653,7 @@ def _pair_verdict(
         same = None
     if same is False:
         return Verdict.NO, "invariants" if cb_differs() else "normal-form"
-    if _census(space_a, marked_a) == _census(space_b, marked_b) and (
+    if space_a.transitions == space_b.transitions and (  # the cheap guard: no flags built
         _canonical_form(space_a, marked_a) == _canonical_form(space_b, marked_b)
     ):
         return Verdict.YES, FRAGMENT_IDENTICAL

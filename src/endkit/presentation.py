@@ -31,6 +31,7 @@ directive names another.
 
 import math
 import re
+from bisect import bisect_left
 from collections import Counter, deque
 from enum import Enum
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
@@ -293,11 +294,10 @@ def pretty_print(pres: SurfacePresentation) -> str:
 
 # -- rule-graph analysis ---------------------------------------------------
 #
-# The one graph form is a successor map: each state to its children in
-# child order, with multiplicity.  Every successor must itself be a key.
-# EndsAutomaton.transitions is such a map; ends_automaton() builds it, with
-# its condensation compiled, and every invariant reads that.
-# All routines below are iterative and O(states + edges).
+# ends_automaton() numbers the states reachable from the root and compiles
+# their condensation, and every invariant reads that; ``forward`` walks a
+# successor map (each state to its children, in child order).  Both are
+# iterative and O(states + edges).
 
 Successors = Mapping[str, Sequence[str]]
 
@@ -315,49 +315,6 @@ def forward(succ: Successors, starts: Iterable[str]) -> list[str]:
     return order
 
 
-def sccs(succ: Successors) -> list[list[str]]:
-    """Strongly connected components, in reverse topological order: every
-    component precedes the components that can reach it.
-
-    The low-link form of Tarjan's algorithm (Nuutila, Pearce): a state's
-    link is its position on the component stack, lowered by the links of
-    the states it reaches there, and a closed component's members get a
-    link above every position, so no on-stack set is kept.  Components and
-    member order are the textbook Tarjan's; a differential test pins them."""
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    out: list[list[str]] = []
-    closed = len(succ)
-    for start in succ:
-        if start in low:
-            continue
-        low[start] = 0  # the stack is empty between trees
-        stack.append(start)
-        work = [(start, 0, iter(succ[start]))]
-        while work:
-            state, pos, children = work[-1]
-            for child in children:
-                if child not in low:
-                    low[child] = len(stack)
-                    work.append((child, len(stack), iter(succ[child])))
-                    stack.append(child)
-                    break
-                if low[child] < low[state]:
-                    low[state] = low[child]
-            else:
-                work.pop()
-                if low[state] == pos:
-                    component = stack[pos:]
-                    del stack[pos:]
-                    for s in component:
-                        low[s] = closed
-                    component.reverse()
-                    out.append(component)
-                elif low[state] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[state]
-    return out
-
-
 # -- the ends automaton ----------------------------------------------------
 
 # a component's shape: a state on no cycle, a cycle, or branching inside it
@@ -366,39 +323,45 @@ _last: tuple = (None, None)  # ends_automaton's memo: the last system's key and 
 
 
 class EndsAutomaton(Record):
-    """Reachable rule states with their successor choices, and their
+    """The states reachable from the root, numbered as one depth-first walk
+    from the root in child order meets them (the root is 0), and their
     condensation compiled into a DAG of components.
 
-    ``transitions[s]`` keeps child order and multiplicity, states in rule
-    order; ``nonplanar_states`` holds the Handle-labeled states (the raw
-    genus data from which the non-planar subspace is derived).
-    ``components`` is the SCC condensation of ``transitions`` in reverse
-    topological order, so the root's component is the last, and
-    ``component_of[s]`` the index of the component of s.  Component ``i``
-    has the shape ``shapes[i]`` and ``exits[i]``, a list of the components
-    of its members' children outside it, members in ``transitions`` order,
-    with multiplicity.  Every invariant walks this table children first,
-    and reads a marked subspace off it as a union of components.
+    ``names[s]`` names state s, and ``transitions[s]`` holds the numbers of
+    its children, in child order with multiplicity: the numbering depends on
+    the rooted graph alone, not on names or rule order, so equal
+    ``transitions`` are isomorphic systems.  ``nonplanar_states`` holds the
+    Handle states.  ``components`` is the SCC condensation in reverse
+    topological order, the root's last, and ``component_of[s]`` the index of
+    the component of s.  Component ``i`` has the shape ``shapes[i]`` and
+    ``exits[i]``, the components of its members' children outside it, with
+    multiplicity.  Every invariant walks this table children first, and
+    reads a marked subspace off it as a union of components.
     """
 
-    __slots__ = ("transitions", "root", "nonplanar_states", "components", "component_of",
+    __slots__ = ("names", "transitions", "nonplanar_states", "components", "component_of",
                  "exits", "shapes")
 
 
 def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
     """The compiled automaton of ``pres``, read-only: consecutive calls may share
-    it, as the last one built is kept under its root and its rules, by value."""
+    it, as the last one built is kept under its root and its rules, by value.
+    A system edited in place into a fault raises the constructor's error."""
     global _last
     pres = regularize(pres)
-    rules, handle = pres.rules, BlockKind.HANDLE
-    assert rules is not None and pres.root is not None
+    rules = pres.rules
+    assert rules is not None
     key = (pres.root, tuple(rules.items()))  # the name is not read
     last_key, last_auto = _last
     if last_key == key:
         return last_auto
-    transitions = {s: children for s, (_, children) in rules.items()}
-    handles = frozenset([s for s, (kind, _) in rules.items() if kind is handle])
-    auto = _compile_automaton(transitions, pres.root, handles, tuple(sccs(transitions)))
+    try:
+        auto = _condense(rules, pres.root)
+    except (KeyError, TypeError, ValueError):  # an undefined state, or a malformed rule
+        auto = None
+    if auto is None:
+        pres._validate_rules()  # raises the constructor's error for the fault
+        return ends_automaton(pres)  # none: the root was unset, and is the first rule now
     try:
         hash(key)
     except TypeError:  # a list in the rules could change in place: compiled on every call
@@ -407,31 +370,75 @@ def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
     return auto
 
 
-def _compile_automaton(transitions: Successors, root: str | None, nonplanar: frozenset[str],
-                       components: tuple[list[str], ...]) -> EndsAutomaton:
-    """The automaton over ``components = sccs(transitions)``, compiled in
-    one pass over the edges in ``transitions`` order; no fold depends on
-    that order."""
-    component_of = {s: i for i, c in enumerate(components) for s in c}
-    exits: list[list[int]] = [[] for _ in components]
-    shapes = [ACYCLIC] * len(components)
-    for s, children in transitions.items():
-        i = component_of[s]
-        inside = 0
-        for c in children:
-            k = component_of[c]
-            if k == i:
-                inside += 1
-            else:
-                exits[i].append(k)
-        if inside:
-            shapes[i] = BRANCHING if inside > 1 else shapes[i] or CYCLE
+def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
+    """One depth-first walk from ``root`` in child order, Tarjan's (1972) in
+    its low-link form (Nuutila, Pearce): it numbers and checks each state it
+    meets, and compiles each component as it closes, after every component
+    its members reach.  A state's link starts at its number and is lowered
+    by the links of the states it reaches on the stack; a closed state's
+    link is above every number, so no on-stack set is kept.  None at a
+    wrong arity or an unmet rule; KeyError at an undefined state."""
+    kind, children = rules[root]
+    if len(children) != _ARITY[kind]:
+        return None
+    closed, handle, arity = len(rules), BlockKind.HANDLE, _ARITY
+    index, names, handles = {root: 0}, [root], [0] if kind is handle else []
+    transitions, component_of, components, exits, shapes = [()] * closed, [0] * closed, [], [], []
+    low, stack, work = list(range(closed)), [0], [(0, children, iter(children))]
+    while work:
+        state, cs, todo = work[-1]
+        for child in todo:
+            k = index.get(child)
+            if k is None:  # first met: numbered, checked, and walked
+                k = index[child] = len(names)
+                names.append(child)
+                kind, children = rules[child]
+                if len(children) != arity[kind]:
+                    return None
+                if kind is handle:
+                    handles.append(k)
+                stack.append(k)
+                work.append((k, children, iter(children)))
+                break
+            if low[k] < low[state]:
+                low[state] = low[k]
+        else:
+            work.pop()
+            # one or two children: tuple and list displays, far cheaper than map()
+            ts = transitions[state] = (index[cs[0]],) if len(cs) == 1 else (index[cs[0]], index[cs[1]])
+            link = low[state]
+            if link < state:  # in the component of a state below it on the stack
+                if link < low[work[-1][0]]:
+                    low[work[-1][0]] = link
+                continue
+            i = len(components)
+            if stack[-1] == state and state not in ts:  # alone, on no cycle: a list each
+                stack.pop()
+                low[state] = closed
+                component_of[state] = i
+                components.append([state])
+                exits.append([component_of[ts[0]]] if len(ts) == 1 else [component_of[ts[0]], component_of[ts[1]]])
+                shapes.append(ACYCLIC)
+                continue
+            members = stack[bisect_left(stack, state):]
+            del stack[-len(members):]
+            for s in members:
+                low[s] = closed
+                component_of[s] = i
+            ks = [component_of[k] for s in members for k in transitions[s]]
+            out = [k for k in ks if k != i]
+            components.append(members)
+            exits.append(out)
+            # a cycle's members have one child each inside it, a branching one more
+            shapes.append(BRANCHING if len(ks) - len(out) > len(members) else CYCLE)
+    if len(names) != closed:
+        return None
     # every field positional: the record constructor's fast path
-    return EndsAutomaton(transitions, root, nonplanar, components, component_of, tuple(exits),
-                         tuple(shapes))
+    return EndsAutomaton(names, transitions, frozenset(handles), components, component_of,
+                         exits, shapes)
 
 
-def _occurrences(auto: EndsAutomaton, targets: AbstractSet[str], cap: Genus = INFINITE) -> list[Genus]:
+def _occurrences(auto: EndsAutomaton, targets: AbstractSet[int], cap: Genus = INFINITE) -> list[Genus]:
     """Per component, the number of unfolding-tree nodes labeled by
     ``targets`` below one of its states, with child multiplicity (``P(a, a)``
     doubles), up to ``cap`` (1 reads the closure alone, with no big integers);
@@ -455,8 +462,8 @@ def _occurrences(auto: EndsAutomaton, targets: AbstractSet[str], cap: Genus = IN
     return below
 
 
-def _pants(auto: EndsAutomaton) -> set[str]:
-    return {s for s, cs in auto.transitions.items() if len(cs) == 2}
+def _pants(auto: EndsAutomaton) -> set[int]:
+    return {s for s, cs in enumerate(auto.transitions) if len(cs) == 2}
 
 
 # -- invariants ------------------------------------------------------------

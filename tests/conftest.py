@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from endkit import (
     Other,
 )
 from endkit.ends import _has_nonplanar
-from endkit.presentation import Successors, sccs
+from endkit.presentation import EndsAutomaton, Successors
 
 _NAMES = tuple(f"s{i}" for i in range(8))
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -76,16 +77,73 @@ def backward(succ: Successors, targets) -> set[str]:
     return hit
 
 
+def census_cores(seed: int) -> list[SurfacePresentation]:
+    """The Unknown census's inputs: 150 ``bench/inputs.random_core`` cores of
+    up to 6 states at seed 0 and up to 8 at seeds 1 and 2."""
+    rng, inputs = random.Random(seed), bench_inputs()
+    return [inputs.random_core(rng, max_states=6 if seed == 0 else 8) for _ in range(150)]
+
+
+def named(auto: EndsAutomaton) -> dict[str, tuple[str, ...]]:
+    """The automaton's transitions as a successor map over the state names,
+    states in their numbering order: the form the state-level oracles read."""
+    names = auto.names
+    return {names[s]: tuple(names[c] for c in cs) for s, cs in enumerate(auto.transitions)}
+
+
+def reference_sccs(succ: Successors) -> list[list[str]]:
+    """The textbook Tarjan, with an on-stack set and a frame per child index:
+    the oracle for the compiled components and their order."""
+    order: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    out: list[list[str]] = []
+    for start in succ:
+        if start in order:
+            continue
+        work: list[tuple[str, int]] = [(start, 0)]
+        while work:
+            state, idx = work[-1]
+            if idx == 0:
+                order[state] = low[state] = len(order)
+                stack.append(state)
+                on_stack.add(state)
+            children = succ[state]
+            if idx < len(children):
+                work[-1] = (state, idx + 1)
+                child = children[idx]
+                if child not in order:
+                    work.append((child, 0))
+                elif child in on_stack:
+                    low[state] = min(low[state], order[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[state])
+                if low[state] == order[state]:
+                    component = []
+                    while True:
+                        s = stack.pop()
+                        on_stack.discard(s)
+                        component.append(s)
+                        if s == state:
+                            break
+                    out.append(component)
+    return out
+
+
 def _on_cycles(succ: Successors) -> set[str]:
     """States lying on some cycle: the members of the components that have
     two states, or one with a self-loop."""
-    return {s for c in sccs(succ) if len(c) > 1 or c[0] in succ[c[0]] for s in c}
+    return {s for c in reference_sccs(succ) if len(c) > 1 or c[0] in succ[c[0]] for s in c}
 
 
-def shaped_cycles(auto) -> set[str]:
-    """The cycle members an automaton's ``shapes`` give: the states of its
-    components that are a cycle or branch inside."""
-    return {s for c, shape in zip(auto.components, auto.shapes) if shape for s in c}
+def shaped_cycles(auto: EndsAutomaton) -> set[str]:
+    """The cycle members an automaton's ``shapes`` give, by name: the states
+    of its components that are a cycle or branch inside."""
+    return {auto.names[s] for c, shape in zip(auto.components, auto.shapes) if shape for s in c}
 
 
 @st.composite

@@ -48,9 +48,10 @@ from endkit import (
     standard_presentation,
 )
 from endkit.decompose import Edge, _complement_census, _first_path_of
-from endkit.presentation import _first_paths, ends_automaton, forward
+from endkit.ends import _pair_verdict
+from endkit.presentation import _first_paths, _occurrences, ends_automaton, forward
 
-from conftest import _on_cycles, bench_inputs, finite_type_pairs, presentations
+from conftest import _on_cycles, bench_inputs, census_cores, finite_type_pairs, presentations
 
 LOCH = parse_presentation("surface loch_ness { root = H(root) }")
 FLUTE = parse_presentation("surface flute { root = P(root, punc); punc = A(punc) }")
@@ -640,6 +641,26 @@ def test_on_planar_pairs_homeomorphy_and_spine_phe_agree(cores):
         for j in range(i, len(planar)):
             verdict = kerekjarto(planar[i], planar[j]).verdict
             assert graph_phe_equal(spines[i], spines[j]) is _PHE_VERDICT[verdict], (i, j)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spine_cores_are_their_own_closures_on_the_census(seed):
+    """`graph_phe_equal` reads a spine's core as its own closure, one test
+    per component: over the census cores that is the closure counted
+    again, so every verdict, over all pairs, is the one a recount gives."""
+    spines = [spine(core) for core in census_cores(seed)]
+    counted = []
+    for found in spines:
+        auto = found.automaton
+        marks = frozenset(i for i, name in enumerate(auto.names) if name in found.core_states)
+        counted.append(_occurrences(auto, marks, 1))
+        assert [n != 0 for n in counted[-1]] == [auto.names[c[0]] in found.core_states for c in auto.components]
+    for i, a in enumerate(spines):
+        for j in range(i, len(spines)):
+            b = spines[j]
+            recount = Verdict.NO if a.rank != b.rank else _pair_verdict(
+                a.automaton, counted[i], b.automaton, counted[j])[0]
+            assert graph_phe_equal(a, b) is recount, (i, j)
 
 
 def test_essential_pants_on_infinite_type():

@@ -6,7 +6,7 @@ import contextlib
 import random
 import re
 import time
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Sequence
 from typing import AbstractSet
 
 import pytest
@@ -68,12 +68,11 @@ from endkit.ends import (
     _walk,
 )
 from endkit._record import replace
-from endkit.presentation import (
-    Successors, _compile_automaton, _occurrences, forward, sccs,
-)
+from endkit.presentation import ACYCLIC, BRANCHING, CYCLE, Successors, _occurrences, forward
 
 from conftest import (
-    _on_cycles, backward, end_exprs, presentations, shaped_cycles, successor_maps,
+    _on_cycles, backward, census_cores, end_exprs, named, presentations, reference_sccs,
+    shaped_cycles, successor_maps,
 )
 
 LOCH = parse_presentation("surface loch_ness { root = H(root) }")
@@ -105,6 +104,7 @@ def test_nonplanar_subspace_counts():
 def _count_ends_by_walking(automaton):
     """Test-local route: DFS over choice paths; a repeated non-forced state
     means infinitely many ends, a fully forced subtree means exactly one."""
+    succ = named(automaton)
     forced: dict[str, bool] = {}
 
     def is_forced(state, trail):
@@ -113,9 +113,7 @@ def _count_ends_by_walking(automaton):
         if state in trail:
             return True
         trail.add(state)
-        result = len(automaton.transitions[state]) == 1 and all(
-            is_forced(c, trail) for c in automaton.transitions[state]
-        )
+        result = len(succ[state]) == 1 and all(is_forced(c, trail) for c in succ[state])
         trail.discard(state)
         forced[state] = result
         return result
@@ -126,14 +124,14 @@ def _count_ends_by_walking(automaton):
         if state in path:
             return None
         total = 0
-        for child in automaton.transitions[state]:
+        for child in succ[state]:
             sub = walk(child, path | {state})
             if sub is None:
                 return None
             total += sub
         return total
 
-    return walk(automaton.root, frozenset())
+    return walk(automaton.names[0], frozenset())
 
 
 @settings(max_examples=200)
@@ -209,7 +207,41 @@ def test_rank_cutoff_flag():
 # derivative step, and count root paths with Kahn's algorithm: slow, but
 # independent of the fold.
 
-_EMPTY = _compile_automaton({}, None, frozenset(), ())
+def _compile(succ: Successors, nonplanar: AbstractSet[str], components: list[list[str]]) -> EndsAutomaton:
+    """The tests' compile: a numbered automaton over ``succ``, its first key
+    the root, with ``components``, given by name in reverse topological
+    order; each component's exits and shape are read off the edges."""
+    number = {s: i for i, s in enumerate(succ)}
+    transitions = [tuple(number[c] for c in cs) for cs in succ.values()]
+    numbered = [[number[s] for s in c] for c in components]
+    component_of = [0] * len(number)
+    for i, c in enumerate(numbered):
+        for s in c:
+            component_of[s] = i
+    exits: list[list[int]] = [[] for _ in numbered]
+    shapes = [ACYCLIC] * len(numbered)
+    for s, children in enumerate(transitions):
+        i = component_of[s]
+        inside = [c for c in children if component_of[c] == i]
+        exits[i] += [component_of[c] for c in children if component_of[c] != i]
+        if inside:
+            shapes[i] = BRANCHING if len(inside) > 1 else shapes[i] or CYCLE
+    marked = frozenset(number[s] for s in nonplanar if s in number)
+    return EndsAutomaton(list(succ), transitions, marked, numbered, component_of, exits, shapes)
+
+
+_EMPTY = _compile({}, frozenset(), [])
+
+
+def _nonplanar(space: EndsAutomaton) -> set[str]:
+    """The names of the Handle states."""
+    return {space.names[s] for s in space.nonplanar_states}
+
+
+def _numbers(space: EndsAutomaton, marks: Iterable[str]) -> frozenset[int]:
+    """The numbers of the states named in ``marks``."""
+    marks = set(marks)
+    return frozenset(i for i, name in enumerate(space.names) if name in marks)
 
 
 def _restrict(space: EndsAutomaton, targets: Iterable[str]) -> EndsAutomaton:
@@ -220,35 +252,29 @@ def _restrict(space: EndsAutomaton, targets: Iterable[str]) -> EndsAutomaton:
     cycles inside are the parent's and so are the components, compiled
     again over the kept edges.
     """
-    if space.root is None:
+    if not space.names:
         return _EMPTY
-    keep = backward(space.transitions, targets)
-    inside = {
-        s: tuple(c for c in cs if c in keep)
-        for s, cs in space.transitions.items() if s in keep
-    }
-    alive = backward(inside, _on_cycles(space.transitions) & keep)
-    if space.root not in alive:
+    succ, names = named(space), space.names
+    keep = backward(succ, targets)
+    inside = {s: tuple(c for c in cs if c in keep) for s, cs in succ.items() if s in keep}
+    alive = backward(inside, _on_cycles(succ) & keep)
+    if names[0] not in alive:
         return _EMPTY
     live = {s: tuple(c for c in inside[s] if c in alive) for s in alive}
-    transitions = {s: live[s] for s in forward(live, [space.root])}
-    return _compile_automaton(
-        transitions,
-        space.root,
-        space.nonplanar_states.intersection(transitions),
-        tuple(c for c in space.components if c[0] in transitions),
-    )
+    transitions = {s: live[s] for s in forward(live, [names[0]])}
+    components = [[names[s] for s in c] for c in space.components]
+    return _compile(transitions, _nonplanar(space), [c for c in components if c[0] in transitions])
 
 
 def _spaces(auto: EndsAutomaton) -> dict[str, EndsAutomaton]:
     """The full ends space and its non-planar subspace, by ``marked`` mode."""
-    return {"all": auto, "nonplanar_only": _restrict(auto, auto.nonplanar_states)}
+    return {"all": auto, "nonplanar_only": _restrict(auto, _nonplanar(auto))}
 
 
 def _derivative(space: EndsAutomaton) -> EndsAutomaton:
     """Subspace of non-isolated ends: paths that forever keep a branching
     state reachable."""
-    return _restrict(space, [s for s, cs in space.transitions.items() if len(cs) >= 2])
+    return _restrict(space, [s for s, cs in named(space).items() if len(cs) >= 2])
 
 
 def path_counts(succ: Successors, root: str, through: Iterable[str]) -> dict[str, int]:
@@ -308,25 +334,23 @@ def _batch_size(old: EndsAutomaton, new: EndsAutomaton) -> int | None:
     ``old`` that leaves ``new`` and first meets a cycle there is one removed
     end.  Paths leaving after a cycle of ``new`` come in infinite numbers.
     """
-    old_cyclic = _on_cycles(old.transitions)
-    pumped = set(forward(new.transitions, _on_cycles(new.transitions)))
-    if any(c not in new.transitions for s in pumped for c in old.transitions[s]):
+    old_succ, new_succ = named(old), named(new)
+    old_cyclic = _on_cycles(old_succ)
+    pumped = set(forward(new_succ, _on_cycles(new_succ)))
+    if any(c not in new_succ for s in pumped for c in old_succ[s]):
         return None
-    landing = old_cyclic - new.transitions.keys()
-    if any(len(old.transitions[s]) >= 2 for s in forward(old.transitions, landing)):
+    landing = old_cyclic - new_succ.keys()
+    if any(len(old_succ[s]) >= 2 for s in forward(old_succ, landing)):
         raise AssertionError("removed subspace must have finitely many ends")
-    assert old.root is not None
-    paths = path_counts(
-        old.transitions, old.root, old.transitions.keys() - old_cyclic - pumped
-    )
+    paths = path_counts(old_succ, old.names[0], old_succ.keys() - old_cyclic - pumped)
     return sum(paths.get(s, 0) for s in landing)
 
 
 def _ends_count_space(space: EndsAutomaton) -> EndsCount:
-    if space.root is None:
+    if not space.names:
         return EndsCount(Cardinality.FINITE, 0)
-    succ = space.transitions
-    scc_of = {s: i for i, c in enumerate(space.components) for s in c}
+    succ = named(space)
+    scc_of = {space.names[s]: i for i, c in enumerate(space.components) for s in c}
     for s, cs in succ.items():
         if sum(1 for c in cs if scc_of[c] == scc_of[s]) >= 2:
             return EndsCount(Cardinality.UNCOUNTABLE)
@@ -334,7 +358,7 @@ def _ends_count_space(space: EndsAutomaton) -> EndsCount:
     if any(len(succ[s]) >= 2 for s in forward(succ, cyclic)):
         return EndsCount(Cardinality.COUNTABLY_INFINITE)
     # deterministic beyond the cyclic region, so each entry is one end
-    counts = path_counts(succ, space.root, succ.keys() - cyclic)
+    counts = path_counts(succ, space.names[0], succ.keys() - cyclic)
     return EndsCount(Cardinality.FINITE, sum(n for s, n in counts.items() if s in cyclic))
 
 
@@ -342,12 +366,12 @@ def _cb_space(space: EndsAutomaton, rank_cutoff: int) -> CBReport:
     cardinality = _ends_count_space(space)
     profile: list[int | None] = []
     nxt = _derivative(space)
-    while nxt.transitions.keys() != space.transitions.keys() and len(profile) < rank_cutoff:
+    while set(nxt.names) != set(space.names) and len(profile) < rank_cutoff:
         profile.append(_batch_size(space, nxt))
         space, nxt = nxt, _derivative(nxt)
     # a space that still shrinks is not empty, so its degree is 0
-    exceeded = nxt.transitions.keys() != space.transitions.keys()
-    empty = space.root is None
+    exceeded = set(nxt.names) != set(space.names)
+    empty = not space.names
     degree = profile[-1] if empty and profile else 0
     assert degree is not None
     return CBReport(
@@ -410,7 +434,7 @@ def _assert_marked_data_matches_restriction(auto: EndsAutomaton, marks: set[str]
 @given(presentations(max_states=8), st.data())
 def test_marked_subspaces_match_restriction(pres, data):
     auto = ends_automaton(pres)
-    states = sorted(auto.transitions)
+    states = sorted(auto.names)
     drawn = data.draw(st.sets(st.sampled_from(states)))
     for marks in (drawn, set(), set(states)):
         _assert_marked_data_matches_restriction(auto, marks)
@@ -422,15 +446,16 @@ def test_subspaces_inherit_the_condensation(pres):
     spaces = []
     for space in _spaces(auto).values():
         while True:
-            spaces += [space, _restrict(space, auto.nonplanar_states)]
+            spaces += [space, _restrict(space, _nonplanar(auto))]
             nxt = _derivative(space)
-            if nxt.transitions.keys() == space.transitions.keys():
+            if set(nxt.names) == set(space.names):
                 break
             space = nxt
     for space in spaces:
-        succ = space.transitions
-        assert sorted(map(sorted, space.components)) == sorted(map(sorted, sccs(succ)))
-        position = {s: i for i, c in enumerate(space.components) for s in c}
+        succ, names = named(space), space.names
+        components = [[names[s] for s in c] for c in space.components]
+        assert sorted(map(sorted, components)) == sorted(map(sorted, reference_sccs(succ)))
+        position = {s: i for i, c in enumerate(components) for s in c}
         for s, children in succ.items():
             assert all(position[c] <= position[s] for c in children)
         assert shaped_cycles(space) == _on_cycles(succ)
@@ -486,7 +511,7 @@ def _reference_to_expr(space: EndsAutomaton, marked: AbstractSet[str]) -> EndExp
     def expr(kind: _Kind, i: int, kids: list[EndExpr]) -> EndExpr:
         if kind is _Kind.KERNEL:
             raise NotConvertibleError("component mixes internal branching with exits")
-        in_marked = marked.issuperset(space.components[i])
+        in_marked = marked.issuperset(space.names[s] for s in space.components[i])
         if kind is _Kind.POINT:
             return Pt(in_marked)
         if kind is _Kind.CANTOR:
@@ -499,13 +524,13 @@ def _reference_to_expr(space: EndsAutomaton, marked: AbstractSet[str]) -> EndExp
 
 def _reference_pair_verdict(space_a, marks_a, space_b, marks_b) -> tuple[Verdict, str | None]:
     """Every layer in turn, the canonical forms compared on every pair."""
-    marked_a = backward(space_a.transitions, marks_a)
-    marked_b = backward(space_b.transitions, marks_b)
+    marked_a = backward(named(space_a), marks_a)
+    marked_b = backward(named(space_b), marks_b)
     flags_a, flags_b = _flags(space_a, marked_a), _flags(space_b, marked_b)
     spaces_differ = _cb_data(space_a) != _cb_data(space_b)
     if spaces_differ or _cb_data(space_a, flags_a) != _cb_data(space_b, flags_b):
         return Verdict.NO, "invariants"
-    if _canonical_form(space_a, flags_a) == _canonical_form(space_b, flags_b):
+    if _bfs_canonical_form(space_a, flags_a) == _bfs_canonical_form(space_b, flags_b):
         return Verdict.YES, "identical-presentation"
     try:
         expr_a = _reference_to_expr(space_a, marked_a)
@@ -517,20 +542,32 @@ def _reference_pair_verdict(space_a, marks_a, space_b, marks_b) -> tuple[Verdict
     return Verdict.NO, "normal-form"
 
 
+def _bfs_canonical_form(space: EndsAutomaton, flags: list) -> tuple:
+    """The canonical form the numbering replaced, the differential oracle
+    for `_canonical_form`: states relabelled by breadth-first discovery
+    order from the root (child order preserved), each with its component's
+    flag."""
+    succ, names = named(space), space.names
+    flag_of = {names[s]: flags[i] != 0 for i, c in enumerate(space.components) for s in c}
+    order = forward(succ, [names[0]])
+    index = {s: i for i, s in enumerate(order)}
+    return tuple((tuple(index[c] for c in succ[s]), flag_of[s]) for s in order)
+
+
 def _flags(space: EndsAutomaton, closure: AbstractSet[str]) -> list[bool]:
-    """A mark closure, given as a set of states, flagged per component."""
-    return [c[0] in closure for c in space.components]
+    """A mark closure, given as a set of state names, flagged per component."""
+    return [space.names[c[0]] in closure for c in space.components]
 
 
 def _closure(space: EndsAutomaton, marks: Iterable[str]) -> list:
-    """The mark closure of ``marks`` as the library reads it: the components
-    with a non-zero occurrence count, capped at 1."""
-    return _occurrences(space, frozenset(marks), 1)
+    """The mark closure of the states named in ``marks`` as the library
+    reads it: the components with a non-zero occurrence count, capped at 1."""
+    return _occurrences(space, _numbers(space, marks), 1)
 
 
 def _reference_text(auto: EndsAutomaton) -> str:
     try:
-        expr = _reference_to_expr(auto, backward(auto.transitions, auto.nonplanar_states))
+        expr = _reference_to_expr(auto, backward(named(auto), _nonplanar(auto)))
     except NotConvertibleError:
         return "not convertible"
     return format_end_expr(expr)
@@ -554,15 +591,36 @@ def test_to_end_expr_and_pair_verdicts_match_the_reference_route(p, q, data):
             text = "not convertible"
         assert text == _reference_text(auto)
     a, b, c = autos
-    marks = data.draw(st.sets(st.sampled_from(sorted(a.transitions))))
+    marks = data.draw(st.sets(st.sampled_from(sorted(a.names))))
     for x, mx, y, my in [
-        (a, a.nonplanar_states, b, b.nonplanar_states),
-        (a, a.nonplanar_states, c, c.nonplanar_states),
+        (a, _nonplanar(a), b, _nonplanar(b)),
+        (a, _nonplanar(a), c, _nonplanar(c)),
         (a, marks, c, marks),
-        (b, b.nonplanar_states, a, marks),
+        (b, _nonplanar(b), a, marks),
     ]:
         verdict = _pair_verdict(x, _closure(x, mx), y, _closure(y, my))
         assert verdict == _reference_pair_verdict(x, mx, y, my)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_canonical_form_is_equal_where_the_relabelling_was_on_the_census(seed):
+    """Over the census cores, all pairs: the numbered canonical form is equal
+    exactly where the breadth-first relabelling it replaced is, under the
+    non-planar closure `kerekjarto` reads and the core `graph_phe_equal`
+    reads, so ``identical-presentation`` decides the same pairs."""
+    spines = [spine(core) for core in census_cores(seed)]
+    for closure in ("nonplanar", "core"):
+        new, old = [], []
+        for found in spines:
+            auto = found.automaton
+            if closure == "nonplanar":
+                flags = [n != 0 for n in _occurrences(auto, auto.nonplanar_states)]
+            else:
+                flags = [auto.names[c[0]] in found.core_states for c in auto.components]
+            transitions, marks = _canonical_form(auto, flags)
+            new.append((tuple(transitions), tuple(marks)))
+            old.append(_bfs_canonical_form(auto, flags))
+        assert len(set(new)) == len(set(old)) == len(set(zip(new, old))) < len(spines)
 
 
 # -- reference condensation fold: the general rule at every component -----
@@ -570,14 +628,16 @@ def test_to_end_expr_and_pair_verdicts_match_the_reference_route(p, q, data):
 
 def _reference_fold(space: EndsAutomaton, combine, within: list[bool] | None = None):
     """_fold_components over the states, not the compiled table: every
-    component's exits, cycles and branching are read off ``transitions``
-    by the general rule, and every kept component calls ``combine``."""
-    succ = space.transitions
+    component's exits, cycles and branching are read off the states'
+    successor map by the general rule, and every kept component calls
+    ``combine``."""
+    succ, names = named(space), space.names
     cyclic = _on_cycles(succ)
     value_of: dict = {}
-    for i, scc in enumerate(space.components):
+    for i, members in enumerate(space.components):
         if within is not None and not within[i]:
             continue
+        scc = [names[s] for s in members]
         members = set(scc)
         kids = [value_of[c] for s in sorted(scc) for c in succ[s] if c in value_of]
         if scc[0] not in cyclic:
@@ -591,14 +651,14 @@ def _reference_fold(space: EndsAutomaton, combine, within: list[bool] | None = N
         value = combine(kind, i, kids)
         for s in scc:
             value_of[s] = value
-    return value_of.get(space.root)
+    return value_of.get(names[0])
 
 
 def _fold_results(auto: EndsAutomaton, marks: Iterable[str] | None = None) -> tuple:
     """CB data within all states, the closure of ``marks`` (the non-planar
     states by default) and no state; then the `_to_expr` bag of that
     closure, with its intern table."""
-    closure = _closure(auto, auto.nonplanar_states if marks is None else marks)
+    closure = _closure(auto, _nonplanar(auto) if marks is None else marks)
     cb = [_cb_data(auto, within) for within in (None, closure, [False] * len(closure))]
     forms = _Forms()
     try:
@@ -628,7 +688,7 @@ def _reference_occurrences(succ: Successors, root: str, targets: AbstractSet[str
     if not targets.isdisjoint(forward(succ, cyclic)):
         return INFINITE
     below: dict[str, int] = {}
-    for component in sccs(succ):
+    for component in reference_sccs(succ):
         for s in component:
             below[s] = 0 if s in cyclic else (s in targets) + sum(below[c] for c in succ[s])
     return below[root]
@@ -658,15 +718,16 @@ def test_compiled_folds_match_the_state_level_references(pres, data):
     read the states: `backward` for a mark closure, the state-level
     occurrence count and `_reference_fold`, on long cycles and any marks."""
     auto = ends_automaton(pres)
-    marks = data.draw(st.sets(st.sampled_from(sorted(auto.transitions))))
-    closure = backward(auto.transitions, marks)
-    assert [n != 0 for n in _occurrences(auto, frozenset(marks))] == _flags(auto, closure)
+    succ, names = named(auto), auto.names
+    marks = data.draw(st.sets(st.sampled_from(sorted(names))))
+    closure = backward(succ, marks)
+    assert [n != 0 for n in _occurrences(auto, _numbers(auto, marks))] == _flags(auto, closure)
     assert _closure(auto, marks) == [int(f) for f in _flags(auto, closure)]
-    assert closure == {s for c in auto.components if c[0] in closure for s in c}
-    pants = {s for s, cs in auto.transitions.items() if len(cs) == 2}
-    for targets in (marks, auto.nonplanar_states, pants):
-        expected = _reference_occurrences(auto.transitions, auto.root, targets)
-        assert _occurrences(auto, targets)[-1] == expected
+    assert closure == {names[s] for c in auto.components if names[c[0]] in closure for s in c}
+    pants = {s for s, cs in succ.items() if len(cs) == 2}
+    for targets in (marks, _nonplanar(auto), pants):
+        expected = _reference_occurrences(succ, names[0], targets)
+        assert _occurrences(auto, _numbers(auto, targets))[-1] == expected
     _assert_fold_matches_reference(auto, marks)
     _assert_fold_matches_reference(auto)
 
@@ -696,8 +757,8 @@ def test_counts_past_the_float_range(monkeypatch):
     above = parse_presentation("surface above { " + "; ".join(["root = H(x0)", *chain]) + " }")
     small = parse_presentation("surface small { root = P(c, l); c = P(c, c); l = H(l) }")
     auto = ends_automaton(beside)
-    assert _occurrences(auto, auto.nonplanar_states)[auto.component_of["x0"]] == 2**n
-    assert set(_closure(auto, auto.nonplanar_states)) == {0, 1}
+    assert _occurrences(auto, auto.nonplanar_states)[auto.component_of[auto.names.index("x0")]] == 2**n
+    assert set(_closure(auto, _nonplanar(auto))) == {0, 1}
     assert (genus(alone), genus(beside), genus(above)) == (2**n, INFINITE, 2**n + 1)
     assert format_end_expr(to_end_expr(auto)) == "Union(Pt(nonplanar), Cantor(planar))"
     assert cb_report(auto, marked="nonplanar_only") == cb_report(ends_automaton(LOCH))
@@ -746,7 +807,7 @@ def test_every_combiner_passes_a_lone_exit_through(monkeypatch):
     monkeypatch.setattr(endkit.ends, "_fold_components", recording)
     monkeypatch.setitem(globals(), "_fold_components", recording)  # _reference_to_expr's
     auto = ends_automaton(FLUTE)
-    marked = backward(auto.transitions, auto.nonplanar_states)
+    marked = backward(named(auto), _nonplanar(auto))
     kids = [
         _cb_data(auto), _to_expr(auto, _flags(auto, marked), _Forms()),
         _reference_to_expr(auto, marked),
@@ -1116,8 +1177,8 @@ def _order_free_invariants(pres: SurfacePresentation) -> tuple:
 @settings(max_examples=300, deadline=None)
 @given(presentations(max_states=8), st.randoms(use_true_random=False))
 def test_invariants_ignore_rule_order_and_state_names(pres, rng):
-    """The automaton takes its states in rule order; no invariant reads that
-    order, or the names."""
+    """No invariant reads the rule order or the names; the automaton
+    numbers its states from the root, so it reads neither."""
     names, order = list(pres.rules), list(pres.rules)
     rng.shuffle(names)
     rng.shuffle(order)
@@ -1160,8 +1221,7 @@ def test_pair_verdicts():
     a18 = ends_automaton(realize(0, t18))
     assert cb_report(a17).invariant_key() == cb_report(a18).invariant_key()
     assert pair_homeomorphic(a17, a18) is Verdict.NO
-    verdict = _pair_verdict(a17, _closure(a17, a17.nonplanar_states),
-                            a18, _closure(a18, a18.nonplanar_states))
+    verdict = _pair_verdict(a17, _closure(a17, _nonplanar(a17)), a18, _closure(a18, _nonplanar(a18)))
     assert verdict == (Verdict.NO, "invariants")
 
     # same ends space, outside the expression fragment: only the marked
@@ -1170,7 +1230,7 @@ def test_pair_verdicts():
         parse_presentation("surface mixed3 { a = P(a, b); b = P(a, c); c = H(c) }")
     )
     mixed = ends_automaton(MIXED)
-    verdict = _pair_verdict(mixed_marked, _closure(mixed_marked, mixed_marked.nonplanar_states),
+    verdict = _pair_verdict(mixed_marked, _closure(mixed_marked, _nonplanar(mixed_marked)),
                             mixed, _closure(mixed, ()))
     assert verdict == (Verdict.NO, "invariants")
 
@@ -1179,8 +1239,8 @@ def test_pair_verdicts():
     lim = realize(INFINITE, Seq(Pt(False), True))
     apart = realize(INFINITE, Union((Seq(Pt(False), False), Pt(True))))
     a_lim, a_apart = ends_automaton(lim), ends_automaton(apart)
-    verdict = _pair_verdict(a_lim, _closure(a_lim, a_lim.nonplanar_states),
-                            a_apart, _closure(a_apart, a_apart.nonplanar_states))
+    verdict = _pair_verdict(a_lim, _closure(a_lim, _nonplanar(a_lim)),
+                            a_apart, _closure(a_apart, _nonplanar(a_apart)))
     assert verdict == (Verdict.NO, "normal-form")
     assert kerekjarto(lim, apart).to_json() == {"verdict": "NotHomeomorphic", "witness": "ends-pair"}
 
@@ -1317,9 +1377,9 @@ def test_fold_matches_derivative_chain_on_deep_families(pres):
 )
 def test_marked_subspaces_match_restriction_on_deep_families(pres):
     auto = ends_automaton(pres)
-    states = sorted(auto.transitions)
+    states = sorted(auto.names)
     rng = random.Random(7)
-    marks = [set(), set(states), {auto.root}, {states[-1]}]
+    marks = [set(), set(states), {auto.names[0]}, {states[-1]}]
     marks += [set(rng.sample(states, k)) for k in (1, 2, 5, len(states) // 2)]
     for m in marks:
         _assert_marked_data_matches_restriction(auto, m)
@@ -1368,19 +1428,15 @@ def test_deep_comb_pair_through_the_normal_form():
     assert verdict.witness == "end-expression-normal-form"
 
 
-class _CountedReads(Mapping):
-    """A successor map that counts the reads of it."""
+class _CountedReads(Sequence):
+    """A successor list that counts the reads of it."""
 
-    def __init__(self, succ: Successors) -> None:
+    def __init__(self, succ: Sequence) -> None:
         self.succ, self.reads = succ, 0
 
-    def __getitem__(self, state: str):
+    def __getitem__(self, state: int):
         self.reads += 1
         return self.succ[state]
-
-    def __iter__(self):
-        self.reads += 1
-        return iter(self.succ)
 
     def __len__(self) -> int:
         self.reads += 1
@@ -1393,7 +1449,7 @@ class _CountedReads(Mapping):
 )
 def test_invariants_read_the_compiled_condensation_only(pres):
     """Counts, CB data, genus and the normal form walk the compiled table,
-    never the successor map; the canonical form is its one reader."""
+    never the successor list; the canonical form is that list itself."""
     auto = ends_automaton(pres)
     counted = _CountedReads(auto.transitions)
     auto = replace(auto, transitions=counted)
@@ -1404,5 +1460,4 @@ def test_invariants_read_the_compiled_condensation_only(pres):
     with contextlib.suppress(NotConvertibleError):
         to_end_expr(auto)
     assert counted.reads == 0
-    _canonical_form(auto, _closure(auto, auto.nonplanar_states))
-    assert counted.reads > 0
+    assert _canonical_form(auto, _closure(auto, _nonplanar(auto)))[0] is counted

@@ -23,6 +23,7 @@ from endkit import (
     SurfacePresentation,
     UnreachableRuleError,
     canonical_finite_type,
+    cb_report,
     ends_count,
     first_occurrences,
     genus,
@@ -31,6 +32,7 @@ from endkit import (
     pretty_print,
     regularize,
     splice_annulus,
+    spine,
     standard_presentation,
     to_end_expr,
 )
@@ -38,14 +40,15 @@ import endkit.presentation
 from endkit import decompose, find_essential_pants, interchange_normalize, kerekjarto
 from endkit.cli import main
 from endkit.classify import ClassVerdict
-from endkit.ends import Cardinality
+from endkit.ends import Cardinality, EndsCount
 from endkit.presentation import (
-    ACYCLIC, BRANCHING, CYCLE, MAX_DIGITS, Successors, _compile_automaton, _occurrences,
-    ends_automaton, forward, sccs,
+    ACYCLIC, BRANCHING, CYCLE, MAX_DIGITS, EndsAutomaton, Successors, _occurrences,
+    ends_automaton, forward,
 )
 
 from conftest import (
-    _on_cycles, backward, bench_inputs, presentations, shaped_cycles, successor_maps,
+    _on_cycles, backward, bench_inputs, named, presentations, reference_sccs, shaped_cycles,
+    successor_maps,
 )
 
 LOCH = "surface loch_ness { root = H(root) }"
@@ -293,9 +296,10 @@ def test_regularize_identity_on_rules():
 
 def test_cycle_bookkeeping_on_flute():
     auto = ends_automaton(parse_presentation(FLUTE))
-    assert shaped_cycles(auto) == _on_cycles(auto.transitions) == {"root", "punc"}
-    assert set(forward(auto.transitions, shaped_cycles(auto))) == {"root", "punc"}
-    assert _occurrences(auto, {"root"})[-1] == _occurrences(auto, {"punc"})[-1] == INFINITE
+    assert shaped_cycles(auto) == _on_cycles(named(auto)) == {"root", "punc"}
+    assert set(forward(named(auto), shaped_cycles(auto))) == {"root", "punc"}
+    assert auto.names == ["root", "punc"]
+    assert _occurrences(auto, {0})[-1] == _occurrences(auto, {1})[-1] == INFINITE
 
 
 def test_first_occurrences_paths():
@@ -333,49 +337,6 @@ def test_first_occurrences_deep_and_exact():
 
 # -- the rule-graph kernel against brute-force definitions -----------------
 
-def _reference_sccs(succ: Successors) -> list[list[str]]:
-    """The textbook Tarjan, with an on-stack set and a frame per child index:
-    the oracle for sccs' components, their order and their member order."""
-    order: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    out: list[list[str]] = []
-    for start in succ:
-        if start in order:
-            continue
-        work: list[tuple[str, int]] = [(start, 0)]
-        while work:
-            state, idx = work[-1]
-            if idx == 0:
-                order[state] = low[state] = len(order)
-                stack.append(state)
-                on_stack.add(state)
-            children = succ[state]
-            if idx < len(children):
-                work[-1] = (state, idx + 1)
-                child = children[idx]
-                if child not in order:
-                    work.append((child, 0))
-                elif child in on_stack:
-                    low[state] = min(low[state], order[child])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[state])
-                if low[state] == order[state]:
-                    component = []
-                    while True:
-                        s = stack.pop()
-                        on_stack.discard(s)
-                        component.append(s)
-                        if s == state:
-                            break
-                    out.append(component)
-    return out
-
-
 def _closure(succ):
     """reach[s]: states at the end of a path of one or more steps from s."""
     reach = {s: set(cs) for s, cs in succ.items()}
@@ -411,8 +372,8 @@ def test_kernel_reachability_and_cycles(succ, data):
                 changed = True
     assert backward(succ, targets) == hit
 
-    components = sccs(succ)
-    assert components == _reference_sccs(succ)
+    # the textbook Tarjan, the oracle for the compiled components
+    components = reference_sccs(succ)
     assert sorted(s for c in components for s in c) == sorted(succ)
     for c in components:
         for s in succ:
@@ -421,47 +382,82 @@ def test_kernel_reachability_and_cycles(succ, data):
     position = {s: i for i, c in enumerate(components) for s in c}
     for s, cs in succ.items():
         assert all(position[c] <= position[s] for c in cs)
+    assert _on_cycles(succ) == {s for s in succ if s in reach[s]}
 
-    # the compiled condensation: exits in member order, with multiplicity
-    compiled = _compile_automaton(succ, None, frozenset(), tuple(components))
-    assert compiled.component_of == position
-    assert shaped_cycles(compiled) == _on_cycles(succ) == {s for s in succ if s in reach[s]}
+
+def _preorder(succ: Successors, root: str) -> list[str]:
+    """Depth-first preorder from ``root``, children in child order."""
+    order, seen, todo = [], set(), [root]
+    while todo:
+        state = todo.pop()
+        if state not in seen:
+            seen.add(state)
+            order.append(state)
+            todo.extend(reversed(succ[state]))
+    return order
+
+
+def _assert_components_match_the_textbook_tarjan(auto: EndsAutomaton) -> None:
+    """The textbook Tarjan's components, in its order (so reverse
+    topological, the root's last), with each component's exits, members in
+    numbering order, and its shape read off the edges."""
+    succ, names = named(auto), auto.names
+    components = reference_sccs(succ)
+    assert [sorted(names[s] for s in c) for c in auto.components] == [sorted(c) for c in components]
+    position = {s: i for i, c in enumerate(components) for s in c}
+    assert auto.component_of == [position[s] for s in names]
+    number = {s: i for i, s in enumerate(names)}
     for i, c in enumerate(components):
-        assert compiled.exits[i] == [position[x] for s in sorted(c) for x in succ[s] if x not in c]
-        branching = any(sum(x in c for x in succ[s]) >= 2 for s in c)
-        shape = BRANCHING if branching else CYCLE if c[0] in reach[c[0]] else ACYCLIC
-        assert compiled.shapes[i] == shape
+        members = sorted(c, key=number.__getitem__)
+        assert auto.exits[i] == [position[x] for s in members for x in succ[s] if position[x] != i]
+        branching = any(sum(position[x] == i for x in succ[s]) >= 2 for s in c)
+        shape = BRANCHING if branching else CYCLE if len(c) > 1 or c[0] in succ[c[0]] else ACYCLIC
+        assert auto.shapes[i] == shape
 
 
-def test_sccs_matches_the_textbook_tarjan_on_the_families():
-    """Each benchmark family at 10^3 states, in rule order and in the
-    automaton's sorted order, and a 10^5-state annulus chain: a depth-first
-    path 10^5 states deep."""
+@settings(max_examples=500, deadline=None)
+@given(presentations(max_states=8))
+def test_the_walk_numbers_and_condenses_like_the_references(pres):
+    """One walk from the root numbers the states in depth-first preorder, in
+    child order, keeps each state's children and the Handle states, and
+    closes the textbook Tarjan's components."""
+    auto = ends_automaton(pres)
+    succ = {s: cs for s, (_, cs) in pres.rules.items()}
+    assert auto.names == _preorder(succ, pres.root)
+    assert named(auto) == succ
+    handles = {i for i, s in enumerate(auto.names) if pres.kind(s) is BlockKind.HANDLE}
+    assert auto.nonplanar_states == handles
+    _assert_components_match_the_textbook_tarjan(auto)
+
+
+def test_components_match_the_textbook_tarjan_on_the_families():
+    """Each benchmark family at 10^3 states, and a 10^5-state annulus chain:
+    a depth-first path 10^5 states deep."""
     inputs = bench_inputs()
     family = [inputs.chain(1000), inputs.comb(1001), inputs.cantor_marked(1000), inputs.seq_tower(999)]
     for pres in [*family, inputs.chain(10**5)]:
-        for succ in ({s: cs for s, (_, cs) in pres.rules.items()}, ends_automaton(pres).transitions):
-            assert sccs(succ) == _reference_sccs(succ)
+        _assert_components_match_the_textbook_tarjan(ends_automaton(pres))
 
 
 def _count_condensations(monkeypatch) -> list[int]:
-    """Clear ends_automaton's memo and count Tarjan runs from here on, so a
-    count does not depend on which test compiled last."""
+    """Clear ends_automaton's memo and count the compiling walks from here
+    on, so a count does not depend on which test compiled last."""
     runs: list[int] = []
+    walk = endkit.presentation._condense
 
-    def counted(succ):
-        runs.append(len(succ))
-        return sccs(succ)
+    def counted(rules, root):
+        runs.append(len(rules))
+        return walk(rules, root)
 
     monkeypatch.setattr(endkit.presentation, "_last", (None, None))
-    monkeypatch.setattr(endkit.presentation, "sccs", counted)
+    monkeypatch.setattr(endkit.presentation, "_condense", counted)
     return runs
 
 
 def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
-    """Every invariant reads the automaton's condensation: Tarjan runs once
-    per input presentation, and not at all when the rule system is the one
-    compiled just before."""
+    """Every invariant reads the automaton's condensation: the compiling
+    walk runs once per input presentation, and not at all when the rule
+    system is the one compiled just before."""
     runs = _count_condensations(monkeypatch)
     a = parse_presentation("surface a { r = H(x); x = P(x, t); t = A(t) }")
     b = parse_presentation("surface b { r = P(h, t); h = H(h); t = A(t) }")
@@ -529,14 +525,17 @@ def test_memo_sees_a_rule_edited_in_place(monkeypatch):
 
 
 def test_memo_sees_a_reassigned_root(monkeypatch):
+    """A root moved along the root's cycle: every rule is still reachable,
+    the surface is the same, and the states are numbered from the new root."""
     runs = _count_condensations(monkeypatch)
-    p = parse_presentation("surface two { r = P(a, b); a = A(a); b = H(b) }")
-    assert ends_count(p).count == 2
-    before = to_end_expr(ends_automaton(p))
-    p.root = "b"  # r and a are unreachable now; the fold reads b's component
+    p = parse_presentation("surface two { r = P(a, b); a = A(r); b = H(b) }")
+    before = ends_automaton(p)
+    assert before.names == ["r", "a", "b"]
+    p.root = "a"
     auto = ends_automaton(p)
-    assert auto.root == "b" and len(runs) == 2
-    assert ends_count(p).count == 1 and to_end_expr(auto) != before
+    assert auto.names == ["a", "r", "b"] and len(runs) == 2
+    assert auto.transitions == [(1,), (0, 2), (2,)] != before.transitions
+    assert ends_count(p) == ends_count(before) and to_end_expr(auto) == to_end_expr(before)
 
 
 def test_memo_keeps_no_system_with_a_list(monkeypatch):
@@ -546,14 +545,15 @@ def test_memo_keeps_no_system_with_a_list(monkeypatch):
     assert ends_count(p).cardinality is Cardinality.COUNTABLY_INFINITE
     assert ends_count(p).cardinality is Cardinality.COUNTABLY_INFINITE
     assert len(runs) == 2 and endkit.presentation._last == (None, None)
-    children[1] = "r"  # r = P(r, r): a Cantor set of ends
-    assert ends_count(p).cardinality is Cardinality.UNCOUNTABLE
+    children[0] = "t"  # r = P(t, t): two ends
+    assert ends_count(p) == EndsCount(Cardinality.FINITE, 2)
     assert len(runs) == 3
 
 
 def test_memo_keys_the_rule_order(monkeypatch):
-    """The same rules in another order compile to another automaton, equal
-    to a fresh build; the rules are reordered in place."""
+    """The same rules in another order are another key, compiled again, to
+    an automaton equal to the first: the walk numbers states from the root,
+    whatever the rule order; the rules are reordered in place."""
     runs = _count_condensations(monkeypatch)
     p = parse_presentation("surface a { r = P(x, t); x = H(x); t = A(t) }")
     original = ends_automaton(p)
@@ -563,9 +563,9 @@ def test_memo_keys_the_rule_order(monkeypatch):
     assert len(runs) == 2
     monkeypatch.setattr(endkit.presentation, "_last", (None, None))
     fresh = ends_automaton(p)
-    assert reordered is not fresh and reordered == fresh
-    assert list(reordered.transitions) == list(fresh.transitions) == ["t", "x", "r"]
-    assert reordered.components != original.components
+    assert reordered is not fresh and reordered is not original
+    assert reordered == fresh == original
+    assert reordered.names == ["r", "x", "t"]
 
 
 def test_memo_serves_a_finite_triple_compiled_twice(monkeypatch):
@@ -581,6 +581,126 @@ def test_memo_holds_one_entry(monkeypatch):
         auto = ends_automaton(parse_presentation(text))
     assert len(runs) == 3  # the second system replaced the first
     assert endkit.presentation._last[1] is auto
+
+
+# -- answers for a presentation edited in place ----------------------------
+#
+# SurfacePresentation stays mutable, and only its constructor validates it.
+# ends_automaton checks each state its walk meets, so every invariant answers
+# for the system as it stands, or raises the constructor's error for it.
+
+_PLANE = "surface u { x = A(x) }"
+_T = "surface t { r = A(h); h = H(x); x = A(x) }"
+
+
+# every public invariant, and kerekjarto against the plane
+_ASKS = [
+    genus, is_finite_type, canonical_finite_type, ends_count,
+    lambda p: ends_count(p, marked="nonplanar_only"),
+    lambda p: cb_report(ends_automaton(p)), lambda p: to_end_expr(ends_automaton(p)),
+    lambda p: spine(p).rank, lambda p: kerekjarto(p, parse_presentation(_PLANE)),
+]
+
+
+def _constructor_error(p: SurfacePresentation) -> EndkitError:
+    with pytest.raises(EndkitError) as built:
+        SurfacePresentation(p.name, dict(p.rules), p.root)
+    return built.value
+
+
+def _assert_every_answer_raises(p: SurfacePresentation) -> None:
+    """Every invariant, and kerekjarto on either side, raises the error the
+    constructor raises for the system, with its message."""
+    error = _constructor_error(p)
+    for ask in [*_ASKS, lambda p: kerekjarto(parse_presentation(_PLANE), p)]:
+        with pytest.raises(type(error)) as raised:
+            ask(p)
+        assert str(raised.value) == str(error)
+
+
+def test_edit_reassigning_the_root_past_rules_raises_unreachable():
+    """With the root moved to x, r and h are unreachable: the wrong answer
+    was genus 1, and NotHomeomorphic against the plane by genus."""
+    p = parse_presentation(_T)
+    assert genus(p) == 1  # the memo holds the system before the edit
+    p.root = "x"
+    assert isinstance(_constructor_error(p), UnreachableRuleError)
+    _assert_every_answer_raises(p)
+
+
+def test_edit_to_an_undefined_child_raises_dangling():
+    p = parse_presentation(FLUTE)
+    genus(p)
+    p.rules["punc"] = (BlockKind.ANNULUS, ("zzz",))  # was a bare KeyError
+    assert isinstance(_constructor_error(p), DanglingRuleError)
+    _assert_every_answer_raises(p)
+
+
+def test_edit_to_a_one_child_pants_raises_syntax():
+    p = parse_presentation(FLUTE)
+    genus(p)
+    p.rules["punc"] = (BlockKind.PANTS, ("punc",))  # was accepted
+    assert type(_constructor_error(p)) is PresentationSyntaxError
+    _assert_every_answer_raises(p)
+
+
+def _answer(ask, p):
+    """What ``ask`` answers for ``p``, or the class of the error it raises."""
+    try:
+        answer = ask(p)
+    except EndkitError as error:
+        return type(error)
+    return answer.to_json() if hasattr(answer, "to_json") else answer
+
+
+_EDIT_NAMES = ("s0", "s1", "s2", "s3", "new")
+
+
+@st.composite
+def _edits(draw):
+    """One to three in-place edits: reassign the root, or replace, delete or
+    add a rule; a rule's children, and the root, may name no rule, and a
+    rule may have the wrong arity."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        state = draw(st.sampled_from(_EDIT_NAMES))
+        what = draw(st.sampled_from(("root", "rule", "rule", "delete")))
+        if what == "rule":
+            kind = draw(st.sampled_from(list(BlockKind)))
+            arity = draw(st.sampled_from((kind.arity,) * 4 + (1, 2, 3)))
+            children = tuple(draw(st.sampled_from(_EDIT_NAMES)) for _ in range(arity))
+            edits.append((what, state, (kind, children)))
+        else:
+            edits.append((what, state, None))
+    return edits
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(max_states=4), _edits())
+def test_edits_in_place_answer_as_a_fresh_build(pres, edits):
+    """After edits in place, every invariant and kerekjarto verdict is that
+    of a presentation built afresh from the edited rules, or the error class
+    its constructor raises; the memo, warm with the system before the
+    edits, never serves it."""
+    plane = parse_presentation(_PLANE)
+    asks = [*_ASKS, lambda p: kerekjarto(plane, p), lambda p: spine(p).core_states]
+    key, compiled = (pres.root, list(pres.rules.items())), ends_automaton(pres)
+    for what, state, rule in edits:
+        if what == "root":
+            pres.root = state
+        elif what == "rule":
+            pres.rules[state] = rule
+        else:
+            pres.rules.pop(state, None)
+    edited = [_answer(ask, pres) for ask in asks]  # the first ask meets a memo warm with the old system
+    try:
+        fresh = SurfacePresentation("fresh", dict(pres.rules), pres.root)
+    except EndkitError as error:
+        assert edited == [type(error)] * len(asks)
+        return
+    assert edited == [_answer(ask, fresh) for ask in asks]
+    if (pres.root, list(pres.rules.items())) != key:
+        assert ends_automaton(pres) is not compiled
 
 
 def test_block_kinds_hash_by_identity():

@@ -48,8 +48,7 @@ from endkit.rewrite import replace
 
 _FLUTE_RULES = {"r": (BlockKind.PANTS, ("r", "t")), "t": (BlockKind.ANNULUS, ("t",))}
 _AUTOMATON = EndsAutomaton(
-    {"r": ("r", "t"), "t": ("t",)}, "r", frozenset(), (["t"], ["r"]), {"t": 0, "r": 1},
-    ([], [0]), (1, 1),
+    ["r", "t"], [(0, 1), (1,)], frozenset(), [[1], [0]], [1, 0], [[], [0]], [1, 1],
 )
 _PRES = SurfacePresentation("flute", dict(_FLUTE_RULES))
 _PRIMITIVE = Component(1, "c0", ComponentKind.PRIMITIVE, HOMEO)
@@ -65,11 +64,10 @@ _TRACE_STEP = TraceStep("r1_disk_removal", (1, 0), (0, 0))
 RECORDS = [
     (FiniteType(2, 0, 3), ("genus", "boundary", "punctures"),
      "FiniteType(genus=2, boundary=0, punctures=3)"),
-    (_AUTOMATON, ("transitions", "root", "nonplanar_states", "components", "component_of",
+    (_AUTOMATON, ("names", "transitions", "nonplanar_states", "components", "component_of",
                   "exits", "shapes"),
-     "EndsAutomaton(transitions={'r': ('r', 't'), 't': ('t',)}, root='r', "
-     "nonplanar_states=frozenset(), components=(['t'], ['r']), component_of={'t': 0, 'r': 1}, "
-     "exits=([], [0]), shapes=(1, 1))"),
+     "EndsAutomaton(names=['r', 't'], transitions=[(0, 1), (1,)], nonplanar_states=frozenset(), "
+     "components=[[1], [0]], component_of=[1, 0], exits=[[], [0]], shapes=[1, 1])"),
     (EndsCount(Cardinality.FINITE, 2), ("cardinality", "count"),
      "EndsCount(cardinality=<Cardinality.FINITE: 'finite'>, count=2)"),
     (EndsCount(Cardinality.UNCOUNTABLE), ("cardinality", "count"),
