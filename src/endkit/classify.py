@@ -17,7 +17,7 @@ from .presentation import (
     Genus,
     Rule,
     SurfacePresentation,
-    _occurrences,
+    _is_int,
 )
 from .ends import (
     FRAGMENT_NORMAL_FORM,
@@ -67,14 +67,10 @@ def kerekjarto(p1: SurfacePresentation, p2: SurfacePresentation) -> ClassifierVe
     witness for every remaining case.
     """
     a1, a2 = ends_automaton(p1), ends_automaton(p2)
-    # per side one Handle count: the genus at its root, the non-planar closure kept as flags
-    c1 = _occurrences(a1, a1.nonplanar_states)
-    g1, c1 = c1[-1], [n != 0 for n in c1]
-    c2 = _occurrences(a2, a2.nonplanar_states)
-    g2, c2 = c2[-1], [n != 0 for n in c2]
+    g1, g2 = a1.handle_count, a2.handle_count  # the genera, compiled with the automata
     if g1 != INFINITE and g2 != INFINITE and g1 != g2:
         return ClassifierVerdict(ClassVerdict.NOT_HOMEOMORPHIC, WITNESS_GENUS)
-    pair, reason = _pair_verdict(a1, c1, a2, c2)
+    pair, reason = _pair_verdict(a1, a1.handle_closure, a2, a2.handle_closure)
     if pair is Verdict.NO:
         return ClassifierVerdict(ClassVerdict.NOT_HOMEOMORPHIC, WITNESS_ENDS)
     if pair is Verdict.UNKNOWN:
@@ -104,7 +100,7 @@ def realize(g: Genus, e: EndExpr, name: str = "realized") -> SurfacePresentation
         raise InconsistentInvariantsError(
             "infinite genus must accumulate toward a non-planar end"
         )
-    if g != INFINITE and (not isinstance(g, int) or isinstance(g, bool) or g < 0):
+    if g != INFINITE and (not _is_int(g) or g < 0):
         raise InconsistentInvariantsError(f"genus must be a natural or infinite, got {g!r}")
 
     rules: dict[str, Rule] = {}

@@ -37,11 +37,11 @@ from .presentation import (
     ends_automaton,
     first_occurrences,
     forward,
-    genus,
     regularize,
     _first_paths,
+    _is_int,
     _occurrences,
-    _pants,
+    _rule,
 )
 
 Path = tuple[int, ...]
@@ -183,16 +183,19 @@ def decompose(
     or from the root's first step when no loop step ran.  The root's first
     step makes at most five edges and a loop step at most three, so every
     edge crossing n or past it is among the last five.
+
+    The walk checks each state's rule once, as it first meets it, so a
+    system edited in place into a fault there raises the constructor's
+    error; it cannot see an edit that only adds an unreachable rule.
     """
     if mode not in ("lenient", "strict"):
         raise DecomposeError(f"mode must be 'lenient' or 'strict', got {mode!r}")
-    if not isinstance(depth, int) or isinstance(depth, bool):
+    if not _is_int(depth):
         raise DecomposeError(f"depth must be an integer, got {depth!r}")
     if depth < 0:
         raise DecomposeError(f"depth must be non-negative, got {depth}")
     pres = regularize(pres)
     assert pres.rules is not None and pres.root is not None
-    rules = pres.rules
     kinds, edges, queue = bytearray(), [], []
     # each walked state's block past its annulus run: None where the run
     # closes a lasso (a punctured disk), else the Handle's or the Pants' children
@@ -201,7 +204,7 @@ def decompose(
     def walk_run(state: str) -> tuple[str, ...] | None:
         run = []  # each run is walked once
         while state not in steps:
-            kind, children = rules[state]
+            kind, children = _rule(pres, state)
             if kind is not BlockKind.ANNULUS:
                 steps[state] = children
                 break
@@ -319,7 +322,7 @@ def _rebuild(
         path = _first_path_of(pres, occ, auto) if isinstance(occ, str) else tuple(occ)
         node = 0
         for step, i in enumerate(path):
-            children = pres.children(states[node])
+            children = _rule(pres, states[node])[1]
             if not 0 <= i < len(children):
                 raise DecomposeError(f"invalid unfolding path {path!r}: index {i} at step {step}")
             if i not in below[node]:
@@ -345,10 +348,10 @@ def _rebuild(
     name_of = {node: fresh(f"u{k}") for k, node in enumerate(order)}
     unrolled: dict[str, tuple[BlockKind, list[str]]] = {}
     for node in order:
-        state = states[node]
-        unrolled[name_of[node]] = (pres.kind(state), [
+        kind, children = _rule(pres, states[node])
+        unrolled[name_of[node]] = (kind, [
             name_of[below[node][i]] if i in below[node] else child
-            for i, child in enumerate(pres.children(state))
+            for i, child in enumerate(children)
         ])
     pulled = {name_of[node] for node in ends}
 
@@ -387,7 +390,11 @@ def _rebuild(
         rules[f[3]] = (BlockKind.PANTS, (sides[2], sides[3]))
         rules[f[4]] = (BlockKind.PANTS, (sides[4], remainder))
         root = f[0]
-    reachable = set(forward({s: r[1] for s, r in rules.items()}, [root]))
+    try:
+        reachable = set(forward({s: r[1] for s, r in rules.items()}, [root]))
+    except (KeyError, TypeError, IndexError):  # a rule an edit in place left faulty
+        pres._validate_rules()
+        raise
     rules = {s: r for s, r in rules.items() if s in reachable}
     return SurfacePresentation(name=pres.name, rules=rules, root=root)
 
@@ -402,6 +409,9 @@ def interchange_normalize(
 
     Occurrences are unfolding paths (tuples of child indices), or state
     names for states occurring only in the finite prefix before any cycle.
+    A fault that an edit in place left on the walked paths, or below them,
+    raises the constructor's error; an edit that only adds an unreachable
+    rule is not seen.
     """
     pres = regularize(pres)
     if not front:
@@ -423,9 +433,10 @@ class SpineGraph(Record):
 def spine(pres: SurfacePresentation) -> SpineGraph:
     pres = regularize(pres)
     auto = ends_automaton(pres)
-    handles, pants = _occurrences(auto, auto.nonplanar_states), _occurrences(auto, _pants(auto))
-    rank = INFINITE if INFINITE in (handles[-1], pants[-1]) else 2 * handles[-1] + pants[-1]
-    core = frozenset(auto.names[s] for c, h, p in zip(auto.components, handles, pants) if h or p for s in c)
+    h, p = auto.handle_count, auto.pants_count
+    rank = INFINITE if INFINITE in (h, p) else 2 * h + p
+    closures = zip(auto.components, auto.handle_closure, auto.pants_closure)
+    core = frozenset(auto.names[s] for c, hc, pc in closures if hc or pc for s in c)
     return SpineGraph(presentation=pres, rank=rank, core_states=core, automaton=auto)
 
 
@@ -525,7 +536,7 @@ def find_essential_pants(pres: SurfacePresentation) -> EssentialPants:
     auto = ends_automaton(pres)
     # each Pants occurrence splits one end in two, so p = 1 + their count;
     # an INFINITE genus or p passes both checks
-    g, p = genus(auto), 1 + _occurrences(auto, _pants(auto))[-1]
+    g, p = auto.handle_count, 1 + auto.pants_count
     if not (p >= 6 or g + p >= 4):  # p < 6 first: g + p overflows past 2**1024
         raise ComplexityTooLowError(
             f"complexity too low: g+p = {g + p} < 4 and p = {p} < 6"

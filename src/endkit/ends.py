@@ -40,7 +40,7 @@ from .presentation import (
     EndsAutomaton,
     Genus,
     SurfacePresentation,
-    _occurrences,
+    _is_int,
     _syntax_error,
     ends_automaton,
 )
@@ -111,7 +111,7 @@ def _fold_components(
 ) -> _V | None:
     """``combine(kind, i, values of its exits)`` at every component ``i`` of
     the paths that stay within the components non-zero in ``within`` (all by
-    default; a mark closure, as `_occurrences` counts it), children
+    default; a mark closure, such as the compiled ``handle_closure``), children
     first; the value at the root, or None when no such path is infinite.
 
     A component outside ``within``, or acyclic with no exit left, carries
@@ -183,7 +183,9 @@ _CANTOR_CB: _CBStep = (0, 0, True, INFINITE)
 
 
 def _cb(kind: _Kind, i: int | None, kids: list[_CBStep]) -> _CBStep:
-    """The CB step of the ends beyond a component from its exits'."""
+    """The CB step of the ends beyond a component from its exits', in one
+    loop over them: the top rank, the sum of that rank's last batches (None
+    when one is infinite), whether any has a kernel, and the number of ends."""
     if kind is _Kind.POINT:
         return _POINT_CB
     if kind is _Kind.CANTOR:
@@ -192,15 +194,19 @@ def _cb(kind: _Kind, i: int | None, kids: list[_CBStep]) -> _CBStep:
         raise InvalidEndExprError("empty union denotes no space")
     if kind is _Kind.ACYCLIC and len(kids) == 1:
         return kids[0]
-    rank = max(k[0] for k in kids)
-    kernel = any(k[2] for k in kids)
-    if kind is _Kind.ACYCLIC:
-        lasts = [k[1] for k in kids if k[0] == rank]
+    rank, last, kernel, count = kids[0]
+    for r, batch, k, n in kids[1:]:
+        if r > rank:
+            rank, last = r, batch
+        elif r == rank:
+            last = None if last is None or batch is None else last + batch
+        kernel |= k
         try:
-            count = sum(k[3] for k in kids)
+            count += n
         except OverflowError:  # INFINITE, a float, plus an integer past 2**1024
             count = INFINITE
-        return (rank, None if None in lasts else sum(lasts), kernel, count)
+    if kind is _Kind.ACYCLIC:
+        return (rank, last, kernel, count)
     if kind is _Kind.KERNEL or kernel:  # the exits' last batch, copied forever
         return (rank, None if rank else 0, True, INFINITE)
     return (rank + 1, 1, False, INFINITE)  # SEQ: the cycle's end is the new level
@@ -222,7 +228,7 @@ def _cb_of(automaton: EndsAutomaton, marked: str) -> _CBData:
     if marked == "all":
         return _cb_data(automaton)
     if marked == "nonplanar_only":
-        return _cb_data(automaton, _occurrences(automaton, automaton.nonplanar_states, 1))
+        return _cb_data(automaton, automaton.handle_closure)
     raise ValueError(f"marked must be 'all' or 'nonplanar_only', got {marked!r}")
 
 
@@ -237,8 +243,8 @@ def cb_report(
     The analysis is exact at any rank, in one pass over the condensation;
     ``rank_cutoff`` only truncates the report to its first ``rank_cutoff``
     derivative steps (see CBReport)."""
-    if rank_cutoff < 0:
-        raise EndsError(f"rank_cutoff must be non-negative, got {rank_cutoff}")
+    if not _is_int(rank_cutoff) or rank_cutoff < 0:
+        raise EndsError(f"rank_cutoff must be a natural, got {rank_cutoff!r}")
     rank, last, kernel, card = _cb_of(automaton, marked)
     if rank > rank_cutoff:
         return CBReport(rank_cutoff, 0, False, card, (None,) * rank_cutoff, True)
@@ -613,8 +619,7 @@ def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
     """Normal-form expression for (ends, non-planar ends), materialized once
     from its bag, with the multiplicities expanded."""
     forms = _Forms()
-    marked = _occurrences(automaton, automaton.nonplanar_states, 1)
-    return forms.expr(_to_expr(automaton, marked, forms))
+    return forms.expr(_to_expr(automaton, automaton.handle_closure, forms))
 
 
 # -- homeomorphism decision for pairs --------------------------------------
@@ -631,7 +636,7 @@ def _pair_verdict(
     space_b: EndsAutomaton,
     marked_b: Sequence[Genus],
 ) -> tuple[Verdict, str | None]:
-    """Verdict on two spaces with mark closures counted by `_occurrences`, plus
+    """Verdict on two spaces with mark closures (non-zero per kept component), plus
     what decided it: 'identical-presentation' or 'end-expression-normal-form'
     for Yes, 'invariants' or 'normal-form' for No, None for Unknown.
 
@@ -663,8 +668,7 @@ def _pair_verdict(
 def pair_homeomorphic(a: EndsAutomaton, b: EndsAutomaton) -> Verdict:
     """Is there a homeomorphism of ends spaces matching the non-planar
     subsets?  Sound on Yes and No; Unknown outside the decided fragment."""
-    marked_a, marked_b = (_occurrences(s, s.nonplanar_states, 1) for s in (a, b))
-    verdict, _ = _pair_verdict(a, marked_a, b, marked_b)
+    verdict, _ = _pair_verdict(a, a.handle_closure, b, b.handle_closure)
     return verdict
 
 

@@ -65,6 +65,11 @@ class BlockKind(Enum):
 Rule = tuple[BlockKind, tuple[str, ...]]
 
 
+def _is_int(x: object) -> bool:
+    """An exact integer: an int, and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class FiniteType(Record):
     __slots__ = ("genus", "boundary", "punctures")
 
@@ -155,7 +160,10 @@ class SurfacePresentation(Record):
     def _validate_finite(self) -> None:
         ft = self.finite_type
         assert ft is not None
-        if min(ft.genus, ft.boundary, ft.punctures) < 0:
+        data = (ft.genus, ft.boundary, ft.punctures)
+        if not all(map(_is_int, data)):
+            raise PresentationSyntaxError(f"{self.name}: finite-type data must be integers: {data}")
+        if min(data) < 0:
             raise PresentationSyntaxError(f"{self.name}: negative finite-type datum")
         if ft.boundary + ft.punctures == 0:
             raise PresentationSyntaxError(
@@ -315,6 +323,21 @@ def forward(succ: Successors, starts: Iterable[str]) -> list[str]:
     return order
 
 
+def _rule(pres: SurfacePresentation, state: str) -> Rule:
+    """The rule of ``state``, for a walk that checks each state it meets
+    once; a state that an edit in place left undefined or of the wrong
+    arity raises the constructor's error.  Such a walk cannot see an edit
+    that only adds an unreachable rule."""
+    try:
+        kind, children = pres.rules[state]
+        if len(children) == _ARITY[kind]:
+            return kind, children
+    except (KeyError, TypeError, ValueError):
+        pass
+    pres._validate_rules()  # raises the constructor's error for the fault
+    raise AssertionError(f"the constructor accepts the faulty rule of {state!r}")
+
+
 # -- the ends automaton ----------------------------------------------------
 
 # a component's shape: a state on no cycle, a cycle, or branching inside it
@@ -335,12 +358,18 @@ class EndsAutomaton(Record):
     topological order, the root's last, and ``component_of[s]`` the index of
     the component of s.  Component ``i`` has the shape ``shapes[i]`` and
     ``exits[i]``, the components of its members' children outside it, with
-    multiplicity.  Every invariant walks this table children first, and
-    reads a marked subspace off it as a union of components.
+    multiplicity.  ``handle_closure[i]`` is 1 when a Handle state lies in
+    or below component i, else 0, and ``pants_closure`` the same for Pants;
+    ``handle_count`` and ``pants_count`` count the Handle and Pants nodes of
+    the whole unfolding (the genus, and one less than the ends of a finite
+    type), INFINITE when one lies on or after a cycle.  Every invariant walks
+    this table children first, and reads a marked subspace off it as a union
+    of components.
     """
 
     __slots__ = ("names", "transitions", "nonplanar_states", "components", "component_of",
-                 "exits", "shapes")
+                 "exits", "shapes", "handle_closure", "pants_closure", "handle_count",
+                 "pants_count")
 
 
 def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
@@ -376,15 +405,18 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
     meets, and compiles each component as it closes, after every component
     its members reach.  A state's link starts at its number and is lowered
     by the links of the states it reaches on the stack; a closed state's
-    link is above every number, so no on-stack set is kept.  None at a
+    link is above every number, so no on-stack set is kept.  As a component
+    closes it counts the Handle and Pants nodes below one of its states, as
+    `_occurrences` does; only the root's counts outlive the walk.  None at a
     wrong arity or an unmet rule; KeyError at an undefined state."""
     kind, children = rules[root]
     if len(children) != _ARITY[kind]:
         return None
     closed, handle, arity = len(rules), BlockKind.HANDLE, _ARITY
-    index, names, handles = {root: 0}, [root], [0] if kind is handle else []
+    index, names, handles = {root: 0}, [root], {0} if kind is handle else set()
     transitions, component_of, components, exits, shapes = [()] * closed, [0] * closed, [], [], []
     low, stack, work = list(range(closed)), [0], [(0, children, iter(children))]
+    hs, ps = [], []  # per component, its Handle and Pants counts
     while work:
         state, cs, todo = work[-1]
         for child in todo:
@@ -396,7 +428,7 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
                 if len(children) != arity[kind]:
                     return None
                 if kind is handle:
-                    handles.append(k)
+                    handles.add(k)
                 stack.append(k)
                 work.append((k, children, iter(children)))
                 break
@@ -417,8 +449,23 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
                 low[state] = closed
                 component_of[state] = i
                 components.append([state])
-                exits.append([component_of[ts[0]]] if len(ts) == 1 else [component_of[ts[0]], component_of[ts[1]]])
                 shapes.append(ACYCLIC)
+                c = component_of[ts[0]]
+                if len(ts) == 1:
+                    exits.append([c])
+                    hs.append(hs[c] + (state in handles))
+                    ps.append(ps[c])
+                    continue
+                d = component_of[ts[1]]
+                exits.append([c, d])
+                try:
+                    hs.append(hs[c] + hs[d])
+                except OverflowError:  # INFINITE, a float, plus an integer past 2**1024
+                    hs.append(INFINITE)
+                try:
+                    ps.append(ps[c] + ps[d] + 1)
+                except OverflowError:
+                    ps.append(INFINITE)
                 continue
             members = stack[bisect_left(stack, state):]
             del stack[-len(members):]
@@ -431,21 +478,27 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
             exits.append(out)
             # a cycle's members have one child each inside it, a branching one more
             shapes.append(BRANCHING if len(ks) - len(out) > len(members) else CYCLE)
+            # a cycle repeats forever every node on or below it; a member with
+            # two children is a Pants
+            h = not handles.isdisjoint(members) or any(map(hs.__getitem__, out))
+            hs.append(INFINITE if h else 0)
+            ps.append(INFINITE if len(ks) > len(members) or any(map(ps.__getitem__, out)) else 0)
     if len(names) != closed:
         return None
     # every field positional: the record constructor's fast path
     return EndsAutomaton(names, transitions, frozenset(handles), components, component_of,
-                         exits, shapes)
+                         exits, shapes, bytes(map(bool, hs)), bytes(map(bool, ps)), hs[-1], ps[-1])
 
 
-def _occurrences(auto: EndsAutomaton, targets: AbstractSet[int], cap: Genus = INFINITE) -> list[Genus]:
+def _occurrences(auto: EndsAutomaton, targets: AbstractSet[int]) -> list[Genus]:
     """Per component, the number of unfolding-tree nodes labeled by
     ``targets`` below one of its states, with child multiplicity (``P(a, a)``
-    doubles), up to ``cap`` (1 reads the closure alone, with no big integers);
-    INFINITE when a target lies on or after a cycle, as a cycle with a
-    target on or below it repeats that target forever.  The root's entry,
-    the last, counts the whole unfolding; the non-zero entries are the mark
-    closure, the components whose states reach a target."""
+    doubles); INFINITE when a target lies on or after a cycle, as a cycle
+    with a target on or below it repeats that target forever.  The root's
+    entry, the last, counts the whole unfolding; the non-zero entries are
+    the mark closure, the components whose states reach a target.  The
+    Handle and Pants counts are compiled with the automaton; this counts
+    any other set of states."""
     if not targets:
         return [0] * len(auto.components)
     below: list[Genus] = []
@@ -458,12 +511,8 @@ def _occurrences(auto: EndsAutomaton, targets: AbstractSet[int], cap: Genus = IN
             n = INFINITE if n or not targets.isdisjoint(members) else 0
         else:
             n += members[0] in targets
-        below.append(n if n < cap else cap)
+        below.append(n)
     return below
-
-
-def _pants(auto: EndsAutomaton) -> set[int]:
-    return {s for s, cs in enumerate(auto.transitions) if len(cs) == 2}
 
 
 # -- invariants ------------------------------------------------------------
@@ -478,7 +527,7 @@ def genus(source: SurfacePresentation | EndsAutomaton) -> Genus:
         if source.finite_type is not None:
             return source.finite_type.genus
         source = ends_automaton(source)
-    return _occurrences(source, source.nonplanar_states)[-1]
+    return source.handle_count
 
 
 def is_finite_type(source: SurfacePresentation | EndsAutomaton) -> bool:
@@ -487,7 +536,7 @@ def is_finite_type(source: SurfacePresentation | EndsAutomaton) -> bool:
         if source.finite_type is not None:
             return True
         source = ends_automaton(source)
-    return _occurrences(source, source.nonplanar_states | _pants(source))[-1] != INFINITE
+    return INFINITE not in (source.handle_count, source.pants_count)
 
 
 def canonical_finite_type(
@@ -504,7 +553,7 @@ def canonical_finite_type(
             ft = source.finite_type
             return (ft.genus, 0, ft.boundary + ft.punctures)
         prefix, source = f"{source.name}: ", ends_automaton(source)
-    g, pants = _occurrences(source, source.nonplanar_states)[-1], _occurrences(source, _pants(source))[-1]
+    g, pants = source.handle_count, source.pants_count
     if INFINITE in (g, pants):
         raise NotFiniteTypeError(f"{prefix}infinite type")
     # each pants occurrence splits one end in two; annuli and handles never branch
@@ -516,8 +565,10 @@ def canonical_finite_type(
 def standard_presentation(g: int, n: int, name: str = "std") -> SurfacePresentation:
     """The reference presentation of S_{g,0,n}: a chain of g genus blocks,
     then a pants comb fanning out to n puncture tails (n >= 1)."""
-    if n < 1:
-        raise ValueError("need at least one end")
+    if not _is_int(g) or g < 0:
+        raise ValueError(f"genus must be a natural, got {g!r}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"need at least one end, got {n!r}")
     tails = [f"t{i}" for i in range(1, n + 1)]
     comb_entry = "c1" if n > 1 else tails[0]
     rules: dict[str, Rule] = {}
@@ -575,18 +626,22 @@ def _first_paths(
     it.  So when w is dropped, behind ``count`` enqueued occurrences of its
     state, every target node in its subtree has ``count`` target
     counterparts ahead of it, and is not among the first ``count`` hits.
-    O(count * (states + edges)).
+    O(count * (states + edges)); each state's rule is checked once (`_rule`).
     """
     assert pres.root is not None
     states, via = [pres.root], [(0, 0)]  # via: each node's parent and child slot
     enqueued = Counter(states)
     hits: list[int] = []
+    children_of: dict[str, tuple[str, ...]] = {}
     for node, state in enumerate(states):  # grows while it is walked
         if len(hits) == count:
             break
         if state in targets:
             hits.append(node)
-        for i, child in enumerate(pres.children(state)):
+        children = children_of.get(state)
+        if children is None:
+            children = children_of[state] = _rule(pres, state)[1]
+        for i, child in enumerate(children):
             if enqueued[child] < count:
                 enqueued[child] += 1
                 states.append(child)
@@ -605,11 +660,14 @@ def first_occurrences(
     pres: SurfacePresentation, kind: BlockKind, count: int
 ) -> list[tuple[int, ...]]:
     """Paths of the first ``count`` unfolding occurrences of ``kind``;
-    ValueError when the unfolding holds fewer, or when ``count`` is negative."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    ValueError when the unfolding holds fewer, or when ``count`` is not a
+    natural.  A rule that an edit in place left faulty raises the
+    constructor's error; an edit that only adds an unreachable rule is not
+    seen."""
+    if not _is_int(count) or count < 0:
+        raise ValueError(f"count must be a natural, got {count!r}")
     pres = regularize(pres)
-    paths = _first_paths(pres, {s for s in pres.states() if pres.kind(s) is kind}, count)
+    paths = _first_paths(pres, {s for s in pres.rules if _rule(pres, s)[0] is kind}, count)
     if len(paths) < count:
         raise ValueError(f"fewer than {count} occurrences of {kind.value} in the unfolding")
     return paths

@@ -653,7 +653,7 @@ def test_spine_cores_are_their_own_closures_on_the_census(seed):
     for found in spines:
         auto = found.automaton
         marks = frozenset(i for i, name in enumerate(auto.names) if name in found.core_states)
-        counted.append(_occurrences(auto, marks, 1))
+        counted.append(_occurrences(auto, marks))
         assert [n != 0 for n in counted[-1]] == [auto.names[c[0]] in found.core_states for c in auto.components]
     for i, a in enumerate(spines):
         for j in range(i, len(spines)):

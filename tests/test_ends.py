@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import random
 import re
+import sys
 import time
 from collections.abc import Iterable, Sequence
 from typing import AbstractSet
@@ -52,10 +53,12 @@ from endkit import (
     validate_end_expr,
 )
 import endkit.ends
+import endkit.presentation
 from endkit.ends import (
     EndExpr,
     EndsAutomaton,
     _canonical_form,
+    _cb,
     _cb_data,
     _fold,
     _fold_components,
@@ -71,8 +74,8 @@ from endkit._record import replace
 from endkit.presentation import ACYCLIC, BRANCHING, CYCLE, Successors, _occurrences, forward
 
 from conftest import (
-    _on_cycles, backward, census_cores, end_exprs, named, presentations, reference_sccs,
-    shaped_cycles, successor_maps,
+    _on_cycles, backward, bench_inputs, census_cores, end_exprs, named, presentations,
+    reference_sccs, shaped_cycles, successor_maps,
 )
 
 LOCH = parse_presentation("surface loch_ness { root = H(root) }")
@@ -227,7 +230,13 @@ def _compile(succ: Successors, nonplanar: AbstractSet[str], components: list[lis
         if inside:
             shapes[i] = BRANCHING if len(inside) > 1 else shapes[i] or CYCLE
     marked = frozenset(number[s] for s in nonplanar if s in number)
-    return EndsAutomaton(list(succ), transitions, marked, numbered, component_of, exits, shapes)
+    pants = frozenset(s for s, cs in enumerate(transitions) if len(cs) == 2)
+    table = EndsAutomaton(list(succ), transitions, marked, numbered, component_of, exits, shapes,
+                          b"", b"", 0, 0)
+    hs, ps = _occurrences(table, marked), _occurrences(table, pants)
+    return EndsAutomaton(list(succ), transitions, marked, numbered, component_of, exits, shapes,
+                         bytes(map(bool, hs)), bytes(map(bool, ps)), hs[-1] if hs else 0,
+                         ps[-1] if ps else 0)
 
 
 _EMPTY = _compile({}, frozenset(), [])
@@ -561,8 +570,8 @@ def _flags(space: EndsAutomaton, closure: AbstractSet[str]) -> list[bool]:
 
 def _closure(space: EndsAutomaton, marks: Iterable[str]) -> list:
     """The mark closure of the states named in ``marks`` as the library
-    reads it: the components with a non-zero occurrence count, capped at 1."""
-    return _occurrences(space, _numbers(space, marks), 1)
+    reads it: the components with a non-zero occurrence count, as flags."""
+    return bytes(map(bool, _occurrences(space, _numbers(space, marks))))
 
 
 def _reference_text(auto: EndsAutomaton) -> str:
@@ -722,9 +731,11 @@ def test_compiled_folds_match_the_state_level_references(pres, data):
     marks = data.draw(st.sets(st.sampled_from(sorted(names))))
     closure = backward(succ, marks)
     assert [n != 0 for n in _occurrences(auto, _numbers(auto, marks))] == _flags(auto, closure)
-    assert _closure(auto, marks) == [int(f) for f in _flags(auto, closure)]
+    assert _closure(auto, marks) == bytes(_flags(auto, closure))
     assert closure == {names[s] for c in auto.components if names[c[0]] in closure for s in c}
     pants = {s for s, cs in succ.items() if len(cs) == 2}
+    assert auto.handle_closure == bytes(_flags(auto, backward(succ, _nonplanar(auto))))
+    assert auto.pants_closure == bytes(_flags(auto, backward(succ, pants)))
     for targets in (marks, _nonplanar(auto), pants):
         expected = _reference_occurrences(succ, names[0], targets)
         assert _occurrences(auto, _numbers(auto, targets))[-1] == expected
@@ -757,6 +768,8 @@ def test_counts_past_the_float_range(monkeypatch):
     above = parse_presentation("surface above { " + "; ".join(["root = H(x0)", *chain]) + " }")
     small = parse_presentation("surface small { root = P(c, l); c = P(c, c); l = H(l) }")
     auto = ends_automaton(beside)
+    for surface in (points, countable, alone, beside, above):
+        _assert_compiled_counts(surface)
     assert _occurrences(auto, auto.nonplanar_states)[auto.component_of[auto.names.index("x0")]] == 2**n
     assert set(_closure(auto, _nonplanar(auto))) == {0, 1}
     assert (genus(alone), genus(beside), genus(above)) == (2**n, INFINITE, 2**n + 1)
@@ -779,6 +792,139 @@ def test_counts_past_the_float_range(monkeypatch):
     cb_report(auto, marked="nonplanar_only"), to_end_expr(auto), kerekjarto(beside, small)
     pair_homeomorphic(auto, ends_automaton(small)), graph_phe_equal(spine(beside), spine(small))
     assert max(read) == 1
+
+
+# -- the counts compiled with the automaton ---------------------------------
+
+def _assert_compiled_counts(pres: SurfacePresentation) -> None:
+    """The compiled closures are non-zero exactly where `_occurrences`
+    counts Handle (or Pants) nodes, and each root count is its last entry;
+    the Handle and Pants states are read off the rules."""
+    auto = ends_automaton(pres)
+    kinds = [pres.rules[name][0] for name in auto.names]
+    handles, pants = (frozenset(s for s, k in enumerate(kinds) if k is kind)
+                      for kind in (BlockKind.HANDLE, BlockKind.PANTS))
+    assert auto.nonplanar_states == handles
+    for closure, count, targets in ((auto.handle_closure, auto.handle_count, handles),
+                                    (auto.pants_closure, auto.pants_count, pants)):
+        counted = _occurrences(auto, targets)
+        assert closure == bytes(n != 0 for n in counted)
+        assert count == counted[-1] and type(count) is type(counted[-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(max_states=8))
+def test_compiled_counts_are_the_occurrence_counts(pres):
+    _assert_compiled_counts(pres)
+
+
+@pytest.mark.parametrize("family, size", [
+    ("chain", 1000), ("comb", 1001), ("cantor-marked", 1000), ("seq-tower", 1000),
+])
+def test_compiled_counts_on_the_deep_families(family, size):
+    build, _ = bench_inputs().FAMILIES[family]
+    pres = build(size)
+    assert len(pres.rules) >= 1000
+    _assert_compiled_counts(pres)
+
+
+def _ints(value) -> Iterable[int]:
+    """The integers held in ``value``, through lists, tuples and sets."""
+    if isinstance(value, int):
+        yield value
+    elif isinstance(value, (list, tuple, frozenset)):
+        for v in value:
+            yield from _ints(v)
+
+
+def test_the_automaton_keeps_no_count_per_component():
+    """On 15,000 levels of ``P(x, x)`` over a Handle every component below
+    the root counts up to 2**15000 nodes while the walk compiles it; the
+    automaton keeps only flags per component, and the root's two counts."""
+    n = 15000
+    rules = [f"x{i} = P(x{i + 1}, x{i + 1})" for i in range(n)] + [f"x{n} = H(d)", "d = A(d)"]
+    auto = ends_automaton(parse_presentation("surface s { " + "; ".join(rules) + " }"))
+    assert set(auto.handle_closure) == set(auto.pants_closure) == {0, 1}
+    assert (auto.handle_count, auto.pants_count) == (2**n, 2**n - 1)
+    big = [v for field in auto._values() for v in _ints(field) if v > len(auto.names)]
+    assert big == [2**n, 2**n - 1]
+
+
+def _four_pass_cb(kind, i, kids):
+    """The CB combiner as it was, with four passes over the exits: the
+    reference for the one-loop `_cb`."""
+    if kind is _Kind.POINT:
+        return endkit.ends._POINT_CB
+    if kind is _Kind.CANTOR:
+        return endkit.ends._CANTOR_CB
+    if not kids:
+        raise InvalidEndExprError("empty union denotes no space")
+    if kind is _Kind.ACYCLIC and len(kids) == 1:
+        return kids[0]
+    rank = max(k[0] for k in kids)
+    kernel = any(k[2] for k in kids)
+    if kind is _Kind.ACYCLIC:
+        lasts = [k[1] for k in kids if k[0] == rank]
+        try:
+            count = sum(k[3] for k in kids)
+        except OverflowError:
+            count = INFINITE
+        return (rank, None if None in lasts else sum(lasts), kernel, count)
+    if kind is _Kind.KERNEL or kernel:
+        return (rank, None if rank else 0, True, INFINITE)
+    return (rank + 1, 1, False, INFINITE)
+
+
+_BIG = 2**1100  # past the float range: adding it to INFINITE overflows
+_STEPS = st.tuples(
+    st.integers(0, 3), st.none() | st.integers(0, 4) | st.just(_BIG), st.booleans(),
+    st.integers(0, 4) | st.just(_BIG) | st.just(INFINITE),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(list(_Kind)), st.lists(_STEPS, max_size=6))
+def test_the_one_loop_cb_steps_as_the_four_pass_combiner(kind, kids):
+    """Mixed ranks, infinite last batches, kernels and counts past 2**1024:
+    the same step, field types included, or the same error."""
+    try:
+        expected = _four_pass_cb(kind, None, kids)
+    except InvalidEndExprError:
+        with pytest.raises(InvalidEndExprError):
+            _cb(kind, None, kids)
+        return
+    assert repr(_cb(kind, None, kids)) == repr(expected)
+
+
+def test_deep_questions_read_the_compiled_counts(monkeypatch):
+    """The deep-invariants questions, then kerekjarto against a spliced
+    copy, count no occurrences again: each reads the automaton's fields."""
+    calls = []
+    real = endkit.presentation._occurrences
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("endkit") and hasattr(module, "_occurrences"):
+            monkeypatch.setattr(module, "_occurrences", counting)
+    p = bench_inputs().cantor_marked(100)
+    copy = splice_annulus(p, "h", 0)
+    genus(p), is_finite_type(p)
+    auto = ends_automaton(p)
+    for marked in ("all", "nonplanar_only"):
+        ends_count(auto, marked), cb_report(auto, marked)
+    to_end_expr(auto)
+    assert kerekjarto(p, copy).to_json() == {"verdict": "Homeomorphic"}
+    assert calls == []
+    assert not hasattr(endkit.presentation, "_pants")
+
+
+@pytest.mark.parametrize("cutoff", [True, 1.5, "3", None, -1])
+def test_rank_cutoff_is_a_natural(cutoff):
+    with pytest.raises(EndsError, match="rank_cutoff must be a natural"):
+        cb_report(ends_automaton(FLUTE), rank_cutoff=cutoff)
 
 
 @pytest.mark.parametrize("levels", [16, 21])

@@ -313,6 +313,28 @@ def test_first_occurrences_paths():
         first_occurrences(p, BlockKind.PANTS, -1)
 
 
+@pytest.mark.parametrize("count", [1.5, True, "2", None, -1])
+def test_first_occurrences_count_is_a_natural(count):
+    """1.5 found two paths, and True one."""
+    with pytest.raises(ValueError, match="count must be a natural"):
+        first_occurrences(parse_presentation(FLUTE), BlockKind.PANTS, count)
+
+
+@pytest.mark.parametrize("data", [(1.5, 0, 1), (0, True, 1), (0, 0, "1"), (0, 0, None)])
+def test_finite_type_data_are_integers(data):
+    """FiniteType(1.5, 0, 1) was accepted, with genus 1.5."""
+    with pytest.raises(PresentationSyntaxError, match="s: finite-type data must be integers"):
+        SurfacePresentation("s", finite_type=FiniteType(*data))
+
+
+@pytest.mark.parametrize("g, n", [(-2, 1), (1.5, 1), (True, 1), (0, 0), (0, 2.0), (0, True)])
+def test_standard_presentation_takes_naturals(g, n):
+    """standard_presentation(-2, 1) raised DanglingRuleError for its root."""
+    with pytest.raises(ValueError) as raised:
+        standard_presentation(g, n)
+    assert not isinstance(raised.value, EndkitError)
+
+
 def test_first_occurrences_deep_and_exact():
     tree = parse_presentation(
         "surface s { root = P(a1, a1); "
@@ -642,6 +664,42 @@ def test_edit_to_a_one_child_pants_raises_syntax():
     p.rules["punc"] = (BlockKind.PANTS, ("punc",))  # was accepted
     assert type(_constructor_error(p)) is PresentationSyntaxError
     _assert_every_answer_raises(p)
+
+
+# the walks that read the rules without the automaton; on the flute each
+# meets the rule of ``punc``
+_WALKS = [
+    lambda p: decompose(p, "strict", 8), lambda p: interchange_normalize(p, [(1,)]),
+    lambda p: first_occurrences(p, BlockKind.HANDLE, 1),
+]
+
+
+@pytest.mark.parametrize("rule", [(BlockKind.ANNULUS, ("zzz",)), (BlockKind.PANTS, ("punc",)), 5])
+def test_edit_met_by_a_walk_raises_the_constructors_error(rule):
+    """A dangling child raised a bare KeyError in decompose and
+    interchange_normalize; a one-child Pants was walked as a Handle by
+    decompose and raised a bare IndexError in interchange_normalize; a rule
+    that is no pair raised a bare TypeError in interchange_normalize and
+    first_occurrences."""
+    p = parse_presentation(FLUTE)
+    p.rules["punc"] = rule
+    error = _constructor_error(p)
+    for walk in _WALKS:
+        with pytest.raises(type(error)) as raised:
+            walk(p)
+        assert str(raised.value) == str(error)
+
+
+def test_edit_adding_only_an_unreachable_rule_is_not_seen_by_the_walks():
+    """The walks check the states they meet, so a rule that no walk reaches
+    leaves their answers as they were (the invariants refuse it)."""
+    p = parse_presentation(FLUTE)
+    walks = [*_WALKS[:2], lambda p: first_occurrences(p, BlockKind.PANTS, 3)]
+    before = [walk(p) for walk in walks]
+    p.rules["orphan"] = (BlockKind.ANNULUS, ("orphan",))
+    assert [walk(p) for walk in walks] == before
+    with pytest.raises(UnreachableRuleError):
+        genus(p)
 
 
 def _answer(ask, p):
