@@ -9,8 +9,14 @@ values a constructor may omit in ``_defaults``, and validates its fields in
 run again.  A call that passes every field positionally skips ``_bind``, the
 slow part of ``__init__``.  The ``dataclass`` decorator would give the same,
 but its module loads ``inspect``, which with the code it generates per class
-cost each CLI child more than most commands' own work.
+cost each CLI child more than most commands' own work.  `_is_int`, the
+exact-integer check that the records' validation shares, lives here too.
 """
+
+
+def _is_int(value: object) -> bool:
+    """An integer that is not a bool (JSON true and false are not numbers)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Record:

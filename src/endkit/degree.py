@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ._record import Record, replace
+from ._record import Record, _is_int, replace
 from .errors import BoundaryCountMismatchError, DegreeContradictionError, DegreeError
 
 # the fields that are true or false; every other field may be None, unknown
@@ -58,11 +58,6 @@ class MapDescriptor(Record):
             raise DegreeError(f"absolute degree must be a natural number, got {self.abs_degree!r}")
 
 
-def _is_int(value: object) -> bool:
-    """An integer that is not a bool (JSON true and false are not numbers)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _set(desc: MapDescriptor, field: str, value) -> MapDescriptor:
     current = getattr(desc, field)
     if current == value:
@@ -82,8 +77,7 @@ _FLAGS = {"proper", "pseudo_phe", "pi1_surjective"}
 def infer_degree(descriptor: MapDescriptor) -> MapDescriptor:
     """Close a descriptor under the degree implications.
 
-    The rules only narrow what is known, so the result is a fixpoint and a
-    second application changes nothing:
+    The rules only narrow what is known, applied in this order:
 
     * a proper homotopy equivalence is a pseudo one, and a pseudo one is
       proper;
@@ -95,37 +89,39 @@ def infer_degree(descriptor: MapDescriptor) -> MapDescriptor:
     * a proper homotopy equivalence acts injectively on ends;
     * non-zero degree forces surjectivity, and absolute degree 1 forces
       surjectivity on loops.
+
+    One pass reaches the fixpoint: each rule reads fields that no rule
+    sets, fields that an earlier rule sets, or ``surjective``, which a
+    later rule only ever sets to true while the degree-0 rule fires only
+    on false.  So a second pass would change nothing.
     """
     desc = descriptor
-    while True:
-        before = desc
-        if desc.proper_homotopy_equivalence:
-            desc = _set(desc, "pseudo_phe", True)
-        if desc.pseudo_phe:
-            desc = _set(desc, "proper", True)
-        if desc.surjective is False:
-            desc = _set(desc, "abs_degree", 0)
-        if desc.boundary_embedding is not None:
-            b1, b2 = desc.boundary_embedding
-            if b1 != b2:
-                raise BoundaryCountMismatchError(
-                    f"boundary embedding needs equal boundary counts, got {b1} and {b2}"
-                )
-            desc = _set(desc, "abs_degree", 1)
-        if desc.proper_homotopy_equivalence:
-            desc = _set(desc, "abs_degree", 1)
-            if desc.ends_map_injective is False:
-                raise DegreeContradictionError(
-                    "a proper homotopy equivalence is injective on ends"
-                )
-        if desc.pseudo_phe and not desc.target_plane_or_punctured_plane:
-            desc = _set(desc, "abs_degree", 1)
-        if desc.abs_degree is not None and desc.abs_degree >= 1:
-            desc = _set(desc, "surjective", True)
-        if desc.abs_degree == 1:
-            desc = _set(desc, "pi1_surjective", True)
-        if desc == before:
-            return desc
+    if desc.proper_homotopy_equivalence:
+        desc = _set(desc, "pseudo_phe", True)
+    if desc.pseudo_phe:
+        desc = _set(desc, "proper", True)
+    if desc.surjective is False:
+        desc = _set(desc, "abs_degree", 0)
+    if desc.boundary_embedding is not None:
+        b1, b2 = desc.boundary_embedding
+        if b1 != b2:
+            raise BoundaryCountMismatchError(
+                f"boundary embedding needs equal boundary counts, got {b1} and {b2}"
+            )
+        desc = _set(desc, "abs_degree", 1)
+    if desc.proper_homotopy_equivalence:
+        desc = _set(desc, "abs_degree", 1)
+        if desc.ends_map_injective is False:
+            raise DegreeContradictionError(
+                "a proper homotopy equivalence is injective on ends"
+            )
+    if desc.pseudo_phe and not desc.target_plane_or_punctured_plane:
+        desc = _set(desc, "abs_degree", 1)
+    if desc.abs_degree is not None and desc.abs_degree >= 1:
+        desc = _set(desc, "surjective", True)
+    if desc.abs_degree == 1:
+        desc = _set(desc, "pi1_surjective", True)
+    return desc
 
 
 def descriptor_to_json(descriptor: MapDescriptor) -> dict:

@@ -637,32 +637,26 @@ def _pair_verdict(
     marked_b: Sequence[Genus],
 ) -> tuple[Verdict, str | None]:
     """Verdict on two spaces with mark closures (non-zero per kept component), plus
-    what decided it: 'identical-presentation' or 'end-expression-normal-form'
-    for Yes, 'invariants' or 'normal-form' for No, None for Unknown.
+    the fragment that decided a Yes: 'identical-presentation' or
+    'end-expression-normal-form'; None for No and Unknown.
 
-    The normal forms decide first: equal canonical forms give equal normal
-    forms, which give equal CB data, so the CB data only name a No, or
-    decide when a side has no normal form."""
-
-    def cb_differs() -> bool:  # the exact CB data of the spaces, then of their marked subspaces
-        if _cb_data(space_a) != _cb_data(space_b):
-            return True
-        return _cb_data(space_a, marked_a) != _cb_data(space_b, marked_b)
-
-    forms = _Forms()  # both sides in one table: equal forms are equal bags
-    try:
-        same = _to_expr(space_a, marked_a, forms) == _to_expr(space_b, marked_b, forms)
-    except NotConvertibleError:
-        if cb_differs():
-            return Verdict.NO, "invariants"
-        same = None
-    if same is False:
-        return Verdict.NO, "invariants" if cb_differs() else "normal-form"
+    One pass in order of cost: equal canonical forms describe one marked
+    system, so they decide a Yes alone; else the normal forms decide; the
+    CB data of the spaces, then of their marked subspaces, are read only
+    when a side has no normal form, and separate a No from Unknown."""
     if space_a.transitions == space_b.transitions and (  # the cheap guard: no flags built
         _canonical_form(space_a, marked_a) == _canonical_form(space_b, marked_b)
     ):
         return Verdict.YES, FRAGMENT_IDENTICAL
-    return (Verdict.YES, FRAGMENT_NORMAL_FORM) if same else (Verdict.UNKNOWN, None)
+    forms = _Forms()  # both sides in one table: equal forms are equal bags
+    try:
+        same = _to_expr(space_a, marked_a, forms) == _to_expr(space_b, marked_b, forms)
+    except NotConvertibleError:
+        same_cb = _cb_data(space_a) == _cb_data(space_b) and (
+            _cb_data(space_a, marked_a) == _cb_data(space_b, marked_b)
+        )
+        return (Verdict.UNKNOWN if same_cb else Verdict.NO), None
+    return (Verdict.YES, FRAGMENT_NORMAL_FORM) if same else (Verdict.NO, None)
 
 
 def pair_homeomorphic(a: EndsAutomaton, b: EndsAutomaton) -> Verdict:

@@ -36,7 +36,7 @@ from collections import Counter, deque
 from enum import Enum
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
-from ._record import Record
+from ._record import Record, _is_int
 from .errors import (
     DanglingRuleError,
     EndkitError,
@@ -63,11 +63,6 @@ class BlockKind(Enum):
 
 
 Rule = tuple[BlockKind, tuple[str, ...]]
-
-
-def _is_int(x: object) -> bool:
-    """An exact integer: an int, and not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class FiniteType(Record):
@@ -390,7 +385,7 @@ def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
         auto = None
     if auto is None:
         pres._validate_rules()  # raises the constructor's error for the fault
-        return ends_automaton(pres)  # none: the root was unset, and is the first rule now
+        raise AssertionError(f"the constructor accepts the faulty rules of {pres.name!r}")
     try:
         hash(key)
     except TypeError:  # a list in the rules could change in place: compiled on every call
@@ -585,8 +580,11 @@ def standard_presentation(g: int, n: int, name: str = "std") -> SurfacePresentat
 
 
 def regularize(pres: SurfacePresentation) -> SurfacePresentation:
-    """A rule presentation of the same surface (identity on rule systems)."""
+    """A rule presentation of the same surface (identity on rule systems).
+    A root unset in place is resolved as the constructor does: the first rule."""
     if pres.rules is not None:
+        if pres.root is None:
+            pres._validate_rules()
         return pres
     ft = pres.finite_type
     assert ft is not None

@@ -26,8 +26,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from enum import Enum
 
-from ._record import Record, replace
-from .degree import _is_int
+from ._record import Record, _is_int, replace
 from .errors import (
     DegreeUnknownError,
     DomainError,

@@ -530,7 +530,7 @@ _NO_ENDS = {"ends", "classify", "rewrite"}
     [
         pytest.param(["degree-check", "desc.json"], {"presentation", "ends"}, id="degree-check"),
         pytest.param(["degree", "check", "desc.json"], {"presentation", "ends"}, id="degree-check2"),
-        pytest.param(["rewrite", "config.json"], {"ends"}, id="rewrite"),
+        pytest.param(["rewrite", "config.json"], {"ends", "degree"}, id="rewrite"),
         pytest.param(["classify", "flute.surf", "s.surf"], _NO_WINDOWS, id="classify"),
         pytest.param(["realize", "2", "Union(Pt(planar), Pt(planar))", "--json"], _NO_WINDOWS,
                      id="realize"),

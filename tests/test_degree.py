@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -81,6 +82,41 @@ def test_zero_degree_conflicts_with_boundary_embedding():
         infer_degree(
             MapDescriptor(surjective=False, boundary_embedding=(2, 2))
         )
+
+
+def _infer_to_fixpoint(desc: MapDescriptor) -> MapDescriptor:
+    """The rules applied until nothing changes: the reference for one pass."""
+    while True:
+        before, desc = desc, infer_degree(desc)
+        if desc == before:
+            return desc
+
+
+def _outcome(infer, desc: MapDescriptor):
+    try:
+        return infer(desc)
+    except DegreeError as exc:
+        return type(exc), str(exc)
+
+
+def test_one_pass_reaches_the_fixpoint_on_every_descriptor():
+    # five flags, both tri-state fields, four boundary embeddings, three
+    # orientations and four absolute degrees: 13,824 descriptors
+    flags = ("proper", "proper_homotopy_equivalence", "pseudo_phe",
+             "target_plane_or_punctured_plane", "pi1_surjective")
+    count = 0
+    for values in itertools.product(
+        *[(False, True)] * len(flags), (None, False, True), (None, False, True),
+        (None, (1, 1), (1, 2), (0, 0)), (None, 1, -1), (None, 0, 1, 2),
+    ):
+        *set_flags, surjective, injective, embedding, orientation, degree = values
+        desc = MapDescriptor(
+            **dict(zip(flags, set_flags)), surjective=surjective, ends_map_injective=injective,
+            boundary_embedding=embedding, orientation=orientation, abs_degree=degree,
+        )
+        assert _outcome(infer_degree, desc) == _outcome(_infer_to_fixpoint, desc)
+        count += 1
+    assert count == 13_824
 
 
 descriptors = st.builds(

@@ -532,13 +532,14 @@ def _reference_to_expr(space: EndsAutomaton, marked: AbstractSet[str]) -> EndExp
 
 
 def _reference_pair_verdict(space_a, marks_a, space_b, marks_b) -> tuple[Verdict, str | None]:
-    """Every layer in turn, the canonical forms compared on every pair."""
+    """Every layer in turn, the canonical forms compared on every pair; a
+    label only on a Yes."""
     marked_a = backward(named(space_a), marks_a)
     marked_b = backward(named(space_b), marks_b)
     flags_a, flags_b = _flags(space_a, marked_a), _flags(space_b, marked_b)
     spaces_differ = _cb_data(space_a) != _cb_data(space_b)
     if spaces_differ or _cb_data(space_a, flags_a) != _cb_data(space_b, flags_b):
-        return Verdict.NO, "invariants"
+        return Verdict.NO, None
     if _bfs_canonical_form(space_a, flags_a) == _bfs_canonical_form(space_b, flags_b):
         return Verdict.YES, "identical-presentation"
     try:
@@ -548,7 +549,7 @@ def _reference_pair_verdict(space_a, marks_a, space_b, marks_b) -> tuple[Verdict
         return Verdict.UNKNOWN, None
     if _key(expr_a) == _key(expr_b):
         return Verdict.YES, "end-expression-normal-form"
-    return Verdict.NO, "normal-form"
+    return Verdict.NO, None
 
 
 def _bfs_canonical_form(space: EndsAutomaton, flags: list) -> tuple:
@@ -1368,7 +1369,7 @@ def test_pair_verdicts():
     assert cb_report(a17).invariant_key() == cb_report(a18).invariant_key()
     assert pair_homeomorphic(a17, a18) is Verdict.NO
     verdict = _pair_verdict(a17, _closure(a17, _nonplanar(a17)), a18, _closure(a18, _nonplanar(a18)))
-    assert verdict == (Verdict.NO, "invariants")
+    assert verdict == (Verdict.NO, None)
 
     # same ends space, outside the expression fragment: only the marked
     # subspace's CB data tell the pairs apart
@@ -1378,16 +1379,18 @@ def test_pair_verdicts():
     mixed = ends_automaton(MIXED)
     verdict = _pair_verdict(mixed_marked, _closure(mixed_marked, _nonplanar(mixed_marked)),
                             mixed, _closure(mixed, ()))
-    assert verdict == (Verdict.NO, "invariants")
+    assert verdict == (Verdict.NO, None)
 
     # equal CB data of the spaces and of the non-planar subspaces; only the
     # normal forms tell a non-planar limit of punctures from a separate one
     lim = realize(INFINITE, Seq(Pt(False), True))
     apart = realize(INFINITE, Union((Seq(Pt(False), False), Pt(True))))
     a_lim, a_apart = ends_automaton(lim), ends_automaton(apart)
+    assert _cb_data(a_lim) == _cb_data(a_apart)
+    assert _cb_data(a_lim, a_lim.handle_closure) == _cb_data(a_apart, a_apart.handle_closure)
     verdict = _pair_verdict(a_lim, _closure(a_lim, _nonplanar(a_lim)),
                             a_apart, _closure(a_apart, _nonplanar(a_apart)))
-    assert verdict == (Verdict.NO, "normal-form")
+    assert verdict == (Verdict.NO, None)
     assert kerekjarto(lim, apart).to_json() == {"verdict": "NotHomeomorphic", "witness": "ends-pair"}
 
     mixed_swapped = parse_presentation(
@@ -1397,6 +1400,26 @@ def test_pair_verdicts():
         pair_homeomorphic(ends_automaton(MIXED), ends_automaton(mixed_swapped))
         is Verdict.UNKNOWN
     )
+
+
+def _calls(monkeypatch, name: str, ask) -> int:
+    """How many times ``ask()`` calls ``endkit.ends.<name>``."""
+    calls, real = [], getattr(endkit.ends, name)
+    with monkeypatch.context() as patch:
+        patch.setattr(endkit.ends, name, lambda *args: calls.append(args) or real(*args))
+        ask()
+    return len(calls)
+
+
+def test_pair_verdict_folds_only_what_decides(monkeypatch):
+    """Equal canonical forms decide without a normal form, and a No that the
+    normal forms decide reads no CB data."""
+    renamed = parse_presentation("surface flute2 { a = P(a, b); b = A(b) }")
+    assert _calls(monkeypatch, "_to_expr", lambda: kerekjarto(FLUTE, renamed)) == 0
+    assert kerekjarto(FLUTE, renamed).witness == "identical-presentation"
+    assert _calls(monkeypatch, "_cb_data", lambda: kerekjarto(FLUTE, CANTOR)) == 0
+    assert _calls(monkeypatch, "_to_expr", lambda: kerekjarto(FLUTE, CANTOR)) == 2
+    assert kerekjarto(FLUTE, CANTOR).to_json() == {"verdict": "NotHomeomorphic", "witness": "ends-pair"}
 
 
 # -- deep inputs: past the default recursion limit -------------------------

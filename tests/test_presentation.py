@@ -702,6 +702,21 @@ def test_edit_adding_only_an_unreachable_rule_is_not_seen_by_the_walks():
         genus(p)
 
 
+@pytest.mark.parametrize("ask", [
+    genus, lambda p: to_end_expr(ends_automaton(p)), lambda p: decompose(p, "strict", 4),
+    lambda p: first_occurrences(p, BlockKind.PANTS, 2), lambda p: interchange_normalize(p, [(1,)]),
+    spine, lambda p: splice_annulus(p, "root", 0),
+], ids=["genus", "to_end_expr", "decompose", "first_occurrences", "interchange_normalize", "spine",
+        "splice_annulus"])
+def test_edit_unsetting_the_root_answers_for_the_first_rule(ask):
+    """A root unset in place is the first rule, as in the constructor;
+    decompose, first_occurrences and interchange_normalize raised a bare
+    AssertionError."""
+    p = parse_presentation(FLUTE)
+    p.root = None
+    assert _answer(ask, p) == _answer(ask, parse_presentation(FLUTE))
+
+
 def _answer(ask, p):
     """What ``ask`` answers for ``p``, or the class of the error it raises."""
     try:
