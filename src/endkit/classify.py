@@ -9,7 +9,7 @@ pair to the ends machinery; `realize` goes the other way and compiles a
 
 from enum import Enum
 
-from ._record import Record
+from ._record import Record, _is_int
 from .errors import ClassifyError, InconsistentInvariantsError
 from .presentation import (
     INFINITE,
@@ -157,8 +157,8 @@ def distinct_family(n: int) -> list[SurfacePresentation]:
     The ends spaces have pairwise different cardinalities: one end, a
     Cantor set, a converging sequence, then 4, 5, ... ends.
     """
-    if n < 1:
-        raise ClassifyError(f"family size must be positive, got {n}")
+    if not _is_int(n) or n < 1:
+        raise ClassifyError(f"family size must be positive, got {n!r}")
     exprs: list[EndExpr] = [
         Pt(True),
         Cantor(True),

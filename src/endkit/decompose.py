@@ -29,6 +29,7 @@ from .errors import (
     PuncturedTorusExcludedInStrictError,
 )
 from .presentation import (
+    ACYCLIC,
     INFINITE,
     BlockKind,
     EndsAutomaton,
@@ -40,7 +41,6 @@ from .presentation import (
     regularize,
     _first_paths,
     _is_int,
-    _occurrences,
     _rule,
 )
 
@@ -292,10 +292,11 @@ def decompose(
 
 def _first_path_of(pres: SurfacePresentation, name: str, auto: EndsAutomaton) -> Path:
     """First unfolding path of state ``name``, which must occur finitely
-    often: a state on or after a rule-graph cycle recurs without end."""
+    often: a state that a rule-graph cycle reaches recurs without end."""
     if name not in pres.rules:
         raise DecomposeError(f"unknown or unreachable state {name!r}")
-    if _occurrences(auto, {auto.names.index(name)})[-1] == INFINITE:
+    cyclic = [s for c, shape in zip(auto.components, auto.shapes) if shape != ACYCLIC for s in c]
+    if auto.names.index(name) in forward(auto.transitions, cyclic):
         raise OccurrenceInsideCycleError(
             f"state {name!r} recurs inside a cycle; address one occurrence by path"
         )
@@ -319,7 +320,12 @@ def _rebuild(
     named = any(isinstance(occ, str) for occ in front)
     auto = ends_automaton(pres) if named else None
     for occ in front:
-        path = _first_path_of(pres, occ, auto) if isinstance(occ, str) else tuple(occ)
+        if isinstance(occ, str):
+            path = _first_path_of(pres, occ, auto)
+        elif isinstance(occ, (tuple, list)) and all(map(_is_int, occ)):
+            path = tuple(occ)
+        else:
+            raise DecomposeError(f"invalid unfolding path {occ!r}: a path is a tuple of naturals")
         node = 0
         for step, i in enumerate(path):
             children = _rule(pres, states[node])[1]
@@ -408,7 +414,8 @@ def interchange_normalize(
     homeomorphism.
 
     Occurrences are unfolding paths (tuples of child indices), or state
-    names for states occurring only in the finite prefix before any cycle.
+    names for states occurring only in the finite prefix before any cycle;
+    any other entry raises DecomposeError.
     A fault that an edit in place left on the walked paths, or below them,
     raises the constructor's error; an edit that only adds an unreachable
     rule is not seen.

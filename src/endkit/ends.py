@@ -624,12 +624,6 @@ def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
 
 # -- homeomorphism decision for pairs --------------------------------------
 
-def _canonical_form(space: EndsAutomaton, marked: Sequence[Genus]) -> tuple:
-    """The numbered transitions, a canonical relabelling, with one flag per
-    state: whether its component is in the mark closure ``marked``."""
-    return space.transitions, [marked[i] != 0 for i in space.component_of]
-
-
 def _pair_verdict(
     space_a: EndsAutomaton,
     marked_a: Sequence[Genus],
@@ -640,12 +634,13 @@ def _pair_verdict(
     the fragment that decided a Yes: 'identical-presentation' or
     'end-expression-normal-form'; None for No and Unknown.
 
-    One pass in order of cost: equal canonical forms describe one marked
-    system, so they decide a Yes alone; else the normal forms decide; the
-    CB data of the spaces, then of their marked subspaces, are read only
-    when a side has no normal form, and separate a No from Unknown."""
-    if space_a.transitions == space_b.transitions and (  # the cheap guard: no flags built
-        _canonical_form(space_a, marked_a) == _canonical_form(space_b, marked_b)
+    One pass in order of cost: equal ``transitions`` are one system with
+    one condensation, so with the same components marked they decide a Yes
+    alone; else the normal forms decide; the CB data of the spaces, then of
+    their marked subspaces, are read only when a side has no normal form,
+    and separate a No from Unknown."""
+    if space_a.transitions == space_b.transitions and (  # one system: its marks as flags
+        [m != 0 for m in marked_a] == [m != 0 for m in marked_b]
     ):
         return Verdict.YES, FRAGMENT_IDENTICAL
     forms = _Forms()  # both sides in one table: equal forms are equal bags

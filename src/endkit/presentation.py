@@ -299,15 +299,16 @@ def pretty_print(pres: SurfacePresentation) -> str:
 #
 # ends_automaton() numbers the states reachable from the root and compiles
 # their condensation, and every invariant reads that; ``forward`` walks a
-# successor map (each state to its children, in child order).  Both are
-# iterative and O(states + edges).
+# successor map (each state to its children, in child order), or an
+# automaton's ``transitions``.  Both are iterative and O(states + edges).
 
-Successors = Mapping[str, Sequence[str]]
+Successors = Mapping[str, Sequence[str]] | Sequence[Sequence[int]]
 
 
-def forward(succ: Successors, starts: Iterable[str]) -> list[str]:
+def forward(succ: Successors, starts: Iterable) -> list:
     """States reachable from ``starts`` (included), in breadth-first
-    discovery order."""
+    discovery order; ``succ`` maps each state to its children, as a
+    successor map or a list indexed by state number."""
     order = list(dict.fromkeys(starts))
     seen = set(order)
     for state in order:  # grows while it is walked
@@ -348,23 +349,22 @@ class EndsAutomaton(Record):
     ``names[s]`` names state s, and ``transitions[s]`` holds the numbers of
     its children, in child order with multiplicity: the numbering depends on
     the rooted graph alone, not on names or rule order, so equal
-    ``transitions`` are isomorphic systems.  ``nonplanar_states`` holds the
-    Handle states.  ``components`` is the SCC condensation in reverse
-    topological order, the root's last, and ``component_of[s]`` the index of
-    the component of s.  Component ``i`` has the shape ``shapes[i]`` and
-    ``exits[i]``, the components of its members' children outside it, with
-    multiplicity.  ``handle_closure[i]`` is 1 when a Handle state lies in
-    or below component i, else 0, and ``pants_closure`` the same for Pants;
-    ``handle_count`` and ``pants_count`` count the Handle and Pants nodes of
-    the whole unfolding (the genus, and one less than the ends of a finite
-    type), INFINITE when one lies on or after a cycle.  Every invariant walks
-    this table children first, and reads a marked subspace off it as a union
-    of components.
+    ``transitions`` are isomorphic systems with one condensation.
+    ``nonplanar_states`` holds the Handle states.  ``components`` is the SCC
+    condensation in reverse topological order, the root's last, each
+    component the list of its members.  Component ``i`` has the shape
+    ``shapes[i]`` and ``exits[i]``, the components of its members' children
+    outside it, with multiplicity.  ``handle_closure[i]`` is 1 when a Handle
+    state lies in or below component i, else 0, and ``pants_closure`` the
+    same for Pants; ``handle_count`` and ``pants_count`` count the Handle and
+    Pants nodes of the whole unfolding (the genus, and one less than the
+    ends of a finite type), INFINITE when one lies on or after a cycle.
+    Every invariant walks this table children first, and reads a marked
+    subspace off it as a union of components.
     """
 
-    __slots__ = ("names", "transitions", "nonplanar_states", "components", "component_of",
-                 "exits", "shapes", "handle_closure", "pants_closure", "handle_count",
-                 "pants_count")
+    __slots__ = ("names", "transitions", "nonplanar_states", "components", "exits", "shapes",
+                 "handle_closure", "pants_closure", "handle_count", "pants_count")
 
 
 def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
@@ -401,15 +401,17 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
     its members reach.  A state's link starts at its number and is lowered
     by the links of the states it reaches on the stack; a closed state's
     link is above every number, so no on-stack set is kept.  As a component
-    closes it counts the Handle and Pants nodes below one of its states, as
-    `_occurrences` does; only the root's counts outlive the walk.  None at a
+    closes it counts the Handle and Pants nodes of the unfolding below one
+    of its states, with child multiplicity (``P(a, a)`` doubles): INFINITE
+    when one lies on or after a cycle, as a cycle repeats forever every node
+    on or below it; only the root's counts outlive the walk.  None at a
     wrong arity or an unmet rule; KeyError at an undefined state."""
     kind, children = rules[root]
     if len(children) != _ARITY[kind]:
         return None
     closed, handle, arity = len(rules), BlockKind.HANDLE, _ARITY
     index, names, handles = {root: 0}, [root], {0} if kind is handle else set()
-    transitions, component_of, components, exits, shapes = [()] * closed, [0] * closed, [], [], []
+    transitions, scc_of, components, exits, shapes = [()] * closed, [0] * closed, [], [], []
     low, stack, work = list(range(closed)), [0], [(0, children, iter(children))]
     hs, ps = [], []  # per component, its Handle and Pants counts
     while work:
@@ -442,16 +444,16 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
             if stack[-1] == state and state not in ts:  # alone, on no cycle: a list each
                 stack.pop()
                 low[state] = closed
-                component_of[state] = i
+                scc_of[state] = i
                 components.append([state])
                 shapes.append(ACYCLIC)
-                c = component_of[ts[0]]
+                c = scc_of[ts[0]]
                 if len(ts) == 1:
                     exits.append([c])
                     hs.append(hs[c] + (state in handles))
                     ps.append(ps[c])
                     continue
-                d = component_of[ts[1]]
+                d = scc_of[ts[1]]
                 exits.append([c, d])
                 try:
                     hs.append(hs[c] + hs[d])
@@ -466,8 +468,8 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
             del stack[-len(members):]
             for s in members:
                 low[s] = closed
-                component_of[s] = i
-            ks = [component_of[k] for s in members for k in transitions[s]]
+                scc_of[s] = i
+            ks = [scc_of[k] for s in members for k in transitions[s]]
             out = [k for k in ks if k != i]
             components.append(members)
             exits.append(out)
@@ -481,33 +483,8 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
     if len(names) != closed:
         return None
     # every field positional: the record constructor's fast path
-    return EndsAutomaton(names, transitions, frozenset(handles), components, component_of,
-                         exits, shapes, bytes(map(bool, hs)), bytes(map(bool, ps)), hs[-1], ps[-1])
-
-
-def _occurrences(auto: EndsAutomaton, targets: AbstractSet[int]) -> list[Genus]:
-    """Per component, the number of unfolding-tree nodes labeled by
-    ``targets`` below one of its states, with child multiplicity (``P(a, a)``
-    doubles); INFINITE when a target lies on or after a cycle, as a cycle
-    with a target on or below it repeats that target forever.  The root's
-    entry, the last, counts the whole unfolding; the non-zero entries are
-    the mark closure, the components whose states reach a target.  The
-    Handle and Pants counts are compiled with the automaton; this counts
-    any other set of states."""
-    if not targets:
-        return [0] * len(auto.components)
-    below: list[Genus] = []
-    for members, exits, shape in zip(auto.components, auto.exits, auto.shapes):
-        try:
-            n = sum(map(below.__getitem__, exits))
-        except OverflowError:  # INFINITE, a float, plus an integer past 2**1024
-            n = INFINITE
-        if shape:
-            n = INFINITE if n or not targets.isdisjoint(members) else 0
-        else:
-            n += members[0] in targets
-        below.append(n)
-    return below
+    return EndsAutomaton(names, transitions, frozenset(handles), components, exits, shapes,
+                         bytes(map(bool, hs)), bytes(map(bool, ps)), hs[-1], ps[-1])
 
 
 # -- invariants ------------------------------------------------------------
@@ -593,12 +570,16 @@ def regularize(pres: SurfacePresentation) -> SurfacePresentation:
 
 def splice_annulus(pres: SurfacePresentation, state: str, slot: int) -> SurfacePresentation:
     """Insert an annulus block, a fresh ``sp<i>`` state, on one child edge;
-    the surface is unchanged."""
+    the surface is unchanged.  ValueError when ``state`` has no rule or
+    ``slot`` is not an index of its children."""
     pres = regularize(pres)
     assert pres.rules is not None
-    kind, children = pres.rules[state]
-    if not 0 <= slot < len(children):
-        raise ValueError(f"slot {slot} out of range for {state}")
+    try:
+        kind, children = pres.rules[state]
+    except (KeyError, TypeError):  # undefined, or unhashable
+        raise ValueError(f"no state {state!r} to splice") from None
+    if not _is_int(slot) or not 0 <= slot < len(children):
+        raise ValueError(f"slot {slot!r} out of range for {state}")
     i = 0
     while f"sp{i}" in pres.rules:
         i += 1
@@ -659,11 +640,13 @@ def first_occurrences(
 ) -> list[tuple[int, ...]]:
     """Paths of the first ``count`` unfolding occurrences of ``kind``;
     ValueError when the unfolding holds fewer, or when ``count`` is not a
-    natural.  A rule that an edit in place left faulty raises the
-    constructor's error; an edit that only adds an unreachable rule is not
-    seen."""
+    natural or ``kind`` not a BlockKind.  A rule that an edit in place left
+    faulty raises the constructor's error; an edit that only adds an
+    unreachable rule is not seen."""
     if not _is_int(count) or count < 0:
         raise ValueError(f"count must be a natural, got {count!r}")
+    if not isinstance(kind, BlockKind):
+        raise ValueError(f"kind must be a BlockKind, got {kind!r}")
     pres = regularize(pres)
     paths = _first_paths(pres, {s for s in pres.rules if _rule(pres, s)[0] is kind}, count)
     if len(paths) < count:

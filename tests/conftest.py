@@ -146,6 +146,29 @@ def shaped_cycles(auto: EndsAutomaton) -> set[str]:
     return {auto.names[s] for c, shape in zip(auto.components, auto.shapes) if shape for s in c}
 
 
+def _occurrences(auto: EndsAutomaton, targets) -> list:
+    """The reference counter that the compiled counts are checked against:
+    per component, the number of unfolding-tree nodes labeled by ``targets``
+    (state numbers) below one of its states, with child multiplicity
+    (``P(a, a)`` doubles); INFINITE when a target lies on or after a cycle,
+    as a cycle with a target on or below it repeats that target forever.
+    The root's entry, the last, counts the whole unfolding; the non-zero
+    entries are the mark closure, the components whose states reach a
+    target."""
+    below: list = []
+    for members, exits, shape in zip(auto.components, auto.exits, auto.shapes):
+        try:
+            n = sum(map(below.__getitem__, exits))
+        except OverflowError:  # INFINITE, a float, plus an integer past 2**1024
+            n = INFINITE
+        if shape:
+            n = INFINITE if n or not targets.isdisjoint(members) else 0
+        else:
+            n += members[0] in targets
+        below.append(n)
+    return below
+
+
 @st.composite
 def presentations(draw, max_states: int = 5) -> SurfacePresentation:
     """Arbitrary rule system, pruned to the states reachable from the root."""

@@ -10,6 +10,7 @@ from endkit import (
     BlockKind,
     Cantor,
     Cardinality,
+    ClassifyError,
     ClassVerdict,
     InconsistentInvariantsError,
     Pt,
@@ -184,6 +185,13 @@ def test_distinct_family_profile():
     assert [c.count for c in counts[3:]] == [4, 5, 6]
     for p in family:
         assert genus(p) == INFINITE
+
+
+@pytest.mark.parametrize("n", [2.0, "2", True, None, 0])
+def test_distinct_family_size_is_a_positive_integer(n):
+    """2.0 and "2" raised a bare TypeError, and True answered one member."""
+    with pytest.raises(ClassifyError, match="family size must be positive"):
+        distinct_family(n)
 
 
 def test_distinct_family_small_sizes():

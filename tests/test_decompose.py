@@ -49,9 +49,11 @@ from endkit import (
 )
 from endkit.decompose import Edge, _complement_census, _first_path_of
 from endkit.ends import _pair_verdict
-from endkit.presentation import _first_paths, _occurrences, ends_automaton, forward
+from endkit.presentation import _first_paths, ends_automaton, forward
 
-from conftest import _on_cycles, bench_inputs, census_cores, finite_type_pairs, presentations
+from conftest import (
+    _occurrences, _on_cycles, bench_inputs, census_cores, finite_type_pairs, presentations,
+)
 
 LOCH = parse_presentation("surface loch_ness { root = H(root) }")
 FLUTE = parse_presentation("surface flute { root = P(root, punc); punc = A(punc) }")
@@ -788,9 +790,9 @@ def _after_cycles(pres: SurfacePresentation) -> set[str]:
 @settings(max_examples=200, deadline=None)
 @given(presentations(max_states=8))
 def test_named_fronts_refuse_exactly_the_states_on_or_after_cycles(pres):
-    """A state name in the front is checked by its occurrence count: a state
-    on or after a cycle recurs without end, and any other is pulled from its
-    first unfolding path."""
+    """A state name in the front is checked by whether a cycle reaches it:
+    a state on or after a cycle recurs without end, and any other is pulled
+    from its first unfolding path."""
     unfolding = list(pres.unfold(max_nodes=600))  # covers the acyclic prefix of 8 states
     after = _after_cycles(pres)
     for state in pres.rules:
@@ -824,6 +826,14 @@ def test_interchange_front_order_and_errors():
         interchange_normalize(FLUTE, [(0,), (0,), (0, 5)])
     with pytest.raises(DecomposeError, match="duplicate occurrence"):
         interchange_normalize(FLUTE, [(0,), (0,)])
+
+
+@pytest.mark.parametrize("entry", [(0.0,), ("0",), None, 5, (True,), (0, None)])
+def test_interchange_refuses_an_entry_that_is_no_path_or_name(entry):
+    """(0.0,), ("0",), None and 5 raised a bare TypeError, and (True,) was
+    read as (1,)."""
+    with pytest.raises(DecomposeError, match="invalid unfolding path"):
+        interchange_normalize(FLUTE, [entry])
 
 
 def test_fresh_names_step_past_the_taken_ones():

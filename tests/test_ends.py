@@ -57,7 +57,6 @@ import endkit.presentation
 from endkit.ends import (
     EndExpr,
     EndsAutomaton,
-    _canonical_form,
     _cb,
     _cb_data,
     _fold,
@@ -71,11 +70,11 @@ from endkit.ends import (
     _walk,
 )
 from endkit._record import replace
-from endkit.presentation import ACYCLIC, BRANCHING, CYCLE, Successors, _occurrences, forward
+from endkit.presentation import ACYCLIC, BRANCHING, CYCLE, Successors, forward
 
 from conftest import (
-    _on_cycles, backward, bench_inputs, census_cores, end_exprs, named, presentations,
-    reference_sccs, shaped_cycles, successor_maps,
+    _occurrences, _on_cycles, backward, bench_inputs, census_cores, end_exprs, named,
+    presentations, reference_sccs, shaped_cycles, successor_maps,
 )
 
 LOCH = parse_presentation("surface loch_ness { root = H(root) }")
@@ -231,10 +230,9 @@ def _compile(succ: Successors, nonplanar: AbstractSet[str], components: list[lis
             shapes[i] = BRANCHING if len(inside) > 1 else shapes[i] or CYCLE
     marked = frozenset(number[s] for s in nonplanar if s in number)
     pants = frozenset(s for s, cs in enumerate(transitions) if len(cs) == 2)
-    table = EndsAutomaton(list(succ), transitions, marked, numbered, component_of, exits, shapes,
-                          b"", b"", 0, 0)
+    table = EndsAutomaton(list(succ), transitions, marked, numbered, exits, shapes, b"", b"", 0, 0)
     hs, ps = _occurrences(table, marked), _occurrences(table, pants)
-    return EndsAutomaton(list(succ), transitions, marked, numbered, component_of, exits, shapes,
+    return EndsAutomaton(list(succ), transitions, marked, numbered, exits, shapes,
                          bytes(map(bool, hs)), bytes(map(bool, ps)), hs[-1] if hs else 0,
                          ps[-1] if ps else 0)
 
@@ -554,9 +552,9 @@ def _reference_pair_verdict(space_a, marks_a, space_b, marks_b) -> tuple[Verdict
 
 def _bfs_canonical_form(space: EndsAutomaton, flags: list) -> tuple:
     """The canonical form the numbering replaced, the differential oracle
-    for `_canonical_form`: states relabelled by breadth-first discovery
-    order from the root (child order preserved), each with its component's
-    flag."""
+    for the pair verdict's guard: states relabelled by breadth-first
+    discovery order from the root (child order preserved), each with its
+    component's flag."""
     succ, names = named(space), space.names
     flag_of = {names[s]: flags[i] != 0 for i, c in enumerate(space.components) for s in c}
     order = forward(succ, [names[0]])
@@ -614,8 +612,9 @@ def test_to_end_expr_and_pair_verdicts_match_the_reference_route(p, q, data):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_canonical_form_is_equal_where_the_relabelling_was_on_the_census(seed):
-    """Over the census cores, all pairs: the numbered canonical form is equal
-    exactly where the breadth-first relabelling it replaced is, under the
+    """Over the census cores, all pairs: the numbered transitions with one
+    flag per component, what the pair verdict's guard compares, are equal
+    exactly where the breadth-first relabelling they replaced is, under the
     non-planar closure `kerekjarto` reads and the core `graph_phe_equal`
     reads, so ``identical-presentation`` decides the same pairs."""
     spines = [spine(core) for core in census_cores(seed)]
@@ -627,8 +626,7 @@ def test_canonical_form_is_equal_where_the_relabelling_was_on_the_census(seed):
                 flags = [n != 0 for n in _occurrences(auto, auto.nonplanar_states)]
             else:
                 flags = [auto.names[c[0]] in found.core_states for c in auto.components]
-            transitions, marks = _canonical_form(auto, flags)
-            new.append((tuple(transitions), tuple(marks)))
+            new.append((tuple(auto.transitions), tuple(flags)))
             old.append(_bfs_canonical_form(auto, flags))
         assert len(set(new)) == len(set(old)) == len(set(zip(new, old))) < len(spines)
 
@@ -771,7 +769,9 @@ def test_counts_past_the_float_range(monkeypatch):
     auto = ends_automaton(beside)
     for surface in (points, countable, alone, beside, above):
         _assert_compiled_counts(surface)
-    assert _occurrences(auto, auto.nonplanar_states)[auto.component_of[auto.names.index("x0")]] == 2**n
+    x0 = auto.names.index("x0")
+    assert _occurrences(auto, auto.nonplanar_states)[next(
+        i for i, c in enumerate(auto.components) if x0 in c)] == 2**n
     assert set(_closure(auto, _nonplanar(auto))) == {0, 1}
     assert (genus(alone), genus(beside), genus(above)) == (2**n, INFINITE, 2**n + 1)
     assert format_end_expr(to_end_expr(auto)) == "Union(Pt(nonplanar), Cantor(planar))"
@@ -897,19 +897,10 @@ def test_the_one_loop_cb_steps_as_the_four_pass_combiner(kind, kids):
     assert repr(_cb(kind, None, kids)) == repr(expected)
 
 
-def test_deep_questions_read_the_compiled_counts(monkeypatch):
+def test_deep_questions_read_the_compiled_counts():
     """The deep-invariants questions, then kerekjarto against a spliced
-    copy, count no occurrences again: each reads the automaton's fields."""
-    calls = []
-    real = endkit.presentation._occurrences
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("endkit") and hasattr(module, "_occurrences"):
-            monkeypatch.setattr(module, "_occurrences", counting)
+    copy, count no occurrences again: each reads the automaton's fields,
+    and no endkit module keeps an occurrence counter."""
     p = bench_inputs().cantor_marked(100)
     copy = splice_annulus(p, "h", 0)
     genus(p), is_finite_type(p)
@@ -918,7 +909,8 @@ def test_deep_questions_read_the_compiled_counts(monkeypatch):
         ends_count(auto, marked), cb_report(auto, marked)
     to_end_expr(auto)
     assert kerekjarto(p, copy).to_json() == {"verdict": "Homeomorphic"}
-    assert calls == []
+    modules = [m for name, m in sys.modules.items() if name.startswith("endkit")]
+    assert not any(hasattr(m, "_occurrences") for m in modules)
     assert not hasattr(endkit.presentation, "_pants")
 
 
@@ -1422,6 +1414,18 @@ def test_pair_verdict_folds_only_what_decides(monkeypatch):
     assert kerekjarto(FLUTE, CANTOR).to_json() == {"verdict": "NotHomeomorphic", "witness": "ends-pair"}
 
 
+def test_the_guard_reads_marks_as_flags():
+    """A flute with Handle teeth and a renamed copy: one side marked by its
+    compiled closure (bytes of 0 and 1), the other by the reference counts
+    (2 and INFINITE among them), mark the same components, so the guard
+    answers without a normal form."""
+    teeth = parse_presentation("surface f { root = P(root, tooth); tooth = P(h, h); h = H(t); t = A(t) }")
+    a, b = ends_automaton(teeth), ends_automaton(_renamed(teeth))
+    counts = _occurrences(b, b.nonplanar_states)
+    assert isinstance(a.handle_closure, bytes) and {2, INFINITE} <= set(counts)
+    assert _pair_verdict(a, a.handle_closure, b, counts) == (Verdict.YES, "identical-presentation")
+
+
 # -- deep inputs: past the default recursion limit -------------------------
 
 A, P, H = BlockKind.ANNULUS, BlockKind.PANTS, BlockKind.HANDLE
@@ -1618,7 +1622,8 @@ class _CountedReads(Sequence):
 )
 def test_invariants_read_the_compiled_condensation_only(pres):
     """Counts, CB data, genus and the normal form walk the compiled table,
-    never the successor list; the canonical form is that list itself."""
+    never the successor list; the pair verdict's guard compares that list
+    itself."""
     auto = ends_automaton(pres)
     counted = _CountedReads(auto.transitions)
     auto = replace(auto, transitions=counted)
@@ -1629,4 +1634,5 @@ def test_invariants_read_the_compiled_condensation_only(pres):
     with contextlib.suppress(NotConvertibleError):
         to_end_expr(auto)
     assert counted.reads == 0
-    assert _canonical_form(auto, _closure(auto, _nonplanar(auto)))[0] is counted
+    closure = _closure(auto, _nonplanar(auto))
+    assert _pair_verdict(auto, closure, auto, closure) == (Verdict.YES, "identical-presentation")

@@ -42,13 +42,12 @@ from endkit.cli import main
 from endkit.classify import ClassVerdict
 from endkit.ends import Cardinality, EndsCount
 from endkit.presentation import (
-    ACYCLIC, BRANCHING, CYCLE, MAX_DIGITS, EndsAutomaton, Successors, _occurrences,
-    ends_automaton, forward,
+    ACYCLIC, BRANCHING, CYCLE, MAX_DIGITS, EndsAutomaton, Successors, ends_automaton, forward,
 )
 
 from conftest import (
-    _on_cycles, backward, bench_inputs, named, presentations, reference_sccs, shaped_cycles,
-    successor_maps,
+    _occurrences, _on_cycles, backward, bench_inputs, named, presentations, reference_sccs,
+    shaped_cycles, successor_maps,
 )
 
 LOCH = "surface loch_ness { root = H(root) }"
@@ -227,6 +226,18 @@ def test_splice_annulus_refuses_a_slot_out_of_range():
         splice_annulus(flute, "punc", 1)
 
 
+@pytest.mark.parametrize("state, slot, message", [
+    ("nope", 0, "no state 'nope' to splice"), (["x"], 0, r"no state \['x'\] to splice"),
+    ("root", 0.0, "slot 0.0 out of range for root"), ("root", True, "slot True out of range for root"),
+])
+def test_splice_annulus_refuses_an_unknown_state_or_a_slot_not_a_natural(state, slot, message):
+    """An unknown state raised a bare KeyError, an unhashable one and a float
+    slot a bare TypeError, and True spliced slot 1."""
+    flute = parse_presentation("surface flute { root = P(root, punc); punc = A(punc) }")
+    with pytest.raises(ValueError, match=message):
+        splice_annulus(flute, state, slot)
+
+
 def test_splice_annulus_on_a_finite_triple():
     ft = parse_presentation("surface x finite S(g=1, b=0, p=2)")
     spliced = splice_annulus(ft, "h1", 0)
@@ -318,6 +329,13 @@ def test_first_occurrences_count_is_a_natural(count):
     """1.5 found two paths, and True one."""
     with pytest.raises(ValueError, match="count must be a natural"):
         first_occurrences(parse_presentation(FLUTE), BlockKind.PANTS, count)
+
+
+@pytest.mark.parametrize("kind", ["P", 1, None, "PANTS"])
+def test_first_occurrences_kind_is_a_block_kind(kind):
+    """A kind that is not a BlockKind raised a bare AttributeError."""
+    with pytest.raises(ValueError, match="kind must be a BlockKind"):
+        first_occurrences(parse_presentation(FLUTE), kind, 1)
 
 
 @pytest.mark.parametrize("data", [(1.5, 0, 1), (0, True, 1), (0, 0, "1"), (0, 0, None)])
@@ -427,7 +445,7 @@ def _assert_components_match_the_textbook_tarjan(auto: EndsAutomaton) -> None:
     components = reference_sccs(succ)
     assert [sorted(names[s] for s in c) for c in auto.components] == [sorted(c) for c in components]
     position = {s: i for i, c in enumerate(components) for s in c}
-    assert auto.component_of == [position[s] for s in names]
+    assert {names[s]: i for i, c in enumerate(auto.components) for s in c} == position
     number = {s: i for i, s in enumerate(names)}
     for i, c in enumerate(components):
         members = sorted(c, key=number.__getitem__)

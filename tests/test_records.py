@@ -49,7 +49,7 @@ from endkit.rewrite import replace
 
 _FLUTE_RULES = {"r": (BlockKind.PANTS, ("r", "t")), "t": (BlockKind.ANNULUS, ("t",))}
 _AUTOMATON = EndsAutomaton(
-    ["r", "t"], [(0, 1), (1,)], frozenset(), [[1], [0]], [1, 0], [[], [0]], [1, 1],
+    ["r", "t"], [(0, 1), (1,)], frozenset(), [[1], [0]], [[], [0]], [1, 1],
     b"\0\0", b"\0\1", 0, INFINITE,
 )
 _PRES = SurfacePresentation("flute", dict(_FLUTE_RULES))
@@ -66,11 +66,10 @@ _TRACE_STEP = TraceStep("r1_disk_removal", (1, 0), (0, 0))
 RECORDS = [
     (FiniteType(2, 0, 3), ("genus", "boundary", "punctures"),
      "FiniteType(genus=2, boundary=0, punctures=3)"),
-    (_AUTOMATON, ("names", "transitions", "nonplanar_states", "components", "component_of",
-                  "exits", "shapes", "handle_closure", "pants_closure", "handle_count",
-                  "pants_count"),
+    (_AUTOMATON, ("names", "transitions", "nonplanar_states", "components", "exits", "shapes",
+                  "handle_closure", "pants_closure", "handle_count", "pants_count"),
      "EndsAutomaton(names=['r', 't'], transitions=[(0, 1), (1,)], nonplanar_states=frozenset(), "
-     "components=[[1], [0]], component_of=[1, 0], exits=[[], [0]], shapes=[1, 1], "
+     "components=[[1], [0]], exits=[[], [0]], shapes=[1, 1], "
      "handle_closure=b'\\x00\\x00', pants_closure=b'\\x00\\x01', handle_count=0, pants_count=inf)"),
     (EndsCount(Cardinality.FINITE, 2), ("cardinality", "count"),
      "EndsCount(cardinality=<Cardinality.FINITE: 'finite'>, count=2)"),
