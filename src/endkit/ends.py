@@ -217,9 +217,17 @@ def _cardinality(kernel: bool, count: Genus) -> EndsCount:
 
 
 def _cb_data(space: EndsAutomaton, within: Sequence[Genus] | None = None) -> _CBData:
-    """CB data of the paths that stay ``within`` (see _fold_components)."""
-    rank, last, kernel, count = _fold_components(space, _cb, within) or _EMPTY_CB
-    return rank, last, kernel, _cardinality(kernel, count)
+    """CB data of the paths that stay ``within`` (see _fold_components); the
+    whole space's and its marked subspace's (``within`` is its own
+    ``handle_closure``) are folded once and kept on the automaton."""
+    slot = 0 if within is None else 1 if within is space.handle_closure else None
+    data = None if slot is None else space._folds[slot]
+    if data is None:
+        rank, last, kernel, count = _fold_components(space, _cb, within) or _EMPTY_CB
+        data = rank, last, kernel, _cardinality(kernel, count)
+        if slot is not None:
+            space._folds[slot] = data
+    return data
 
 
 def _cb_of(automaton: EndsAutomaton, marked: str) -> _CBData:
@@ -370,10 +378,11 @@ def _has_nonplanar(e: EndExpr) -> bool:
 
 
 class _Forms:
-    """An intern table of normal forms, for one call or one pair: each
-    distinct normal form gets a small integer id, keyed by (tag, mark, child
-    ids) with the tags and marks of `_key`, a Union's children ranked by
-    `_key`.  Equal forms get equal ids, so equality and dedupe compare ids.
+    """An intern table of normal forms, for one call, one automaton or one
+    pair (see `_pair_verdict`): each distinct normal form gets a small
+    integer id, keyed by (tag, mark, child ids) with the tags and marks of
+    `_key`, a Union's children ranked by `_key`.  Equal forms get equal
+    ids, so equality and dedupe compare ids.
 
     A union under construction is a bag ``{id: multiplicity}`` of non-Union
     parts.  Unions flatten, so a Union is never a part of a Union, and under
@@ -455,6 +464,16 @@ class _Forms:
                 inside.update(((i, s), i in seen) for i in asked)
             absorbed.update(i for i in asked if inside[i, s])
         return {i: 1 if nodes[i][0] == 1 else m for i, m in merged.items() if i not in absorbed}
+
+    def find(self, other: "_Forms", bag: dict[int, int]) -> dict[int | None, int]:
+        """``bag``, a bag of table ``other``, as a bag of this one, reading
+        this table only: a part whose form is not here becomes a None key.
+        A form's parts have smaller ids, and a Union's are ranked by `_key`
+        in every table, so each form is looked up after its parts."""
+        found: list[int | None] = []
+        for tag, mark, kids in other.nodes:
+            found.append(self.ids.get((tag, mark, tuple([found[k] for k in kids]))))
+        return {found[i]: m for i, m in bag.items()}
 
     def atom(self, cantor: bool, mark: bool) -> dict[int, int]:
         return {self.intern(int(cantor), mark): 1}
@@ -615,11 +634,29 @@ def _to_expr(space: EndsAutomaton, marked: Sequence[Genus], forms: _Forms) -> di
     return _fold_components(space, expr)
 
 
+def _normal_form(automaton: EndsAutomaton, forms: _Forms | None = None) -> tuple[_Forms, dict[int, int]]:
+    """The normal form of (ends, non-planar ends), as its table and bag,
+    folded into ``forms`` (a fresh table by default) the first time it is
+    asked for and kept on the automaton; NotConvertibleError, a fresh one
+    on every ask, when it has none."""
+    folds = automaton._folds
+    if folds[2] is None:
+        forms = forms or _Forms()
+        try:
+            folds[2] = forms, _to_expr(automaton, automaton.handle_closure, forms)
+        except NotConvertibleError as e:
+            folds[2] = None, str(e)
+    forms, bag = folds[2]
+    if forms is None:
+        raise NotConvertibleError(bag)
+    return forms, bag
+
+
 def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
-    """Normal-form expression for (ends, non-planar ends), materialized once
-    from its bag, with the multiplicities expanded."""
-    forms = _Forms()
-    return forms.expr(_to_expr(automaton, automaton.handle_closure, forms))
+    """Normal-form expression for (ends, non-planar ends), materialized from
+    its bag, with the multiplicities expanded."""
+    forms, bag = _normal_form(automaton)
+    return forms.expr(bag)
 
 
 # -- homeomorphism decision for pairs --------------------------------------
@@ -638,14 +675,27 @@ def _pair_verdict(
     one condensation, so with the same components marked they decide a Yes
     alone; else the normal forms decide; the CB data of the spaces, then of
     their marked subspaces, are read only when a side has no normal form,
-    and separate a No from Unknown."""
+    and separate a No from Unknown.
+
+    A side marked by its own ``handle_closure`` keeps its normal form on its
+    automaton (`_normal_form`), and a kept table never grows: two sides
+    folded in this call share one fresh table, and a side folded before is
+    not folded again, but read through `_Forms.find` in the other side's
+    table, in time linear in its own table.  Other marks, such as graph_phe_equal's
+    core flags, fold both sides into one fresh table, kept nowhere."""
     if space_a.transitions == space_b.transitions and (  # one system: its marks as flags
         [m != 0 for m in marked_a] == [m != 0 for m in marked_b]
     ):
         return Verdict.YES, FRAGMENT_IDENTICAL
-    forms = _Forms()  # both sides in one table: equal forms are equal bags
     try:
-        same = _to_expr(space_a, marked_a, forms) == _to_expr(space_b, marked_b, forms)
+        if marked_a is space_a.handle_closure and marked_b is space_b.handle_closure:
+            shared = None if space_a._folds[2] or space_b._folds[2] else _Forms()
+            forms_a, bag_a = _normal_form(space_a, shared)
+            forms_b, bag_b = _normal_form(space_b, shared)
+            same = (bag_a if forms_a is forms_b else forms_b.find(forms_a, bag_a)) == bag_b
+        else:
+            forms = _Forms()  # both sides in one table: equal forms are equal bags
+            same = _to_expr(space_a, marked_a, forms) == _to_expr(space_b, marked_b, forms)
     except NotConvertibleError:
         same_cb = _cb_data(space_a) == _cb_data(space_b) and (
             _cb_data(space_a, marked_a) == _cb_data(space_b, marked_b)

@@ -341,7 +341,14 @@ ACYCLIC, CYCLE, BRANCHING = range(3)
 _last: tuple = (None, None)  # ends_automaton's memo: the last system's key and automaton
 
 
-class EndsAutomaton(Record):
+class _Folded(Record):
+    """A record base with one slot that is not a field: ``==``, ``hash``,
+    ``repr``, pickle and `replace` read the subclass's ``__slots__`` only."""
+
+    __slots__ = ("_folds",)
+
+
+class EndsAutomaton(_Folded):
     """The states reachable from the root, numbered as one depth-first walk
     from the root in child order meets them (the root is 0), and their
     condensation compiled into a DAG of components.
@@ -360,11 +367,15 @@ class EndsAutomaton(Record):
     Pants nodes of the whole unfolding (the genus, and one less than the
     ends of a finite type), INFINITE when one lies on or after a cycle.
     Every invariant walks this table children first, and reads a marked
-    subspace off it as a union of components.
+    subspace off it as a union of components.  ``_folds``, not a field,
+    keeps the ends layer's folds of the table as they are first asked for.
     """
 
     __slots__ = ("names", "transitions", "nonplanar_states", "components", "exits", "shapes",
                  "handle_closure", "pants_closure", "handle_count", "pants_count")
+
+    def _check(self) -> None:  # every automaton, also one rebuilt by pickle or replace, starts unfolded
+        _Folded._folds.__set__(self, [None, None, None])
 
 
 def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
@@ -441,12 +452,20 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
                     low[work[-1][0]] = link
                 continue
             i = len(components)
-            if stack[-1] == state and state not in ts:  # alone, on no cycle: a list each
+            if stack[-1] == state:  # alone on the stack: a component of one state
                 stack.pop()
                 low[state] = closed
                 scc_of[state] = i
                 components.append([state])
-                shapes.append(ACYCLIC)
+                if state in ts:  # a self-loop: a cycle, or branching at P(s, s)
+                    out = [] if len(ts) == 1 else [scc_of[k] for k in ts if k != state]
+                    exits.append(out)
+                    shapes.append(CYCLE if len(ts) == 1 or out else BRANCHING)
+                    # a cycle repeats forever every node on or below it
+                    hs.append(INFINITE if state in handles or out and hs[out[0]] else 0)
+                    ps.append(0 if len(ts) == 1 else INFINITE)
+                    continue
+                shapes.append(ACYCLIC)  # on no cycle
                 c = scc_of[ts[0]]
                 if len(ts) == 1:
                     exits.append([c])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import importlib
 import pickle
 import random
 import re
@@ -38,16 +39,19 @@ from endkit import (
 )
 import endkit.presentation
 from endkit import decompose, find_essential_pants, interchange_normalize, kerekjarto
+from endkit._record import replace
 from endkit.cli import main
 from endkit.classify import ClassVerdict
-from endkit.ends import Cardinality, EndsCount
+from endkit.decompose import graph_phe_equal
+from endkit.ends import Cardinality, EndsCount, pair_homeomorphic
+from endkit.errors import NotConvertibleError
 from endkit.presentation import (
     ACYCLIC, BRANCHING, CYCLE, MAX_DIGITS, EndsAutomaton, Successors, ends_automaton, forward,
 )
 
 from conftest import (
-    _occurrences, _on_cycles, backward, bench_inputs, named, presentations, reference_sccs,
-    shaped_cycles, successor_maps,
+    _occurrences, _on_cycles, backward, bench_inputs, census_cores, named, presentations,
+    reference_sccs, shaped_cycles, successor_maps,
 )
 
 LOCH = "surface loch_ness { root = H(root) }"
@@ -621,6 +625,147 @@ def test_memo_holds_one_entry(monkeypatch):
         auto = ends_automaton(parse_presentation(text))
     assert len(runs) == 3  # the second system replaced the first
     assert endkit.presentation._last[1] is auto
+
+
+# -- one-state cycles on the compiling walk's fast path --------------------
+
+_SELF_LOOPS = [
+    "a = A(a)", "h = H(h)", "c = P(c, c)", "s = P(s, x); x = A(x)", "s = P(x, s); x = A(x)",
+    # a Handle below a self-loop's exit, and Pants below one
+    "s = P(s, g); g = H(t); t = A(t)", "s = P(q, s); q = P(t, t); t = A(t)",
+]
+
+
+@pytest.mark.parametrize("rules", _SELF_LOOPS)
+@pytest.mark.parametrize("above", ["", "r = H(r0); r0 = P(r1, u); r1 = A({}); u = A(u); "])
+def test_one_state_cycles_close_on_the_condensation_fast_path(rules, above):
+    """A component of one state with a self-loop: its members, shape and
+    exits as the textbook Tarjan reads them, and its closures and the
+    root's counts as the reference counter gives them, at the root and
+    below an acyclic head."""
+    pres = parse_presentation(f"surface s {{ {above.format(rules[0])}{rules} }}")
+    auto = ends_automaton(pres)
+    _assert_components_match_the_textbook_tarjan(auto)
+    pants = frozenset(s for s, cs in enumerate(auto.transitions) if len(cs) == 2)
+    hs, ps = _occurrences(auto, auto.nonplanar_states), _occurrences(auto, pants)
+    assert auto.handle_closure == bytes(map(bool, hs)) and auto.pants_closure == bytes(map(bool, ps))
+    assert (auto.handle_count, auto.pants_count) == (hs[-1], ps[-1])
+
+
+# -- the automaton's folds: kept on it, and off the record -----------------
+#
+# An automaton keeps its CB data and its normal form once asked; a warm
+# automaton must answer as a fresh one, and compare, hash, print, pickle and
+# replace as one.
+
+
+def _fold_asks(pa: SurfacePresentation, pb: SurfacePresentation, a: EndsAutomaton, b: EndsAutomaton):
+    """Every question that reads an automaton's folds, on ``a`` (and ``b``)."""
+    return {
+        "ends": lambda: ends_count(a),
+        "ends_nonplanar": lambda: ends_count(a, marked="nonplanar_only"),
+        "cb": lambda: cb_report(a),
+        "cb_nonplanar": lambda: cb_report(a, marked="nonplanar_only"),
+        "expr": lambda: to_end_expr(a),
+        "kerekjarto": lambda: kerekjarto(pa, pb),
+        "kerekjarto_back": lambda: kerekjarto(pb, pa),
+        "pair": lambda: pair_homeomorphic(a, b),
+        "pair_back": lambda: pair_homeomorphic(b, a),
+        "graph_phe": lambda: graph_phe_equal(spine(pa), spine(pb)),
+    }
+
+
+def _fold_answer(ask, raised: list) -> object:
+    try:
+        return ask()
+    except NotConvertibleError as e:
+        raised.append(e)
+        return NotConvertibleError, str(e)
+
+
+def _hashed(auto: EndsAutomaton) -> object:
+    try:
+        return hash(auto)
+    except TypeError as e:
+        return str(e)
+
+
+def _fresh(pres: SurfacePresentation) -> EndsAutomaton:
+    endkit.presentation._last = (None, None)
+    return ends_automaton(pres)
+
+
+def _assert_folds_answer_as_cold(monkeypatch, pa, pb, rounds: int, rng: random.Random) -> None:
+    """One pair of automata asked every question in ``rounds`` shuffled
+    orders answers each as a fresh pair built with the memo cleared."""
+    monkeypatch.setattr(endkit.presentation, "_last", (None, None))
+    cold = {}
+    for name in _fold_asks(pa, pb, None, None):
+        autos = {id(pa): _fresh(pa), id(pb): _fresh(pb)}
+        for module in ("endkit.classify", "endkit.decompose"):  # the modules, not the functions
+            monkeypatch.setattr(importlib.import_module(module), "ends_automaton", lambda p: autos[id(p)])
+        cold[name] = _fold_answer(_fold_asks(pa, pb, autos[id(pa)], autos[id(pb)])[name], [])
+    a, b = _fresh(pa), _fresh(pb)
+    autos = {id(pa): a, id(pb): b}
+    raised: list = []
+    asks = list(_fold_asks(pa, pb, a, b).items())
+    for _ in range(rounds):
+        rng.shuffle(asks)
+        for name, ask in asks:
+            assert _fold_answer(ask, raised) == cold[name], (name, pa, pb)
+    # each ask of a surface without a normal form raises a fresh error
+    assert len({id(e) for e in raised}) == len(raised)
+    for warm, pres in ((a, pa), (b, pb)):
+        fresh = _fresh(pres)
+        assert warm == fresh and repr(warm) == repr(fresh)
+        assert _hashed(warm) == _hashed(fresh)  # the fields hold lists: both refuse alike
+        for copy_ in (pickle.loads(pickle.dumps(warm)), replace(warm), copy.copy(warm)):
+            assert copy_ == fresh and copy_._folds == [None, None, None]
+            assert _fold_answer(lambda: to_end_expr(copy_), []) == _fold_answer(lambda: to_end_expr(fresh), [])
+            assert cb_report(copy_, marked="nonplanar_only") == cb_report(fresh, marked="nonplanar_only")
+
+
+def test_folds_of_a_warm_automaton_answer_as_a_cold_one(monkeypatch):
+    """Census cores of seeds 0-2, each against the next, and the
+    not-convertible pair m1 / m2."""
+    rng = random.Random(30)
+    cores = [c for seed in range(3) for c in census_cores(seed)]
+    pairs = list(zip(cores, cores[1:] + cores[:1]))
+    pairs.append((parse_presentation("surface m1 { a = P(a, b); b = P(a, c); c = A(c) }"),
+                  parse_presentation("surface m2 { a = P(b, a); b = P(a, c); c = A(c) }")))
+    for pa, pb in pairs:
+        _assert_folds_answer_as_cold(monkeypatch, pa, pb, 2, rng)
+    assert kerekjarto(*pairs[-1]).verdict is ClassVerdict.UNKNOWN
+
+
+def test_folds_of_the_deep_families_answer_as_cold_ones(monkeypatch):
+    """The four deep families at 50-400 states, each against a spliced copy
+    (a Yes) and against the next family's member (a No)."""
+    inputs, rng = bench_inputs(), random.Random(31)
+    members = [build(size) for build, sizes in inputs.FAMILIES.values() for size in sizes]
+    for pa, other in zip(members, members[1:] + members[:1]):
+        state = rng.choice(list(pa.rules))
+        spliced = splice_annulus(pa, state, rng.randrange(len(pa.rules[state][1])))
+        for pb in (spliced, other):
+            _assert_folds_answer_as_cold(monkeypatch, pa, pb, 2, rng)
+
+
+def test_folds_keep_a_warm_table_bounded(monkeypatch):
+    """A warm automaton compared with 2,000 cold ones: its normal form's
+    table does not grow, as a cold side folds into a table of its own."""
+    monkeypatch.setattr(endkit.presentation, "_last", (None, None))
+    inputs, rng = bench_inputs(), random.Random(32)
+    warm = ends_automaton(inputs.comb(51))
+    expr = to_end_expr(warm)
+    forms = warm._folds[2][0]
+    sizes = len(forms.nodes), len(forms.ids), len(forms.keys), len(forms.inside)
+    for _ in range(2000):
+        cold = _fresh(inputs.random_core(rng, max_states=8))
+        pair_homeomorphic(warm, cold)
+        pair_homeomorphic(cold, warm)
+    assert warm._folds[2][0] is forms
+    assert (len(forms.nodes), len(forms.ids), len(forms.keys), len(forms.inside)) == sizes
+    assert to_end_expr(warm) == expr
 
 
 # -- answers for a presentation edited in place ----------------------------
