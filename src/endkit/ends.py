@@ -221,12 +221,12 @@ def _cb_data(space: EndsAutomaton, within: Sequence[Genus] | None = None) -> _CB
     whole space's and its marked subspace's (``within`` is its own
     ``handle_closure``) are folded once and kept on the automaton."""
     slot = 0 if within is None else 1 if within is space.handle_closure else None
-    data = None if slot is None else space._folds[slot]
+    data = None if slot is None else space._kept[slot]
     if data is None:
         rank, last, kernel, count = _fold_components(space, _cb, within) or _EMPTY_CB
         data = rank, last, kernel, _cardinality(kernel, count)
         if slot is not None:
-            space._folds[slot] = data
+            space._kept[slot] = data
     return data
 
 
@@ -639,7 +639,7 @@ def _normal_form(automaton: EndsAutomaton, forms: _Forms | None = None) -> tuple
     folded into ``forms`` (a fresh table by default) the first time it is
     asked for and kept on the automaton; NotConvertibleError, a fresh one
     on every ask, when it has none."""
-    folds = automaton._folds
+    folds = automaton._kept
     if folds[2] is None:
         forms = forms or _Forms()
         try:
@@ -689,7 +689,7 @@ def _pair_verdict(
         return Verdict.YES, FRAGMENT_IDENTICAL
     try:
         if marked_a is space_a.handle_closure and marked_b is space_b.handle_closure:
-            shared = None if space_a._folds[2] or space_b._folds[2] else _Forms()
+            shared = None if space_a._kept[2] or space_b._kept[2] else _Forms()
             forms_a, bag_a = _normal_form(space_a, shared)
             forms_b, bag_b = _normal_form(space_b, shared)
             same = (bag_a if forms_a is forms_b else forms_b.find(forms_a, bag_a)) == bag_b

@@ -69,8 +69,17 @@ class FiniteType(Record):
     __slots__ = ("genus", "boundary", "punctures")
 
 
-class SurfacePresentation(Record):
-    """Either a rule system with a root, or a finite-type triple; mutable, so unhashable."""
+class _Kept(Record):
+    """A record base with one slot that is not a field, ``_kept``, for what a record
+    computed of itself: ``==``, ``hash``, ``repr``, pickle and `replace` read the
+    subclass's ``__slots__`` only, so a record they rebuild keeps nothing yet."""
+
+    __slots__ = ("_kept",)
+
+
+class SurfacePresentation(_Kept):
+    """Either a rule system with a root, or a finite-type triple; mutable, so unhashable.
+    ``_kept`` holds (key, automaton) once `ends_automaton` compiled it, else (None, None)."""
 
     __slots__ = ("name", "rules", "root", "finite_type")
     __setattr__ = object.__setattr__
@@ -82,6 +91,7 @@ class SurfacePresentation(Record):
         finite_type: FiniteType | None = None,
     ) -> None:
         self.name, self.rules, self.root, self.finite_type = name, rules, root, finite_type
+        self._kept = (None, None)
         if (self.rules is None) == (self.finite_type is None):
             raise ValueError("exactly one of rules / finite_type required")
         if self.rules is not None:
@@ -338,17 +348,9 @@ def _rule(pres: SurfacePresentation, state: str) -> Rule:
 
 # a component's shape: a state on no cycle, a cycle, or branching inside it
 ACYCLIC, CYCLE, BRANCHING = range(3)
-_last: tuple = (None, None)  # ends_automaton's memo: the last system's key and automaton
 
 
-class _Folded(Record):
-    """A record base with one slot that is not a field: ``==``, ``hash``,
-    ``repr``, pickle and `replace` read the subclass's ``__slots__`` only."""
-
-    __slots__ = ("_folds",)
-
-
-class EndsAutomaton(_Folded):
+class EndsAutomaton(_Kept):
     """The states reachable from the root, numbered as one depth-first walk
     from the root in child order meets them (the root is 0), and their
     condensation compiled into a DAG of components.
@@ -367,7 +369,7 @@ class EndsAutomaton(_Folded):
     Pants nodes of the whole unfolding (the genus, and one less than the
     ends of a finite type), INFINITE when one lies on or after a cycle.
     Every invariant walks this table children first, and reads a marked
-    subspace off it as a union of components.  ``_folds``, not a field,
+    subspace off it as a union of components.  ``_kept``, not a field,
     keeps the ends layer's folds of the table as they are first asked for.
     """
 
@@ -375,33 +377,30 @@ class EndsAutomaton(_Folded):
                  "handle_closure", "pants_closure", "handle_count", "pants_count")
 
     def _check(self) -> None:  # every automaton, also one rebuilt by pickle or replace, starts unfolded
-        _Folded._folds.__set__(self, [None, None, None])
+        _Kept._kept.__set__(self, [None, None, None])
 
 
 def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
-    """The compiled automaton of ``pres``, read-only: consecutive calls may share
-    it, as the last one built is kept under its root and its rules, by value.
+    """The compiled automaton of ``pres``, read-only.  ``pres`` keeps it under its root
+    and rules, by value, so it compiles again only after an edit in place or a
+    reordering; a key that does not hash (a list could change in place) is not kept.
     A system edited in place into a fault raises the constructor's error."""
-    global _last
-    pres = regularize(pres)
-    rules = pres.rules
-    assert rules is not None
-    key = (pres.root, tuple(rules.items()))  # the name is not read
-    last_key, last_auto = _last
-    if last_key == key:
-        return last_auto
+    system = regularize(pres)
+    key = (system.root, tuple(system.rules.items()))  # the name is not read
+    if pres._kept[0] == key:
+        return pres._kept[1]
     try:
-        auto = _condense(rules, pres.root)
+        auto = _condense(system.rules, system.root)
     except (KeyError, TypeError, ValueError):  # an undefined state, or a malformed rule
         auto = None
     if auto is None:
-        pres._validate_rules()  # raises the constructor's error for the fault
+        system._validate_rules()  # raises the constructor's error for the fault
         raise AssertionError(f"the constructor accepts the faulty rules of {pres.name!r}")
     try:
         hash(key)
-    except TypeError:  # a list in the rules could change in place: compiled on every call
+    except TypeError:
         return auto
-    _last = key, auto
+    pres._kept = key, auto
     return auto
 
 

@@ -945,7 +945,7 @@ def test_every_combiner_passes_a_lone_exit_through(monkeypatch):
 
     monkeypatch.setattr(endkit.ends, "_fold_components", recording)
     monkeypatch.setitem(globals(), "_fold_components", recording)  # _reference_to_expr's
-    auto = ends_automaton(FLUTE)
+    auto = ends_automaton(replace(FLUTE))  # a rebuilt FLUTE: no folds kept yet
     marked = backward(named(auto), _nonplanar(auto))
     kids = [
         _cb_data(auto), _to_expr(auto, _flags(auto, marked), _Forms()),
@@ -1405,12 +1405,13 @@ def _calls(monkeypatch, name: str, ask) -> int:
 
 def test_pair_verdict_folds_only_what_decides(monkeypatch):
     """Equal canonical forms decide without a normal form, and a No that the
-    normal forms decide reads no CB data."""
+    normal forms decide reads no CB data.  Each call asks rebuilt copies,
+    which keep no automaton and so no folds."""
     renamed = parse_presentation("surface flute2 { a = P(a, b); b = A(b) }")
-    assert _calls(monkeypatch, "_to_expr", lambda: kerekjarto(FLUTE, renamed)) == 0
+    assert _calls(monkeypatch, "_to_expr", lambda: kerekjarto(replace(FLUTE), renamed)) == 0
     assert kerekjarto(FLUTE, renamed).witness == "identical-presentation"
-    assert _calls(monkeypatch, "_cb_data", lambda: kerekjarto(FLUTE, CANTOR)) == 0
-    assert _calls(monkeypatch, "_to_expr", lambda: kerekjarto(FLUTE, CANTOR)) == 2
+    assert _calls(monkeypatch, "_cb_data", lambda: kerekjarto(replace(FLUTE), replace(CANTOR))) == 0
+    assert _calls(monkeypatch, "_to_expr", lambda: kerekjarto(replace(FLUTE), replace(CANTOR))) == 2
     assert kerekjarto(FLUTE, CANTOR).to_json() == {"verdict": "NotHomeomorphic", "witness": "ends-pair"}
 
 

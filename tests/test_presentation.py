@@ -484,8 +484,9 @@ def test_components_match_the_textbook_tarjan_on_the_families():
 
 
 def _count_condensations(monkeypatch) -> list[int]:
-    """Clear ends_automaton's memo and count the compiling walks from here
-    on, so a count does not depend on which test compiled last."""
+    """Count the compiling walks from here on.  Each presentation keeps its
+    own automaton, so a count over presentations built in the test does not
+    depend on what earlier tests compiled."""
     runs: list[int] = []
     walk = endkit.presentation._condense
 
@@ -493,15 +494,14 @@ def _count_condensations(monkeypatch) -> list[int]:
         runs.append(len(rules))
         return walk(rules, root)
 
-    monkeypatch.setattr(endkit.presentation, "_last", (None, None))
     monkeypatch.setattr(endkit.presentation, "_condense", counted)
     return runs
 
 
 def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
     """Every invariant reads the automaton's condensation: the compiling
-    walk runs once per input presentation, and not at all when the rule
-    system is the one compiled just before."""
+    walk runs once per input presentation, and not again for a presentation
+    that keeps its automaton."""
     runs = _count_condensations(monkeypatch)
     a = parse_presentation("surface a { r = H(x); x = P(x, t); t = A(t) }")
     b = parse_presentation("surface b { r = P(h, t); h = H(h); t = A(t) }")
@@ -526,7 +526,7 @@ def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
 
     runs.clear()
     interchange_normalize(s_2_0_3, ["u", "y", "x", "r"])
-    assert len(runs) == 0  # find_essential_pants compiled this system last
+    assert len(runs) == 0  # s_2_0_3 keeps the automaton find_essential_pants compiled
     runs.clear()
     interchange_normalize(s_2_0_3, [(0, 0), (0,)])
     assert len(runs) == 0
@@ -539,21 +539,62 @@ def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
     assert len(runs) == 2
 
 
-# -- ends_automaton's memo: the last rule system compiled, keyed by value ---
+# -- ends_automaton's memo: each presentation keeps its automaton ----------
 #
-# Each case fails against a memo keyed by object identity.
+# A presentation keeps the automaton last compiled for it, under its root and
+# rules by value: each edit case fails against a memo keyed by the object
+# alone, and the interleaved case against one memo for the whole module.
 
 
-def test_memo_serves_a_text_parsed_twice(monkeypatch):
+def test_memo_is_kept_per_presentation(monkeypatch):
+    """A text parsed twice is two presentations, each compiled once however
+    often it is asked; a pair of one presentation compiles once."""
     runs = _count_condensations(monkeypatch)
     first, second = parse_presentation(FLUTE), parse_presentation(FLUTE)
-    assert ends_automaton(first) is ends_automaton(second)
-    assert len(runs) == 1
+    auto = ends_automaton(first)
+    assert ends_automaton(first) is auto and ends_automaton(second) is not auto
+    assert ends_automaton(second) == auto and ends_automaton(second) is second._kept[1]
+    assert len(runs) == 2
 
     runs.clear()
     p = parse_presentation(CANTOR)
     assert kerekjarto(p, p).verdict is ClassVerdict.HOMEOMORPHIC
     assert len(runs) == 1
+
+
+def test_memo_serves_interleaved_presentations(monkeypatch):
+    """p, q, p compiles twice: asking q between does not evict p's automaton."""
+    runs = _count_condensations(monkeypatch)
+    p, q = parse_presentation(FLUTE), parse_presentation(LOCH)
+    auto = ends_automaton(p)
+    assert genus(q) == INFINITE and ends_automaton(p) is auto
+    assert len(runs) == 2
+
+
+def test_memo_compiles_afresh_after_each_edit(monkeypatch):
+    """One warm presentation through each edit in place: a rule, the root,
+    the rule order.  Each compiles once, to the automaton of a fresh copy;
+    a faulty edit raises the constructor's error, on every ask."""
+    runs = _count_condensations(monkeypatch)
+    p = parse_presentation("surface two { r = P(a, b); a = A(r); b = H(b) }")
+    ends_automaton(p)
+    edits = [
+        lambda: p.rules.update(b=(BlockKind.ANNULUS, ("b",))),
+        lambda: setattr(p, "root", "a"),
+        lambda: p.rules.update(r=p.rules.pop("r")),
+    ]
+    for edit in edits:
+        edit()
+        runs.clear()
+        auto = ends_automaton(p)
+        assert ends_automaton(p) is auto and len(runs) == 1
+        assert auto == ends_automaton(copy.copy(p))
+    p.rules["b"] = (BlockKind.PANTS, ("b",))
+    error = _constructor_error(p)
+    for _ in range(2):
+        with pytest.raises(PresentationSyntaxError) as raised:
+            ends_automaton(p)
+        assert str(raised.value) == str(error)
 
 
 def test_memo_sees_a_rule_edited_in_place(monkeypatch):
@@ -588,7 +629,7 @@ def test_memo_keeps_no_system_with_a_list(monkeypatch):
     p = SurfacePresentation("l", {"r": (BlockKind.PANTS, children), "t": (BlockKind.ANNULUS, ("t",))})
     assert ends_count(p).cardinality is Cardinality.COUNTABLY_INFINITE
     assert ends_count(p).cardinality is Cardinality.COUNTABLY_INFINITE
-    assert len(runs) == 2 and endkit.presentation._last == (None, None)
+    assert len(runs) == 2 and p._kept == (None, None)
     children[0] = "t"  # r = P(t, t): two ends
     assert ends_count(p) == EndsCount(Cardinality.FINITE, 2)
     assert len(runs) == 3
@@ -605,26 +646,50 @@ def test_memo_keys_the_rule_order(monkeypatch):
         p.rules[state] = p.rules.pop(state)
     reordered = ends_automaton(p)
     assert len(runs) == 2
-    monkeypatch.setattr(endkit.presentation, "_last", (None, None))
-    fresh = ends_automaton(p)
+    fresh = ends_automaton(copy.copy(p))  # a rebuilt presentation keeps nothing
     assert reordered is not fresh and reordered is not original
     assert reordered == fresh == original
     assert reordered.names == ["r", "x", "t"]
 
 
 def test_memo_serves_a_finite_triple_compiled_twice(monkeypatch):
+    """The triple keeps the automaton of its standard presentation, and
+    stays a triple."""
     runs = _count_condensations(monkeypatch)
-    text = "surface s finite S(g=2, b=1, p=2)"
-    assert ends_automaton(parse_presentation(text)) is ends_automaton(parse_presentation(text))
-    assert len(runs) == 1
+    s = parse_presentation("surface s finite S(g=2, b=1, p=2)")
+    auto = ends_automaton(s)
+    assert ends_automaton(s) is auto and len(runs) == 1
+    assert s.rules is None and s.finite_type == FiniteType(2, 1, 2)
+    assert auto == ends_automaton(standard_presentation(2, 3))
 
 
 def test_memo_holds_one_entry(monkeypatch):
+    """A presentation keeps only the automaton of its system as last
+    compiled: edited to another system and back, it compiles each time."""
     runs = _count_condensations(monkeypatch)
-    for text in (FLUTE, LOCH, LOCH, FLUTE):
-        auto = ends_automaton(parse_presentation(text))
+    p, q = parse_presentation(FLUTE), parse_presentation(LOCH)
+    flute, loch = (p.rules, p.root), (q.rules, q.root)
+    for rules, root in (flute, loch, loch, flute):
+        p.rules, p.root = rules, root
+        auto = ends_automaton(p)
     assert len(runs) == 3  # the second system replaced the first
-    assert endkit.presentation._last[1] is auto
+    assert p._kept[1] is auto
+
+
+def test_memo_is_not_a_field():
+    """``==``, ``repr``, pickle, ``copy`` and `replace` ignore the kept
+    automaton, and a rebuilt presentation keeps nothing."""
+    warm, cold = parse_presentation(FLUTE), parse_presentation(FLUTE)
+    auto = ends_automaton(warm)
+    assert warm == cold and repr(warm) == repr(cold)
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    with pytest.raises(TypeError):
+        hash(warm)
+    rebuilt = (pickle.loads(pickle.dumps(warm)), copy.copy(warm), copy.deepcopy(warm), replace(warm))
+    for copy_ in rebuilt:
+        assert copy_ == warm and copy_._kept == (None, None)
+        assert ends_automaton(copy_) == auto and copy_._kept[1] is not auto
+    assert warm._kept[1] is auto
 
 
 # -- one-state cycles on the compiling walk's fast path --------------------
@@ -691,14 +756,13 @@ def _hashed(auto: EndsAutomaton) -> object:
 
 
 def _fresh(pres: SurfacePresentation) -> EndsAutomaton:
-    endkit.presentation._last = (None, None)
-    return ends_automaton(pres)
+    """A cold automaton of ``pres``: compiled for a copy, which keeps nothing yet."""
+    return ends_automaton(copy.copy(pres))
 
 
 def _assert_folds_answer_as_cold(monkeypatch, pa, pb, rounds: int, rng: random.Random) -> None:
     """One pair of automata asked every question in ``rounds`` shuffled
-    orders answers each as a fresh pair built with the memo cleared."""
-    monkeypatch.setattr(endkit.presentation, "_last", (None, None))
+    orders answers each as a fresh pair, compiled for copies."""
     cold = {}
     for name in _fold_asks(pa, pb, None, None):
         autos = {id(pa): _fresh(pa), id(pb): _fresh(pb)}
@@ -720,7 +784,7 @@ def _assert_folds_answer_as_cold(monkeypatch, pa, pb, rounds: int, rng: random.R
         assert warm == fresh and repr(warm) == repr(fresh)
         assert _hashed(warm) == _hashed(fresh)  # the fields hold lists: both refuse alike
         for copy_ in (pickle.loads(pickle.dumps(warm)), replace(warm), copy.copy(warm)):
-            assert copy_ == fresh and copy_._folds == [None, None, None]
+            assert copy_ == fresh and copy_._kept == [None, None, None]
             assert _fold_answer(lambda: to_end_expr(copy_), []) == _fold_answer(lambda: to_end_expr(fresh), [])
             assert cb_report(copy_, marked="nonplanar_only") == cb_report(fresh, marked="nonplanar_only")
 
@@ -750,20 +814,19 @@ def test_folds_of_the_deep_families_answer_as_cold_ones(monkeypatch):
             _assert_folds_answer_as_cold(monkeypatch, pa, pb, 2, rng)
 
 
-def test_folds_keep_a_warm_table_bounded(monkeypatch):
+def test_folds_keep_a_warm_table_bounded():
     """A warm automaton compared with 2,000 cold ones: its normal form's
     table does not grow, as a cold side folds into a table of its own."""
-    monkeypatch.setattr(endkit.presentation, "_last", (None, None))
     inputs, rng = bench_inputs(), random.Random(32)
     warm = ends_automaton(inputs.comb(51))
     expr = to_end_expr(warm)
-    forms = warm._folds[2][0]
+    forms = warm._kept[2][0]
     sizes = len(forms.nodes), len(forms.ids), len(forms.keys), len(forms.inside)
     for _ in range(2000):
         cold = _fresh(inputs.random_core(rng, max_states=8))
         pair_homeomorphic(warm, cold)
         pair_homeomorphic(cold, warm)
-    assert warm._folds[2][0] is forms
+    assert warm._kept[2][0] is forms
     assert (len(forms.nodes), len(forms.ids), len(forms.keys), len(forms.inside)) == sizes
     assert to_end_expr(warm) == expr
 
@@ -807,7 +870,7 @@ def test_edit_reassigning_the_root_past_rules_raises_unreachable():
     """With the root moved to x, r and h are unreachable: the wrong answer
     was genus 1, and NotHomeomorphic against the plane by genus."""
     p = parse_presentation(_T)
-    assert genus(p) == 1  # the memo holds the system before the edit
+    assert genus(p) == 1  # p keeps the automaton of the system before the edit
     p.root = "x"
     assert isinstance(_constructor_error(p), UnreachableRuleError)
     _assert_every_answer_raises(p)
