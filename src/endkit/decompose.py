@@ -438,8 +438,8 @@ class SpineGraph(Record):
 
 
 def spine(pres: SurfacePresentation) -> SpineGraph:
+    auto = ends_automaton(pres)  # kept on the presentation given, a triple too
     pres = regularize(pres)
-    auto = ends_automaton(pres)
     h, p = auto.handle_count, auto.pants_count
     rank = INFINITE if INFINITE in (h, p) else 2 * h + p
     closures = zip(auto.components, auto.handle_closure, auto.pants_closure)
@@ -539,8 +539,8 @@ def find_essential_pants(pres: SurfacePresentation) -> EssentialPants:
     Needs high complexity: infinite type, or finite type (g,0,p) with
     g+p >= 4 or p >= 6; genus-0 surfaces additionally need p >= 6.
     """
+    auto = ends_automaton(pres)  # kept on the presentation given, a triple too
     pres = regularize(pres)
-    auto = ends_automaton(pres)
     # each Pants occurrence splits one end in two, so p = 1 + their count;
     # an INFINITE genus or p passes both checks
     g, p = auto.handle_count, 1 + auto.pants_count

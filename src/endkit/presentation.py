@@ -79,7 +79,8 @@ class _Kept(Record):
 
 class SurfacePresentation(_Kept):
     """Either a rule system with a root, or a finite-type triple; mutable, so unhashable.
-    ``_kept`` holds (key, automaton) once `ends_automaton` compiled it, else (None, None)."""
+    ``_kept`` holds (key, automaton or None, hint): the key of a system known valid, and
+    the first ``sp<i>`` index `splice_annulus` may find free in it (`ends_automaton`)."""
 
     __slots__ = ("name", "rules", "root", "finite_type")
     __setattr__ = object.__setattr__
@@ -91,7 +92,7 @@ class SurfacePresentation(_Kept):
         finite_type: FiniteType | None = None,
     ) -> None:
         self.name, self.rules, self.root, self.finite_type = name, rules, root, finite_type
-        self._kept = (None, None)
+        self._kept = (None, None, 0)
         if (self.rules is None) == (self.finite_type is None):
             raise ValueError("exactly one of rules / finite_type required")
         if self.rules is not None:
@@ -380,15 +381,28 @@ class EndsAutomaton(_Kept):
         _Kept._kept.__set__(self, [None, None, None])
 
 
+def _key(root: str, rules: dict[str, Rule]) -> tuple:
+    """A rule system's key, compared by value: its root, states and rules in rule order,
+    in flat tuples (no pair per rule), so that it is cheap to build, compare and keep."""
+    return root, tuple(rules), tuple(rules.values())
+
+
 def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
-    """The compiled automaton of ``pres``, read-only.  ``pres`` keeps it under its root
-    and rules, by value, so it compiles again only after an edit in place or a
-    reordering; a key that does not hash (a list could change in place) is not kept.
-    A system edited in place into a fault raises the constructor's error."""
+    """The compiled automaton of ``pres``, read-only.  ``pres`` keeps it in ``_kept``
+    under a key compared by value, its root and rules in rule order (or a triple's
+    `FiniteType`), so it compiles again only after an edit in place or a reordering;
+    a key that does not hash (a list could change in place) is not kept, and a kept
+    key without an automaton (a splice's) compiles and fills it in.  A system edited
+    in place into a fault raises the constructor's error."""
+    if pres.rules is None:
+        key = pres.finite_type  # its standard presentation is built only on a miss
+    else:
+        regularize(pres)  # an unset root resolved as the constructor does
+        key = _key(pres.root, pres.rules)  # the name is not read
+    kept, auto, hint = pres._kept
+    if kept == key and auto is not None:
+        return auto
     system = regularize(pres)
-    key = (system.root, tuple(system.rules.items()))  # the name is not read
-    if pres._kept[0] == key:
-        return pres._kept[1]
     try:
         auto = _condense(system.rules, system.root)
     except (KeyError, TypeError, ValueError):  # an undefined state, or a malformed rule
@@ -400,7 +414,7 @@ def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
         hash(key)
     except TypeError:
         return auto
-    pres._kept = key, auto
+    pres._kept = key, auto, hint if kept == key else 0
     return auto
 
 
@@ -587,9 +601,16 @@ def regularize(pres: SurfacePresentation) -> SurfacePresentation:
 
 
 def splice_annulus(pres: SurfacePresentation, state: str, slot: int) -> SurfacePresentation:
-    """Insert an annulus block, a fresh ``sp<i>`` state, on one child edge;
-    the surface is unchanged.  ValueError when ``state`` has no rule or
-    ``slot`` is not an index of its children."""
+    """Insert an annulus block, the first free ``sp<i>`` state, on one child edge,
+    last in rule order; the surface is unchanged.  ValueError when ``state`` has no
+    rule or ``slot`` is not an index of its children.  The result keeps its key and
+    the hint i + 1, no automaton.  If ``pres``'s root and rules still equal its kept
+    key, the result is valid by construction and skips the constructor's walk, and
+    the name search starts at the hint (sp0 ... up to it are taken); any other input
+    goes through the constructor, so a fault raises the constructor's error."""
+    kept, _, hint = pres._kept
+    checked = kept is not None and pres.rules is not None and kept == _key(pres.root, pres.rules)
+    i = hint if checked else 0
     pres = regularize(pres)
     assert pres.rules is not None
     try:
@@ -598,7 +619,6 @@ def splice_annulus(pres: SurfacePresentation, state: str, slot: int) -> SurfaceP
         raise ValueError(f"no state {state!r} to splice") from None
     if not _is_int(slot) or not 0 <= slot < len(children):
         raise ValueError(f"slot {slot!r} out of range for {state}")
-    i = 0
     while f"sp{i}" in pres.rules:
         i += 1
     fresh = f"sp{i}"
@@ -607,7 +627,18 @@ def splice_annulus(pres: SurfacePresentation, state: str, slot: int) -> SurfaceP
     new_children[slot] = fresh
     rules[state] = (kind, tuple(new_children))
     rules[fresh] = (BlockKind.ANNULUS, (children[slot],))
-    return SurfacePresentation(name=pres.name, rules=rules, root=pres.root)
+    key = _key(pres.root, rules)
+    if checked:
+        out = object.__new__(SurfacePresentation)
+        out.name, out.rules, out.root, out.finite_type = pres.name, rules, pres.root, None
+    else:
+        out = SurfacePresentation(name=pres.name, rules=rules, root=pres.root)
+        try:
+            hash(key)
+        except TypeError:
+            return out
+    out._kept = key, None, i + 1
+    return out
 
 
 def _first_paths(

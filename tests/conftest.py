@@ -31,7 +31,7 @@ from endkit import (
     Other,
 )
 from endkit.ends import _has_nonplanar
-from endkit.presentation import EndsAutomaton, Successors
+from endkit.presentation import EndsAutomaton, Successors, regularize
 
 _NAMES = tuple(f"s{i}" for i in range(8))
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -194,6 +194,25 @@ def presentations(draw, max_states: int = 5) -> SurfacePresentation:
         rules={s: r for s, r in rules.items() if s in reachable},
         root=root,
     )
+
+
+def reference_splice(pres: SurfacePresentation, state: str, slot: int) -> SurfacePresentation:
+    """The splice without anything kept: copy the rules, take the smallest
+    unused ``sp<i>``, and build the result through the constructor."""
+    pres = regularize(pres)
+    try:
+        kind, children = pres.rules[state]
+    except (KeyError, TypeError):
+        raise ValueError(f"no state {state!r} to splice") from None
+    if not isinstance(slot, int) or isinstance(slot, bool) or not 0 <= slot < len(children):
+        raise ValueError(f"slot {slot!r} out of range for {state}")
+    i = 0
+    while f"sp{i}" in pres.rules:
+        i += 1
+    rules = dict(pres.rules)
+    rules[state] = (kind, tuple(f"sp{i}" if k == slot else c for k, c in enumerate(children)))
+    rules[f"sp{i}"] = (BlockKind.ANNULUS, (children[slot],))
+    return SurfacePresentation(name=pres.name, rules=rules, root=pres.root)
 
 
 @st.composite

@@ -51,7 +51,7 @@ from endkit.presentation import (
 
 from conftest import (
     _occurrences, _on_cycles, backward, bench_inputs, census_cores, named, presentations,
-    reference_sccs, shaped_cycles, successor_maps,
+    reference_sccs, reference_splice, shaped_cycles, successor_maps,
 )
 
 LOCH = "surface loch_ness { root = H(root) }"
@@ -629,7 +629,7 @@ def test_memo_keeps_no_system_with_a_list(monkeypatch):
     p = SurfacePresentation("l", {"r": (BlockKind.PANTS, children), "t": (BlockKind.ANNULUS, ("t",))})
     assert ends_count(p).cardinality is Cardinality.COUNTABLY_INFINITE
     assert ends_count(p).cardinality is Cardinality.COUNTABLY_INFINITE
-    assert len(runs) == 2 and p._kept == (None, None)
+    assert len(runs) == 2 and p._kept[:2] == (None, None)  # no key, no automaton
     children[0] = "t"  # r = P(t, t): two ends
     assert ends_count(p) == EndsCount(Cardinality.FINITE, 2)
     assert len(runs) == 3
@@ -687,9 +687,240 @@ def test_memo_is_not_a_field():
         hash(warm)
     rebuilt = (pickle.loads(pickle.dumps(warm)), copy.copy(warm), copy.deepcopy(warm), replace(warm))
     for copy_ in rebuilt:
-        assert copy_ == warm and copy_._kept == (None, None)
+        assert copy_ == warm and copy_._kept[:2] == (None, None)  # no key, no automaton
         assert ends_automaton(copy_) == auto and copy_._kept[1] is not auto
     assert warm._kept[1] is auto
+
+
+def _count_standard_builds(monkeypatch) -> list[int]:
+    """Count the standard presentations built from here on."""
+    builds: list[int] = []
+    build = endkit.presentation.standard_presentation
+
+    def counted(g, n, name="std"):
+        builds.append(n)
+        return build(g, n, name)
+
+    monkeypatch.setattr(endkit.presentation, "standard_presentation", counted)
+    return builds
+
+
+def test_memo_of_a_warm_triple_builds_no_standard_presentation(monkeypatch):
+    """A triple is keyed by its FiniteType: only a cold call builds the
+    standard presentation it compiles."""
+    builds = _count_standard_builds(monkeypatch)
+    s = parse_presentation("surface s finite S(g=100000, b=0, p=1)")
+    auto = ends_automaton(s)
+    assert len(builds) == 1
+    for _ in range(3):
+        assert ends_automaton(s) is auto
+    assert genus(s) == 100000 and canonical_finite_type(s) == (100000, 0, 1)
+    assert len(builds) == 1
+
+
+def test_memo_serves_spine_and_essential_pants_of_a_triple(monkeypatch):
+    """spine and find_essential_pants ask the triple they were given, not a
+    throwaway standard presentation, so two of each compile once."""
+    runs = _count_condensations(monkeypatch)
+    s = parse_presentation("surface s finite S(g=2, b=1, p=2)")
+    ranks = {spine(s).rank for _ in range(2)}
+    pieces = {find_essential_pants(s).pants_id for _ in range(2)}
+    assert len(runs) == 1
+    assert ranks == {spine(standard_presentation(2, 3)).rank} and len(pieces) == 1
+
+
+def test_memo_recompiles_a_triple_after_its_finite_type_is_reassigned(monkeypatch):
+    expected = ends_automaton(standard_presentation(3, 1))
+    runs = _count_condensations(monkeypatch)
+    s = parse_presentation("surface s finite S(g=2, b=1, p=2)")
+    before = ends_automaton(s)
+    s.finite_type = FiniteType(3, 0, 1)
+    auto = ends_automaton(s)
+    assert ends_automaton(s) is auto and len(runs) == 2
+    assert auto != before and auto == expected
+    s.finite_type = FiniteType(2, 1, 2)
+    assert ends_automaton(s) == before and len(runs) == 3
+
+
+# -- splice chains: each result keeps its key and its next free name -------
+#
+# A splice of a presentation whose root and rules still equal its kept key
+# skips the constructor's walk and starts its name search at the kept hint.
+# Every chain, and every edit in place along one, answers as the reference
+# splice (conftest.reference_splice), which keeps nothing.
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """Count the constructor's validation walks from here on."""
+    walks: list[int] = []
+    validate = SurfacePresentation._validate_rules
+
+    def counted(self):
+        walks.append(len(self.rules))
+        return validate(self)
+
+    monkeypatch.setattr(SurfacePresentation, "_validate_rules", counted)
+    return walks
+
+
+def _as_it_stands(p: SurfacePresentation) -> SurfacePresentation:
+    """``p``'s fields, its rules copied, without the constructor's walk or
+    anything kept: a faulty system too can be handed to the reference."""
+    clone = object.__new__(SurfacePresentation)
+    clone.name, clone.root, clone.finite_type = p.name, p.root, p.finite_type
+    clone.rules = None if p.rules is None else dict(p.rules)
+    clone._kept = (None, None, 0)
+    return clone
+
+
+def _splice_as_the_reference(p: SurfacePresentation, state, slot) -> SurfacePresentation | None:
+    """``splice_annulus(p, state, slot)``, checked against the reference on
+    ``p`` as it stands: the same rules in order, root and name, or the same
+    error with its message (then None)."""
+    try:
+        expected = reference_splice(_as_it_stands(p), state, slot)
+    except (EndkitError, ValueError) as error:
+        with pytest.raises(type(error)) as raised:
+            splice_annulus(p, state, slot)
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        return None
+    out = splice_annulus(p, state, slot)
+    assert list(out.rules.items()) == list(expected.rules.items())
+    assert (out.root, out.name, out.finite_type) == (expected.root, expected.name, None)
+    return out
+
+
+def _pick(p: SurfacePresentation, pick: int) -> tuple[str, int]:
+    """A state of ``p``'s system and a slot of it, chosen by ``pick``; an
+    undefined state when the system is empty."""
+    rules = regularize(p).rules if p.rules is None else p.rules
+    states = list(rules)
+    if not states:
+        return "gone", 0
+    state = states[pick % len(states)]
+    return state, pick // len(states) % len(rules[state][1])
+
+
+@st.composite
+def _splice_inputs(draw) -> SurfacePresentation:
+    """A rule system, a finite triple, or a system that already holds
+    ``sp<i>`` names with gaps between them."""
+    shape = draw(st.sampled_from(("rules", "triple", "sp names")))
+    if shape == "triple":
+        g, b = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+        return SurfacePresentation("t", finite_type=FiniteType(g, b, draw(st.integers(b == 0, 3))))
+    pres = draw(presentations())
+    if shape == "sp names":
+        numbers = draw(st.lists(st.integers(0, 7), min_size=len(pres.rules),
+                                max_size=len(pres.rules), unique=True))
+        renamed = [draw(st.booleans()) for _ in numbers]
+        new = {s: f"sp{k}" if r else s for s, k, r in zip(pres.rules, numbers, renamed)}
+        rules = {new[s]: (kind, tuple(new[c] for c in cs)) for s, (kind, cs) in pres.rules.items()}
+        pres = SurfacePresentation(pres.name, rules, new[pres.root])
+    return pres
+
+
+@settings(max_examples=150, deadline=None)
+@given(_splice_inputs(), st.lists(st.integers(0, 10**6), max_size=30))
+def test_splice_chains_match_the_reference(pres, picks):
+    for pick in picks:
+        pres = _splice_as_the_reference(pres, *_pick(pres, pick))
+        assert pres is not None
+
+
+def _replace_a_rule(p, target, other):
+    p.rules[target] = (BlockKind.ANNULUS, (other,))
+
+
+_SPLICE_EDITS = {
+    "a replaced rule": _replace_a_rule,
+    "a rule replaced by one with an undefined child": lambda p, t, o: _replace_a_rule(p, t, "gone"),
+    "a deleted rule": lambda p, target, other: p.rules.pop(target),
+    "a moved root": lambda p, target, other: setattr(p, "root", target),
+    "an unset root": lambda p, target, other: setattr(p, "root", None),
+    "an added orphan": lambda p, t, o: p.rules.update(orphan=(BlockKind.ANNULUS, ("orphan",))),
+    "a list of children": lambda p, t, o: p.rules.update({t: (p.rules[t][0], list(p.rules[t][1]))}),
+}
+
+
+@pytest.mark.parametrize("edit", list(_SPLICE_EDITS))
+@settings(max_examples=40, deadline=None)
+@given(pres=presentations(), before=st.integers(0, 8),
+       picks=st.lists(st.integers(0, 10**6), min_size=14, max_size=14))
+def test_splice_after_an_edit_in_place_answers_as_a_fresh_build(edit, pres, before, picks):
+    """An edit after ``before`` splices: the next splice, and every one after,
+    raises the constructor's error with its message or answers as a fresh
+    build.  A list of children is then mutated in place, after the next splice
+    shared its list."""
+    *picks, target, other = picks
+    for i, pick in enumerate(picks):
+        if i == before:
+            target, _ = _pick(pres, target)
+            other, _ = _pick(pres, other)
+            _SPLICE_EDITS[edit](pres, target, other)
+        out = _splice_as_the_reference(pres, *_pick(pres, pick))
+        if out is None:
+            return
+        if i == before and edit == "a list of children":
+            children = pres.rules[target][1]
+            children[0] = other if pick % 2 else "gone"
+        pres = out
+
+
+def test_splice_after_an_edit_that_frees_a_name_takes_it():
+    """sp0 edited away, then a question that keeps the edited system: the
+    next splice takes sp0 again, as the reference does."""
+    pres = splice_annulus(splice_annulus(parse_presentation(FLUTE), "punc", 0), "root", 1)
+    del pres.rules["sp0"]
+    pres.rules["punc"] = (BlockKind.ANNULUS, ("punc",))
+    ends_automaton(pres)
+    out = _splice_as_the_reference(pres, "root", 0)
+    assert next(reversed(out.rules)) == "sp0"
+
+
+def test_splice_copies_keep_nothing(monkeypatch):
+    """copy, deepcopy, pickle and `replace` of a spliced presentation keep
+    nothing: the copy's next splice runs the constructor's walk."""
+    spliced = splice_annulus(splice_annulus(parse_presentation(FLUTE), "root", 1), "root", 0)
+    auto = ends_automaton(spliced)
+    walks = _count_walks(monkeypatch)
+    copies = [copy.copy(spliced), copy.deepcopy(spliced), pickle.loads(pickle.dumps(spliced)),
+              replace(spliced)]
+    assert len(walks) == len(copies)  # each rebuilt through the constructor
+    expected = reference_splice(spliced, "punc", 0)
+    for copy_ in copies:
+        assert copy_ == spliced and copy_._kept == (None, None, 0)
+        walks.clear()
+        again = splice_annulus(copy_, "punc", 0)
+        assert len(walks) == 1 and list(again.rules.items()) == list(expected.rules.items())
+        assert ends_automaton(copy_) == auto and copy_._kept[1] is not auto
+
+
+def test_a_splice_chain_of_500_validates_once(monkeypatch):
+    """Only the first splice of a parsed presentation runs the constructor's
+    walk, and the k-th result's fresh state, last in rule order, is sp<k-1>."""
+    pres, rng = parse_presentation(FLUTE), random.Random(0)
+    walks = _count_walks(monkeypatch)
+    for k in range(1, 501):
+        state = rng.choice(list(pres.rules))
+        pres = splice_annulus(pres, state, rng.randrange(len(pres.rules[state][1])))
+        assert next(reversed(pres.rules)) == f"sp{k - 1}"
+    assert len(walks) == 1 and len(pres.rules) == 502
+    fresh = SurfacePresentation(pres.name, dict(pres.rules), pres.root)  # valid
+    assert ends_automaton(pres) == ends_automaton(fresh)
+
+
+def test_splice_result_compiles_once_and_keeps_its_next_name(monkeypatch):
+    """A spliced result keeps its key but no automaton: its first question
+    compiles and fills the automaton in, and the splice after it still
+    skips the walk and takes the next name."""
+    pres = splice_annulus(parse_presentation(FLUTE), "punc", 0)
+    runs, walks = _count_condensations(monkeypatch), _count_walks(monkeypatch)
+    auto = ends_automaton(pres)
+    assert ends_automaton(pres) is auto and genus(pres) == 0 and len(runs) == 1
+    again = splice_annulus(pres, "sp0", 0)
+    assert next(reversed(again.rules)) == "sp1" and len(walks) == 0
+    assert ends_automaton(pres) is auto and len(runs) == 1
 
 
 # -- one-state cycles on the compiling walk's fast path --------------------
