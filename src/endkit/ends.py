@@ -116,20 +116,22 @@ def _fold_components(
 
     A component outside ``within``, or acyclic with no exit left, carries
     no infinite path: its value is None, and the exits into it are skipped.
-    An acyclic component with one exit left passes that exit's value
-    through without a call: every combiner returns ``kids[0]`` for
-    ``(_Kind.ACYCLIC, i, [kid])``."""
+    Only a ``within`` leaves such a component, so only under one are the
+    exits' values filtered.  An acyclic component with one exit left passes
+    that exit's value through without a call: every combiner returns
+    ``kids[0]`` for ``(_Kind.ACYCLIC, i, [kid])``."""
     if within is not None and not within[-1]:
         return None  # the root's component reaches every other, so none is kept
     values: list = []
-    append = values.append
+    append, value = values.append, values.__getitem__
     for i, (exits, shape) in enumerate(zip(space.exits, space.shapes)):
         if within is not None and not within[i]:
             append(None)
         elif not shape and len(exits) == 1:  # most components: a lone exit passes through
             append(values[exits[0]])
         else:
-            kids = [v for k in exits if (v := values[k]) is not None]
+            kids = (list(map(value, exits)) if within is None
+                    else [v for k in exits if (v := values[k]) is not None])
             if shape or len(kids) > 1:
                 append(combine(_KINDS[shape][bool(kids)], i, kids))
             else:
@@ -194,8 +196,9 @@ def _cb(kind: _Kind, i: int | None, kids: list[_CBStep]) -> _CBStep:
         raise InvalidEndExprError("empty union denotes no space")
     if kind is _Kind.ACYCLIC and len(kids) == 1:
         return kids[0]
-    rank, last, kernel, count = kids[0]
-    for r, batch, k, n in kids[1:]:
+    steps = iter(kids)
+    rank, last, kernel, count = next(steps)
+    for r, batch, k, n in steps:
         if r > rank:
             rank, last = r, batch
         elif r == rank:
@@ -387,9 +390,12 @@ class _Forms:
     A union under construction is a bag ``{id: multiplicity}`` of non-Union
     parts.  Unions flatten, so a Union is never a part of a Union, and under
     a Seq repeats collapse: a multiplicity above 1 occurs only in an acyclic
-    component's value or at the root, never inside an interned form."""
+    component's value or at the root, never inside an interned form.  Bags
+    are read-only: the table hands out one shared bag per atom (kind, mark),
+    and a union of one bag is that bag."""
 
     def __init__(self) -> None:
+        self.atoms: dict[tuple[bool, bool], dict[int, int]] = {}  # the bag of each atom
         self.ids: dict[tuple, int] = {}
         self.nodes: list[tuple] = []  # (tag, mark, child ids) by id
         self.exprs: list[EndExpr] = []  # the public form by id
@@ -403,9 +409,10 @@ class _Forms:
         if i is None:
             i = self.ids[node] = len(self.nodes)
             self.nodes.append(node)
-            parts = tuple(self.exprs[k] for k in kids)
-            self.exprs.append(
-                Seq(parts[0], mark) if tag == 2 else Union(parts) if tag == 3
+            exprs = self.exprs
+            exprs.append(
+                Seq(exprs[kids[0]], mark) if tag == 2
+                else Union(tuple(map(exprs.__getitem__, kids))) if tag == 3
                 else (Cantor if tag else Pt)(mark)
             )
         return i
@@ -424,16 +431,17 @@ class _Forms:
         the repeats of the element collapse (omega copies of x+x are omega
         copies of x), and omega Cantors converging to a same-marked limit
         are again a Cantor."""
-        parts = self.ranked(bag)
-        element = parts[0] if len(parts) == 1 else self.intern(3, len(parts), tuple(parts))
-        if self.nodes[element][:2] == (1, limit):
+        element = next(iter(bag)) if len(bag) == 1 else self.intern(3, len(bag), tuple(self.ranked(bag)))
+        tag, mark, _ = self.nodes[element]
+        if tag == 1 and mark == limit:
             return {element: 1}
         return {self.intern(2, limit, (element,)): 1}
 
     def union(self, bags: list[dict[int, int]]) -> dict[int, int]:
         """The union of ``bags``: Cantor summands with the same mark merge,
         and a summand that is a piece (a subtree) of a sibling Seq's element
-        is absorbed into that tower (one extra copy shifts away).
+        is absorbed into that tower (one extra copy shifts away).  With no
+        Seq summand there is nothing to absorb, and nothing is sorted.
 
         A form's pieces have smaller ids, so a summand can be a piece only of
         a larger Seq, and a Seq absorbed by a larger one holds no other piece.
@@ -448,8 +456,12 @@ class _Forms:
         for bag in bags:
             for i, m in bag.items():
                 merged[i] = merged.get(i, 0) + m
-        nodes, inside, absorbed = self.nodes, self.inside, set()
-        for s in sorted((i for i in merged if nodes[i][0] == 2), reverse=True):
+        nodes = self.nodes
+        towers = [i for i in merged if nodes[i][0] == 2]
+        if not towers:
+            return {i: 1 if nodes[i][0] == 1 else m for i, m in merged.items()}
+        inside, absorbed = self.inside, set()
+        for s in sorted(towers, reverse=True):
             asked = [] if s in absorbed else [i for i in merged if i < s and i not in absorbed]
             if any((i, s) not in inside for i in asked):
                 low, todo, seen = min(asked), [nodes[s][2][0]], set()
@@ -476,7 +488,10 @@ class _Forms:
         return {found[i]: m for i, m in bag.items()}
 
     def atom(self, cantor: bool, mark: bool) -> dict[int, int]:
-        return {self.intern(int(cantor), mark): 1}
+        bag = self.atoms.get((cantor, mark))
+        if bag is None:
+            bag = self.atoms[cantor, mark] = {self.intern(int(cantor), mark): 1}
+        return bag
 
     def expr(self, bag: dict[int, int]) -> EndExpr:
         """The public form of ``bag``, its multiplicities expanded; EndsError

@@ -423,8 +423,13 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
     its low-link form (Nuutila, Pearce): it numbers and checks each state it
     meets, and compiles each component as it closes, after every component
     its members reach.  A state's link starts at its number and is lowered
-    by the links of the states it reaches on the stack; a closed state's
-    link is above every number, so no on-stack set is kept.  As a component
+    by the links of the walked states it reaches that are not closed; a
+    closed state's link is above every number, so no on-stack set is kept.
+    The stack is Pearce's (2016): a state goes on it as it finishes inside
+    the component of a state met before it, so a one-state component never
+    touches it; a root takes the states pushed since it was met, split off by
+    ``bisect_left`` (all below them are numbered below it, though the stack
+    is not sorted), and sorts them back into numbering order.  As a component
     closes it counts the Handle and Pants nodes of the unfolding below one
     of its states, with child multiplicity (``P(a, a)`` doubles): INFINITE
     when one lies on or after a cycle, as a cycle repeats forever every node
@@ -436,7 +441,7 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
     closed, handle, arity = len(rules), BlockKind.HANDLE, _ARITY
     index, names, handles = {root: 0}, [root], {0} if kind is handle else set()
     transitions, scc_of, components, exits, shapes = [()] * closed, [0] * closed, [], [], []
-    low, stack, work = list(range(closed)), [0], [(0, children, iter(children))]
+    low, stack, work = list(range(closed)), [], [(0, children, iter(children))]
     hs, ps = [], []  # per component, its Handle and Pants counts
     while work:
         state, cs, todo = work[-1]
@@ -450,7 +455,6 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
                     return None
                 if kind is handle:
                     handles.add(k)
-                stack.append(k)
                 work.append((k, children, iter(children)))
                 break
             if low[k] < low[state]:
@@ -460,13 +464,13 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
             # one or two children: tuple and list displays, far cheaper than map()
             ts = transitions[state] = (index[cs[0]],) if len(cs) == 1 else (index[cs[0]], index[cs[1]])
             link = low[state]
-            if link < state:  # in the component of a state below it on the stack
+            if link < state:  # in the component of a state met before it
+                stack.append(state)
                 if link < low[work[-1][0]]:
                     low[work[-1][0]] = link
                 continue
             i = len(components)
-            if stack[-1] == state:  # alone on the stack: a component of one state
-                stack.pop()
+            if not stack or stack[-1] < state:  # nothing pushed since it was met: a one-state component
                 low[state] = closed
                 scc_of[state] = i
                 components.append([state])
@@ -496,8 +500,11 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
                 except OverflowError:
                     ps.append(INFINITE)
                 continue
-            members = stack[bisect_left(stack, state):]
-            del stack[-len(members):]
+            split = bisect_left(stack, state)
+            members = stack[split:]
+            del stack[split:]
+            members.append(state)
+            members.sort()
             for s in members:
                 low[s] = closed
                 scc_of[s] = i

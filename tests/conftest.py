@@ -8,7 +8,9 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_left
 from pathlib import Path
+from typing import Mapping
 
 from hypothesis import strategies as st
 
@@ -31,7 +33,9 @@ from endkit import (
     Other,
 )
 from endkit.ends import _has_nonplanar
-from endkit.presentation import EndsAutomaton, Successors, regularize
+from endkit.presentation import (
+    _ARITY, ACYCLIC, BRANCHING, CYCLE, EndsAutomaton, Rule, Successors, regularize,
+)
 
 _NAMES = tuple(f"s{i}" for i in range(8))
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -132,6 +136,110 @@ def reference_sccs(succ: Successors) -> list[list[str]]:
                             break
                     out.append(component)
     return out
+
+
+def reference_condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
+    """The compiling walk as it was with Tarjan's stack, every state pushed as
+    it is first met, the oracle for `presentation._condense`, kept verbatim.
+
+    One depth-first walk from ``root`` in child order, Tarjan's (1972) in
+    its low-link form (Nuutila, Pearce): it numbers and checks each state it
+    meets, and compiles each component as it closes, after every component
+    its members reach.  A state's link starts at its number and is lowered
+    by the links of the states it reaches on the stack; a closed state's
+    link is above every number, so no on-stack set is kept.  As a component
+    closes it counts the Handle and Pants nodes of the unfolding below one
+    of its states, with child multiplicity (``P(a, a)`` doubles): INFINITE
+    when one lies on or after a cycle, as a cycle repeats forever every node
+    on or below it; only the root's counts outlive the walk.  None at a
+    wrong arity or an unmet rule; KeyError at an undefined state."""
+    kind, children = rules[root]
+    if len(children) != _ARITY[kind]:
+        return None
+    closed, handle, arity = len(rules), BlockKind.HANDLE, _ARITY
+    index, names, handles = {root: 0}, [root], {0} if kind is handle else set()
+    transitions, scc_of, components, exits, shapes = [()] * closed, [0] * closed, [], [], []
+    low, stack, work = list(range(closed)), [0], [(0, children, iter(children))]
+    hs, ps = [], []  # per component, its Handle and Pants counts
+    while work:
+        state, cs, todo = work[-1]
+        for child in todo:
+            k = index.get(child)
+            if k is None:  # first met: numbered, checked, and walked
+                k = index[child] = len(names)
+                names.append(child)
+                kind, children = rules[child]
+                if len(children) != arity[kind]:
+                    return None
+                if kind is handle:
+                    handles.add(k)
+                stack.append(k)
+                work.append((k, children, iter(children)))
+                break
+            if low[k] < low[state]:
+                low[state] = low[k]
+        else:
+            work.pop()
+            # one or two children: tuple and list displays, far cheaper than map()
+            ts = transitions[state] = (index[cs[0]],) if len(cs) == 1 else (index[cs[0]], index[cs[1]])
+            link = low[state]
+            if link < state:  # in the component of a state below it on the stack
+                if link < low[work[-1][0]]:
+                    low[work[-1][0]] = link
+                continue
+            i = len(components)
+            if stack[-1] == state:  # alone on the stack: a component of one state
+                stack.pop()
+                low[state] = closed
+                scc_of[state] = i
+                components.append([state])
+                if state in ts:  # a self-loop: a cycle, or branching at P(s, s)
+                    out = [] if len(ts) == 1 else [scc_of[k] for k in ts if k != state]
+                    exits.append(out)
+                    shapes.append(CYCLE if len(ts) == 1 or out else BRANCHING)
+                    # a cycle repeats forever every node on or below it
+                    hs.append(INFINITE if state in handles or out and hs[out[0]] else 0)
+                    ps.append(0 if len(ts) == 1 else INFINITE)
+                    continue
+                shapes.append(ACYCLIC)  # on no cycle
+                c = scc_of[ts[0]]
+                if len(ts) == 1:
+                    exits.append([c])
+                    hs.append(hs[c] + (state in handles))
+                    ps.append(ps[c])
+                    continue
+                d = scc_of[ts[1]]
+                exits.append([c, d])
+                try:
+                    hs.append(hs[c] + hs[d])
+                except OverflowError:  # INFINITE, a float, plus an integer past 2**1024
+                    hs.append(INFINITE)
+                try:
+                    ps.append(ps[c] + ps[d] + 1)
+                except OverflowError:
+                    ps.append(INFINITE)
+                continue
+            members = stack[bisect_left(stack, state):]
+            del stack[-len(members):]
+            for s in members:
+                low[s] = closed
+                scc_of[s] = i
+            ks = [scc_of[k] for s in members for k in transitions[s]]
+            out = [k for k in ks if k != i]
+            components.append(members)
+            exits.append(out)
+            # a cycle's members have one child each inside it, a branching one more
+            shapes.append(BRANCHING if len(ks) - len(out) > len(members) else CYCLE)
+            # a cycle repeats forever every node on or below it; a member with
+            # two children is a Pants
+            h = not handles.isdisjoint(members) or any(map(hs.__getitem__, out))
+            hs.append(INFINITE if h else 0)
+            ps.append(INFINITE if len(ks) > len(members) or any(map(ps.__getitem__, out)) else 0)
+    if len(names) != closed:
+        return None
+    # every field positional: the record constructor's fast path
+    return EndsAutomaton(names, transitions, frozenset(handles), components, exits, shapes,
+                         bytes(map(bool, hs)), bytes(map(bool, ps)), hs[-1], ps[-1])
 
 
 def _on_cycles(succ: Successors) -> set[str]:

@@ -587,6 +587,67 @@ def test_normalize_matches_the_reference_fold(e):
     assert format_end_expr(normalize_end_expr(e)) == format_end_expr(_fold(e, _reference_normal))
 
 
+# -- the folds' fast paths: unions with no tower, and shared atom bags -----
+#
+# A union with no Seq summand has nothing to absorb: `_Forms.union` returns
+# its merged bag with each Cantor once, unsorted.  An atom's bag is one
+# shared dict per table, so no fold, union or verdict may write to a bag.
+
+
+@st.composite
+def _tower_free_exprs(draw, depth: int = 3) -> EndExpr:
+    """Pt and Cantor atoms under nested Unions, no Seq: each union of it
+    takes the no-tower path, and Cantor repeats are likely."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return draw(st.sampled_from((Pt(False), Pt(True), Cantor(False), Cantor(True))))
+    return Union(tuple(draw(_tower_free_exprs(depth - 1)) for _ in range(draw(st.integers(1, 4)))))
+
+
+@settings(max_examples=400)
+@given(_tower_free_exprs())
+@example(Union((Cantor(False), Pt(True), Cantor(False))))
+def test_folds_union_without_towers_matches_the_reference_normal(e):
+    assert format_end_expr(normalize_end_expr(e)) == format_end_expr(_fold(e, _reference_normal))
+    forms = _Forms()
+
+    def bag(node: EndExpr, kids: list[dict[int, int]]) -> dict[int, int]:
+        return forms.union(kids) if kids else forms.atom(isinstance(node, Cantor), node.nonplanar)
+
+    assert all(m == 1 for i, m in _fold(e, bag).items() if forms.nodes[i][0] == 1)  # each Cantor once
+
+
+def test_folds_share_atom_bags_that_stay_interned(monkeypatch):
+    """Every fold, pair verdict, `to_end_expr` and `normalize_end_expr` in one
+    table: each shared atom bag is still ``{its id: 1}`` after all of them,
+    and every answer is the one fresh tables give."""
+    inputs = bench_inputs()
+
+    def answers() -> list:
+        surfaces = census_cores(0)[:60] + [inputs.comb(51), inputs.cantor_marked(50), inputs.seq_tower(8),
+                                           inputs.chain(50), MIXED, FLUTE]
+        out = []
+        for p, q in zip(surfaces, surfaces[1:] + surfaces[:1]):
+            a = ends_automaton(p)
+            try:
+                expr = to_end_expr(a)
+            except NotConvertibleError:
+                out.append(None)
+            else:
+                out += [format_end_expr(expr), format_end_expr(normalize_end_expr(Union((expr, expr))))]
+            out += [kerekjarto(p, q), graph_phe_equal(spine(p), spine(q))]
+            out += [pair_homeomorphic(a, ends_automaton(q))]
+            out += [cb_report(a), cb_report(a, marked="nonplanar_only")]
+        return out
+
+    fresh = answers()
+    table = _Forms()
+    monkeypatch.setattr(endkit.ends, "_Forms", lambda: table)
+    assert answers() == fresh
+    assert len(table.atoms) == 4
+    for (cantor, mark), bag in table.atoms.items():
+        assert bag == {table.ids[int(cantor), mark, ()]: 1}
+
+
 @settings(max_examples=300, deadline=None)
 @given(presentations(max_states=8), presentations(max_states=8), st.data())
 def test_to_end_expr_and_pair_verdicts_match_the_reference_route(p, q, data):

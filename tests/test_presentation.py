@@ -46,12 +46,12 @@ from endkit.decompose import graph_phe_equal
 from endkit.ends import Cardinality, EndsCount, pair_homeomorphic
 from endkit.errors import NotConvertibleError
 from endkit.presentation import (
-    ACYCLIC, BRANCHING, CYCLE, MAX_DIGITS, EndsAutomaton, Successors, ends_automaton, forward,
+    ACYCLIC, BRANCHING, CYCLE, MAX_DIGITS, EndsAutomaton, Successors, _condense, ends_automaton, forward,
 )
 
 from conftest import (
     _occurrences, _on_cycles, backward, bench_inputs, census_cores, named, presentations,
-    reference_sccs, reference_splice, shaped_cycles, successor_maps,
+    reference_condense, reference_sccs, reference_splice, shaped_cycles, successor_maps,
 )
 
 LOCH = "surface loch_ness { root = H(root) }"
@@ -1556,3 +1556,63 @@ def test_printed_text_parses_back(pres):
     again = parse_presentation(text)
     assert again == pres
     assert again.rules is None or list(again.rules.items()) == list(pres.rules.items())
+
+
+# -- the compiling walk against the Tarjan-stack walk it replaced ----------
+#
+# `_condense` pushes a state on its stack only when the state finishes inside
+# a component whose root is still open (Pearce), and sorts each component's
+# members back into numbering order; `conftest.reference_condense` pushes
+# every state as it is first met (Tarjan).  Every field must match, and a
+# faulty system must give the same None or KeyError.
+
+
+def _condensed(condense, rules, root) -> object:
+    """The automaton's fields, None, or the KeyError with its arguments."""
+    try:
+        auto = condense(rules, root)
+    except KeyError as e:
+        return KeyError, e.args
+    return None if auto is None else {f: getattr(auto, f) for f in EndsAutomaton.__slots__}
+
+
+def _assert_condensation_matches_the_reference(rules, root) -> object:
+    found = _condensed(_condense, rules, root)
+    assert found == _condensed(reference_condense, rules, root)
+    return found
+
+
+@settings(max_examples=1000, deadline=None)
+@given(presentations(max_states=8))
+def test_condensation_matches_the_tarjan_stack_reference(pres):
+    _assert_condensation_matches_the_reference(pres.rules, pres.root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(max_states=6), st.lists(st.integers(0, 10**6), min_size=1, max_size=20))
+def test_condensation_of_spliced_cores_matches_the_reference(pres, picks):
+    """Each splice lengthens every cycle through the edge it cuts, so the
+    chains grow components of many members with exits between them."""
+    for pick in picks:
+        pres = splice_annulus(pres, *_pick(pres, pick))
+        _assert_condensation_matches_the_reference(pres.rules, pres.root)
+
+
+def test_condensation_of_grown_cores_matches_the_reference():
+    """``bench/inputs.grow`` cores of 10-60 states: the members of their
+    multi-member components come back in numbering order, not the order in
+    which the walk finishes them."""
+    inputs, rng = bench_inputs(), random.Random(33)
+    large = 0
+    for _ in range(300):
+        pres = inputs.grow(inputs.random_core(rng, max_states=8), rng.randint(10, 60), rng)
+        found = _assert_condensation_matches_the_reference(pres.rules, pres.root)
+        large += sum(len(members) > 2 for members in found["components"])
+    assert large > 100  # below a root, three members can finish out of numbering order
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_faulty_systems())
+def test_condensation_of_faulty_systems_matches_the_reference(system):
+    rules, root = system
+    _assert_condensation_matches_the_reference(rules, next(iter(rules)) if root is None else root)
