@@ -41,7 +41,6 @@ from .presentation import (
     regularize,
     _first_paths,
     _is_int,
-    _rule,
 )
 
 Path = tuple[int, ...]
@@ -184,9 +183,8 @@ def decompose(
     step makes at most five edges and a loop step at most three, so every
     edge crossing n or past it is among the last five.
 
-    The walk checks each state's rule once, as it first meets it, so a
-    system edited in place into a fault there raises the constructor's
-    error; it cannot see an edit that only adds an unreachable rule.
+    A system edited in place into a fault raises the constructor's error
+    at the door (`regularize`), so the walk reads the rules unchecked.
     """
     if mode not in ("lenient", "strict"):
         raise DecomposeError(f"mode must be 'lenient' or 'strict', got {mode!r}")
@@ -195,7 +193,6 @@ def decompose(
     if depth < 0:
         raise DecomposeError(f"depth must be non-negative, got {depth}")
     pres = regularize(pres)
-    assert pres.rules is not None and pres.root is not None
     kinds, edges, queue = bytearray(), [], []
     # each walked state's block past its annulus run: None where the run
     # closes a lasso (a punctured disk), else the Handle's or the Pants' children
@@ -204,7 +201,7 @@ def decompose(
     def walk_run(state: str) -> tuple[str, ...] | None:
         run = []  # each run is walked once
         while state not in steps:
-            kind, children = _rule(pres, state)
+            kind, children = pres.rules[state]
             if kind is not BlockKind.ANNULUS:
                 steps[state] = children
                 break
@@ -311,8 +308,8 @@ def _rebuild(
     """Pull the block occurrences in ``front`` (paths or state names) out
     of the unfolding and re-attach them as a fresh front ('chain' in order,
     or the fixed five pants 'tree5').  A pulled Pants keeps its first child
-    spliced in place and hands its second child's subtree to the front."""
-    assert pres.rules is not None and pres.root is not None
+    spliced in place and hands its second child's subtree to the front.
+    ``pres`` is checked at the door by the caller, so its rules are read unchecked."""
     # the front paths as one trie of unfolding nodes: its states and slot -> node
     states = [pres.root]
     below: list[dict[int, int]] = [{}]
@@ -328,7 +325,7 @@ def _rebuild(
             raise DecomposeError(f"invalid unfolding path {occ!r}: a path is a tuple of naturals")
         node = 0
         for step, i in enumerate(path):
-            children = _rule(pres, states[node])[1]
+            children = pres.rules[states[node]][1]
             if not 0 <= i < len(children):
                 raise DecomposeError(f"invalid unfolding path {path!r}: index {i} at step {step}")
             if i not in below[node]:
@@ -354,7 +351,7 @@ def _rebuild(
     name_of = {node: fresh(f"u{k}") for k, node in enumerate(order)}
     unrolled: dict[str, tuple[BlockKind, list[str]]] = {}
     for node in order:
-        kind, children = _rule(pres, states[node])
+        kind, children = pres.rules[states[node]]
         unrolled[name_of[node]] = (kind, [
             name_of[below[node][i]] if i in below[node] else child
             for i, child in enumerate(children)
@@ -366,7 +363,7 @@ def _rebuild(
             ptr = unrolled[ptr][1][0]
         return ptr
 
-    kinds = [pres.kind(states[node]) for node in ends]
+    kinds = [pres.rules[states[node]][0] for node in ends]
     sides = [
         spliced(unrolled[name_of[node]][1][1])
         for node, kind in zip(ends, kinds)
@@ -396,11 +393,7 @@ def _rebuild(
         rules[f[3]] = (BlockKind.PANTS, (sides[2], sides[3]))
         rules[f[4]] = (BlockKind.PANTS, (sides[4], remainder))
         root = f[0]
-    try:
-        reachable = set(forward({s: r[1] for s, r in rules.items()}, [root]))
-    except (KeyError, TypeError, IndexError):  # a rule an edit in place left faulty
-        pres._validate_rules()
-        raise
+    reachable = set(forward({s: r[1] for s, r in rules.items()}, [root]))
     rules = {s: r for s, r in rules.items() if s in reachable}
     return SurfacePresentation(name=pres.name, rules=rules, root=root)
 
@@ -415,10 +408,8 @@ def interchange_normalize(
 
     Occurrences are unfolding paths (tuples of child indices), or state
     names for states occurring only in the finite prefix before any cycle;
-    any other entry raises DecomposeError.
-    A fault that an edit in place left on the walked paths, or below them,
-    raises the constructor's error; an edit that only adds an unreachable
-    rule is not seen.
+    any other entry raises DecomposeError.  A system edited in place into
+    a fault raises the constructor's error (`regularize`).
     """
     pres = regularize(pres)
     if not front:
@@ -448,14 +439,13 @@ def spine(pres: SurfacePresentation) -> SpineGraph:
 
 
 def spine_to_dot(g: SpineGraph) -> str:
-    pres = g.presentation
+    rules = g.presentation.rules
     lines = ["digraph spine {"]
-    for s in pres.states():
+    for s in sorted(rules):
         shape = "doublecircle" if s in g.core_states else "circle"
-        lines.append(f'  "{s}" [label="{s}:{pres.kind(s).value}", shape={shape}];')
-    for s in pres.states():
-        for c in pres.children(s):
-            lines.append(f'  "{s}" -> "{c}";')
+        lines.append(f'  "{s}" [label="{s}:{rules[s][0].value}", shape={shape}];')
+    for s in sorted(rules):
+        lines.extend(f'  "{s}" -> "{c}";' for c in rules[s][1])
     lines.append("}")
     return "\n".join(lines)
 

@@ -73,6 +73,11 @@ class EndsCount(Record):
         set_count(self, count)  # set exactly when cardinality is FINITE
 
 
+def _automaton(source: SurfacePresentation | EndsAutomaton) -> EndsAutomaton:
+    """The automaton of a presentation (`ends_automaton`), or the automaton given."""
+    return ends_automaton(source) if isinstance(source, SurfacePresentation) else source
+
+
 def ends_count(
     source: SurfacePresentation | EndsAutomaton, marked: str = "all"
 ) -> EndsCount:
@@ -80,9 +85,7 @@ def ends_count(
 
     ``marked="nonplanar_only"`` counts only the non-planar subspace.
     """
-    if isinstance(source, SurfacePresentation):
-        source = ends_automaton(source)
-    return _cb_of(source, marked)[3]
+    return _cb_of(_automaton(source), marked)[3]
 
 
 # -- the condensation fold -------------------------------------------------
@@ -244,7 +247,7 @@ def _cb_of(automaton: EndsAutomaton, marked: str) -> _CBData:
 
 
 def cb_report(
-    automaton: EndsAutomaton,
+    automaton: SurfacePresentation | EndsAutomaton,
     marked: str = "all",
     rank_cutoff: int = DEFAULT_RANK_CUTOFF,
 ) -> CBReport:
@@ -256,7 +259,7 @@ def cb_report(
     derivative steps (see CBReport)."""
     if not _is_int(rank_cutoff) or rank_cutoff < 0:
         raise EndsError(f"rank_cutoff must be a natural, got {rank_cutoff!r}")
-    rank, last, kernel, card = _cb_of(automaton, marked)
+    rank, last, kernel, card = _cb_of(_automaton(automaton), marked)
     if rank > rank_cutoff:
         return CBReport(rank_cutoff, 0, False, card, (None,) * rank_cutoff, True)
     profile = (None,) * (rank - 1) + (last,) if rank else ()
@@ -667,10 +670,10 @@ def _normal_form(automaton: EndsAutomaton, forms: _Forms | None = None) -> tuple
     return forms, bag
 
 
-def to_end_expr(automaton: EndsAutomaton) -> EndExpr:
+def to_end_expr(automaton: SurfacePresentation | EndsAutomaton) -> EndExpr:
     """Normal-form expression for (ends, non-planar ends), materialized from
     its bag, with the multiplicities expanded."""
-    forms, bag = _normal_form(automaton)
+    forms, bag = _normal_form(_automaton(automaton))
     return forms.expr(bag)
 
 
@@ -719,9 +722,12 @@ def _pair_verdict(
     return (Verdict.YES, FRAGMENT_NORMAL_FORM) if same else (Verdict.NO, None)
 
 
-def pair_homeomorphic(a: EndsAutomaton, b: EndsAutomaton) -> Verdict:
+def pair_homeomorphic(
+    a: SurfacePresentation | EndsAutomaton, b: SurfacePresentation | EndsAutomaton
+) -> Verdict:
     """Is there a homeomorphism of ends spaces matching the non-planar
     subsets?  Sound on Yes and No; Unknown outside the decided fragment."""
+    a, b = _automaton(a), _automaton(b)
     verdict, _ = _pair_verdict(a, a.handle_closure, b, b.handle_closure)
     return verdict
 

@@ -79,8 +79,9 @@ class _Kept(Record):
 
 class SurfacePresentation(_Kept):
     """Either a rule system with a root, or a finite-type triple; mutable, so unhashable.
-    ``_kept`` holds (key, automaton or None, hint): the key of a system known valid, and
-    the first ``sp<i>`` index `splice_annulus` may find free in it (`ends_automaton`)."""
+    ``_kept`` holds (key, automaton or None, hint): the key of a system known valid, kept
+    by the constructor and by every door after an edit in place (`_checked`), and the
+    first ``sp<i>`` index `splice_annulus` may find free in it (`ends_automaton`)."""
 
     __slots__ = ("name", "rules", "root", "finite_type")
     __setattr__ = object.__setattr__
@@ -99,6 +100,7 @@ class SurfacePresentation(_Kept):
             self._validate_rules()
         else:
             self._validate_finite()
+        _keep(self)
 
     def _validate_rules(self) -> None:
         rules = self.rules
@@ -176,20 +178,6 @@ class SurfacePresentation(_Kept):
                 f"{self.name}: closed surface is compact; need b + p >= 1"
             )
 
-    # -- structure helpers -------------------------------------------------
-
-    def kind(self, state: str) -> BlockKind:
-        assert self.rules is not None
-        return self.rules[state][0]
-
-    def children(self, state: str) -> tuple[str, ...]:
-        assert self.rules is not None
-        return self.rules[state][1]
-
-    def states(self) -> list[str]:
-        assert self.rules is not None
-        return sorted(self.rules)
-
     def unfold(self, max_nodes: int) -> Iterator[tuple[tuple[int, ...], str]]:
         """Breadth-first occurrences of the unfolding tree, as (path, state)."""
         assert self.root is not None
@@ -199,7 +187,7 @@ class SurfacePresentation(_Kept):
             path, state = todo.popleft()
             yield path, state
             count += 1
-            for i, child in enumerate(self.children(state)):
+            for i, child in enumerate(self.rules[state][1]):
                 todo.append((path + (i,), child))
 
 
@@ -330,21 +318,6 @@ def forward(succ: Successors, starts: Iterable) -> list:
     return order
 
 
-def _rule(pres: SurfacePresentation, state: str) -> Rule:
-    """The rule of ``state``, for a walk that checks each state it meets
-    once; a state that an edit in place left undefined or of the wrong
-    arity raises the constructor's error.  Such a walk cannot see an edit
-    that only adds an unreachable rule."""
-    try:
-        kind, children = pres.rules[state]
-        if len(children) == _ARITY[kind]:
-            return kind, children
-    except (KeyError, TypeError, ValueError):
-        pass
-    pres._validate_rules()  # raises the constructor's error for the fault
-    raise AssertionError(f"the constructor accepts the faulty rule of {state!r}")
-
-
 # -- the ends automaton ----------------------------------------------------
 
 # a component's shape: a state on no cycle, a cycle, or branching inside it
@@ -387,44 +360,62 @@ def _key(root: str, rules: dict[str, Rule]) -> tuple:
     return root, tuple(rules), tuple(rules.values())
 
 
-def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
-    """The compiled automaton of ``pres``, read-only.  ``pres`` keeps it in ``_kept``
-    under a key compared by value, its root and rules in rule order (or a triple's
-    `FiniteType`), so it compiles again only after an edit in place or a reordering;
-    a key that does not hash (a list could change in place) is not kept, and a kept
-    key without an automaton (a splice's) compiles and fills it in.  A system edited
-    in place into a fault raises the constructor's error."""
-    if pres.rules is None:
-        key = pres.finite_type  # its standard presentation is built only on a miss
-    else:
-        regularize(pres)  # an unset root resolved as the constructor does
-        key = _key(pres.root, pres.rules)  # the name is not read
-    kept, auto, hint = pres._kept
-    if kept == key and auto is not None:
-        return auto
-    system = regularize(pres)
-    try:
-        auto = _condense(system.rules, system.root)
-    except (KeyError, TypeError, ValueError):  # an undefined state, or a malformed rule
-        auto = None
-    if auto is None:
-        system._validate_rules()  # raises the constructor's error for the fault
-        raise AssertionError(f"the constructor accepts the faulty rules of {pres.name!r}")
+def _keep(pres: SurfacePresentation) -> object:
+    """Keep the key of ``pres``, just validated, with no automaton and the hint 0, and
+    return it; a key that does not hash (a list could change in place) is not kept."""
+    key = pres.finite_type if pres.rules is None else _key(pres.root, pres.rules)
     try:
         hash(key)
     except TypeError:
-        return auto
-    pres._kept = key, auto, hint if kept == key else 0
+        return key
+    pres._kept = key, None, 0
+    return key
+
+
+def _checked(pres: SurfacePresentation) -> object:
+    """The key of ``pres`` as it stands, checked at the door: a key that differs from
+    the kept one (an edit in place, or a key that does not hash) is validated, which
+    raises the constructor's error with its message and resolves an unset root, then
+    kept.  The key returned is the kept object exactly when it hashes.  Every walk
+    after the door reads ``pres.rules[state]`` with no check."""
+    kept = pres._kept[0]
+    if pres.rules is None:
+        if pres.finite_type == kept:
+            return kept
+        pres._validate_finite()
+    else:
+        if _key(pres.root, pres.rules) == kept:
+            return kept
+        pres._validate_rules()
+    return _keep(pres)
+
+
+def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
+    """The compiled automaton of ``pres``, read-only, checked at the door (`_checked`).
+    ``pres`` keeps it in ``_kept`` under its key, compared by value: its root and rules
+    in rule order, or a triple's `FiniteType`, so it compiles again only after an edit in
+    place or a reordering; a key that does not hash is not kept, so its system compiles
+    on every call, and a kept key without an automaton (the constructor's, or a
+    splice's) compiles and fills it in.  A triple builds its standard presentation only
+    to compile it."""
+    key = _checked(pres)
+    kept, auto, hint = pres._kept
+    if auto is None or kept is not key:
+        system = pres if pres.rules is not None else regularize(pres)  # checked above
+        auto = _condense(system.rules, system.root)
+        if kept is key:
+            pres._kept = key, auto, hint
     return auto
 
 
-def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
+def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton:
     """One depth-first walk from ``root`` in child order, Tarjan's (1972) in
-    its low-link form (Nuutila, Pearce): it numbers and checks each state it
-    meets, and compiles each component as it closes, after every component
-    its members reach.  A state's link starts at its number and is lowered
-    by the links of the walked states it reaches that are not closed; a
-    closed state's link is above every number, so no on-stack set is kept.
+    its low-link form (Nuutila, Pearce), over a system checked at the door
+    (`_checked`): it numbers each state it meets, and compiles each
+    component as it closes, after every component its members reach.  A
+    state's link starts at its number and is lowered by the links of the
+    walked states it reaches that are not closed; a closed state's link is
+    above every number, so no on-stack set is kept.
     The stack is Pearce's (2016): a state goes on it as it finishes inside
     the component of a state met before it, so a one-state component never
     touches it; a root takes the states pushed since it was met, split off by
@@ -433,12 +424,9 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
     closes it counts the Handle and Pants nodes of the unfolding below one
     of its states, with child multiplicity (``P(a, a)`` doubles): INFINITE
     when one lies on or after a cycle, as a cycle repeats forever every node
-    on or below it; only the root's counts outlive the walk.  None at a
-    wrong arity or an unmet rule; KeyError at an undefined state."""
+    on or below it; only the root's counts outlive the walk."""
     kind, children = rules[root]
-    if len(children) != _ARITY[kind]:
-        return None
-    closed, handle, arity = len(rules), BlockKind.HANDLE, _ARITY
+    closed, handle = len(rules), BlockKind.HANDLE
     index, names, handles = {root: 0}, [root], {0} if kind is handle else set()
     transitions, scc_of, components, exits, shapes = [()] * closed, [0] * closed, [], [], []
     low, stack, work = list(range(closed)), [], [(0, children, iter(children))]
@@ -447,12 +435,10 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
         state, cs, todo = work[-1]
         for child in todo:
             k = index.get(child)
-            if k is None:  # first met: numbered, checked, and walked
+            if k is None:  # first met: numbered and walked
                 k = index[child] = len(names)
                 names.append(child)
                 kind, children = rules[child]
-                if len(children) != arity[kind]:
-                    return None
                 if kind is handle:
                     handles.add(k)
                 work.append((k, children, iter(children)))
@@ -519,8 +505,6 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton | None:
             h = not handles.isdisjoint(members) or any(map(hs.__getitem__, out))
             hs.append(INFINITE if h else 0)
             ps.append(INFINITE if len(ks) > len(members) or any(map(ps.__getitem__, out)) else 0)
-    if len(names) != closed:
-        return None
     # every field positional: the record constructor's fast path
     return EndsAutomaton(names, transitions, frozenset(handles), components, exits, shapes,
                          bytes(map(bool, hs)), bytes(map(bool, ps)), hs[-1], ps[-1])
@@ -596,30 +580,28 @@ def standard_presentation(g: int, n: int, name: str = "std") -> SurfacePresentat
 
 
 def regularize(pres: SurfacePresentation) -> SurfacePresentation:
-    """A rule presentation of the same surface (identity on rule systems).
-    A root unset in place is resolved as the constructor does: the first rule."""
+    """A rule presentation of the same surface (identity on rule systems), checked at
+    the door (`_checked`): a root unset in place is resolved as the constructor does."""
+    _checked(pres)
     if pres.rules is not None:
-        if pres.root is None:
-            pres._validate_rules()
         return pres
     ft = pres.finite_type
-    assert ft is not None
     return standard_presentation(ft.genus, ft.boundary + ft.punctures, pres.name)
 
 
 def splice_annulus(pres: SurfacePresentation, state: str, slot: int) -> SurfacePresentation:
     """Insert an annulus block, the first free ``sp<i>`` state, on one child edge,
     last in rule order; the surface is unchanged.  ValueError when ``state`` has no
-    rule or ``slot`` is not an index of its children.  The result keeps its key and
-    the hint i + 1, no automaton.  If ``pres``'s root and rules still equal its kept
-    key, the result is valid by construction and skips the constructor's walk, and
-    the name search starts at the hint (sp0 ... up to it are taken); any other input
-    goes through the constructor, so a fault raises the constructor's error."""
+    rule or ``slot`` is not an index of its children.  ``pres`` is checked at the door
+    (`_checked`), so the result is valid by construction and skips the constructor's
+    walk: it keeps its key and the hint i + 1, no automaton, and the name search
+    starts at ``pres``'s hint (sp0 ... up to it are taken).  The result of a system
+    whose key does not hash keeps nothing, as its own key holds the same lists."""
+    key = _checked(pres)
     kept, _, hint = pres._kept
-    checked = kept is not None and pres.rules is not None and kept == _key(pres.root, pres.rules)
-    i = hint if checked else 0
-    pres = regularize(pres)
-    assert pres.rules is not None
+    i = hint if kept is key else 0
+    if pres.rules is None:
+        pres = regularize(pres)  # a triple's standard presentation
     try:
         kind, children = pres.rules[state]
     except (KeyError, TypeError):  # undefined, or unhashable
@@ -634,17 +616,9 @@ def splice_annulus(pres: SurfacePresentation, state: str, slot: int) -> SurfaceP
     new_children[slot] = fresh
     rules[state] = (kind, tuple(new_children))
     rules[fresh] = (BlockKind.ANNULUS, (children[slot],))
-    key = _key(pres.root, rules)
-    if checked:
-        out = object.__new__(SurfacePresentation)
-        out.name, out.rules, out.root, out.finite_type = pres.name, rules, pres.root, None
-    else:
-        out = SurfacePresentation(name=pres.name, rules=rules, root=pres.root)
-        try:
-            hash(key)
-        except TypeError:
-            return out
-    out._kept = key, None, i + 1
+    out = object.__new__(SurfacePresentation)
+    out.name, out.rules, out.root, out.finite_type = pres.name, rules, pres.root, None
+    out._kept = (_key(pres.root, rules), None, i + 1) if kept is key else (None, None, 0)
     return out
 
 
@@ -661,22 +635,18 @@ def _first_paths(
     it.  So when w is dropped, behind ``count`` enqueued occurrences of its
     state, every target node in its subtree has ``count`` target
     counterparts ahead of it, and is not among the first ``count`` hits.
-    O(count * (states + edges)); each state's rule is checked once (`_rule`).
+    O(count * (states + edges)), over a system checked at the door (`_checked`).
     """
     assert pres.root is not None
     states, via = [pres.root], [(0, 0)]  # via: each node's parent and child slot
     enqueued = Counter(states)
     hits: list[int] = []
-    children_of: dict[str, tuple[str, ...]] = {}
     for node, state in enumerate(states):  # grows while it is walked
         if len(hits) == count:
             break
         if state in targets:
             hits.append(node)
-        children = children_of.get(state)
-        if children is None:
-            children = children_of[state] = _rule(pres, state)[1]
-        for i, child in enumerate(children):
+        for i, child in enumerate(pres.rules[state][1]):
             if enqueued[child] < count:
                 enqueued[child] += 1
                 states.append(child)
@@ -696,15 +666,14 @@ def first_occurrences(
 ) -> list[tuple[int, ...]]:
     """Paths of the first ``count`` unfolding occurrences of ``kind``;
     ValueError when the unfolding holds fewer, or when ``count`` is not a
-    natural or ``kind`` not a BlockKind.  A rule that an edit in place left
-    faulty raises the constructor's error; an edit that only adds an
-    unreachable rule is not seen."""
+    natural or ``kind`` not a BlockKind.  A system edited in place into a
+    fault raises the constructor's error (`_checked`)."""
     if not _is_int(count) or count < 0:
         raise ValueError(f"count must be a natural, got {count!r}")
     if not isinstance(kind, BlockKind):
         raise ValueError(f"kind must be a BlockKind, got {kind!r}")
     pres = regularize(pres)
-    paths = _first_paths(pres, {s for s in pres.rules if _rule(pres, s)[0] is kind}, count)
+    paths = _first_paths(pres, {s for s, (k, _) in pres.rules.items() if k is kind}, count)
     if len(paths) < count:
         raise ValueError(f"fewer than {count} occurrences of {kind.value} in the unfolding")
     return paths

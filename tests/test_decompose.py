@@ -173,9 +173,9 @@ def _handle_then_pants(pres) -> bool:
     kinds, state, seen = [], pres.root, set()
     while len(kinds) < 2 and state not in seen:
         seen.add(state)
-        if pres.kind(state) is not BlockKind.ANNULUS:
-            kinds.append(pres.kind(state))
-        state = pres.children(state)[0]
+        if pres.rules[state][0] is not BlockKind.ANNULUS:
+            kinds.append(pres.rules[state][0])
+        state = pres.rules[state][1][0]
     return kinds == [BlockKind.HANDLE, BlockKind.PANTS]
 
 
@@ -290,10 +290,10 @@ def _reference_walk(pres: SurfacePresentation, mode: str = "lenient", depth: int
     def skip_annuli(state: str) -> str | None:
         # None means the run closes a pure-annulus lasso; each run is walked once
         run = []
-        while pres.kind(state) is BlockKind.ANNULUS and state not in exits:
+        while pres.rules[state][0] is BlockKind.ANNULUS and state not in exits:
             exits[state] = None  # until the exit is found, so a lasso meets None
             run.append(state)
-            state = pres.children(state)[0]
+            state = pres.rules[state][1][0]
         end = exits.get(state, state)
         for s in run:
             exits[s] = end
@@ -313,10 +313,10 @@ def _reference_walk(pres: SurfacePresentation, mode: str = "lenient", depth: int
         s = skip_annuli(state)
         if s is None:
             return new_piece(PieceKind.PUNCTURED_DISK)
-        if pres.kind(s) is BlockKind.HANDLE:
-            return handle(pres.children(s)[0])
+        if pres.rules[s][0] is BlockKind.HANDLE:
+            return handle(pres.rules[s][1][0])
         pid = new_piece(PieceKind.PANTS)
-        c1, c2 = pres.children(s)
+        c1, c2 = pres.rules[s][1]
         queue.append((pid, 1, c1))
         queue.append((pid, 2, c2))
         return pid
@@ -324,12 +324,12 @@ def _reference_walk(pres: SurfacePresentation, mode: str = "lenient", depth: int
     root = skip_annuli(pres.root)
     if root is None:
         raise PlaneExcludedError("the plane admits no decomposition")
-    if pres.kind(root) is BlockKind.PANTS:
-        c1, c2 = pres.children(root)
+    if pres.rules[root][0] is BlockKind.PANTS:
+        c1, c2 = pres.rules[root][1]
         left = resolve(c1)
         edges.append((left, 0, resolve(c2), 0))
     else:
-        nxt = skip_annuli(pres.children(root)[0])
+        nxt = skip_annuli(pres.rules[root][1][0])
         if nxt is None:
             if mode == "strict":
                 raise PuncturedTorusExcludedInStrictError(
@@ -337,8 +337,8 @@ def _reference_walk(pres: SurfacePresentation, mode: str = "lenient", depth: int
                 )
             torus = new_piece(PieceKind.ONE_HOLED_TORUS)
             edges.append((torus, 0, new_piece(PieceKind.PUNCTURED_DISK), 0))
-        elif pres.kind(nxt) is BlockKind.PANTS:
-            c1, c2 = pres.children(nxt)
+        elif pres.rules[nxt][0] is BlockKind.PANTS:
+            c1, c2 = pres.rules[nxt][1]
             left = resolve(c2)
             edges.append((left, 0, handle(c1), 0))
         else:
@@ -346,7 +346,7 @@ def _reference_walk(pres: SurfacePresentation, mode: str = "lenient", depth: int
             p2 = new_piece(PieceKind.PANTS)
             p3 = new_piece(PieceKind.PANTS)
             edges.extend([(p1, 0, p2, 0), (p1, 1, p2, 1), (p1, 2, p3, 0), (p2, 2, p3, 1)])
-            queue.append((p3, 2, pres.children(nxt)[0]))
+            queue.append((p3, 2, pres.rules[nxt][1][0]))
     while queue and len(pieces) < depth:
         pid, slot, state = queue.popleft()
         edges.append((pid, slot, resolve(state), 0))
@@ -768,7 +768,7 @@ def test_occurrence_searches_match_the_unfolding_scan(pres, data):
         assert _first_path_of(pres, state, auto) == next(p for p, s in unfolding if s == state)
     drawn = set(data.draw(st.lists(st.sampled_from(sorted(pres.rules)), max_size=3)))
     for kind in [*BlockKind, None]:
-        targets = drawn if kind is None else {s for s in pres.rules if pres.kind(s) is kind}
+        targets = drawn if kind is None else {s for s in pres.rules if pres.rules[s][0] is kind}
         scanned = [p for p, s in unfolding if s in targets]
         for count in (1, 2, 3, 5):
             found = _first_paths(pres, targets, count)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import random
 import re
 import sys
@@ -1698,3 +1699,30 @@ def test_invariants_read_the_compiled_condensation_only(pres):
     assert counted.reads == 0
     closure = _closure(auto, _nonplanar(auto))
     assert _pair_verdict(auto, closure, auto, closure) == (Verdict.YES, "identical-presentation")
+
+
+def _entry_answer(ask, *sources) -> object:
+    """What ``ask`` answers for ``sources``, or NotConvertibleError with its message."""
+    try:
+        return ask(*sources)
+    except NotConvertibleError as e:
+        return NotConvertibleError, str(e)
+
+
+def test_folds_of_a_presentation_answer_as_its_automatons():
+    """cb_report, to_end_expr and pair_homeomorphic accept a presentation, as
+    ends_count does, and answer as for its automaton (compiled for a copy);
+    they read a presentation's ``_kept`` as an automaton's folds, and raised
+    a bare AttributeError, ValueError or TypeError on the flute."""
+    triple = parse_presentation("surface s finite S(g=2, b=1, p=2)")
+    sources = [FLUTE, triple, *census_cores(0)]
+    asks = [cb_report, lambda x: cb_report(x, marked="nonplanar_only"),
+            lambda x: cb_report(x, rank_cutoff=1), to_end_expr]
+    for pres, other in zip(sources, sources[1:] + sources[:1]):
+        auto, other_auto = ends_automaton(copy.copy(pres)), ends_automaton(copy.copy(other))
+        for ask in asks:
+            assert _entry_answer(ask, pres) == _entry_answer(ask, auto), pres
+        expected = pair_homeomorphic(auto, other_auto)
+        assert pair_homeomorphic(pres, other) == pair_homeomorphic(pres, other_auto) == expected
+        assert pair_homeomorphic(auto, other) == expected
+        assert pair_homeomorphic(pres, pres) is Verdict.YES

@@ -162,9 +162,9 @@ def _unfold_handle_depths(pres, max_depth):
         state, depth = todo.pop()
         if depth > max_depth:
             continue
-        if pres.kind(state) is BlockKind.HANDLE:
+        if pres.rules[state][0] is BlockKind.HANDLE:
             depths.append(depth)
-        for child in pres.children(state):
+        for child in pres.rules[state][1]:
             todo.append((child, depth + 1))
     return depths
 
@@ -469,7 +469,7 @@ def test_the_walk_numbers_and_condenses_like_the_references(pres):
     succ = {s: cs for s, (_, cs) in pres.rules.items()}
     assert auto.names == _preorder(succ, pres.root)
     assert named(auto) == succ
-    handles = {i for i, s in enumerate(auto.names) if pres.kind(s) is BlockKind.HANDLE}
+    handles = {i for i, s in enumerate(auto.names) if pres.rules[s][0] is BlockKind.HANDLE}
     assert auto.nonplanar_states == handles
     _assert_components_match_the_textbook_tarjan(auto)
 
@@ -678,7 +678,8 @@ def test_memo_holds_one_entry(monkeypatch):
 
 def test_memo_is_not_a_field():
     """``==``, ``repr``, pickle, ``copy`` and `replace` ignore the kept
-    automaton, and a rebuilt presentation keeps nothing."""
+    automaton: a presentation they rebuild goes through the constructor, so
+    it keeps the constructor's key, the hint 0 and no automaton."""
     warm, cold = parse_presentation(FLUTE), parse_presentation(FLUTE)
     auto = ends_automaton(warm)
     assert warm == cold and repr(warm) == repr(cold)
@@ -687,7 +688,7 @@ def test_memo_is_not_a_field():
         hash(warm)
     rebuilt = (pickle.loads(pickle.dumps(warm)), copy.copy(warm), copy.deepcopy(warm), replace(warm))
     for copy_ in rebuilt:
-        assert copy_ == warm and copy_._kept[:2] == (None, None)  # no key, no automaton
+        assert copy_ == warm and copy_._kept == (warm._kept[0], None, 0)  # a key, no automaton
         assert ends_automaton(copy_) == auto and copy_._kept[1] is not auto
     assert warm._kept[1] is auto
 
@@ -744,8 +745,10 @@ def test_memo_recompiles_a_triple_after_its_finite_type_is_reassigned(monkeypatc
 
 # -- splice chains: each result keeps its key and its next free name -------
 #
-# A splice of a presentation whose root and rules still equal its kept key
-# skips the constructor's walk and starts its name search at the kept hint.
+# A splice checks its input at the door (`_checked`): a presentation whose root
+# and rules still equal its kept key, the constructor's or a splice's, is
+# trusted, and the splice skips the constructor's walk and starts its name
+# search at the kept hint.
 # Every chain, and every edit in place along one, answers as the reference
 # splice (conftest.reference_splice), which keeps nothing.
 
@@ -880,7 +883,9 @@ def test_splice_after_an_edit_that_frees_a_name_takes_it():
 
 def test_splice_copies_keep_nothing(monkeypatch):
     """copy, deepcopy, pickle and `replace` of a spliced presentation keep
-    nothing: the copy's next splice runs the constructor's walk."""
+    nothing of the splice: each is rebuilt through the constructor, so it
+    keeps the constructor's key with the hint 0 and no automaton, and its
+    next splice trusts that key and runs no walk."""
     spliced = splice_annulus(splice_annulus(parse_presentation(FLUTE), "root", 1), "root", 0)
     auto = ends_automaton(spliced)
     walks = _count_walks(monkeypatch)
@@ -889,18 +894,20 @@ def test_splice_copies_keep_nothing(monkeypatch):
     assert len(walks) == len(copies)  # each rebuilt through the constructor
     expected = reference_splice(spliced, "punc", 0)
     for copy_ in copies:
-        assert copy_ == spliced and copy_._kept == (None, None, 0)
+        assert copy_ == spliced and copy_._kept == (spliced._kept[0], None, 0)
         walks.clear()
         again = splice_annulus(copy_, "punc", 0)
-        assert len(walks) == 1 and list(again.rules.items()) == list(expected.rules.items())
+        assert len(walks) == 0 and list(again.rules.items()) == list(expected.rules.items())
         assert ends_automaton(copy_) == auto and copy_._kept[1] is not auto
 
 
 def test_a_splice_chain_of_500_validates_once(monkeypatch):
-    """Only the first splice of a parsed presentation runs the constructor's
-    walk, and the k-th result's fresh state, last in rule order, is sp<k-1>."""
-    pres, rng = parse_presentation(FLUTE), random.Random(0)
+    """Only the parse runs the constructor's walk: each splice trusts its
+    input's kept key, the parse's or the splice's before it, and the k-th
+    result's fresh state, last in rule order, is sp<k-1>."""
     walks = _count_walks(monkeypatch)
+    pres, rng = parse_presentation(FLUTE), random.Random(0)
+    assert len(walks) == 1
     for k in range(1, 501):
         state = rng.choice(list(pres.rules))
         pres = splice_annulus(pres, state, rng.randrange(len(pres.rules[state][1])))
@@ -1064,9 +1071,10 @@ def test_folds_keep_a_warm_table_bounded():
 
 # -- answers for a presentation edited in place ----------------------------
 #
-# SurfacePresentation stays mutable, and only its constructor validates it.
-# ends_automaton checks each state its walk meets, so every invariant answers
-# for the system as it stands, or raises the constructor's error for it.
+# SurfacePresentation stays mutable.  Its constructor validates it and keeps
+# its key; every entry point checks it at the door (`_checked`), validating a
+# system whose key differs from the kept one, so every answer is for the
+# system as it stands, or raises the constructor's error for it.
 
 _PLANE = "surface u { x = A(x) }"
 _T = "surface t { r = A(h); h = H(x); x = A(x) }"
@@ -1087,14 +1095,20 @@ def _constructor_error(p: SurfacePresentation) -> EndkitError:
     return built.value
 
 
+def _assert_raises_the_constructors_error(ask, p: SurfacePresentation) -> None:
+    """``ask(p)`` raises the error the constructor raises for the system, of
+    its class and with its message."""
+    error = _constructor_error(p)
+    with pytest.raises(EndkitError) as raised:
+        ask(p)
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
+
+
 def _assert_every_answer_raises(p: SurfacePresentation) -> None:
     """Every invariant, and kerekjarto on either side, raises the error the
     constructor raises for the system, with its message."""
-    error = _constructor_error(p)
     for ask in [*_ASKS, lambda p: kerekjarto(parse_presentation(_PLANE), p)]:
-        with pytest.raises(type(error)) as raised:
-            ask(p)
-        assert str(raised.value) == str(error)
+        _assert_raises_the_constructors_error(ask, p)
 
 
 def test_edit_reassigning_the_root_past_rules_raises_unreachable():
@@ -1140,23 +1154,23 @@ def test_edit_met_by_a_walk_raises_the_constructors_error(rule):
     first_occurrences."""
     p = parse_presentation(FLUTE)
     p.rules["punc"] = rule
-    error = _constructor_error(p)
     for walk in _WALKS:
-        with pytest.raises(type(error)) as raised:
-            walk(p)
-        assert str(raised.value) == str(error)
+        _assert_raises_the_constructors_error(walk, p)
 
 
-def test_edit_adding_only_an_unreachable_rule_is_not_seen_by_the_walks():
-    """The walks check the states they meet, so a rule that no walk reaches
-    leaves their answers as they were (the invariants refuse it)."""
+def test_edit_adding_only_an_unreachable_rule_raises_at_every_door():
+    """A rule that no walk reaches is seen at the door (`_checked`): the
+    walks raise UnreachableRuleError with the constructor's message, as the
+    invariants do, also after they answered for the system before the edit."""
     p = parse_presentation(FLUTE)
     walks = [*_WALKS[:2], lambda p: first_occurrences(p, BlockKind.PANTS, 3)]
-    before = [walk(p) for walk in walks]
+    for walk in walks:
+        walk(p)
     p.rules["orphan"] = (BlockKind.ANNULUS, ("orphan",))
-    assert [walk(p) for walk in walks] == before
-    with pytest.raises(UnreachableRuleError):
-        genus(p)
+    assert isinstance(_constructor_error(p), UnreachableRuleError)
+    for walk in walks:
+        _assert_raises_the_constructors_error(walk, p)
+    _assert_every_answer_raises(p)
 
 
 @pytest.mark.parametrize("ask", [
@@ -1175,10 +1189,12 @@ def test_edit_unsetting_the_root_answers_for_the_first_rule(ask):
 
 
 def _answer(ask, p):
-    """What ``ask`` answers for ``p``, or the class of the error it raises."""
+    """What ``ask`` answers for ``p``, or the class of the error it raises
+    (`splice_annulus` and `first_occurrences` raise ValueError for their
+    arguments)."""
     try:
         answer = ask(p)
-    except EndkitError as error:
+    except (EndkitError, ValueError) as error:
         return type(error)
     return answer.to_json() if hasattr(answer, "to_json") else answer
 
@@ -1563,17 +1579,14 @@ def test_printed_text_parses_back(pres):
 # `_condense` pushes a state on its stack only when the state finishes inside
 # a component whose root is still open (Pearce), and sorts each component's
 # members back into numbering order; `conftest.reference_condense` pushes
-# every state as it is first met (Tarjan).  Every field must match, and a
-# faulty system must give the same None or KeyError.
+# every state as it is first met (Tarjan).  Every field must match.  Both read
+# a system checked at the door, so neither meets a fault.
 
 
-def _condensed(condense, rules, root) -> object:
-    """The automaton's fields, None, or the KeyError with its arguments."""
-    try:
-        auto = condense(rules, root)
-    except KeyError as e:
-        return KeyError, e.args
-    return None if auto is None else {f: getattr(auto, f) for f in EndsAutomaton.__slots__}
+def _condensed(condense, rules, root) -> dict:
+    """The automaton's fields."""
+    auto = condense(rules, root)
+    return {f: getattr(auto, f) for f in EndsAutomaton.__slots__}
 
 
 def _assert_condensation_matches_the_reference(rules, root) -> object:
@@ -1611,8 +1624,59 @@ def test_condensation_of_grown_cores_matches_the_reference():
     assert large > 100  # below a root, three members can finish out of numbering order
 
 
-@settings(max_examples=1000, deadline=None)
-@given(_faulty_systems())
-def test_condensation_of_faulty_systems_matches_the_reference(system):
+# -- the door: every entry point checks a presentation edited in place ----
+#
+# A valid, compiled presentation is edited in place into a faulty system:
+# every entry point raises the constructor's error, of its class and with its
+# message, before any walk reads the rules; a system the constructor accepts
+# answers as a fresh build of it.
+
+_DOORS = {
+    "ends_automaton": ends_automaton,
+    "regularize": regularize,
+    "splice_annulus": lambda p: splice_annulus(p, next(iter(p.rules)), 0),
+    "decompose": lambda p: decompose(p, "lenient", 8),
+    "interchange_normalize": lambda p: interchange_normalize(p, [(0,)]),
+    "first_occurrences": lambda p: first_occurrences(p, BlockKind.PANTS, 1),
+    "spine": spine,
+    "find_essential_pants": find_essential_pants,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(max_states=6), _faulty_systems())
+def test_edit_into_a_faulty_system_raises_the_constructors_error_at_every_door(before, system):
     rules, root = system
-    _assert_condensation_matches_the_reference(rules, next(iter(rules)) if root is None else root)
+    try:
+        fresh = SurfacePresentation(before.name, dict(rules), root)
+    except EndkitError:
+        fresh = None
+    for name, door in _DOORS.items():
+        p = SurfacePresentation(before.name, dict(before.rules), before.root)
+        ends_automaton(p)  # compiled: it keeps its key and its automaton
+        p.rules.clear()
+        p.rules.update(rules)
+        p.root = root
+        if fresh is None:
+            _assert_raises_the_constructors_error(door, p)
+        else:
+            assert _answer(door, p) == _answer(door, fresh), name
+
+
+@pytest.mark.parametrize("finite_type", [FiniteType(-1, 0, 1), FiniteType(1, 0, 0), FiniteType(1.5, 0, 1)],
+                         ids=["negative", "closed", "not-an-integer"])
+def test_edit_into_a_faulty_triple_raises_the_constructors_error_at_every_door(finite_type):
+    """A triple is checked at the door as a rule system is: its FiniteType
+    edited in place into one the constructor refuses raises the
+    constructor's error, where building its standard presentation raised a
+    ValueError with another message."""
+    with pytest.raises(PresentationSyntaxError) as built:
+        SurfacePresentation("s", finite_type=finite_type)
+    doors = {**_DOORS, "splice_annulus": lambda p: splice_annulus(p, "t1", 0)}  # a triple has no rules
+    for name, door in doors.items():
+        s = parse_presentation("surface s finite S(g=2, b=1, p=2)")
+        ends_automaton(s)
+        s.finite_type = finite_type
+        with pytest.raises(PresentationSyntaxError) as raised:
+            door(s)
+        assert str(raised.value) == str(built.value), name
