@@ -36,6 +36,9 @@ from typing import Callable, Iterator, Sequence, TypeVar, Union as TUnion
 from ._record import Record
 from .errors import EndsError, InvalidEndExprError, NotConvertibleError
 from .presentation import (
+    ACYCLIC,
+    BRANCHING,
+    CYCLE,
     INFINITE,
     EndsAutomaton,
     Genus,
@@ -73,11 +76,6 @@ class EndsCount(Record):
         set_count(self, count)  # set exactly when cardinality is FINITE
 
 
-def _automaton(source: SurfacePresentation | EndsAutomaton) -> EndsAutomaton:
-    """The automaton of a presentation (`ends_automaton`), or the automaton given."""
-    return ends_automaton(source) if isinstance(source, SurfacePresentation) else source
-
-
 def ends_count(
     source: SurfacePresentation | EndsAutomaton, marked: str = "all"
 ) -> EndsCount:
@@ -85,44 +83,37 @@ def ends_count(
 
     ``marked="nonplanar_only"`` counts only the non-planar subspace.
     """
-    return _cb_of(_automaton(source), marked)[3]
+    return _cb_of(ends_automaton(source), marked)[3]
 
 
 # -- the condensation fold -------------------------------------------------
 
-class _Kind(Enum):
-    """The shape of a component of the condensation, and what it makes of
-    the ends beyond its exits (its children outside it, with multiplicity)."""
-
-    ACYCLIC = "a state on no cycle: the union of its exits"
-    POINT = "a cycle without exits: one end"
-    SEQ = "a cycle with exits: copies of the union of its exits, converging to the cycle's end"
-    CANTOR = "branching inside, no exits: a Cantor set"
-    KERNEL = "branching inside, and exits: a Cantor set that copies of each exit accumulate on"
-
-
 _V = TypeVar("_V")
-# a kept component's kind by its shape (ACYCLIC, CYCLE, BRANCHING), then by
-# whether it keeps an exit
-_KINDS = ((None, _Kind.ACYCLIC), (_Kind.POINT, _Kind.SEQ), (_Kind.CANTOR, _Kind.KERNEL))
 
 
 def _fold_components(
     space: EndsAutomaton,
-    combine: Callable[[_Kind, int, list], _V],
+    combine: Callable[[int, int, list], _V],
     within: Sequence[Genus] | None = None,
 ) -> _V | None:
-    """``combine(kind, i, values of its exits)`` at every component ``i`` of
+    """``combine(shape, i, values of its exits)`` at every component ``i`` of
     the paths that stay within the components non-zero in ``within`` (all by
     default; a mark closure, such as the compiled ``handle_closure``), children
     first; the value at the root, or None when no such path is infinite.
+
+    A component's shape and whether it keeps an exit (a child outside it, with
+    multiplicity) say what it makes of the ends beyond its exits: ACYCLIC, a
+    state on no cycle, the union of its exits; a CYCLE without exits, one end,
+    and with exits, copies of the union of its exits converging to the cycle's
+    end; BRANCHING inside without exits, a Cantor set, and with exits, a Cantor
+    set that copies of each exit accumulate on.
 
     A component outside ``within``, or acyclic with no exit left, carries
     no infinite path: its value is None, and the exits into it are skipped.
     Only a ``within`` leaves such a component, so only under one are the
     exits' values filtered.  An acyclic component with one exit left passes
     that exit's value through without a call: every combiner returns
-    ``kids[0]`` for ``(_Kind.ACYCLIC, i, [kid])``."""
+    ``kids[0]`` for ``(ACYCLIC, i, [kid])``."""
     if within is not None and not within[-1]:
         return None  # the root's component reaches every other, so none is kept
     values: list = []
@@ -136,7 +127,7 @@ def _fold_components(
             kids = (list(map(value, exits)) if within is None
                     else [v for k in exits if (v := values[k]) is not None])
             if shape or len(kids) > 1:
-                append(combine(_KINDS[shape][bool(kids)], i, kids))
+                append(combine(shape, i, kids))
             else:
                 append(kids[0] if kids else None)
     return values[-1]
@@ -187,17 +178,15 @@ _POINT_CB: _CBStep = (1, 1, False, 1)
 _CANTOR_CB: _CBStep = (0, 0, True, INFINITE)
 
 
-def _cb(kind: _Kind, i: int | None, kids: list[_CBStep]) -> _CBStep:
+def _cb(shape: int, i: int | None, kids: list[_CBStep]) -> _CBStep:
     """The CB step of the ends beyond a component from its exits', in one
     loop over them: the top rank, the sum of that rank's last batches (None
     when one is infinite), whether any has a kernel, and the number of ends."""
-    if kind is _Kind.POINT:
-        return _POINT_CB
-    if kind is _Kind.CANTOR:
-        return _CANTOR_CB
     if not kids:
-        raise InvalidEndExprError("empty union denotes no space")
-    if kind is _Kind.ACYCLIC and len(kids) == 1:
+        if not shape:
+            raise InvalidEndExprError("empty union denotes no space")
+        return _POINT_CB if shape == CYCLE else _CANTOR_CB
+    if not shape and len(kids) == 1:
         return kids[0]
     steps = iter(kids)
     rank, last, kernel, count = next(steps)
@@ -211,11 +200,11 @@ def _cb(kind: _Kind, i: int | None, kids: list[_CBStep]) -> _CBStep:
             count += n
         except OverflowError:  # INFINITE, a float, plus an integer past 2**1024
             count = INFINITE
-    if kind is _Kind.ACYCLIC:
+    if not shape:
         return (rank, last, kernel, count)
-    if kind is _Kind.KERNEL or kernel:  # the exits' last batch, copied forever
+    if shape == BRANCHING or kernel:  # the exits' last batch, copied forever
         return (rank, None if rank else 0, True, INFINITE)
-    return (rank + 1, 1, False, INFINITE)  # SEQ: the cycle's end is the new level
+    return (rank + 1, 1, False, INFINITE)  # a cycle with exits: its end is the new level
 
 
 def _cardinality(kernel: bool, count: Genus) -> EndsCount:
@@ -259,7 +248,7 @@ def cb_report(
     derivative steps (see CBReport)."""
     if not _is_int(rank_cutoff) or rank_cutoff < 0:
         raise EndsError(f"rank_cutoff must be a natural, got {rank_cutoff!r}")
-    rank, last, kernel, card = _cb_of(_automaton(automaton), marked)
+    rank, last, kernel, card = _cb_of(ends_automaton(automaton), marked)
     if rank > rank_cutoff:
         return CBReport(rank_cutoff, 0, False, card, (None,) * rank_cutoff, True)
     profile = (None,) * (rank - 1) + (last,) if rank else ()
@@ -384,8 +373,8 @@ def _has_nonplanar(e: EndExpr) -> bool:
 
 
 class _Forms:
-    """An intern table of normal forms, for one call, one automaton or one
-    pair (see `_pair_verdict`): each distinct normal form gets a small
+    """An intern table of normal forms, for one call or one automaton (see
+    `_normal_form`): each distinct normal form gets a small
     integer id, keyed by (tag, mark, child ids) with the tags and marks of
     `_key`, a Union's children ranked by `_key`.  Equal forms get equal
     ids, so equality and dedupe compare ids.
@@ -620,14 +609,14 @@ def parse_end_expr(text: str) -> EndExpr:
     return expr
 
 
-_KIND_OF_NODE = {Pt: _Kind.POINT, Cantor: _Kind.CANTOR, Seq: _Kind.SEQ, Union: _Kind.ACYCLIC}
+_SHAPE_OF_NODE = {Pt: CYCLE, Cantor: BRANCHING, Seq: CYCLE, Union: ACYCLIC}
 
 
 def expr_cb_report(e: EndExpr) -> CBReport:
     """Cantor-Bendixson data computed over the algebra: each node is read as
-    the component kind that realizes it, through the automaton route's
-    combiner."""
-    rank, last, kernel, count = _fold(e, lambda node, kids: _cb(_KIND_OF_NODE[type(node)], None, kids))
+    the component shape that realizes it, its children as the exits, through
+    the automaton route's combiner."""
+    rank, last, kernel, count = _fold(e, lambda node, kids: _cb(_SHAPE_OF_NODE[type(node)], None, kids))
     return CBReport(rank, 0 if kernel else last, kernel, _cardinality(kernel, count))
 
 
@@ -640,28 +629,30 @@ def _to_expr(space: EndsAutomaton, marked: Sequence[Genus], forms: _Forms) -> di
     exits.  Each component's bag is built once, from its children's, in
     time linear in their distinct parts."""
 
-    def expr(kind: _Kind, i: int, kids: list[dict[int, int]]) -> dict[int, int]:
-        if kind is _Kind.ACYCLIC:
+    def expr(shape: int, i: int, kids: list[dict[int, int]]) -> dict[int, int]:
+        if not shape:
             return forms.union(kids)
-        if kind is _Kind.KERNEL:
+        if not kids:
+            return forms.atom(shape == BRANCHING, marked[i] != 0)
+        if shape == BRANCHING:
             raise NotConvertibleError("component mixes internal branching with exits")
-        if kind is _Kind.SEQ:
-            return forms.seq(forms.union(kids), marked[i] != 0)
-        return forms.atom(kind is _Kind.CANTOR, marked[i] != 0)
+        return forms.seq(forms.union(kids), marked[i] != 0)
 
     return _fold_components(space, expr)
 
 
-def _normal_form(automaton: EndsAutomaton, forms: _Forms | None = None) -> tuple[_Forms, dict[int, int]]:
-    """The normal form of (ends, non-planar ends), as its table and bag,
-    folded into ``forms`` (a fresh table by default) the first time it is
-    asked for and kept on the automaton; NotConvertibleError, a fresh one
-    on every ask, when it has none."""
-    folds = automaton._kept
+def _normal_form(automaton: EndsAutomaton, marked: Sequence[Genus]) -> tuple[_Forms, dict[int, int]]:
+    """The normal form of the ends with those in the mark closure ``marked``
+    marked, as its table and bag; NotConvertibleError when it has none.  Marked
+    by its own ``handle_closure`` (the non-planar ends), it is folded into a
+    fresh table the first time it is asked for and kept on the automaton, or
+    the lack of one is, and a fresh error is raised on every ask; any other
+    marks fold into a fresh table kept nowhere."""
+    folds = automaton._kept if marked is automaton.handle_closure else [None] * 3
     if folds[2] is None:
-        forms = forms or _Forms()
+        forms = _Forms()
         try:
-            folds[2] = forms, _to_expr(automaton, automaton.handle_closure, forms)
+            folds[2] = forms, _to_expr(automaton, marked, forms)
         except NotConvertibleError as e:
             folds[2] = None, str(e)
     forms, bag = folds[2]
@@ -673,7 +664,8 @@ def _normal_form(automaton: EndsAutomaton, forms: _Forms | None = None) -> tuple
 def to_end_expr(automaton: SurfacePresentation | EndsAutomaton) -> EndExpr:
     """Normal-form expression for (ends, non-planar ends), materialized from
     its bag, with the multiplicities expanded."""
-    forms, bag = _normal_form(_automaton(automaton))
+    automaton = ends_automaton(automaton)
+    forms, bag = _normal_form(automaton, automaton.handle_closure)
     return forms.expr(bag)
 
 
@@ -695,30 +687,23 @@ def _pair_verdict(
     their marked subspaces, are read only when a side has no normal form,
     and separate a No from Unknown.
 
-    A side marked by its own ``handle_closure`` keeps its normal form on its
-    automaton (`_normal_form`), and a kept table never grows: two sides
-    folded in this call share one fresh table, and a side folded before is
-    not folded again, but read through `_Forms.find` in the other side's
-    table, in time linear in its own table.  Other marks, such as graph_phe_equal's
-    core flags, fold both sides into one fresh table, kept nowhere."""
+    Each side folds into its own table (`_normal_form`: kept on its automaton
+    when marked by its own ``handle_closure``, else kept nowhere), and side a's
+    bag is read through `_Forms.find` in side b's table, in time linear in
+    a's table, so a kept table never grows."""
     if space_a.transitions == space_b.transitions and (  # one system: its marks as flags
         [m != 0 for m in marked_a] == [m != 0 for m in marked_b]
     ):
         return Verdict.YES, FRAGMENT_IDENTICAL
     try:
-        if marked_a is space_a.handle_closure and marked_b is space_b.handle_closure:
-            shared = None if space_a._kept[2] or space_b._kept[2] else _Forms()
-            forms_a, bag_a = _normal_form(space_a, shared)
-            forms_b, bag_b = _normal_form(space_b, shared)
-            same = (bag_a if forms_a is forms_b else forms_b.find(forms_a, bag_a)) == bag_b
-        else:
-            forms = _Forms()  # both sides in one table: equal forms are equal bags
-            same = _to_expr(space_a, marked_a, forms) == _to_expr(space_b, marked_b, forms)
+        forms_a, bag_a = _normal_form(space_a, marked_a)
+        forms_b, bag_b = _normal_form(space_b, marked_b)
     except NotConvertibleError:
         same_cb = _cb_data(space_a) == _cb_data(space_b) and (
             _cb_data(space_a, marked_a) == _cb_data(space_b, marked_b)
         )
         return (Verdict.UNKNOWN if same_cb else Verdict.NO), None
+    same = forms_b.find(forms_a, bag_a) == bag_b
     return (Verdict.YES, FRAGMENT_NORMAL_FORM) if same else (Verdict.NO, None)
 
 
@@ -727,7 +712,7 @@ def pair_homeomorphic(
 ) -> Verdict:
     """Is there a homeomorphism of ends spaces matching the non-planar
     subsets?  Sound on Yes and No; Unknown outside the decided fragment."""
-    a, b = _automaton(a), _automaton(b)
+    a, b = ends_automaton(a), ends_automaton(b)
     verdict, _ = _pair_verdict(a, a.handle_closure, b, b.handle_closure)
     return verdict
 

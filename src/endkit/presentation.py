@@ -94,13 +94,7 @@ class SurfacePresentation(_Kept):
     ) -> None:
         self.name, self.rules, self.root, self.finite_type = name, rules, root, finite_type
         self._kept = (None, None, 0)
-        if (self.rules is None) == (self.finite_type is None):
-            raise ValueError("exactly one of rules / finite_type required")
-        if self.rules is not None:
-            self._validate_rules()
-        else:
-            self._validate_finite()
-        _keep(self)
+        _checked(self)
 
     def _validate_rules(self) -> None:
         rules = self.rules
@@ -179,15 +173,16 @@ class SurfacePresentation(_Kept):
             )
 
     def unfold(self, max_nodes: int) -> Iterator[tuple[tuple[int, ...], str]]:
-        """Breadth-first occurrences of the unfolding tree, as (path, state)."""
-        assert self.root is not None
-        todo = deque([((), self.root)])
+        """Breadth-first occurrences of the unfolding tree, as (path, state), of the
+        presentation checked at the door (`regularize`) as the first is asked for."""
+        pres = regularize(self)
+        todo = deque([((), pres.root)])
         count = 0
         while todo and count < max_nodes:
             path, state = todo.popleft()
             yield path, state
             count += 1
-            for i, child in enumerate(self.rules[state][1]):
+            for i, child in enumerate(pres.rules[state][1]):
                 todo.append((path + (i,), child))
 
 
@@ -276,15 +271,16 @@ def parse_presentation(text: str) -> SurfacePresentation:
 
 
 def pretty_print(pres: SurfacePresentation) -> str:
-    """Inverse of parse_presentation up to whitespace; a surface or state
-    name that is not an identifier raises PresentationError."""
+    """Inverse of parse_presentation up to whitespace, of the presentation checked at
+    the door (`_checked`); a surface or state name that is not an identifier raises
+    PresentationError."""
+    _checked(pres)
     bad = next((n for n in (pres.name, *(pres.rules or ())) if not _NAME.fullmatch(n)), None)
     if bad is not None:
         raise PresentationError(f"cannot print {bad!r}: a name must match [A-Za-z_][A-Za-z0-9_]*")
     if pres.finite_type is not None:
         ft = pres.finite_type
         return f"surface {pres.name} finite S(g={ft.genus}, b={ft.boundary}, p={ft.punctures})"
-    assert pres.rules is not None and pres.root is not None
     lines = []
     for lhs, (kind, children) in pres.rules.items():
         lines.append(f"  {lhs} = {kind.value}({', '.join(children)})")
@@ -360,10 +356,22 @@ def _key(root: str, rules: dict[str, Rule]) -> tuple:
     return root, tuple(rules), tuple(rules.values())
 
 
-def _keep(pres: SurfacePresentation) -> object:
-    """Keep the key of ``pres``, just validated, with no automaton and the hint 0, and
-    return it; a key that does not hash (a list could change in place) is not kept."""
-    key = pres.finite_type if pres.rules is None else _key(pres.root, pres.rules)
+def _checked(pres: SurfacePresentation) -> object:
+    """The key of ``pres`` as it stands, checked at the door, the constructor's too:
+    exactly one of rules and triple, else ValueError; a key that differs from the kept
+    one (an edit in place, a key that does not hash, or none kept yet, when no key is
+    built to compare) is validated, which raises the constructor's error with its message
+    and resolves an unset root, then kept with no automaton and the hint 0, unless it
+    does not hash (a list could change in place).  The key returned is the kept object
+    exactly when it hashes.  Every walk after the door reads ``pres.rules[state]`` with
+    no check."""
+    if (pres.rules is None) == (pres.finite_type is None):
+        raise ValueError("exactly one of rules / finite_type required")
+    kept, triple = pres._kept[0], pres.rules is None
+    if kept is not None and kept == (pres.finite_type if triple else _key(pres.root, pres.rules)):
+        return kept
+    (pres._validate_finite if triple else pres._validate_rules)()
+    key = pres.finite_type if triple else _key(pres.root, pres.rules)  # the root resolved
     try:
         hash(key)
     except TypeError:
@@ -372,32 +380,16 @@ def _keep(pres: SurfacePresentation) -> object:
     return key
 
 
-def _checked(pres: SurfacePresentation) -> object:
-    """The key of ``pres`` as it stands, checked at the door: a key that differs from
-    the kept one (an edit in place, or a key that does not hash) is validated, which
-    raises the constructor's error with its message and resolves an unset root, then
-    kept.  The key returned is the kept object exactly when it hashes.  Every walk
-    after the door reads ``pres.rules[state]`` with no check."""
-    kept = pres._kept[0]
-    if pres.rules is None:
-        if pres.finite_type == kept:
-            return kept
-        pres._validate_finite()
-    else:
-        if _key(pres.root, pres.rules) == kept:
-            return kept
-        pres._validate_rules()
-    return _keep(pres)
-
-
-def ends_automaton(pres: SurfacePresentation) -> EndsAutomaton:
-    """The compiled automaton of ``pres``, read-only, checked at the door (`_checked`).
-    ``pres`` keeps it in ``_kept`` under its key, compared by value: its root and rules
-    in rule order, or a triple's `FiniteType`, so it compiles again only after an edit in
-    place or a reordering; a key that does not hash is not kept, so its system compiles
-    on every call, and a kept key without an automaton (the constructor's, or a
-    splice's) compiles and fills it in.  A triple builds its standard presentation only
-    to compile it."""
+def ends_automaton(pres: SurfacePresentation | EndsAutomaton) -> EndsAutomaton:
+    """The compiled automaton of ``pres``, read-only, checked at the door (`_checked`),
+    or ``pres`` itself when it is one.  ``pres`` keeps it in ``_kept`` under its key,
+    compared by value: its root and rules in rule order, or a triple's `FiniteType`, so
+    it compiles again only after an edit in place or a reordering; a key that does not
+    hash is not kept, so its system compiles on every call, and a kept key without an
+    automaton (the constructor's, or a splice's) compiles and fills it in.  A triple
+    builds its standard presentation only to compile it."""
+    if isinstance(pres, EndsAutomaton):
+        return pres
     key = _checked(pres)
     kept, auto, hint = pres._kept
     if auto is None or kept is not key:
@@ -512,26 +504,32 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton:
 
 # -- invariants ------------------------------------------------------------
 #
-# Each accepts a presentation or its automaton; a finite-type triple
-# answers without building one.
+# Each accepts a presentation or its automaton (`ends_automaton`); a
+# finite-type triple answers from its `FiniteType`, checked at the door
+# (`_triple`), without building one.
+
+def _triple(source: SurfacePresentation | EndsAutomaton) -> FiniteType | None:
+    """The `FiniteType` of a triple, checked at the door (`_checked`); None for a rule
+    system or an automaton, which `ends_automaton` checks."""
+    if isinstance(source, SurfacePresentation) and source.finite_type is not None:
+        _checked(source)
+        return source.finite_type
+    return None
+
 
 def genus(source: SurfacePresentation | EndsAutomaton) -> Genus:
     """Number of genus-adding blocks in the unfolding; INFINITE when a
     Handle state lies on, or is reachable from, a rule-graph cycle."""
-    if isinstance(source, SurfacePresentation):
-        if source.finite_type is not None:
-            return source.finite_type.genus
-        source = ends_automaton(source)
-    return source.handle_count
+    ft = _triple(source)
+    return ends_automaton(source).handle_count if ft is None else ft.genus
 
 
 def is_finite_type(source: SurfacePresentation | EndsAutomaton) -> bool:
     """True iff the unfolding contains finitely many non-annulus blocks."""
-    if isinstance(source, SurfacePresentation):
-        if source.finite_type is not None:
-            return True
-        source = ends_automaton(source)
-    return INFINITE not in (source.handle_count, source.pants_count)
+    if _triple(source) is not None:
+        return True
+    auto = ends_automaton(source)
+    return INFINITE not in (auto.handle_count, auto.pants_count)
 
 
 def canonical_finite_type(
@@ -542,14 +540,13 @@ def canonical_finite_type(
     Boundary circles and punctures are interchangeable for the interior,
     so finite_type(g, b, p) maps to (g, 0, b + p).
     """
-    prefix = ""
-    if isinstance(source, SurfacePresentation):
-        if source.finite_type is not None:
-            ft = source.finite_type
-            return (ft.genus, 0, ft.boundary + ft.punctures)
-        prefix, source = f"{source.name}: ", ends_automaton(source)
-    g, pants = source.handle_count, source.pants_count
+    ft = _triple(source)
+    if ft is not None:
+        return (ft.genus, 0, ft.boundary + ft.punctures)
+    auto = ends_automaton(source)
+    g, pants = auto.handle_count, auto.pants_count
     if INFINITE in (g, pants):
+        prefix = f"{source.name}: " if isinstance(source, SurfacePresentation) else ""
         raise NotFiniteTypeError(f"{prefix}infinite type")
     # each pants occurrence splits one end in two; annuli and handles never branch
     return (int(g), 0, int(pants) + 1)

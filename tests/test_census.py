@@ -9,6 +9,10 @@ sequence in pair order.  ``tests/data/census.txt`` holds that sequence, one
 line per set, so that a mismatch prints the pairs that moved with their old
 and new verdicts.
 
+The deep families at 10^3 states (chain, comb, cantor-marked, seq-tower)
+are pinned to the closed forms of ``bench/inputs.expected_invariants``, and
+each answers Homeomorphic, by normal form, against a spliced, renamed copy.
+
 A change that moves a verdict on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_census.py``, updates the pins below, and
 says which pairs moved and why.
@@ -24,7 +28,10 @@ from pathlib import Path
 
 import pytest
 
-from endkit import kerekjarto, parse_presentation, spine
+from endkit import (
+    INFINITE, cb_report, cb_report_to_json, ends_count, ends_count_to_json, genus, is_finite_type,
+    kerekjarto, parse_presentation, spine, splice_annulus, to_end_expr,
+)
 from endkit.decompose import graph_phe_equal
 
 from conftest import bench_inputs, census_cores
@@ -120,6 +127,30 @@ def test_census_verdicts_are_pinned(name):
     assert dict(Counter(sequence[0::2])) == classify
     assert dict(Counter(sequence[1::2])) == phe
     assert hashlib.sha256(sequence.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family, size", [("chain", 1000), ("comb", 1001), ("cantor-marked", 1000),
+                                          ("seq-tower", 1000)])
+def test_deep_families_at_a_thousand_states_are_pinned(family, size):
+    inputs = bench_inputs()
+    pres = inputs.FAMILIES[family][0](size)
+    cutoff = len(pres.rules) + 2  # above the CB rank, which is at most the state count
+    reports = [cb_report_to_json(cb_report(pres, marked, cutoff)) for marked in ("all", "nonplanar_only")]
+    g = genus(pres)
+    got = {
+        "genus": "infinite" if g == INFINITE else g,
+        "finite_type": is_finite_type(pres),
+        "ends": ends_count_to_json(ends_count(pres)),
+        "ends_nonplanar": ends_count_to_json(ends_count(pres, marked="nonplanar_only")),
+        "cb": {k: reports[0][k] for k in ("rank", "degree", "perfect_kernel", "cardinality")},
+        "cb_nonplanar": {k: reports[1][k] for k in ("rank", "degree", "perfect_kernel", "cardinality")},
+        "expr": to_end_expr(pres),
+    }
+    assert got == inputs.expected_invariants(family, size)
+    state = random.Random(size).choice(sorted(pres.rules))
+    copy = inputs.rename(splice_annulus(pres, state, 0), random.Random(size))
+    verdict = kerekjarto(pres, copy)
+    assert (verdict.verdict.value, verdict.witness) == ("Homeomorphic", "end-expression-normal-form")
 
 
 if __name__ == "__main__":

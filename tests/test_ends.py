@@ -65,7 +65,6 @@ from endkit.ends import (
     _Forms,
     _has_nonplanar,
     _key,
-    _Kind,
     _pair_verdict,
     _to_expr,
     _walk,
@@ -516,16 +515,16 @@ def _reference_to_expr(space: EndsAutomaton, marked: AbstractSet[str]) -> EndExp
     """The normal form, with the ends inside the mark closure ``marked`` (a
     set of states) marked."""
 
-    def expr(kind: _Kind, i: int, kids: list[EndExpr]) -> EndExpr:
-        if kind is _Kind.KERNEL:
+    def expr(shape: int, i: int, kids: list[EndExpr]) -> EndExpr:
+        if shape == BRANCHING and kids:
             raise NotConvertibleError("component mixes internal branching with exits")
         in_marked = marked.issuperset(space.names[s] for s in space.components[i])
-        if kind is _Kind.POINT:
+        if shape == CYCLE and not kids:
             return Pt(in_marked)
-        if kind is _Kind.CANTOR:
+        if shape == BRANCHING:
             return Cantor(in_marked)
         body = _reference_normal(Union(tuple(kids)), kids)
-        return body if kind is _Kind.ACYCLIC else _reference_normal(Seq(body, in_marked), [body])
+        return body if shape == ACYCLIC else _reference_normal(Seq(body, in_marked), [body])
 
     return _fold_components(space, expr)
 
@@ -698,9 +697,9 @@ def test_canonical_form_is_equal_where_the_relabelling_was_on_the_census(seed):
 
 def _reference_fold(space: EndsAutomaton, combine, within: list[bool] | None = None):
     """_fold_components over the states, not the compiled table: every
-    component's exits, cycles and branching are read off the states'
-    successor map by the general rule, and every kept component calls
-    ``combine``."""
+    component's exits and shape (on no cycle, a cycle, or branching) are read
+    off the states' successor map by the general rule, and every kept
+    component calls ``combine``."""
     succ, names = named(space), space.names
     cyclic = _on_cycles(succ)
     value_of: dict = {}
@@ -713,12 +712,12 @@ def _reference_fold(space: EndsAutomaton, combine, within: list[bool] | None = N
         if scc[0] not in cyclic:
             if not kids:
                 continue
-            kind = _Kind.ACYCLIC
+            shape = ACYCLIC
         elif any(sum(c in members for c in succ[s]) >= 2 for s in scc):
-            kind = _Kind.KERNEL if kids else _Kind.CANTOR
+            shape = BRANCHING
         else:
-            kind = _Kind.SEQ if kids else _Kind.POINT
-        value = combine(kind, i, kids)
+            shape = CYCLE
+        value = combine(shape, i, kids)
         for s in scc:
             value_of[s] = value
     return value_of.get(names[0])
@@ -913,27 +912,27 @@ def test_the_automaton_keeps_no_count_per_component():
     assert big == [2**n, 2**n - 1]
 
 
-def _four_pass_cb(kind, i, kids):
+def _four_pass_cb(shape, i, kids):
     """The CB combiner as it was, with four passes over the exits: the
     reference for the one-loop `_cb`."""
-    if kind is _Kind.POINT:
+    if shape == CYCLE and not kids:  # one end
         return endkit.ends._POINT_CB
-    if kind is _Kind.CANTOR:
+    if shape == BRANCHING and not kids:  # a Cantor set
         return endkit.ends._CANTOR_CB
     if not kids:
         raise InvalidEndExprError("empty union denotes no space")
-    if kind is _Kind.ACYCLIC and len(kids) == 1:
+    if shape == ACYCLIC and len(kids) == 1:
         return kids[0]
     rank = max(k[0] for k in kids)
     kernel = any(k[2] for k in kids)
-    if kind is _Kind.ACYCLIC:
+    if shape == ACYCLIC:
         lasts = [k[1] for k in kids if k[0] == rank]
         try:
             count = sum(k[3] for k in kids)
         except OverflowError:
             count = INFINITE
         return (rank, None if None in lasts else sum(lasts), kernel, count)
-    if kind is _Kind.KERNEL or kernel:
+    if shape == BRANCHING or kernel:
         return (rank, None if rank else 0, True, INFINITE)
     return (rank + 1, 1, False, INFINITE)
 
@@ -946,17 +945,20 @@ _STEPS = st.tuples(
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.sampled_from(list(_Kind)), st.lists(_STEPS, max_size=6))
-def test_the_one_loop_cb_steps_as_the_four_pass_combiner(kind, kids):
-    """Mixed ranks, infinite last batches, kernels and counts past 2**1024:
-    the same step, field types included, or the same error."""
+@given(st.sampled_from([ACYCLIC, CYCLE, BRANCHING]), st.booleans(), st.lists(_STEPS, min_size=1, max_size=6))
+def test_the_one_loop_cb_steps_as_the_four_pass_combiner(shape, exits, kids):
+    """Every (shape, keeps an exit) pair the fold hands over, and the acyclic
+    one with no exit, an empty union; mixed ranks, infinite last batches,
+    kernels and counts past 2**1024: the same step, field types included, or
+    the same error."""
+    kids = kids if exits else []
     try:
-        expected = _four_pass_cb(kind, None, kids)
+        expected = _four_pass_cb(shape, None, kids)
     except InvalidEndExprError:
         with pytest.raises(InvalidEndExprError):
-            _cb(kind, None, kids)
+            _cb(shape, None, kids)
         return
-    assert repr(_cb(kind, None, kids)) == repr(expected)
+    assert repr(_cb(shape, None, kids)) == repr(expected)
 
 
 def test_deep_questions_read_the_compiled_counts():
@@ -1015,7 +1017,7 @@ def test_every_combiner_passes_a_lone_exit_through(monkeypatch):
     ]
     assert len(combiners) == 3
     for combine, kid in zip(combiners, kids):
-        assert combine(_Kind.ACYCLIC, 0, [kid]) is kid
+        assert combine(ACYCLIC, 0, [kid]) is kid
 
 
 def test_normalize_flatten_and_sort():

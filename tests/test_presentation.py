@@ -1176,13 +1176,13 @@ def test_edit_adding_only_an_unreachable_rule_raises_at_every_door():
 @pytest.mark.parametrize("ask", [
     genus, lambda p: to_end_expr(ends_automaton(p)), lambda p: decompose(p, "strict", 4),
     lambda p: first_occurrences(p, BlockKind.PANTS, 2), lambda p: interchange_normalize(p, [(1,)]),
-    spine, lambda p: splice_annulus(p, "root", 0),
+    spine, lambda p: splice_annulus(p, "root", 0), pretty_print, lambda p: list(p.unfold(8)),
 ], ids=["genus", "to_end_expr", "decompose", "first_occurrences", "interchange_normalize", "spine",
-        "splice_annulus"])
+        "splice_annulus", "pretty_print", "unfold"])
 def test_edit_unsetting_the_root_answers_for_the_first_rule(ask):
     """A root unset in place is the first rule, as in the constructor;
-    decompose, first_occurrences and interchange_normalize raised a bare
-    AssertionError."""
+    decompose, first_occurrences, interchange_normalize, pretty_print and
+    unfold raised a bare AssertionError."""
     p = parse_presentation(FLUTE)
     p.root = None
     assert _answer(ask, p) == _answer(ask, parse_presentation(FLUTE))
@@ -1640,6 +1640,14 @@ _DOORS = {
     "first_occurrences": lambda p: first_occurrences(p, BlockKind.PANTS, 1),
     "spine": spine,
     "find_essential_pants": find_essential_pants,
+    "genus": genus,
+    "is_finite_type": is_finite_type,
+    "canonical_finite_type": canonical_finite_type,
+    "unfold": lambda p: list(p.unfold(16)),
+    "pretty_print": pretty_print,
+    "ends_count": ends_count,
+    "cb_report": cb_report,
+    "to_end_expr": to_end_expr,
 }
 
 
@@ -1663,6 +1671,16 @@ def test_edit_into_a_faulty_system_raises_the_constructors_error_at_every_door(b
             assert _answer(door, p) == _answer(door, fresh), name
 
 
+def test_edit_to_a_dangling_root_raises_the_constructors_error_at_every_door():
+    """pretty_print printed text that the parser refuses, and unfold raised a
+    bare KeyError."""
+    for name, door in _DOORS.items():
+        p = parse_presentation(FLUTE)
+        ends_automaton(p)
+        p.root = "zzz"
+        _assert_raises_the_constructors_error(door, p)
+
+
 @pytest.mark.parametrize("finite_type", [FiniteType(-1, 0, 1), FiniteType(1, 0, 0), FiniteType(1.5, 0, 1)],
                          ids=["negative", "closed", "not-an-integer"])
 def test_edit_into_a_faulty_triple_raises_the_constructors_error_at_every_door(finite_type):
@@ -1679,4 +1697,28 @@ def test_edit_into_a_faulty_triple_raises_the_constructors_error_at_every_door(f
         s.finite_type = finite_type
         with pytest.raises(PresentationSyntaxError) as raised:
             door(s)
+        assert str(raised.value) == str(built.value), name
+
+
+@pytest.mark.parametrize("text", [FLUTE, "surface s finite S(g=2, b=1, p=2)"], ids=["rules", "triple"])
+@pytest.mark.parametrize("edit", ["neither", "both"])
+def test_edit_to_neither_or_both_of_rules_and_triple_raises_the_constructors_error_at_every_door(text, edit):
+    """A presentation edited in place to hold neither rules nor a triple, or
+    both, raises the constructor's ValueError at every door: neither raised a
+    bare AssertionError, and both answered genus from the triple and the
+    automaton from the rules."""
+    with pytest.raises(ValueError) as built:
+        SurfacePresentation("s")
+    doors = {**_DOORS, "splice_annulus": lambda p: splice_annulus(p, "t1", 0)}
+    for name, door in doors.items():
+        p = parse_presentation(text)
+        ends_automaton(p)  # compiled: it keeps its key and its automaton
+        if edit == "neither":
+            p.rules = p.finite_type = None
+        elif p.rules is None:
+            p.rules = dict(parse_presentation(FLUTE).rules)
+        else:
+            p.finite_type = FiniteType(1, 0, 1)
+        with pytest.raises(ValueError) as raised:
+            door(p)
         assert str(raised.value) == str(built.value), name

@@ -27,6 +27,7 @@ from endkit import (
     InvalidCurveConfigError,
     LabelsNotNormalizedError,
     Other,
+    TraceStep,
     TrivialComponentsPresentError,
     Unknown,
     Zero,
@@ -283,6 +284,27 @@ def test_construction_rejects_malformed_data():
         Other(1)
     with pytest.raises(InvalidCurveConfigError):
         Component(0, "c0", ComponentKind.TRIVIAL, HOMEO)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Component(0, "c0", ComponentKind.PRIMITIVE, None), "primitive component 0 needs a restriction label"),
+    (lambda: CurveConfig(target_circles=(5,), components=()), "target circle ids must be strings"),
+    (lambda: CurveConfig(target_circles=("c0",), components=tuple(_trivial(i) for i in range(3)),
+                         nesting=((0, 1), (0, 2))), "component listed with two nesting parents"),
+    (lambda: CurveConfig(target_circles=("c0",), components=(_trivial(0),), nesting={0: 0}),
+     "component 0 nested in itself"),
+    (lambda: CurveConfig(target_circles=("c0",), components=(), parallel_orders={"zz": ()}),
+     "parallel order names unknown target circle 'zz'"),
+    (lambda: TraceStep("r1", (1, 0), (1, 0)), "trace steps must shrink the measure"),
+    (lambda: curve_config_from_json(_config_json(components=[_component(label="Degree")], nesting={})),
+     "unreadable restriction label 'Degree'"),
+    (lambda: curve_config_from_json(_config_json(global_degree="two")), "unreadable global degree 'two'"),
+], ids=["unlabelled-primitive", "circle-id", "two-parents", "self-nested", "unknown-order-circle",
+        "trace-step", "json-label", "json-degree"])
+def test_each_validation_error_is_raised_with_its_message(build, message):
+    with pytest.raises(InvalidCurveConfigError) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 def test_deep_nesting_validates_in_linear_time():
