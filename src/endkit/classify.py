@@ -17,6 +17,7 @@ from .presentation import (
     Genus,
     Rule,
     SurfacePresentation,
+    _from_valid,
     _is_int,
 )
 from .ends import (
@@ -148,7 +149,7 @@ def realize(g: Genus, e: EndExpr, name: str = "realized") -> SurfacePresentation
             s = fresh("g")
             rules[s] = (BlockKind.HANDLE, (root,))
             root = s
-    return SurfacePresentation(name=name, rules=rules, root=root)
+    return _from_valid(name, rules, root)  # every state defined, of its arity, and reached
 
 
 def distinct_family(n: int) -> list[SurfacePresentation]:

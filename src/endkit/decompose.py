@@ -40,6 +40,7 @@ from .presentation import (
     forward,
     regularize,
     _first_paths,
+    _from_valid,
     _is_int,
 )
 
@@ -183,8 +184,8 @@ def decompose(
     step makes at most five edges and a loop step at most three, so every
     edge crossing n or past it is among the last five.
 
-    A system edited in place into a fault raises the constructor's error
-    at the door (`regularize`), so the walk reads the rules unchecked.
+    The constructor validated the system, so the walk reads the rules
+    unchecked.
     """
     if mode not in ("lenient", "strict"):
         raise DecomposeError(f"mode must be 'lenient' or 'strict', got {mode!r}")
@@ -309,7 +310,7 @@ def _rebuild(
     of the unfolding and re-attach them as a fresh front ('chain' in order,
     or the fixed five pants 'tree5').  A pulled Pants keeps its first child
     spliced in place and hands its second child's subtree to the front.
-    ``pres`` is checked at the door by the caller, so its rules are read unchecked."""
+    The result is valid by construction, so it skips the constructor's walk."""
     # the front paths as one trie of unfolding nodes: its states and slot -> node
     states = [pres.root]
     below: list[dict[int, int]] = [{}]
@@ -394,8 +395,7 @@ def _rebuild(
         rules[f[4]] = (BlockKind.PANTS, (sides[4], remainder))
         root = f[0]
     reachable = set(forward({s: r[1] for s, r in rules.items()}, [root]))
-    rules = {s: r for s, r in rules.items() if s in reachable}
-    return SurfacePresentation(name=pres.name, rules=rules, root=root)
+    return _from_valid(pres.name, {s: r for s, r in rules.items() if s in reachable}, root)
 
 
 def interchange_normalize(
@@ -408,8 +408,7 @@ def interchange_normalize(
 
     Occurrences are unfolding paths (tuples of child indices), or state
     names for states occurring only in the finite prefix before any cycle;
-    any other entry raises DecomposeError.  A system edited in place into
-    a fault raises the constructor's error (`regularize`).
+    any other entry raises DecomposeError.
     """
     pres = regularize(pres)
     if not front:

@@ -77,32 +77,54 @@ class _Kept(Record):
     __slots__ = ("_kept",)
 
 
+_keep = _Kept._kept.__set__  # the slot's own store, past the refusing __setattr__
+
+
+class _Rules(dict):
+    """A presentation's rules, read-only: every mutator raises TypeError.  Copies
+    (``dict(rules)``, ``{**rules}``, ``rules | other``) are plain dicts, and pickle and
+    ``copy`` rebuild a read-only one."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a presentation's rules are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = pop = popitem = clear = update = setdefault = _refuse
+
+    def __reduce__(self):
+        return _Rules, (dict(self),)
+
+
 class SurfacePresentation(_Kept):
-    """Either a rule system with a root, or a finite-type triple; mutable, so unhashable.
-    ``_kept`` holds (key, automaton or None, hint): the key of a system known valid, kept
-    by the constructor and by every door after an edit in place (`_checked`), and the
-    first ``sp<i>`` index `splice_annulus` may find free in it (`ends_automaton`)."""
+    """Either a rule system with a root, or a finite-type triple: a value, validated
+    once by its constructor, so every walk reads its rules unchecked.  Assigning to or
+    deleting a field raises AttributeError, and ``rules`` is read-only; each rule is
+    held as given, so build it of tuples (`Rule`).  Unhashable, as its rules are a
+    dict.  ``_kept`` holds (automaton or None, hint): the automaton `ends_automaton`
+    compiled, and the first ``sp<i>`` index `splice_annulus` may find free in it."""
 
     __slots__ = ("name", "rules", "root", "finite_type")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(
-        self, name: str, rules: dict[str, Rule] | None = None, root: str | None = None,
+        self, name: str, rules: Mapping[str, Rule] | None = None, root: str | None = None,
         finite_type: FiniteType | None = None,
     ) -> None:
-        self.name, self.rules, self.root, self.finite_type = name, rules, root, finite_type
-        self._kept = (None, None, 0)
-        _checked(self)
+        if (rules is None) == (finite_type is None):
+            raise ValueError("exactly one of rules / finite_type required")
+        if rules is not None:
+            rules = _Rules(rules)
+            if root is None:
+                root = next(iter(rules), None)
+        _store(self, (name, rules, root, finite_type), 0)
+        (self._validate_finite if rules is None else self._validate_rules)()
 
     def _validate_rules(self) -> None:
         rules = self.rules
         assert rules is not None
         if not rules:
             raise PresentationSyntaxError(f"{self.name}: empty rule system")
-        if self.root is None:
-            self.root = next(iter(rules))
         try:
             dangling = self.root not in rules
         except TypeError:
@@ -173,8 +195,7 @@ class SurfacePresentation(_Kept):
             )
 
     def unfold(self, max_nodes: int) -> Iterator[tuple[tuple[int, ...], str]]:
-        """Breadth-first occurrences of the unfolding tree, as (path, state), of the
-        presentation checked at the door (`regularize`) as the first is asked for."""
+        """Breadth-first occurrences of the unfolding tree, as (path, state)."""
         pres = regularize(self)
         todo = deque([((), pres.root)])
         count = 0
@@ -271,10 +292,8 @@ def parse_presentation(text: str) -> SurfacePresentation:
 
 
 def pretty_print(pres: SurfacePresentation) -> str:
-    """Inverse of parse_presentation up to whitespace, of the presentation checked at
-    the door (`_checked`); a surface or state name that is not an identifier raises
-    PresentationError."""
-    _checked(pres)
+    """Inverse of parse_presentation up to whitespace; a surface or state name that
+    is not an identifier raises PresentationError."""
     bad = next((n for n in (pres.name, *(pres.rules or ())) if not _NAME.fullmatch(n)), None)
     if bad is not None:
         raise PresentationError(f"cannot print {bad!r}: a name must match [A-Za-z_][A-Za-z0-9_]*")
@@ -347,63 +366,42 @@ class EndsAutomaton(_Kept):
                  "handle_closure", "pants_closure", "handle_count", "pants_count")
 
     def _check(self) -> None:  # every automaton, also one rebuilt by pickle or replace, starts unfolded
-        _Kept._kept.__set__(self, [None, None, None])
+        _keep(self, [None, None, None])
 
 
-def _key(root: str, rules: dict[str, Rule]) -> tuple:
-    """A rule system's key, compared by value: its root, states and rules in rule order,
-    in flat tuples (no pair per rule), so that it is cheap to build, compare and keep."""
-    return root, tuple(rules), tuple(rules.values())
+def _store(pres: SurfacePresentation, fields: tuple, hint: int) -> None:
+    """Set ``pres``'s fields, in slot order, and keep no automaton and ``hint``."""
+    for store, value in zip(SurfacePresentation._stores, fields):
+        store(pres, value)
+    _keep(pres, (None, hint))
 
 
-def _checked(pres: SurfacePresentation) -> object:
-    """The key of ``pres`` as it stands, checked at the door, the constructor's too:
-    exactly one of rules and triple, else ValueError; a key that differs from the kept
-    one (an edit in place, a key that does not hash, or none kept yet, when no key is
-    built to compare) is validated, which raises the constructor's error with its message
-    and resolves an unset root, then kept with no automaton and the hint 0, unless it
-    does not hash (a list could change in place).  The key returned is the kept object
-    exactly when it hashes.  Every walk after the door reads ``pres.rules[state]`` with
-    no check."""
-    if (pres.rules is None) == (pres.finite_type is None):
-        raise ValueError("exactly one of rules / finite_type required")
-    kept, triple = pres._kept[0], pres.rules is None
-    if kept is not None and kept == (pres.finite_type if triple else _key(pres.root, pres.rules)):
-        return kept
-    (pres._validate_finite if triple else pres._validate_rules)()
-    key = pres.finite_type if triple else _key(pres.root, pres.rules)  # the root resolved
-    try:
-        hash(key)
-    except TypeError:
-        return key
-    pres._kept = key, None, 0
-    return key
+def _from_valid(name: str, rules: Mapping[str, Rule], root: str, hint: int = 0) -> SurfacePresentation:
+    """The presentation of a rule system valid by construction, built from checked
+    parts without the constructor's validation walk; ``hint`` as in ``_kept``."""
+    pres = object.__new__(SurfacePresentation)
+    _store(pres, (name, _Rules(rules), root, None), hint)
+    return pres
 
 
 def ends_automaton(pres: SurfacePresentation | EndsAutomaton) -> EndsAutomaton:
-    """The compiled automaton of ``pres``, read-only, checked at the door (`_checked`),
-    or ``pres`` itself when it is one.  ``pres`` keeps it in ``_kept`` under its key,
-    compared by value: its root and rules in rule order, or a triple's `FiniteType`, so
-    it compiles again only after an edit in place or a reordering; a key that does not
-    hash is not kept, so its system compiles on every call, and a kept key without an
-    automaton (the constructor's, or a splice's) compiles and fills it in.  A triple
+    """The compiled automaton of ``pres``, read-only, or ``pres`` itself when it is
+    one.  A presentation keeps it in ``_kept``, so each compiles once; a triple
     builds its standard presentation only to compile it."""
     if isinstance(pres, EndsAutomaton):
         return pres
-    key = _checked(pres)
-    kept, auto, hint = pres._kept
-    if auto is None or kept is not key:
-        system = pres if pres.rules is not None else regularize(pres)  # checked above
+    auto, hint = pres._kept
+    if auto is None:
+        system = regularize(pres)
         auto = _condense(system.rules, system.root)
-        if kept is key:
-            pres._kept = key, auto, hint
+        _keep(pres, (auto, hint))
     return auto
 
 
 def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton:
     """One depth-first walk from ``root`` in child order, Tarjan's (1972) in
-    its low-link form (Nuutila, Pearce), over a system checked at the door
-    (`_checked`): it numbers each state it meets, and compiles each
+    its low-link form (Nuutila, Pearce), over a system the constructor
+    validated: it numbers each state it meets, and compiles each
     component as it closes, after every component its members reach.  A
     state's link starts at its number and is lowered by the links of the
     walked states it reaches that are not closed; a closed state's link is
@@ -505,28 +503,19 @@ def _condense(rules: Mapping[str, Rule], root: str) -> EndsAutomaton:
 # -- invariants ------------------------------------------------------------
 #
 # Each accepts a presentation or its automaton (`ends_automaton`); a
-# finite-type triple answers from its `FiniteType`, checked at the door
-# (`_triple`), without building one.
-
-def _triple(source: SurfacePresentation | EndsAutomaton) -> FiniteType | None:
-    """The `FiniteType` of a triple, checked at the door (`_checked`); None for a rule
-    system or an automaton, which `ends_automaton` checks."""
-    if isinstance(source, SurfacePresentation) and source.finite_type is not None:
-        _checked(source)
-        return source.finite_type
-    return None
-
+# finite-type triple answers from its `FiniteType` (an automaton has none),
+# without building one.
 
 def genus(source: SurfacePresentation | EndsAutomaton) -> Genus:
     """Number of genus-adding blocks in the unfolding; INFINITE when a
     Handle state lies on, or is reachable from, a rule-graph cycle."""
-    ft = _triple(source)
+    ft = getattr(source, "finite_type", None)
     return ends_automaton(source).handle_count if ft is None else ft.genus
 
 
 def is_finite_type(source: SurfacePresentation | EndsAutomaton) -> bool:
     """True iff the unfolding contains finitely many non-annulus blocks."""
-    if _triple(source) is not None:
+    if getattr(source, "finite_type", None) is not None:
         return True
     auto = ends_automaton(source)
     return INFINITE not in (auto.handle_count, auto.pants_count)
@@ -540,7 +529,7 @@ def canonical_finite_type(
     Boundary circles and punctures are interchangeable for the interior,
     so finite_type(g, b, p) maps to (g, 0, b + p).
     """
-    ft = _triple(source)
+    ft = getattr(source, "finite_type", None)
     if ft is not None:
         return (ft.genus, 0, ft.boundary + ft.punctures)
     auto = ends_automaton(source)
@@ -572,14 +561,11 @@ def standard_presentation(g: int, n: int, name: str = "std") -> SurfacePresentat
         rules[f"c{i}"] = (BlockKind.PANTS, (tails[i - 1], nxt))
     for t in tails:
         rules[t] = (BlockKind.ANNULUS, (t,))
-    root = "h1" if g else comb_entry
-    return SurfacePresentation(name=name, rules=rules, root=root)
+    return _from_valid(name, rules, "h1" if g else comb_entry)
 
 
 def regularize(pres: SurfacePresentation) -> SurfacePresentation:
-    """A rule presentation of the same surface (identity on rule systems), checked at
-    the door (`_checked`): a root unset in place is resolved as the constructor does."""
-    _checked(pres)
+    """A rule presentation of the same surface (identity on rule systems)."""
     if pres.rules is not None:
         return pres
     ft = pres.finite_type
@@ -589,16 +575,12 @@ def regularize(pres: SurfacePresentation) -> SurfacePresentation:
 def splice_annulus(pres: SurfacePresentation, state: str, slot: int) -> SurfacePresentation:
     """Insert an annulus block, the first free ``sp<i>`` state, on one child edge,
     last in rule order; the surface is unchanged.  ValueError when ``state`` has no
-    rule or ``slot`` is not an index of its children.  ``pres`` is checked at the door
-    (`_checked`), so the result is valid by construction and skips the constructor's
-    walk: it keeps its key and the hint i + 1, no automaton, and the name search
-    starts at ``pres``'s hint (sp0 ... up to it are taken).  The result of a system
-    whose key does not hash keeps nothing, as its own key holds the same lists."""
-    key = _checked(pres)
-    kept, _, hint = pres._kept
-    i = hint if kept is key else 0
-    if pres.rules is None:
-        pres = regularize(pres)  # a triple's standard presentation
+    rule or ``slot`` is not an index of its children.  The result is valid by
+    construction, so it skips the constructor's walk; it keeps the hint i + 1 and no
+    automaton, and the name search starts at ``pres``'s hint (sp0 ... up to it are
+    taken)."""
+    i = pres._kept[1]
+    pres = regularize(pres)  # a triple's standard presentation
     try:
         kind, children = pres.rules[state]
     except (KeyError, TypeError):  # undefined, or unhashable
@@ -608,15 +590,11 @@ def splice_annulus(pres: SurfacePresentation, state: str, slot: int) -> SurfaceP
     while f"sp{i}" in pres.rules:
         i += 1
     fresh = f"sp{i}"
-    rules = dict(pres.rules)
     new_children = list(children)
     new_children[slot] = fresh
-    rules[state] = (kind, tuple(new_children))
+    rules = {**pres.rules, state: (kind, tuple(new_children))}
     rules[fresh] = (BlockKind.ANNULUS, (children[slot],))
-    out = object.__new__(SurfacePresentation)
-    out.name, out.rules, out.root, out.finite_type = pres.name, rules, pres.root, None
-    out._kept = (_key(pres.root, rules), None, i + 1) if kept is key else (None, None, 0)
-    return out
+    return _from_valid(pres.name, rules, pres.root, i + 1)
 
 
 def _first_paths(
@@ -632,7 +610,7 @@ def _first_paths(
     it.  So when w is dropped, behind ``count`` enqueued occurrences of its
     state, every target node in its subtree has ``count`` target
     counterparts ahead of it, and is not among the first ``count`` hits.
-    O(count * (states + edges)), over a system checked at the door (`_checked`).
+    O(count * (states + edges)).
     """
     assert pres.root is not None
     states, via = [pres.root], [(0, 0)]  # via: each node's parent and child slot
@@ -663,8 +641,7 @@ def first_occurrences(
 ) -> list[tuple[int, ...]]:
     """Paths of the first ``count`` unfolding occurrences of ``kind``;
     ValueError when the unfolding holds fewer, or when ``count`` is not a
-    natural or ``kind`` not a BlockKind.  A system edited in place into a
-    fault raises the constructor's error (`_checked`)."""
+    natural or ``kind`` not a BlockKind."""
     if not _is_int(count) or count < 0:
         raise ValueError(f"count must be a natural, got {count!r}")
     if not isinstance(kind, BlockKind):

@@ -31,6 +31,7 @@ from endkit import (
     is_finite_type,
     parse_presentation,
     pretty_print,
+    realize,
     regularize,
     splice_annulus,
     spine,
@@ -43,14 +44,14 @@ from endkit._record import replace
 from endkit.cli import main
 from endkit.classify import ClassVerdict
 from endkit.decompose import graph_phe_equal
-from endkit.ends import Cardinality, EndsCount, pair_homeomorphic
+from endkit.ends import Cardinality, _has_nonplanar, pair_homeomorphic
 from endkit.errors import NotConvertibleError
 from endkit.presentation import (
     ACYCLIC, BRANCHING, CYCLE, MAX_DIGITS, EndsAutomaton, Successors, _condense, ends_automaton, forward,
 )
 
 from conftest import (
-    _occurrences, _on_cycles, backward, bench_inputs, census_cores, named, presentations,
+    _occurrences, _on_cycles, backward, bench_inputs, census_cores, end_exprs, named, presentations,
     reference_condense, reference_sccs, reference_splice, shaped_cycles, successor_maps,
 )
 
@@ -541,9 +542,22 @@ def test_one_condensation_per_presentation(monkeypatch, tmp_path, capsys):
 
 # -- ends_automaton's memo: each presentation keeps its automaton ----------
 #
-# A presentation keeps the automaton last compiled for it, under its root and
-# rules by value: each edit case fails against a memo keyed by the object
-# alone, and the interleaved case against one memo for the whole module.
+# A presentation is a value: its constructor validates it once, and every edit
+# in place raises at the assignment, so the automaton it keeps is never stale.
+# An edited system is a new presentation, which compiles its own: the
+# interleaved case fails against one memo for the whole module, and the copy
+# cases against a memo shared by equal systems.
+
+
+def _assert_refused(p: SurfacePresentation, *edits) -> None:
+    """Each ``edit(p)`` raises at the assignment, AttributeError for a field
+    and TypeError for the rules, and leaves ``p`` and what it keeps as they
+    were."""
+    before, kept = copy.deepcopy(p), p._kept
+    for edit in edits:
+        with pytest.raises((AttributeError, TypeError)):
+            edit(p)
+        assert p == before and list(p.rules or ()) == list(before.rules or ()) and p._kept is kept
 
 
 def test_memo_is_kept_per_presentation(monkeypatch):
@@ -553,7 +567,7 @@ def test_memo_is_kept_per_presentation(monkeypatch):
     first, second = parse_presentation(FLUTE), parse_presentation(FLUTE)
     auto = ends_automaton(first)
     assert ends_automaton(first) is auto and ends_automaton(second) is not auto
-    assert ends_automaton(second) == auto and ends_automaton(second) is second._kept[1]
+    assert ends_automaton(second) == auto and ends_automaton(second) is second._kept[0]
     assert len(runs) == 2
 
     runs.clear()
@@ -572,81 +586,91 @@ def test_memo_serves_interleaved_presentations(monkeypatch):
 
 
 def test_memo_compiles_afresh_after_each_edit(monkeypatch):
-    """One warm presentation through each edit in place: a rule, the root,
-    the rule order.  Each compiles once, to the automaton of a fresh copy;
-    a faulty edit raises the constructor's error, on every ask."""
+    """Each edit in place of a warm presentation (a rule, the root, the rule
+    order) raises and keeps its automaton; the edited system, built afresh,
+    compiles once, to the automaton of its own copy; a faulty edit is refused
+    by the constructor."""
     runs = _count_condensations(monkeypatch)
     p = parse_presentation("surface two { r = P(a, b); a = A(r); b = H(b) }")
-    ends_automaton(p)
-    edits = [
-        lambda: p.rules.update(b=(BlockKind.ANNULUS, ("b",))),
-        lambda: setattr(p, "root", "a"),
-        lambda: p.rules.update(r=p.rules.pop("r")),
+    auto = ends_automaton(p)
+    rules = dict(p.rules)
+    edited = [
+        replace(p, rules={**rules, "b": (BlockKind.ANNULUS, ("b",))}),
+        replace(p, root="a"),
+        replace(p, rules={"a": rules["a"], "b": rules["b"], "r": rules["r"]}),
     ]
-    for edit in edits:
-        edit()
+    _assert_refused(
+        p, lambda p: p.rules.update(b=(BlockKind.ANNULUS, ("b",))), lambda p: setattr(p, "root", "a"),
+        lambda p: p.rules.update(r=p.rules.pop("r")),
+    )
+    for q in edited:
         runs.clear()
-        auto = ends_automaton(p)
-        assert ends_automaton(p) is auto and len(runs) == 1
-        assert auto == ends_automaton(copy.copy(p))
-    p.rules["b"] = (BlockKind.PANTS, ("b",))
-    error = _constructor_error(p)
-    for _ in range(2):
-        with pytest.raises(PresentationSyntaxError) as raised:
-            ends_automaton(p)
-        assert str(raised.value) == str(error)
+        fresh = ends_automaton(q)
+        assert ends_automaton(q) is fresh and len(runs) == 1
+        assert fresh == ends_automaton(copy.copy(q))
+    assert ends_automaton(p) is auto
+    with pytest.raises(PresentationSyntaxError, match=r"takes 2 child\(ren\), got 1"):
+        replace(p, rules={**rules, "b": (BlockKind.PANTS, ("b",))})
 
 
 def test_memo_sees_a_rule_edited_in_place(monkeypatch):
+    """The edit raises, so the memo keeps serving the system as built; the
+    edited system is another presentation, with its own answers."""
     runs = _count_condensations(monkeypatch)
     p = parse_presentation(FLUTE)
     assert genus(p) == 0
     before = to_end_expr(ends_automaton(p)), ends_count(p, marked="nonplanar_only")
-    p.rules["punc"] = (BlockKind.HANDLE, ("punc",))
-    assert genus(p) == INFINITE
-    after = to_end_expr(ends_automaton(p)), ends_count(p, marked="nonplanar_only")
+    _assert_refused(p, lambda p: p.rules.__setitem__("punc", (BlockKind.HANDLE, ("punc",))))
+    assert genus(p) == 0 and (to_end_expr(ends_automaton(p)), ends_count(p, marked="nonplanar_only")) == before
+    q = replace(p, rules={**p.rules, "punc": (BlockKind.HANDLE, ("punc",))})
+    assert genus(q) == INFINITE
+    after = to_end_expr(ends_automaton(q)), ends_count(q, marked="nonplanar_only")
     assert after[0] != before[0] and after[1] != before[1]
     assert len(runs) == 2
 
 
 def test_memo_sees_a_reassigned_root(monkeypatch):
-    """A root moved along the root's cycle: every rule is still reachable,
-    the surface is the same, and the states are numbered from the new root."""
+    """A root moved along the root's cycle, in a copy (assigning it raises):
+    every rule is still reachable, the surface is the same, and the states
+    are numbered from the new root."""
     runs = _count_condensations(monkeypatch)
     p = parse_presentation("surface two { r = P(a, b); a = A(r); b = H(b) }")
     before = ends_automaton(p)
     assert before.names == ["r", "a", "b"]
-    p.root = "a"
-    auto = ends_automaton(p)
+    _assert_refused(p, lambda p: setattr(p, "root", "a"))
+    q = replace(p, root="a")
+    auto = ends_automaton(q)
     assert auto.names == ["a", "r", "b"] and len(runs) == 2
     assert auto.transitions == [(1,), (0, 2), (2,)] != before.transitions
-    assert ends_count(p) == ends_count(before) and to_end_expr(auto) == to_end_expr(before)
+    assert ends_count(q) == ends_count(before) and to_end_expr(auto) == to_end_expr(before)
+    assert ends_automaton(p) is before
 
 
-def test_memo_keeps_no_system_with_a_list(monkeypatch):
+def test_memo_keeps_a_system_with_a_list_once(monkeypatch):
+    """Rules hold their values as given: a system with a list of children
+    is validated and compiled once, as its tuple twin, like any other (a
+    `Rule` is tuples, so a caller who builds one of lists leaves them be)."""
     runs = _count_condensations(monkeypatch)
     children = ["r", "t"]
     p = SurfacePresentation("l", {"r": (BlockKind.PANTS, children), "t": (BlockKind.ANNULUS, ("t",))})
+    twin = SurfacePresentation("l", {"r": (BlockKind.PANTS, ("r", "t")), "t": (BlockKind.ANNULUS, ("t",))})
     assert ends_count(p).cardinality is Cardinality.COUNTABLY_INFINITE
-    assert ends_count(p).cardinality is Cardinality.COUNTABLY_INFINITE
-    assert len(runs) == 2 and p._kept[:2] == (None, None)  # no key, no automaton
-    children[0] = "t"  # r = P(t, t): two ends
-    assert ends_count(p) == EndsCount(Cardinality.FINITE, 2)
-    assert len(runs) == 3
+    assert ends_count(p) == ends_count(twin) and ends_automaton(p) == ends_automaton(twin)
+    assert len(runs) == 2 and p._kept[0] is ends_automaton(p)
 
 
 def test_memo_keys_the_rule_order(monkeypatch):
-    """The same rules in another order are another key, compiled again, to
-    an automaton equal to the first: the walk numbers states from the root,
-    whatever the rule order; the rules are reordered in place."""
+    """The same rules in another order are another presentation (reordering
+    in place raises), compiled again, to an automaton equal to the first:
+    the walk numbers states from the root, whatever the rule order."""
     runs = _count_condensations(monkeypatch)
     p = parse_presentation("surface a { r = P(x, t); x = H(x); t = A(t) }")
     original = ends_automaton(p)
-    for state in ("x", "r"):  # rule order t, x, r
-        p.rules[state] = p.rules.pop(state)
-    reordered = ends_automaton(p)
+    _assert_refused(p, lambda p: p.rules.update(x=p.rules.pop("x")))
+    q = replace(p, rules={s: p.rules[s] for s in ("t", "x", "r")}, root="r")
+    reordered = ends_automaton(q)
     assert len(runs) == 2
-    fresh = ends_automaton(copy.copy(p))  # a rebuilt presentation keeps nothing
+    fresh = ends_automaton(copy.copy(q))  # a rebuilt presentation keeps nothing
     assert reordered is not fresh and reordered is not original
     assert reordered == fresh == original
     assert reordered.names == ["r", "x", "t"]
@@ -664,22 +688,20 @@ def test_memo_serves_a_finite_triple_compiled_twice(monkeypatch):
 
 
 def test_memo_holds_one_entry(monkeypatch):
-    """A presentation keeps only the automaton of its system as last
-    compiled: edited to another system and back, it compiles each time."""
+    """A presentation keeps only the automaton of its own system: assigning
+    it another system raises, and it compiles once."""
     runs = _count_condensations(monkeypatch)
     p, q = parse_presentation(FLUTE), parse_presentation(LOCH)
-    flute, loch = (p.rules, p.root), (q.rules, q.root)
-    for rules, root in (flute, loch, loch, flute):
-        p.rules, p.root = rules, root
-        auto = ends_automaton(p)
-    assert len(runs) == 3  # the second system replaced the first
-    assert p._kept[1] is auto
+    auto = ends_automaton(p)
+    _assert_refused(p, lambda p: setattr(p, "rules", q.rules), lambda p: setattr(p, "root", q.root))
+    assert ends_automaton(p) is auto and len(runs) == 1
+    assert p._kept == (auto, 0)
 
 
 def test_memo_is_not_a_field():
     """``==``, ``repr``, pickle, ``copy`` and `replace` ignore the kept
     automaton: a presentation they rebuild goes through the constructor, so
-    it keeps the constructor's key, the hint 0 and no automaton."""
+    it keeps no automaton and the hint 0, and its rules are read-only."""
     warm, cold = parse_presentation(FLUTE), parse_presentation(FLUTE)
     auto = ends_automaton(warm)
     assert warm == cold and repr(warm) == repr(cold)
@@ -688,9 +710,10 @@ def test_memo_is_not_a_field():
         hash(warm)
     rebuilt = (pickle.loads(pickle.dumps(warm)), copy.copy(warm), copy.deepcopy(warm), replace(warm))
     for copy_ in rebuilt:
-        assert copy_ == warm and copy_._kept == (warm._kept[0], None, 0)  # a key, no automaton
-        assert ends_automaton(copy_) == auto and copy_._kept[1] is not auto
-    assert warm._kept[1] is auto
+        assert copy_ == warm and copy_._kept == (None, 0)
+        assert ends_automaton(copy_) == auto and copy_._kept[0] is not auto
+        _assert_refused(copy_, lambda p: p.rules.clear(), lambda p: setattr(p, "name", "other"))
+    assert warm._kept[0] is auto
 
 
 def _count_standard_builds(monkeypatch) -> list[int]:
@@ -731,26 +754,27 @@ def test_memo_serves_spine_and_essential_pants_of_a_triple(monkeypatch):
 
 
 def test_memo_recompiles_a_triple_after_its_finite_type_is_reassigned(monkeypatch):
+    """Reassigning a triple's FiniteType raises; a copy with another triple
+    compiles its own automaton, and the warm triple keeps its."""
     expected = ends_automaton(standard_presentation(3, 1))
     runs = _count_condensations(monkeypatch)
     s = parse_presentation("surface s finite S(g=2, b=1, p=2)")
     before = ends_automaton(s)
-    s.finite_type = FiniteType(3, 0, 1)
-    auto = ends_automaton(s)
-    assert ends_automaton(s) is auto and len(runs) == 2
+    _assert_refused(s, lambda s: setattr(s, "finite_type", FiniteType(3, 0, 1)))
+    t = replace(s, finite_type=FiniteType(3, 0, 1))
+    auto = ends_automaton(t)
+    assert ends_automaton(t) is auto and len(runs) == 2
     assert auto != before and auto == expected
-    s.finite_type = FiniteType(2, 1, 2)
-    assert ends_automaton(s) == before and len(runs) == 3
+    assert ends_automaton(s) is before and len(runs) == 2
 
 
-# -- splice chains: each result keeps its key and its next free name -------
+# -- splice chains: each result keeps its next free name ------------------
 #
-# A splice checks its input at the door (`_checked`): a presentation whose root
-# and rules still equal its kept key, the constructor's or a splice's, is
-# trusted, and the splice skips the constructor's walk and starts its name
-# search at the kept hint.
-# Every chain, and every edit in place along one, answers as the reference
-# splice (conftest.reference_splice), which keeps nothing.
+# A splice's result is valid by construction, so the splice skips the
+# constructor's walk; the result keeps the hint, the first ``sp<i>`` its own
+# splice may find free, and that splice starts its name search there.
+# Every chain answers as the reference splice (conftest.reference_splice),
+# which builds through the constructor and searches from sp0.
 
 
 def _count_walks(monkeypatch) -> list[int]:
@@ -766,22 +790,12 @@ def _count_walks(monkeypatch) -> list[int]:
     return walks
 
 
-def _as_it_stands(p: SurfacePresentation) -> SurfacePresentation:
-    """``p``'s fields, its rules copied, without the constructor's walk or
-    anything kept: a faulty system too can be handed to the reference."""
-    clone = object.__new__(SurfacePresentation)
-    clone.name, clone.root, clone.finite_type = p.name, p.root, p.finite_type
-    clone.rules = None if p.rules is None else dict(p.rules)
-    clone._kept = (None, None, 0)
-    return clone
-
-
 def _splice_as_the_reference(p: SurfacePresentation, state, slot) -> SurfacePresentation | None:
-    """``splice_annulus(p, state, slot)``, checked against the reference on
-    ``p`` as it stands: the same rules in order, root and name, or the same
-    error with its message (then None)."""
+    """``splice_annulus(p, state, slot)``, checked against the reference: the
+    same rules in order, root and name, or the same error with its message
+    (then None)."""
     try:
-        expected = reference_splice(_as_it_stands(p), state, slot)
+        expected = reference_splice(p, state, slot)
     except (EndkitError, ValueError) as error:
         with pytest.raises(type(error)) as raised:
             splice_annulus(p, state, slot)
@@ -851,41 +865,38 @@ _SPLICE_EDITS = {
 @given(pres=presentations(), before=st.integers(0, 8),
        picks=st.lists(st.integers(0, 10**6), min_size=14, max_size=14))
 def test_splice_after_an_edit_in_place_answers_as_a_fresh_build(edit, pres, before, picks):
-    """An edit after ``before`` splices: the next splice, and every one after,
-    raises the constructor's error with its message or answers as a fresh
-    build.  A list of children is then mutated in place, after the next splice
-    shared its list."""
+    """An edit after ``before`` splices raises at the assignment and leaves
+    the spliced presentation and its hint as they were: the next splice, and
+    every one after, answers as the reference on a fresh build of it."""
     *picks, target, other = picks
     for i, pick in enumerate(picks):
         if i == before:
             target, _ = _pick(pres, target)
             other, _ = _pick(pres, other)
-            _SPLICE_EDITS[edit](pres, target, other)
-        out = _splice_as_the_reference(pres, *_pick(pres, pick))
-        if out is None:
-            return
-        if i == before and edit == "a list of children":
-            children = pres.rules[target][1]
-            children[0] = other if pick % 2 else "gone"
-        pres = out
+            _assert_refused(pres, lambda p: _SPLICE_EDITS[edit](p, target, other))
+        pres = _splice_as_the_reference(pres, *_pick(pres, pick))
+        assert pres is not None
 
 
 def test_splice_after_an_edit_that_frees_a_name_takes_it():
-    """sp0 edited away, then a question that keeps the edited system: the
-    next splice takes sp0 again, as the reference does."""
+    """sp0 cannot be edited away in place, so the next splice takes sp2; a
+    fresh build of the system without sp0 keeps the hint 0, and its next
+    splice takes sp0 again, as the reference does."""
     pres = splice_annulus(splice_annulus(parse_presentation(FLUTE), "punc", 0), "root", 1)
-    del pres.rules["sp0"]
-    pres.rules["punc"] = (BlockKind.ANNULUS, ("punc",))
-    ends_automaton(pres)
-    out = _splice_as_the_reference(pres, "root", 0)
+    _assert_refused(pres, lambda p: p.rules.__delitem__("sp0"), lambda p: p.rules.pop("sp0"))
+    assert next(reversed(_splice_as_the_reference(pres, "root", 0).rules)) == "sp2"
+    rules = {s: r for s, r in pres.rules.items() if s != "sp0"}
+    rules["punc"] = (BlockKind.ANNULUS, ("punc",))
+    freed = SurfacePresentation(pres.name, rules, pres.root)
+    ends_automaton(freed)
+    out = _splice_as_the_reference(freed, "root", 0)
     assert next(reversed(out.rules)) == "sp0"
 
 
 def test_splice_copies_keep_nothing(monkeypatch):
     """copy, deepcopy, pickle and `replace` of a spliced presentation keep
     nothing of the splice: each is rebuilt through the constructor, so it
-    keeps the constructor's key with the hint 0 and no automaton, and its
-    next splice trusts that key and runs no walk."""
+    keeps the hint 0 and no automaton, and its next splice runs no walk."""
     spliced = splice_annulus(splice_annulus(parse_presentation(FLUTE), "root", 1), "root", 0)
     auto = ends_automaton(spliced)
     walks = _count_walks(monkeypatch)
@@ -894,17 +905,17 @@ def test_splice_copies_keep_nothing(monkeypatch):
     assert len(walks) == len(copies)  # each rebuilt through the constructor
     expected = reference_splice(spliced, "punc", 0)
     for copy_ in copies:
-        assert copy_ == spliced and copy_._kept == (spliced._kept[0], None, 0)
+        assert copy_ == spliced and copy_._kept == (None, 0)
         walks.clear()
         again = splice_annulus(copy_, "punc", 0)
         assert len(walks) == 0 and list(again.rules.items()) == list(expected.rules.items())
-        assert ends_automaton(copy_) == auto and copy_._kept[1] is not auto
+        assert ends_automaton(copy_) == auto and copy_._kept[0] is not auto
 
 
 def test_a_splice_chain_of_500_validates_once(monkeypatch):
-    """Only the parse runs the constructor's walk: each splice trusts its
-    input's kept key, the parse's or the splice's before it, and the k-th
-    result's fresh state, last in rule order, is sp<k-1>."""
+    """Only the parse runs the constructor's walk: each splice's result is
+    valid by construction, and the k-th result's fresh state, last in rule
+    order, is sp<k-1>."""
     walks = _count_walks(monkeypatch)
     pres, rng = parse_presentation(FLUTE), random.Random(0)
     assert len(walks) == 1
@@ -918,7 +929,7 @@ def test_a_splice_chain_of_500_validates_once(monkeypatch):
 
 
 def test_splice_result_compiles_once_and_keeps_its_next_name(monkeypatch):
-    """A spliced result keeps its key but no automaton: its first question
+    """A spliced result keeps its hint but no automaton: its first question
     compiles and fills the automaton in, and the splice after it still
     skips the walk and takes the next name."""
     pres = splice_annulus(parse_presentation(FLUTE), "punc", 0)
@@ -928,6 +939,49 @@ def test_splice_result_compiles_once_and_keeps_its_next_name(monkeypatch):
     again = splice_annulus(pres, "sp0", 0)
     assert next(reversed(again.rules)) == "sp1" and len(walks) == 0
     assert ends_automaton(pres) is auto and len(runs) == 1
+
+
+# -- systems valid by construction pass the constructor ------------------
+#
+# `splice_annulus`, `standard_presentation`, `classify.realize` and
+# `decompose._rebuild` build their results from checked parts, without the
+# constructor's validation walk (`presentation._from_valid`): each result,
+# passed back through the public constructor, is accepted unchanged.
+
+
+def _passes_the_constructor(p: SurfacePresentation) -> None:
+    again = SurfacePresentation(p.name, dict(p.rules), p.root)
+    assert again == p and list(again.rules.items()) == list(p.rules.items())
+    assert type(p.rules) is type(again.rules) and p.finite_type is None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rebuilt_census_cores_pass_the_constructor(seed):
+    """Interchanges of unfolding paths of each census core (`_rebuild`'s
+    chain), its five-pants tree and two-handle chain where the unfolding
+    holds them (`find_essential_pants`'s), and its splices."""
+    rng = random.Random(seed)
+    for core in census_cores(seed):
+        paths = [path for path, _ in core.unfold(12)]
+        for _ in range(3):
+            _passes_the_constructor(interchange_normalize(core, rng.sample(paths, rng.randint(1, 4))))
+        for kind, count, wiring in ((BlockKind.PANTS, 5, "tree5"), (BlockKind.HANDLE, 2, "chain")):
+            try:
+                front = first_occurrences(core, kind, count)
+            except ValueError:  # fewer occurrences in the unfolding
+                continue
+            _passes_the_constructor(importlib.import_module("endkit.decompose")._rebuild(core, front, wiring))
+        state = rng.choice(list(core.rules))
+        _passes_the_constructor(splice_annulus(core, state, rng.randrange(len(core.rules[state][1]))))
+    for g in range(4):
+        for n in range(1, 5):
+            _passes_the_constructor(standard_presentation(g, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(end_exprs(), st.integers(0, 3))
+def test_realized_expressions_pass_the_constructor(e, g):
+    _passes_the_constructor(realize(INFINITE if _has_nonplanar(e) else g, e))
 
 
 # -- one-state cycles on the compiling walk's fast path --------------------
@@ -1069,12 +1123,13 @@ def test_folds_keep_a_warm_table_bounded():
     assert to_end_expr(warm) == expr
 
 
-# -- answers for a presentation edited in place ----------------------------
+# -- a presentation is a value: every edit in place raises -----------------
 #
-# SurfacePresentation stays mutable.  Its constructor validates it and keeps
-# its key; every entry point checks it at the door (`_checked`), validating a
-# system whose key differs from the kept one, so every answer is for the
-# system as it stands, or raises the constructor's error for it.
+# The constructor validates a system once.  Assigning to or deleting a field
+# raises AttributeError, and every mutator of the rules TypeError, at the
+# assignment, so no entry point checks a presentation again and every
+# answer stands; an edited system is built afresh, and the constructor raises
+# its error for a faulty one.
 
 _PLANE = "surface u { x = A(x) }"
 _T = "surface t { r = A(h); h = H(x); x = A(x) }"
@@ -1088,53 +1143,108 @@ _ASKS = [
     lambda p: spine(p).rank, lambda p: kerekjarto(p, parse_presentation(_PLANE)),
 ]
 
+# every entry point that reads a presentation
+_DOORS = {
+    "ends_automaton": ends_automaton,
+    "regularize": regularize,
+    "splice_annulus": lambda p: splice_annulus(p, next(iter(p.rules)), 0),
+    "decompose": lambda p: decompose(p, "lenient", 8),
+    "interchange_normalize": lambda p: interchange_normalize(p, [(0,)]),
+    "first_occurrences": lambda p: first_occurrences(p, BlockKind.PANTS, 1),
+    "spine": spine,
+    "find_essential_pants": find_essential_pants,
+    "genus": genus,
+    "is_finite_type": is_finite_type,
+    "canonical_finite_type": canonical_finite_type,
+    "unfold": lambda p: list(p.unfold(16)),
+    "pretty_print": pretty_print,
+    "ends_count": ends_count,
+    "cb_report": cb_report,
+    "to_end_expr": to_end_expr,
+    "kerekjarto": lambda p: kerekjarto(p, parse_presentation(_PLANE)),
+}
 
-def _constructor_error(p: SurfacePresentation) -> EndkitError:
-    with pytest.raises(EndkitError) as built:
-        SurfacePresentation(p.name, dict(p.rules), p.root)
-    return built.value
+
+def _assert_every_door_answers_as_built(p: SurfacePresentation, doors: dict, *edits) -> None:
+    """Each edit raises at the assignment, and every door answers for ``p``
+    as before."""
+    ends_automaton(p)  # compiled: it keeps its automaton
+    answers = {name: _answer(door, p) for name, door in doors.items()}
+    _assert_refused(p, *edits)
+    assert {name: _answer(door, p) for name, door in doors.items()} == answers
 
 
-def _assert_raises_the_constructors_error(ask, p: SurfacePresentation) -> None:
-    """``ask(p)`` raises the error the constructor raises for the system, of
-    its class and with its message."""
-    error = _constructor_error(p)
-    with pytest.raises(EndkitError) as raised:
-        ask(p)
-    assert type(raised.value) is type(error) and str(raised.value) == str(error)
+_RULE_MUTATORS = {
+    "setitem": lambda rules: rules.__setitem__("punc", (BlockKind.HANDLE, ("punc",))),
+    "delitem": lambda rules: rules.__delitem__("punc"),
+    "pop": lambda rules: rules.pop("punc"),
+    "popitem": lambda rules: rules.popitem(),
+    "clear": lambda rules: rules.clear(),
+    "update": lambda rules: rules.update(orphan=(BlockKind.ANNULUS, ("orphan",))),
+    "setdefault": lambda rules: rules.setdefault("orphan", (BlockKind.ANNULUS, ("orphan",))),
+    "ior": lambda rules: rules.__ior__({"orphan": (BlockKind.ANNULUS, ("orphan",))}),
+}
 
 
-def _assert_every_answer_raises(p: SurfacePresentation) -> None:
-    """Every invariant, and kerekjarto on either side, raises the error the
-    constructor raises for the system, with its message."""
-    for ask in [*_ASKS, lambda p: kerekjarto(parse_presentation(_PLANE), p)]:
-        _assert_raises_the_constructors_error(ask, p)
+def test_edit_of_a_field_or_the_rules_raises_at_the_assignment():
+    """Each field's assignment and deletion raises AttributeError, on a rule
+    system and on a triple, and each mutator of the rules TypeError (``|=``
+    too); the copies that build from them, ``dict(rules)``, ``{**rules}``,
+    ``rules.copy()`` and ``rules | other``, are plain dicts."""
+    for text in (FLUTE, "surface s finite S(g=2, b=1, p=2)"):
+        p = parse_presentation(text)
+        ends_automaton(p)
+        for field in ("name", "rules", "root", "finite_type", "_kept"):
+            _assert_refused(p, lambda p: setattr(p, field, None), lambda p: delattr(p, field))
+            with pytest.raises(AttributeError, match=f"cannot (assign to|delete) field '{field}'"):
+                setattr(p, field, None)
+    p = parse_presentation(FLUTE)
+    auto = ends_automaton(p)
+    for name, mutate in _RULE_MUTATORS.items():
+        with pytest.raises(TypeError, match="a presentation's rules are read-only"):
+            mutate(p.rules)
+    rules = p.rules
+    with pytest.raises(TypeError):
+        rules |= {"orphan": (BlockKind.ANNULUS, ("orphan",))}
+    with pytest.raises(TypeError):
+        p.rules["punc"] = (BlockKind.HANDLE, ("punc",))
+    with pytest.raises(TypeError):
+        del p.rules["punc"]
+    assert p == parse_presentation(FLUTE) and ends_automaton(p) is auto and genus(p) == 0
+    for plain in (dict(p.rules), {**p.rules}, p.rules.copy(), p.rules | {}):
+        assert type(plain) is dict and plain == p.rules and list(plain) == list(p.rules)
+        plain["punc"] = (BlockKind.HANDLE, ("punc",))  # a copy is the caller's
+        assert genus(SurfacePresentation(p.name, plain, p.root)) == INFINITE and genus(p) == 0
 
 
 def test_edit_reassigning_the_root_past_rules_raises_unreachable():
-    """With the root moved to x, r and h are unreachable: the wrong answer
-    was genus 1, and NotHomeomorphic against the plane by genus."""
+    """With the root moved to x, r and h are unreachable (the wrong answer
+    was genus 1, and NotHomeomorphic against the plane by genus): the
+    assignment raises, and so does building the moved system."""
     p = parse_presentation(_T)
-    assert genus(p) == 1  # p keeps the automaton of the system before the edit
-    p.root = "x"
-    assert isinstance(_constructor_error(p), UnreachableRuleError)
-    _assert_every_answer_raises(p)
+    assert genus(p) == 1
+    _assert_every_door_answers_as_built(p, _DOORS, lambda p: setattr(p, "root", "x"))
+    with pytest.raises(UnreachableRuleError):
+        replace(p, root="x")
 
 
 def test_edit_to_an_undefined_child_raises_dangling():
     p = parse_presentation(FLUTE)
     genus(p)
-    p.rules["punc"] = (BlockKind.ANNULUS, ("zzz",))  # was a bare KeyError
-    assert isinstance(_constructor_error(p), DanglingRuleError)
-    _assert_every_answer_raises(p)
+    rule = (BlockKind.ANNULUS, ("zzz",))
+    _assert_every_door_answers_as_built(p, _DOORS, lambda p: p.rules.__setitem__("punc", rule))
+    with pytest.raises(DanglingRuleError):
+        replace(p, rules={**p.rules, "punc": rule})
 
 
 def test_edit_to_a_one_child_pants_raises_syntax():
     p = parse_presentation(FLUTE)
     genus(p)
-    p.rules["punc"] = (BlockKind.PANTS, ("punc",))  # was accepted
-    assert type(_constructor_error(p)) is PresentationSyntaxError
-    _assert_every_answer_raises(p)
+    rule = (BlockKind.PANTS, ("punc",))
+    _assert_every_door_answers_as_built(p, _DOORS, lambda p: p.rules.__setitem__("punc", rule))
+    with pytest.raises(PresentationSyntaxError) as raised:
+        replace(p, rules={**p.rules, "punc": rule})
+    assert type(raised.value) is PresentationSyntaxError
 
 
 # the walks that read the rules without the automaton; on the flute each
@@ -1147,30 +1257,31 @@ _WALKS = [
 
 @pytest.mark.parametrize("rule", [(BlockKind.ANNULUS, ("zzz",)), (BlockKind.PANTS, ("punc",)), 5])
 def test_edit_met_by_a_walk_raises_the_constructors_error(rule):
-    """A dangling child raised a bare KeyError in decompose and
-    interchange_normalize; a one-child Pants was walked as a Handle by
-    decompose and raised a bare IndexError in interchange_normalize; a rule
-    that is no pair raised a bare TypeError in interchange_normalize and
-    first_occurrences."""
+    """A dangling child, a one-child Pants or a rule that is no pair once
+    reached the walks, which raised bare errors or walked a Pants as a
+    Handle: the edit raises at the assignment, the walks answer as before,
+    and the constructor refuses the edited system."""
     p = parse_presentation(FLUTE)
-    p.rules["punc"] = rule
-    for walk in _WALKS:
-        _assert_raises_the_constructors_error(walk, p)
+    answers = [_answer(walk, p) for walk in _WALKS]
+    _assert_refused(p, lambda p: p.rules.__setitem__("punc", rule))
+    assert [_answer(walk, p) for walk in _WALKS] == answers
+    with pytest.raises(EndkitError):
+        replace(p, rules={**p.rules, "punc": rule})
 
 
 def test_edit_adding_only_an_unreachable_rule_raises_at_every_door():
-    """A rule that no walk reaches is seen at the door (`_checked`): the
-    walks raise UnreachableRuleError with the constructor's message, as the
-    invariants do, also after they answered for the system before the edit."""
+    """A rule that no walk reaches is refused at the one door left, the
+    assignment, by each mutator that adds it; the walks and the invariants
+    answer as before, and the constructor raises UnreachableRuleError for
+    the system with it."""
     p = parse_presentation(FLUTE)
     walks = [*_WALKS[:2], lambda p: first_occurrences(p, BlockKind.PANTS, 3)]
-    for walk in walks:
-        walk(p)
-    p.rules["orphan"] = (BlockKind.ANNULUS, ("orphan",))
-    assert isinstance(_constructor_error(p), UnreachableRuleError)
-    for walk in walks:
-        _assert_raises_the_constructors_error(walk, p)
-    _assert_every_answer_raises(p)
+    answers = [_answer(walk, p) for walk in walks]
+    adds = [_RULE_MUTATORS[name] for name in ("update", "setdefault", "ior")]
+    _assert_every_door_answers_as_built(p, _DOORS, *[lambda p, add=add: add(p.rules) for add in adds])
+    assert [_answer(walk, p) for walk in walks] == answers
+    with pytest.raises(UnreachableRuleError):
+        replace(p, rules={**p.rules, "orphan": (BlockKind.ANNULUS, ("orphan",))})
 
 
 @pytest.mark.parametrize("ask", [
@@ -1180,12 +1291,14 @@ def test_edit_adding_only_an_unreachable_rule_raises_at_every_door():
 ], ids=["genus", "to_end_expr", "decompose", "first_occurrences", "interchange_normalize", "spine",
         "splice_annulus", "pretty_print", "unfold"])
 def test_edit_unsetting_the_root_answers_for_the_first_rule(ask):
-    """A root unset in place is the first rule, as in the constructor;
-    decompose, first_occurrences, interchange_normalize, pretty_print and
-    unfold raised a bare AssertionError."""
+    """Unsetting the root in place raises; a presentation built with no root
+    has the first rule, and answers as the parsed flute (decompose,
+    first_occurrences, interchange_normalize, pretty_print and unfold once
+    raised a bare AssertionError on an unset root)."""
     p = parse_presentation(FLUTE)
-    p.root = None
-    assert _answer(ask, p) == _answer(ask, parse_presentation(FLUTE))
+    _assert_refused(p, lambda p: setattr(p, "root", None), lambda p: delattr(p, "root"))
+    unset = SurfacePresentation(p.name, p.rules)
+    assert unset.root == p.root and _answer(ask, unset) == _answer(ask, p)
 
 
 def _answer(ask, p):
@@ -1221,32 +1334,29 @@ def _edits(draw):
     return edits
 
 
+def _edit(what: str, state: str, rule):
+    """The in-place edit ``(what, state, rule)`` of `_edits`."""
+    if what == "root":
+        return lambda p: setattr(p, "root", state)
+    if what == "rule":
+        return lambda p: p.rules.__setitem__(state, rule)
+    return lambda p: p.rules.pop(state, None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(presentations(max_states=4), _edits())
 def test_edits_in_place_answer_as_a_fresh_build(pres, edits):
-    """After edits in place, every invariant and kerekjarto verdict is that
-    of a presentation built afresh from the edited rules, or the error class
-    its constructor raises; the memo, warm with the system before the
-    edits, never serves it."""
+    """Edits in place raise at the assignment, so every invariant and
+    kerekjarto verdict stays that of a presentation built afresh from the
+    rules as they were, and the memo, warm before the edits, serves the
+    same automaton."""
     plane = parse_presentation(_PLANE)
     asks = [*_ASKS, lambda p: kerekjarto(plane, p), lambda p: spine(p).core_states]
-    key, compiled = (pres.root, list(pres.rules.items())), ends_automaton(pres)
-    for what, state, rule in edits:
-        if what == "root":
-            pres.root = state
-        elif what == "rule":
-            pres.rules[state] = rule
-        else:
-            pres.rules.pop(state, None)
-    edited = [_answer(ask, pres) for ask in asks]  # the first ask meets a memo warm with the old system
-    try:
-        fresh = SurfacePresentation("fresh", dict(pres.rules), pres.root)
-    except EndkitError as error:
-        assert edited == [type(error)] * len(asks)
-        return
-    assert edited == [_answer(ask, fresh) for ask in asks]
-    if (pres.root, list(pres.rules.items())) != key:
-        assert ends_automaton(pres) is not compiled
+    compiled = ends_automaton(pres)
+    _assert_refused(pres, *[_edit(*edit) for edit in edits])
+    fresh = SurfacePresentation("fresh", dict(pres.rules), pres.root)
+    assert [_answer(ask, pres) for ask in asks] == [_answer(ask, fresh) for ask in asks]
+    assert ends_automaton(pres) is compiled
 
 
 def test_block_kinds_hash_by_identity():
@@ -1624,101 +1734,72 @@ def test_condensation_of_grown_cores_matches_the_reference():
     assert large > 100  # below a root, three members can finish out of numbering order
 
 
-# -- the door: every entry point checks a presentation edited in place ----
+# -- the door: the constructor is the only one -----------------------------
 #
-# A valid, compiled presentation is edited in place into a faulty system:
-# every entry point raises the constructor's error, of its class and with its
-# message, before any walk reads the rules; a system the constructor accepts
-# answers as a fresh build of it.
-
-_DOORS = {
-    "ends_automaton": ends_automaton,
-    "regularize": regularize,
-    "splice_annulus": lambda p: splice_annulus(p, next(iter(p.rules)), 0),
-    "decompose": lambda p: decompose(p, "lenient", 8),
-    "interchange_normalize": lambda p: interchange_normalize(p, [(0,)]),
-    "first_occurrences": lambda p: first_occurrences(p, BlockKind.PANTS, 1),
-    "spine": spine,
-    "find_essential_pants": find_essential_pants,
-    "genus": genus,
-    "is_finite_type": is_finite_type,
-    "canonical_finite_type": canonical_finite_type,
-    "unfold": lambda p: list(p.unfold(16)),
-    "pretty_print": pretty_print,
-    "ends_count": ends_count,
-    "cb_report": cb_report,
-    "to_end_expr": to_end_expr,
-}
+# A valid, compiled presentation cannot be edited in place into another
+# system: each edit raises at the assignment, and every entry point answers
+# for the system as built.  The constructor raises its error for a faulty
+# system (`test_validation_matches_the_two_pass_routine`).
 
 
 @settings(max_examples=300, deadline=None)
 @given(presentations(max_states=6), _faulty_systems())
 def test_edit_into_a_faulty_system_raises_the_constructors_error_at_every_door(before, system):
     rules, root = system
-    try:
-        fresh = SurfacePresentation(before.name, dict(rules), root)
-    except EndkitError:
-        fresh = None
-    for name, door in _DOORS.items():
-        p = SurfacePresentation(before.name, dict(before.rules), before.root)
-        ends_automaton(p)  # compiled: it keeps its key and its automaton
-        p.rules.clear()
-        p.rules.update(rules)
-        p.root = root
-        if fresh is None:
-            _assert_raises_the_constructors_error(door, p)
-        else:
-            assert _answer(door, p) == _answer(door, fresh), name
+    _assert_every_door_answers_as_built(
+        before, _DOORS, lambda p: p.rules.clear(), lambda p: p.rules.update(rules),
+        lambda p: setattr(p, "root", root), lambda p: setattr(p, "rules", rules),
+    )
 
 
 def test_edit_to_a_dangling_root_raises_the_constructors_error_at_every_door():
     """pretty_print printed text that the parser refuses, and unfold raised a
-    bare KeyError."""
-    for name, door in _DOORS.items():
-        p = parse_presentation(FLUTE)
-        ends_automaton(p)
-        p.root = "zzz"
-        _assert_raises_the_constructors_error(door, p)
+    bare KeyError, on a root moved in place to no rule: the move raises, and
+    building the moved system raises DanglingRuleError."""
+    p = parse_presentation(FLUTE)
+    _assert_every_door_answers_as_built(p, _DOORS, lambda p: setattr(p, "root", "zzz"))
+    with pytest.raises(DanglingRuleError):
+        replace(p, root="zzz")
+
+
+_TRIPLE_DOORS = {**_DOORS, "splice_annulus": lambda p: splice_annulus(p, "t1", 0)}  # a triple has no rules
 
 
 @pytest.mark.parametrize("finite_type", [FiniteType(-1, 0, 1), FiniteType(1, 0, 0), FiniteType(1.5, 0, 1)],
                          ids=["negative", "closed", "not-an-integer"])
 def test_edit_into_a_faulty_triple_raises_the_constructors_error_at_every_door(finite_type):
-    """A triple is checked at the door as a rule system is: its FiniteType
-    edited in place into one the constructor refuses raises the
-    constructor's error, where building its standard presentation raised a
-    ValueError with another message."""
+    """A triple's FiniteType reassigned raises at the assignment, and every
+    door answers for the triple as built; a copy with the faulty FiniteType
+    raises the constructor's error, with its message."""
     with pytest.raises(PresentationSyntaxError) as built:
         SurfacePresentation("s", finite_type=finite_type)
-    doors = {**_DOORS, "splice_annulus": lambda p: splice_annulus(p, "t1", 0)}  # a triple has no rules
-    for name, door in doors.items():
-        s = parse_presentation("surface s finite S(g=2, b=1, p=2)")
-        ends_automaton(s)
-        s.finite_type = finite_type
-        with pytest.raises(PresentationSyntaxError) as raised:
-            door(s)
-        assert str(raised.value) == str(built.value), name
+    s = parse_presentation("surface s finite S(g=2, b=1, p=2)")
+    _assert_every_door_answers_as_built(s, _TRIPLE_DOORS, lambda s: setattr(s, "finite_type", finite_type))
+    with pytest.raises(PresentationSyntaxError) as raised:
+        replace(s, finite_type=finite_type)
+    assert str(raised.value) == str(built.value)
 
 
 @pytest.mark.parametrize("text", [FLUTE, "surface s finite S(g=2, b=1, p=2)"], ids=["rules", "triple"])
 @pytest.mark.parametrize("edit", ["neither", "both"])
 def test_edit_to_neither_or_both_of_rules_and_triple_raises_the_constructors_error_at_every_door(text, edit):
-    """A presentation edited in place to hold neither rules nor a triple, or
-    both, raises the constructor's ValueError at every door: neither raised a
-    bare AssertionError, and both answered genus from the triple and the
-    automaton from the rules."""
+    """Neither rules nor a triple, or both, raised a bare AssertionError or
+    answered from either once edited in place: the edit raises at the
+    assignment, every door answers as built, and a copy so edited raises the
+    constructor's ValueError."""
     with pytest.raises(ValueError) as built:
         SurfacePresentation("s")
-    doors = {**_DOORS, "splice_annulus": lambda p: splice_annulus(p, "t1", 0)}
-    for name, door in doors.items():
-        p = parse_presentation(text)
-        ends_automaton(p)  # compiled: it keeps its key and its automaton
-        if edit == "neither":
-            p.rules = p.finite_type = None
-        elif p.rules is None:
-            p.rules = dict(parse_presentation(FLUTE).rules)
-        else:
-            p.finite_type = FiniteType(1, 0, 1)
-        with pytest.raises(ValueError) as raised:
-            door(p)
-        assert str(raised.value) == str(built.value), name
+    p = parse_presentation(text)
+    if edit == "neither":
+        changes = {"rules": None, "finite_type": None}
+    elif p.rules is None:
+        changes = {"rules": dict(parse_presentation(FLUTE).rules)}
+    else:
+        changes = {"finite_type": FiniteType(1, 0, 1)}
+    doors = _DOORS if p.rules is not None else _TRIPLE_DOORS
+    _assert_every_door_answers_as_built(
+        p, doors, *[lambda p, field=field, value=value: setattr(p, field, value) for field, value in changes.items()]
+    )
+    with pytest.raises(ValueError) as raised:
+        replace(p, **changes)
+    assert str(raised.value) == str(built.value)

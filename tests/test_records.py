@@ -201,7 +201,7 @@ def test_pickle_and_deepcopy_round_trip(record, names, text):
             assert clone == record
 
 
-def test_surface_presentation_is_mutable_and_unhashable():
+def test_surface_presentation_is_frozen_and_unhashable():
     pres = SurfacePresentation("flute", dict(_FLUTE_RULES))
     assert pres.root == "r"  # the first rule, set by validation
     assert repr(pres) == (
@@ -212,10 +212,15 @@ def test_surface_presentation_is_mutable_and_unhashable():
     assert pres != SurfacePresentation("other", dict(_FLUTE_RULES))
     with pytest.raises(TypeError):
         hash(pres)
-    pres.name = "renamed"
-    assert pres.name == "renamed"
+    with pytest.raises(AttributeError, match="cannot assign to field 'name'"):
+        pres.name = "renamed"
+    with pytest.raises(TypeError, match="read-only"):
+        pres.rules["t"] = (BlockKind.HANDLE, ("t",))
+    assert pres.name == "flute" and pres.rules == _FLUTE_RULES
     for clone in (pickle.loads(pickle.dumps(pres)), copy.deepcopy(pres)):
         assert clone == pres and clone.rules is not pres.rules
+        with pytest.raises(TypeError, match="read-only"):
+            clone.rules.clear()
     finite = SurfacePresentation("s", finite_type=FiniteType(1, 0, 2))
     assert finite.rules is None and finite.root is None and finite == copy.deepcopy(finite)
 
